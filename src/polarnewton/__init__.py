@@ -36,26 +36,12 @@ from .curves import (  # noqa: F401
     polar,
     substitute,
 )
-from .genus1 import (  # noqa: F401
-    DegeneracyLocus,
-    degeneracy_locus_g1,
-    edge_term,
-    min_x_exponent,
-    polar_model_g1,
-    predicted_polygon_g1,
-    predicted_side_polynomial_g1,
-    predicted_topology_g1,
-)
+from .genus1 import DegeneracyLocus, PolarModel, edge_term, min_x_exponent, polar_model_g1  # noqa: F401
 from .genus2 import (  # noqa: F401
     Classification,
     InvalidSemigroupError,
     classify_nondegenerate,
-    degeneracy_locus_g2,
-    edge_term_parts_g2,
     polar_model_g2,
-    predicted_polygon_g2,
-    predicted_side_polynomial_g2,
-    predicted_topology_g2,
     tail_min_x_exponent,
 )
 from .newton import (  # noqa: F401

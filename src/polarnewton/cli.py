@@ -18,8 +18,8 @@ from fractions import Fraction
 from . import __version__
 from .cfrac import continued_fraction, convergents
 from .curves import PolarParams, generic_member_g1, generic_member_g2, parse_series, polar
-from .genus1 import degeneracy_locus_g1, polar_model_g1
-from .genus2 import classify_nondegenerate, degeneracy_locus_g2, polar_model_g2
+from .genus1 import polar_model_g1
+from .genus2 import classify_nondegenerate, polar_model_g2
 from .newton import is_nondegenerate, newton_polygon
 from .puiseux import InsufficientDepthError, intersection_numeric, puiseux_expand
 from .verify import SampleConfig, run_verification
@@ -146,15 +146,18 @@ def _cmd_nondeg(args):
     }, []
 
 
+def _model(args):
+    if args.kind == "g1":
+        return polar_model_g1(args.p, args.q)
+    return polar_model_g2(args.p, args.q, args.d)
+
+
 def _cmd_locus(args):
-    locus = degeneracy_locus_g1(args.p, args.q) if args.kind == "g1" \
-        else degeneracy_locus_g2(args.p, args.q, args.d)
-    return _locus_payload(locus), []
+    return _locus_payload(_model(args).locus), []
 
 
 def _cmd_topology(args):
-    model = polar_model_g1(args.p, args.q) if args.kind == "g1" \
-        else polar_model_g2(args.p, args.q, args.d)
+    model = _model(args)
     payload = _topology_payload(model.topology)
     payload["predicted_polygon"] = _polygon_payload(model.predicted_polygon())
     return payload, []
@@ -218,20 +221,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(func=_cmd_cf)
 
-    p = sub.add_parser("family", help="generic family member data")
-    fsub = p.add_subparsers(dest="kind", required=True)
-    g1 = fsub.add_parser("g1")
-    g1.add_argument("--p", type=int, required=True)
-    g1.add_argument("--q", type=int, required=True)
-    g1.add_argument("--bound", type=int, default=None)
-    g1.set_defaults(func=_cmd_family, kind="g1")
-    g2 = fsub.add_parser("g2")
-    g2.add_argument("--p", type=int, required=True)
-    g2.add_argument("--q", type=int, required=True)
-    g2.add_argument("--d", type=int, required=True)
+    def add_family_command(name, func, help_text):
+        """A subcommand with g1 (--p, --q) and g2 (--p, --q, --d) variants."""
+        kinds = sub.add_parser(name, help=help_text).add_subparsers(dest="kind", required=True)
+        variants = []
+        for kind in ("g1", "g2"):
+            g = kinds.add_parser(kind)
+            g.add_argument("--p", type=int, required=True)
+            g.add_argument("--q", type=int, required=True)
+            if kind == "g2":
+                g.add_argument("--d", type=int, required=True)
+            g.set_defaults(func=func, kind=kind)
+            variants.append(g)
+        return variants
+
+    g1, g2 = add_family_command("family", _cmd_family, "generic family member data")
     g2.add_argument("--e1", type=int, default=2)
-    g2.add_argument("--bound", type=int, default=None)
-    g2.set_defaults(func=_cmd_family, kind="g2")
+    for g in (g1, g2):
+        g.add_argument("--bound", type=int, default=None)
 
     def add_series_input(cmd):
         cmd.add_argument("--input", help="file with a curve expression")
@@ -251,29 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_series_input(p)
     p.set_defaults(func=_cmd_nondeg)
 
-    p = sub.add_parser("locus", help="normalized degeneracy locus generators")
-    lsub = p.add_subparsers(dest="kind", required=True)
-    g1 = lsub.add_parser("g1")
-    g1.add_argument("--p", type=int, required=True)
-    g1.add_argument("--q", type=int, required=True)
-    g1.set_defaults(func=_cmd_locus, kind="g1")
-    g2 = lsub.add_parser("g2")
-    g2.add_argument("--p", type=int, required=True)
-    g2.add_argument("--q", type=int, required=True)
-    g2.add_argument("--d", type=int, required=True)
-    g2.set_defaults(func=_cmd_locus, kind="g2")
-
-    p = sub.add_parser("topology", help="predicted branch classes and intersections")
-    tsub = p.add_subparsers(dest="kind", required=True)
-    g1 = tsub.add_parser("g1")
-    g1.add_argument("--p", type=int, required=True)
-    g1.add_argument("--q", type=int, required=True)
-    g1.set_defaults(func=_cmd_topology, kind="g1")
-    g2 = tsub.add_parser("g2")
-    g2.add_argument("--p", type=int, required=True)
-    g2.add_argument("--q", type=int, required=True)
-    g2.add_argument("--d", type=int, required=True)
-    g2.set_defaults(func=_cmd_topology, kind="g2")
+    add_family_command("locus", _cmd_locus, "normalized degeneracy locus generators")
+    add_family_command("topology", _cmd_topology, "predicted branch classes and intersections")
 
     p = sub.add_parser("classify", help="does the class have nondegenerate general polars?")
     p.add_argument("--semigroup", required=True, help="comma-separated minimal generators")
@@ -286,18 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_puiseux)
 
-    p = sub.add_parser("verify", help="sampled verification of the predictions")
-    vsub = p.add_subparsers(dest="kind", required=True)
-    g1 = vsub.add_parser("g1")
-    g1.add_argument("--p", type=int, required=True)
-    g1.add_argument("--q", type=int, required=True)
-    g1.set_defaults(func=_cmd_verify, kind="g1")
-    g2 = vsub.add_parser("g2")
-    g2.add_argument("--p", type=int, required=True)
-    g2.add_argument("--q", type=int, required=True)
-    g2.add_argument("--d", type=int, required=True)
-    g2.set_defaults(func=_cmd_verify, kind="g2")
-    for g in (g1, g2):
+    for g in add_family_command("verify", _cmd_verify, "sampled verification of the predictions"):
         g.add_argument("--trials", type=int, default=10)
         g.add_argument("--seed", type=int, default=42)
         g.add_argument("--range", type=int, default=10)

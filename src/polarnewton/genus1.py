@@ -6,7 +6,9 @@ the lower hull of those points is the predicted Newton polygon.  For p >= 3
 it is governed by the continued fraction of q/p; for p = 2 it is the single
 side (q-1, 0)-(0, 1).  This module builds that polygon, the associated
 polynomial of each side, the coefficient locus outside which the prediction
-holds with every side squarefree, and the resulting branch topology.
+holds with every side squarefree, and the resulting branch topology.  The
+model and its builder serve genus two as well (see genus2), which supplies
+its own lowest points and coefficients.
 
 A lattice point of a side need not carry a polar term: at height p-2 the
 normal form leaves only the x-derivative route, which lands strictly right of
@@ -32,12 +34,9 @@ __all__ = [
     "min_x_exponent",
     "polar_coefficient_g1",
     "edge_term",
-    "predicted_polygon_g1",
-    "predicted_side_polynomial_g1",
-    "degeneracy_locus_g1",
-    "predicted_topology_g1",
+    "PolarModel",
+    "build_model",
     "polar_model_g1",
-    "PolarModelG1",
 ]
 
 
@@ -146,37 +145,24 @@ def edge_term(p: int, q: int, j: int) -> MPoly:
 
 
 @dataclass(frozen=True)
-class PolarModelG1:
-    p: int
-    q: int
-    cf: ContinuedFraction
-    conv: ConvergentSeq
-    low_points: tuple[Point, ...]  # (min x-exponent, j) for j = 0..p-1
-    edge_terms: tuple[MPoly, ...]  # indexed by j
-    sides: tuple[tuple[Point, ...], ...]  # ascending j within a side; bottom side first
+class PolarModel:
+    """Predicted general polar of one family: its Newton polygon, side
+    polynomials, degeneracy locus and topology."""
+
+    low_points: tuple[Point, ...]  # lowest (x, j) at each height j, indexed by j
+    sides: tuple[tuple[Point, ...], ...]  # bottom side first; ascending j within a side
     side_polys: tuple[UPoly, ...]
-    side_heights: tuple[int, ...]  # heights j whose edge term must not vanish
+    side_heights: tuple[int, ...]  # heights j whose lowest term must not vanish
     raw_conditions: tuple[MPoly, ...]
+    edge_terms: dict[int, MPoly]  # the lowest polar term at each side height
     locus: DegeneracyLocus
     topology: TopologyReport
 
     def predicted_polygon(self) -> NewtonPolygon:
-        return _polygon_from_side_points(self.sides)
+        return newton_polygon_from_points([pt for pts in self.sides for pt in pts])
 
     def predicted_points(self) -> tuple[Point, ...]:
         return _points_on_profile(self.sides, self.low_points)
-
-
-def _profile_sides(profile) -> tuple[tuple[Point, ...], ...]:
-    """Sides of the lower hull of the profile points as lattice-point lists,
-    bottom side first, ascending j within a side."""
-    poly = newton_polygon_from_points(profile)
-    return tuple(tuple(reversed(side.lattice_points)) for side in reversed(poly.sides))
-
-
-def _polygon_from_side_points(sides) -> NewtonPolygon:
-    """Sides given bottom-first with ascending-j points, as a polygon."""
-    return newton_polygon_from_points([pt for pts in sides for pt in pts])
 
 
 def _points_on_profile(sides, low_points) -> tuple[Point, ...]:
@@ -185,17 +171,42 @@ def _points_on_profile(sides, low_points) -> tuple[Point, ...]:
     return tuple(sorted({pt for pts in sides for pt in pts if pt == low_points[pt[1]]}))
 
 
-def _side_polys(sides, coeff_at) -> tuple[UPoly, ...]:
-    """Associated polynomial of each side: sum of coeff_at(point) z^(j - j_bottom)."""
-    out = []
-    for pts in sides:
-        F = MPoly.zero()
-        for (x, j) in pts:
-            F = F + coeff_at(x, j) * MPoly.var(Z, j - pts[0][1])
-        F = UPoly.from_mpoly(F, Z)
-        assert F.deg == pts[-1][1] - pts[0][1], "side polynomial degree must match the side height"
-        out.append(F)
-    return tuple(out)
+def _side_poly(pts, coeff_at) -> UPoly:
+    """Associated polynomial of a side: sum of coeff_at(point) z^(j - j_bottom)."""
+    F = MPoly.zero()
+    for (x, j) in pts:
+        F = F + coeff_at(x, j) * MPoly.var(Z, j - pts[0][1])
+    F = UPoly.from_mpoly(F, Z)
+    assert F.deg == pts[-1][1] - pts[0][1], "side polynomial degree must match the side height"
+    return F
+
+
+def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
+    """The predicted polar from the lowest point at each height.
+
+    `low_points[j]` is the lowest (x, j) the generic polar can reach at height
+    j, and `coeff_at(x, j)` is its generic coefficient at a side lattice
+    point.  The polygon is the lower hull of the low points.  The locus asks
+    that no lowest term on a side and no side discriminant vanish;
+    `nonvanishing` is passed on to `build_locus`.
+    """
+    polygon = newton_polygon_from_points(low_points)
+    sides = tuple(tuple(reversed(side.lattice_points)) for side in reversed(polygon.sides))
+    side_polys = tuple(_side_poly(pts, coeff_at) for pts in sides)
+    heights = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
+    lowest = [coeff_at(*low_points[j]) for j in heights]
+    edge_terms = {j: c * MPoly.monomial(1, {X: low_points[j][0], Y: j}) for j, c in zip(heights, lowest)}
+    raw = lowest + [discriminant(F) for F in side_polys if F.deg >= 1]
+    return PolarModel(
+        low_points=tuple(low_points),
+        sides=sides,
+        side_polys=side_polys,
+        side_heights=tuple(heights),
+        raw_conditions=tuple(raw),
+        edge_terms=edge_terms,
+        locus=build_locus(raw, nonvanishing=nonvanishing),
+        topology=oka_decomposition(polygon),
+    )
 
 
 def _convergent_vertices(cf: ContinuedFraction, conv: ConvergentSeq) -> tuple[Point, ...]:
@@ -207,18 +218,9 @@ def _convergent_vertices(cf: ContinuedFraction, conv: ConvergentSeq) -> tuple[Po
 
 
 @lru_cache(maxsize=None)
-def polar_model_g1(p: int, q: int) -> PolarModelG1:
+def polar_model_g1(p: int, q: int) -> PolarModel:
     if not (2 <= p < q) or math.gcd(p, q) != 1:
         raise CurveError(f"need coprime 2 <= p < q, got ({p}, {q})")
-    cf = continued_fraction(q, p)
-    conv = convergents(cf)
-
-    low_points = tuple((min_x_exponent(p, q, j), j) for j in range(p))
-    terms = tuple(edge_term(p, q, j) for j in range(p))
-    sides = _profile_sides(low_points)
-    if p >= 3:
-        assert tuple(pts[0] for pts in sides) + (sides[-1][-1],) == _convergent_vertices(cf, conv), \
-            "polygon vertices must follow the convergents of q/p"
 
     def coeff_at(x, j):
         c = polar_coefficient_g1(p, q, x, j)
@@ -228,43 +230,12 @@ def polar_model_g1(p: int, q: int) -> PolarModelG1:
                 assert p * q < w < p * q + p, "edge term coefficient outside the safe weight window"
         return c
 
-    side_polys = _side_polys(sides, coeff_at)
-    lam = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
-    raw = [coeff_at(*low_points[j]) for j in lam]
-    raw += [discriminant(F) for F in side_polys if F.deg >= 1]
-    locus = build_locus(raw)
-
-    polygon = _polygon_from_side_points(sides)
-    assert sum(side.n for side in polygon.sides) == p - 1, \
+    model = build_model(tuple((min_x_exponent(p, q, j), j) for j in range(p)), coeff_at)
+    if p >= 3:
+        cf = continued_fraction(q, p)
+        vertices = tuple(pts[0] for pts in model.sides) + (model.sides[-1][-1],)
+        assert vertices == _convergent_vertices(cf, convergents(cf)), \
+            "polygon vertices must follow the convergents of q/p"
+    assert sum(side.n for side in model.predicted_polygon().sides) == p - 1, \
         "side heights must add up to the polar multiplicity"
-    return PolarModelG1(
-        p=p, q=q, cf=cf, conv=conv,
-        low_points=low_points,
-        edge_terms=terms,
-        sides=sides,
-        side_polys=side_polys,
-        side_heights=tuple(lam),
-        raw_conditions=tuple(raw),
-        locus=locus,
-        topology=oka_decomposition(polygon),
-    )
-
-
-def predicted_polygon_g1(p: int, q: int) -> tuple[tuple[Point, ...], ...]:
-    """Predicted sides as lattice-point lists, bottom side first."""
-    return polar_model_g1(p, q).sides
-
-
-def predicted_side_polynomial_g1(p: int, q: int, k: int) -> UPoly:
-    model = polar_model_g1(p, q)
-    if not 0 <= k < len(model.side_polys):
-        raise CurveError(f"side index {k} out of range")
-    return model.side_polys[k]
-
-
-def degeneracy_locus_g1(p: int, q: int) -> DegeneracyLocus:
-    return polar_model_g1(p, q).locus
-
-
-def predicted_topology_g1(p: int, q: int) -> TopologyReport:
-    return polar_model_g1(p, q).topology
+    return model

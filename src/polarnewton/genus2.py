@@ -10,10 +10,11 @@ hull of the per-height minimum of the two profiles.  The tail lies strictly
 above the steep side's line, but it can reach the shifted genus-one sides:
 for p = 2 and d = 1 the class-defining tail term b[i0,j0] undercuts the
 product part at height 0, and on (3,5,1) it fills the side lattice point
-(7,1), where the product part has no term.  This module builds the polygon,
-the side polynomials, the degeneracy locus (without the class condition
-b[i0,j0] != 0), the predicted topology, and the semigroup classifier for
-nondegenerate general polars.
+(7,1), where the product part has no term.  This module supplies that
+profile and the polar coefficients on its sides to the shared builder of
+genus1, which derives the side polynomials, the degeneracy locus (without the
+class condition b[i0,j0] != 0) and the predicted topology.  It also holds the
+semigroup classifier for nondegenerate general polars.
 """
 
 from __future__ import annotations
@@ -22,31 +23,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import A, B, MPoly, UPoly, X, Y, bvar, discriminant
+from .algebra import A, B, MPoly, bvar
 from .curves import CurveError, coefficient_tail, tail_start
-from .genus1 import (
-    DegeneracyLocus,
-    PolarModelG1,
-    _points_on_profile,
-    _polygon_from_side_points,
-    _profile_sides,
-    _side_polys,
-    build_locus,
-    min_x_exponent,
-    polar_coefficient_g1,
-    polar_model_g1,
-)
-from .newton import NewtonPolygon, Point, TopologyReport, oka_decomposition
+from .genus1 import PolarModel, build_model, polar_coefficient_g1, polar_model_g1
+from .newton import Point
 
 __all__ = [
     "tail_min_x_exponent",
-    "edge_term_parts_g2",
-    "predicted_polygon_g2",
-    "predicted_side_polynomial_g2",
-    "degeneracy_locus_g2",
-    "predicted_topology_g2",
     "polar_model_g2",
-    "PolarModelG2",
     "lpq_side_points",
     "classify_nondegenerate",
     "Classification",
@@ -84,131 +68,41 @@ def tail_min_x_exponent(p: int, q: int, d: int, j: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class EdgeTermG2:
-    product_part: MPoly | None  # from 2 * f1 * P(f1) when it reaches the lowest point
-    tail_part: MPoly | None  # from P(f2) when it reaches the lowest point
-    term: MPoly  # the combined lowest term at this height
-
-
-def edge_term_parts_g2(p: int, q: int, d: int, j: int) -> EdgeTermG2:
-    """Lowest polar term at height j for the genus-two family (e1 = 2).
-
-    Exact at every height of a predicted side; at other heights the product
-    part may have lower terms than the shifted genus-one one.
-    """
-    if j == 2 * p - 1:
-        x = 0
-    elif 0 <= j <= p - 1:
-        x = min(q + min_x_exponent(p, q, j), tail_min_x_exponent(p, q, d, j))
-    else:
-        raise CurveError(f"need 0 <= j <= {p - 1} or j = {2 * p - 1}, got {j}")
-    mono = MPoly.monomial(1, {X: x, Y: j})
-    g = _product_polar_coeff(p, q, x, j)
-    h = _tail_polar_coeff(p, q, d, x, j)
-    return EdgeTermG2(product_part=None if g.is_zero() else g * mono,
-                      tail_part=None if h.is_zero() else h * mono,
-                      term=(g + h) * mono)
-
-
 def lpq_side_points(p: int, q: int, e1: int = 2) -> tuple[Point, ...]:
     """Lattice points of the steep side contributed by f1^(e1-1) * P(f1)."""
     return tuple((i * q, (e1 - i) * p - 1) for i in range(e1))
 
 
-@dataclass(frozen=True)
-class PolarModelG2:
-    p: int
-    q: int
-    d: int
-    g1: PolarModelG1
-    i0: int
-    j0: int
-    tail_min_x: tuple[int, ...]  # indexed by j = 0..2p-2
-    low_points: tuple[Point, ...]  # per-height minimum of both profiles, j = 0..2p-1
-    edge_terms: dict
-    sides: tuple[tuple[Point, ...], ...]  # bottom side first; steep side last
-    side_polys: tuple[UPoly, ...]
-    side_heights: tuple[int, ...]
-    raw_conditions: tuple[MPoly, ...]
-    locus: DegeneracyLocus
-    topology: TopologyReport
-
-    def predicted_polygon(self) -> NewtonPolygon:
-        return _polygon_from_side_points(self.sides)
-
-    def predicted_points(self) -> tuple[Point, ...]:
-        return _points_on_profile(self.sides, self.low_points)
-
-
 @lru_cache(maxsize=None)
-def polar_model_g2(p: int, q: int, d: int) -> PolarModelG2:
+def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
     if not (2 <= p < q) or math.gcd(p, q) != 1:
         raise CurveError(f"need coprime 2 <= p < q, got ({p}, {q})")
     if d < 1 or d % 2 == 0:
         raise CurveError(f"need odd d >= 1, got {d}")
-    g1 = polar_model_g1(p, q)
     threshold = 2 * p * q + d
     i0, j0 = tail_start(p, q, d)
 
-    tail_min = tuple(tail_min_x_exponent(p, q, d, j) for j in range(2 * p - 1))
     # heights p..2p-2 keep the tail minimum alone: they lie above the steep
     # side, which has no lattice points there
-    low = dict(enumerate(tail_min))
-    for (x, j) in lpq_side_points(p, q, 2) + tuple((x + q, j) for (x, j) in g1.low_points):
+    low = {j: tail_min_x_exponent(p, q, d, j) for j in range(2 * p - 1)}
+    steep = lpq_side_points(p, q, 2)
+    for (x, j) in steep + tuple((x + q, j) for (x, j) in polar_model_g1(p, q).low_points):
         low[j] = min(x, low.get(j, x))
-    low_points = tuple((low[j], j) for j in range(2 * p))
-    sides = _profile_sides(low_points)
-    assert sides[-1] == tuple(sorted(lpq_side_points(p, q, 2), key=lambda pt: pt[1])), \
-        "the tail must stay above the steep side"
 
     def coeff_at(x, j):
         h = _tail_polar_coeff(p, q, d, x, j)
         for v in h.variables():
             if v.kind == "bij":
                 w = v.i * p + v.j * q
-                assert threshold <= w <= threshold + p, "tail coefficient outside the safe weight window"
+                assert threshold <= w < threshold + p, "tail coefficient outside the safe weight window"
         return _product_polar_coeff(p, q, x, j) + h
 
-    side_polys = _side_polys(sides, coeff_at)
-    heights = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
-    raw = [coeff_at(*low_points[j]) for j in heights]
-    raw += [discriminant(Fk) for Fk in side_polys if Fk.deg >= 1]
-    locus = build_locus(raw, nonvanishing={bvar(i0, j0)})
-
-    polygon = _polygon_from_side_points(sides)
-    assert polygon.top == (0, 2 * p - 1)
-    return PolarModelG2(
-        p=p, q=q, d=d, g1=g1, i0=i0, j0=j0,
-        tail_min_x=tail_min,
-        low_points=low_points,
-        edge_terms={j: edge_term_parts_g2(p, q, d, j) for j in heights},
-        sides=sides,
-        side_polys=side_polys,
-        side_heights=tuple(heights),
-        raw_conditions=tuple(raw),
-        locus=locus,
-        topology=oka_decomposition(polygon),
-    )
-
-
-def predicted_polygon_g2(p: int, q: int, d: int) -> tuple[tuple[Point, ...], ...]:
-    return polar_model_g2(p, q, d).sides
-
-
-def predicted_side_polynomial_g2(p: int, q: int, d: int, k: int) -> UPoly:
-    model = polar_model_g2(p, q, d)
-    if not 0 <= k < len(model.side_polys):
-        raise CurveError(f"side index {k} out of range")
-    return model.side_polys[k]
-
-
-def degeneracy_locus_g2(p: int, q: int, d: int) -> DegeneracyLocus:
-    return polar_model_g2(p, q, d).locus
-
-
-def predicted_topology_g2(p: int, q: int, d: int) -> TopologyReport:
-    return polar_model_g2(p, q, d).topology
+    model = build_model(tuple((low[j], j) for j in range(2 * p)), coeff_at,
+                        nonvanishing={bvar(i0, j0)})
+    assert model.sides[-1] == tuple(sorted(steep, key=lambda pt: pt[1])), \
+        "the tail must stay above the steep side"
+    assert model.predicted_polygon().top == (0, 2 * p - 1)
+    return model
 
 
 # -- classifier ------------------------------------------------------------

@@ -124,6 +124,11 @@ def side_polynomial(f: PlaneSeries, side: Side) -> MPoly:
 def associated_polynomial(f: PlaneSeries, side: Side) -> UPoly:
     """Side polynomial evaluated at (1, z) and divided by z^(min j on the side)."""
     _require_side(f, side)
+    return _associated(f, side)
+
+
+def _associated(f: PlaneSeries, side: Side) -> UPoly:
+    """`associated_polynomial` for a side already known to be one of f's."""
     j0 = side.to_pt[1]
     out = MPoly.zero()
     for i, j in side.lattice_points:
@@ -133,14 +138,6 @@ def associated_polynomial(f: PlaneSeries, side: Side) -> UPoly:
     F = UPoly.from_mpoly(out, Z)
     assert F.deg == side.n, "associated polynomial must have the side height as degree"
     return F
-
-
-def associated_from_points(points_with_coeffs, j0: int) -> UPoly:
-    """Associated polynomial built directly from (j, coefficient) pairs."""
-    out = MPoly.zero()
-    for j, c in points_with_coeffs:
-        out = out + c * MPoly.var(Z, j - j0)
-    return UPoly.from_mpoly(out, Z)
 
 
 @dataclass(frozen=True)
@@ -155,6 +152,7 @@ class SideVerdict:
 class NondegReport:
     verdict: str  # "nondegenerate" | "degenerate" | "generically_nondegenerate"
     sides: tuple[SideVerdict, ...]
+    polygon: NewtonPolygon
 
     @property
     def nondegenerate(self) -> bool:
@@ -172,7 +170,7 @@ def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     any_symbolic = False
     all_ok = True
     for side in poly.sides:
-        F = associated_polynomial(f, side)
+        F = _associated(f, side)
         ok, path = squarefree_info(F)
         any_symbolic |= path == "symbolic"
         all_ok &= ok
@@ -183,7 +181,7 @@ def is_nondegenerate(f: PlaneSeries) -> NondegReport:
         verdict = "generically_nondegenerate"
     else:
         verdict = "nondegenerate"
-    return NondegReport(verdict=verdict, sides=tuple(verdicts))
+    return NondegReport(verdict=verdict, sides=tuple(verdicts), polygon=poly)
 
 
 # -- branch classes and intersection numbers -----------------------------------
@@ -270,7 +268,7 @@ def oka_report(f: PlaneSeries) -> TopologyReport:
     if report.verdict == "degenerate":
         bad = [v.side for v in report.sides if not v.squarefree]
         raise PolygonError(f"series is Newton degenerate on side(s) {bad}")
-    return oka_decomposition(newton_polygon(f))
+    return oka_decomposition(report.polygon)
 
 
 def minkowski_sum(p1: NewtonPolygon, p2: NewtonPolygon) -> NewtonPolygon:

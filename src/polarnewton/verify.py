@@ -18,11 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import A, B, MPoly, UPoly, Var, Z, bvar, squarefree_info
+from .algebra import A, B, MPoly, UPoly, Var, Z, bvar
 from .curves import PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from .genus1 import polar_model_g1
 from .genus2 import polar_model_g2
-from .newton import associated_polynomial, is_nondegenerate, newton_polygon, oka_report
+from .newton import PolygonError, is_nondegenerate, oka_decomposition
 from .puiseux import InsufficientDepthError, intersection_numeric, puiseux_expand
 
 PRNG_NAME = "mt19937 (CPython random.Random), per-trial seed '<seed>:<trial>'"
@@ -39,7 +39,6 @@ class SampleConfig:
     seed: int
     trials: int
     coeff_range: int = 10
-    ab_mode: str = "concrete-random"  # or "symbolic"
     puiseux_crosscheck: bool = False
 
     def __post_init__(self):
@@ -47,12 +46,6 @@ class SampleConfig:
             raise VerifyError("need trials >= 1 and coeff_range >= 2")
         if len(self.family) not in (2, 3):
             raise VerifyError("family must be (p, q) or (p, q, d)")
-        if self.ab_mode != "concrete-random":
-            raise VerifyError(
-                "trials run with a concrete random pencil point; the symbolic "
-                "statement is covered once per family by the generic "
-                "nondegeneracy verdict in the report header"
-            )
 
 
 def _rand_fraction(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
@@ -133,10 +126,6 @@ def _assignment_digest(assignment, a, b) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _topology_match(actual, predicted) -> bool:
-    return actual.branches == predicted.branches and actual.intersections == predicted.intersections
-
-
 def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
     """Compare branch classes and the full intersection table against the
     expansion-based computation; smooth classes match on their table rows.
@@ -193,18 +182,17 @@ def run_verification(cfg: SampleConfig) -> dict:
         series, assignment = sample_off_locus(model, view, rng, cfg.coeff_range)
         a, b = _draw_general_pencil(rng, cfg.coeff_range, model.raw_conditions, assignment)
         pol = polar(series, PolarParams.concrete(a, b))
-        poly = newton_polygon(pol)
-        polygon_match = poly.vertices() == predicted_polygon.vertices()
+        report = is_nondegenerate(pol)
+        polygon_match = report.polygon.vertices() == predicted_polygon.vertices()
         support = pol.support()
         points_present = all(pt in support for pt in predicted_points)
-        sides_sf = []
-        for side in poly.sides:
-            ok, path = squarefree_info(associated_polynomial(pol, side))
-            sides_sf.append(bool(ok) and path == "concrete")
-        try:
-            topology_match = _topology_match(oka_report(pol), model.topology)
-        except Exception:
-            topology_match = False
+        sides_sf = [bool(v.squarefree) and v.path == "concrete" for v in report.sides]
+        topology_match = False
+        if report.nondegenerate:
+            try:
+                topology_match = oka_decomposition(report.polygon) == model.topology
+            except PolygonError:  # the polygon misses an axis
+                pass
         rec = {
             "trial": trial,
             "digest": _assignment_digest(assignment, a, b),

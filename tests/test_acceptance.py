@@ -25,8 +25,8 @@ from polarnewton.algebra import (
 )
 from polarnewton.cfrac import continued_fraction, convergents
 from polarnewton.curves import PolarParams, parse_series, polar
-from polarnewton.genus1 import degeneracy_locus_g1, polar_model_g1
-from polarnewton.genus2 import classify_nondegenerate, degeneracy_locus_g2, polar_model_g2
+from polarnewton.genus1 import polar_model_g1
+from polarnewton.genus2 import classify_nondegenerate, polar_model_g2
 from polarnewton.newton import newton_polygon_from_points
 from polarnewton.puiseux import puiseux_expand, reconstruction_residual
 from polarnewton.verify import SampleConfig, run_power_degeneracy, run_verification
@@ -85,7 +85,7 @@ def test_criterion_1_first_worked_example():
     ok &= resultant(F0, F0.derivative()) == displayed_d0
     ok &= discriminant(F0) * (-3 * b * a11) == displayed_d0
 
-    got = degeneracy_locus_g1(7, 19).generators
+    got = polar_model_g1(7, 19).locus.generators
     expected = [a17, a14, a11, 3 * a11 * a17 - a14**2]
     ok &= locus_matches(got, expected)
 
@@ -101,7 +101,7 @@ def test_criterion_1_first_worked_example():
 def test_criterion_2_second_worked_example():
     t0 = time.perf_counter()
     a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
-    got = degeneracy_locus_g1(5, 12).generators
+    got = polar_model_g1(5, 12).locus.generators
     ok = locus_matches(got, [a101, a53, 9 * a53**2 - 20 * a101])
 
     f1 = parse_series("y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y")
@@ -135,17 +135,17 @@ def test_criterion_3_third_worked_example():
 
     a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
     b173, b221 = MPoly.var(bvar(17, 3)), MPoly.var(bvar(22, 1))
-    ok &= model.edge_terms[9].term == 10 * b * y**9
-    ok &= model.edge_terms[4].term == -10 * b * x**12 * y**4
-    ok &= model.edge_terms[2].term == 3 * b * (b173 - 2 * a53) * x**17 * y**2
-    ok &= model.edge_terms[0].term == b * (b221 - 2 * a101) * x**22
+    ok &= model.edge_terms[9] == 10 * b * y**9
+    ok &= model.edge_terms[4] == -10 * b * x**12 * y**4
+    ok &= model.edge_terms[2] == 3 * b * (b173 - 2 * a53) * x**17 * y**2
+    ok &= model.edge_terms[0] == b * (b221 - 2 * a101) * x**22
 
     F0 = UPoly.from_mpoly(
         b * (-10 * z**4 + 3 * (b173 - 2 * a53) * z**2 + (b221 - 2 * a101)), Z
     )
     ok &= model.side_polys[0] == F0
 
-    got = degeneracy_locus_g2(5, 12, 1).generators
+    got = polar_model_g2(5, 12, 1).locus.generators
     expected = [
         b173 - 2 * a53,
         b221 - 2 * a101,
@@ -196,7 +196,7 @@ def test_criterion_5_sampled_genus_two_families():
 def test_criterion_6_tail_independence_for_large_d():
     ok = True
     for (p, q, d) in [(2, 5, 7), (2, 3, 5)]:
-        for g in degeneracy_locus_g2(p, q, d).generators:
+        for g in polar_model_g2(p, q, d).locus.generators:
             ok &= all(v.kind == "aij" for v in g.variables())
     assert report(6, ok)
 
@@ -205,7 +205,7 @@ def test_criterion_7_small_multiplicity_families():
     ok = True
     details = []
     for (k, d) in [(3, 1), (5, 1), (5, 3)]:
-        locus = degeneracy_locus_g2(2, k, d)
+        locus = polar_model_g2(2, k, d).locus
         empty = locus.is_empty()
         rep = polar_model_g2(2, k, d).topology
         classes = [(c.a0, c.a1, c.count) for c in rep.branches]

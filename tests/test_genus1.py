@@ -5,15 +5,7 @@ import pytest
 
 from polarnewton.algebra import A, B, MPoly, UPoly, X, Y, Z, avar
 from polarnewton.curves import CurveError, PolarParams, generic_member_g1, polar, substitute
-from polarnewton.genus1 import (
-    degeneracy_locus_g1,
-    edge_term,
-    min_x_exponent,
-    polar_model_g1,
-    predicted_polygon_g1,
-    predicted_side_polynomial_g1,
-    predicted_topology_g1,
-)
+from polarnewton.genus1 import edge_term, min_x_exponent, polar_model_g1
 from polarnewton.newton import newton_polygon, oka_report
 
 x = MPoly.var(X)
@@ -83,16 +75,16 @@ class TestEdgeTerms:
 
 class TestPredictedPolygon:
     def test_7_19(self):
-        assert predicted_polygon_g1(7, 19) == (
+        assert polar_model_g1(7, 19).sides == (
             ((17, 0), (14, 1), (11, 2)),
             ((11, 2), (0, 6)),
         )
 
     def test_5_12(self):
-        assert predicted_polygon_g1(5, 12) == (((10, 0), (5, 2), (0, 4)),)
+        assert polar_model_g1(5, 12).sides == (((10, 0), (5, 2), (0, 4)),)
 
     def test_2_3(self):
-        assert predicted_polygon_g1(2, 3) == (((2, 0), (0, 1)),)
+        assert polar_model_g1(2, 3).sides == (((2, 0), (0, 1)),)
 
     def test_heights_add_to_polar_multiplicity(self):
         for (p, q) in [(2, 3), (3, 4), (3, 7), (5, 12), (7, 19), (5, 7), (4, 13)]:
@@ -102,28 +94,31 @@ class TestPredictedPolygon:
 
 class TestSidePolynomials:
     def test_7_19_bottom_side(self):
-        F = predicted_side_polynomial_g1(7, 19, 0)
+        F = polar_model_g1(7, 19).side_polys[0]
         a11, a14, a17 = (MPoly.var(avar(11, 3)), MPoly.var(avar(14, 2)), MPoly.var(avar(17, 1)))
         assert F == UPoly.from_mpoly(3 * b * a11 * MPoly.var(Z, 2) + 2 * b * a14 * MPoly.var(Z) + b * a17, Z)
 
     def test_7_19_top_side(self):
-        F = predicted_side_polynomial_g1(7, 19, 1)
+        F = polar_model_g1(7, 19).side_polys[1]
         a11 = MPoly.var(avar(11, 3))
         assert F == UPoly.from_mpoly(7 * b * MPoly.var(Z, 4) + 3 * b * a11, Z)
 
     def test_5_12_single_side(self):
-        F = predicted_side_polynomial_g1(5, 12, 0)
+        F = polar_model_g1(5, 12).side_polys[0]
         a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
         assert F == UPoly.from_mpoly(5 * b * MPoly.var(Z, 4) + 3 * b * a53 * MPoly.var(Z, 2) + b * a101, Z)
 
     def test_index_error(self):
-        with pytest.raises(CurveError):
-            predicted_side_polynomial_g1(7, 19, 2)
+        # one polynomial per side, none past the last side
+        model = polar_model_g1(7, 19)
+        assert len(model.side_polys) == len(model.sides) == 2
+        with pytest.raises(IndexError):
+            model.side_polys[2]
 
 
 class TestLocus:
     def test_7_19(self):
-        got = degeneracy_locus_g1(7, 19).generators
+        got = polar_model_g1(7, 19).locus.generators
         a11, a14, a17 = (MPoly.var(avar(11, 3)), MPoly.var(avar(14, 2)), MPoly.var(avar(17, 1)))
         expected = [a11, a14, a17, 3 * a11 * a17 - a14**2]
         assert len(got) == 4
@@ -131,7 +126,7 @@ class TestLocus:
             assert any(rational_multiple(g, e) for g in got)
 
     def test_5_12(self):
-        got = degeneracy_locus_g1(5, 12).generators
+        got = polar_model_g1(5, 12).locus.generators
         a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
         expected = [a101, a53, 9 * a53**2 - 20 * a101]
         assert len(got) == 3
@@ -139,14 +134,14 @@ class TestLocus:
             assert any(rational_multiple(g, e) for g in got)
 
     def test_2_3_is_empty(self):
-        assert degeneracy_locus_g1(2, 3).is_empty()
+        assert polar_model_g1(2, 3).locus.is_empty()
 
     def test_2_5_and_3_7(self):
         # (2, 5): the old generator a[3,1] was a y^(p-1) coefficient, which
         # the shift y -> y - a[3,1]*x^3/2 removes; the only polar term below
         # the top is -5*a*x^4.  (3, 7) keeps its bottom-vertex coefficient
-        assert degeneracy_locus_g1(2, 5).is_empty()
-        assert [g.render() for g in degeneracy_locus_g1(3, 7).generators] == ["a[5,1]"]
+        assert polar_model_g1(2, 5).locus.is_empty()
+        assert [g.render() for g in polar_model_g1(3, 7).locus.generators] == ["a[5,1]"]
 
     def test_zero_lattice_points_impose_no_condition(self):
         # (2,1) on (3,5) and (2,2) on (4,7) lie on a side at height p-2,
@@ -159,7 +154,7 @@ class TestLocus:
             assert polar(generic_member_g1(p, q).generic).coeff(*pt).is_zero()
 
     def test_locus_vanishing_probe(self):
-        locus = degeneracy_locus_g1(7, 19)
+        locus = polar_model_g1(7, 19).locus
         fam = generic_member_g1(7, 19)
         zeros = {v: Fraction(0) for v in fam.coeff_vars}
         assert locus.vanishes_at(zeros)
@@ -169,17 +164,17 @@ class TestLocus:
 
 class TestPredictedTopology:
     def test_7_19(self):
-        rep = predicted_topology_g1(7, 19)
+        rep = polar_model_g1(7, 19).topology
         assert [(c.a0, c.a1, c.count) for c in rep.branches] == [(1, 3, 2), (4, 11, 1)]
         assert rep.intersections == ((0, 3, 11), (3, 0, 11), (11, 11, 0))
 
     def test_5_12(self):
-        rep = predicted_topology_g1(5, 12)
+        rep = polar_model_g1(5, 12).topology
         assert [(c.a0, c.a1, c.count) for c in rep.branches] == [(2, 5, 2)]
         assert rep.intersections == ((0, 10), (10, 0))
 
     def test_2_3(self):
-        rep = predicted_topology_g1(2, 3)
+        rep = polar_model_g1(2, 3).topology
         assert [(c.a0, c.a1, c.count) for c in rep.branches] == [(1, 2, 1)]
 
 

@@ -8,13 +8,8 @@ from polarnewton.curves import CurveError, PlaneSeries, PolarParams, generic_mem
 from polarnewton.genus2 import (
     InvalidSemigroupError,
     classify_nondegenerate,
-    degeneracy_locus_g2,
-    edge_term_parts_g2,
     lpq_side_points,
     polar_model_g2,
-    predicted_polygon_g2,
-    predicted_side_polynomial_g2,
-    predicted_topology_g2,
     tail_min_x_exponent,
 )
 from polarnewton.newton import newton_polygon, oka_report
@@ -51,18 +46,13 @@ class TestTailExponents:
 
 class TestEdgeTerms:
     def test_5_12_1_displayed_terms(self):
+        model = polar_model_g2(5, 12, 1)
         a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
         b173, b221 = MPoly.var(bvar(17, 3)), MPoly.var(bvar(22, 1))
-        assert edge_term_parts_g2(5, 12, 1, 4).term == -10 * b * x**12 * y**4
-        assert edge_term_parts_g2(5, 12, 1, 2).term == 3 * b * (b173 - 2 * a53) * x**17 * y**2
-        assert edge_term_parts_g2(5, 12, 1, 0).term == b * (b221 - 2 * a101) * x**22
-        assert edge_term_parts_g2(5, 12, 1, 9).term == 10 * b * y**9
-
-    def test_tail_part_only_when_profiles_meet(self):
-        parts4 = edge_term_parts_g2(5, 12, 1, 4)
-        assert parts4.tail_part is None  # tail minimum 13 sits right of 12
-        parts0 = edge_term_parts_g2(5, 12, 1, 0)
-        assert parts0.tail_part is not None
+        assert model.edge_terms[4] == -10 * b * x**12 * y**4
+        assert model.edge_terms[2] == 3 * b * (b173 - 2 * a53) * x**17 * y**2
+        assert model.edge_terms[0] == b * (b221 - 2 * a101) * x**22
+        assert model.edge_terms[9] == 10 * b * y**9
 
     def test_terms_agree_with_the_direct_polar(self):
         for (p, q, d) in [(2, 3, 1), (2, 5, 1), (2, 5, 7), (3, 5, 1), (3, 7, 1), (5, 12, 1)]:
@@ -70,7 +60,7 @@ class TestEdgeTerms:
             pol = polar(fam.generic)
             model = polar_model_g2(p, q, d)
             for j in model.side_heights:
-                term = model.edge_terms[j].term
+                term = model.edge_terms[j]
                 (pt,) = [(i, jj) for (i, jj) in [t for t in _term_support(term)]]
                 assert term == pol.coeff(*pt) * MPoly.monomial(1, {X: pt[0], Y: pt[1]})
 
@@ -90,13 +80,13 @@ def _term_support(term):
 
 class TestPredictedPolygon:
     def test_5_12_1(self):
-        assert predicted_polygon_g2(5, 12, 1) == (
+        assert polar_model_g2(5, 12, 1).sides == (
             ((22, 0), (17, 2), (12, 4)),
             ((12, 4), (0, 9)),
         )
 
     def test_2_3_1(self):
-        assert predicted_polygon_g2(2, 3, 1) == (
+        assert polar_model_g2(2, 3, 1).sides == (
             ((5, 0), (3, 1)),
             ((3, 1), (0, 3)),
         )
@@ -110,12 +100,12 @@ class TestPredictedPolygon:
 
     def test_even_d_rejected(self):
         with pytest.raises(CurveError):
-            predicted_polygon_g2(2, 3, 2)
+            polar_model_g2(2, 3, 2)
 
 
 class TestSidePolynomials:
     def test_5_12_1_shallow_side(self):
-        F = predicted_side_polynomial_g2(5, 12, 1, 0)
+        F = polar_model_g2(5, 12, 1).side_polys[0]
         a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
         b173, b221 = MPoly.var(bvar(17, 3)), MPoly.var(bvar(22, 1))
         expected = (-10 * b * MPoly.var(Z, 4)
@@ -124,7 +114,7 @@ class TestSidePolynomials:
         assert F == UPoly.from_mpoly(expected, Z)
 
     def test_5_12_1_steep_side_is_the_shifted_power(self):
-        F = predicted_side_polynomial_g2(5, 12, 1, 1)
+        F = polar_model_g2(5, 12, 1).side_polys[1]
         assert F == UPoly.from_mpoly(10 * b * (MPoly.var(Z, 5) - 1), Z)
 
     def test_2_3_1_steep_side(self):
@@ -138,7 +128,7 @@ class TestSidePolynomials:
 
 class TestLocus:
     def test_5_12_1_displayed_generators(self):
-        got = degeneracy_locus_g2(5, 12, 1).generators
+        got = polar_model_g2(5, 12, 1).locus.generators
         a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
         b173, b221 = MPoly.var(bvar(17, 3)), MPoly.var(bvar(22, 1))
         expected = [
@@ -151,8 +141,8 @@ class TestLocus:
             assert any(rational_multiple(g, e) for g in got)
 
     def test_2_3_families_are_empty(self):
-        assert degeneracy_locus_g2(2, 3, 1).is_empty()
-        assert degeneracy_locus_g2(2, 3, 5).is_empty()
+        assert polar_model_g2(2, 3, 1).locus.is_empty()
+        assert polar_model_g2(2, 3, 5).locus.is_empty()
 
     def test_2_5_families_track_the_bottom_vertex(self):
         # the product part puts 2*5*a at (9, 0); for d = 1 the class-defining
@@ -164,7 +154,7 @@ class TestLocus:
                                  (7, (9, 0), 10 * a)]:
             model = polar_model_g2(2, 5, d)
             assert model.sides[0][0] == vertex
-            assert model.edge_terms[0].term == coeff * x**vertex[0]
+            assert model.edge_terms[0] == coeff * x**vertex[0]
             assert model.locus.is_empty()
 
     @pytest.mark.parametrize("q", [3, 5, 7])
@@ -172,7 +162,7 @@ class TestLocus:
         # b[i0,j0] != 0 is what puts a member in the class; for d = 1 it is
         # the bottom vertex's coefficient, and the locus must not repeat it,
         # so every draw the sampler makes with b[i0,j0] != 0 is kept
-        assert degeneracy_locus_g2(2, q, 1).is_empty()
+        assert polar_model_g2(2, q, 1).locus.is_empty()
         view = _FamilyView((2, q, 1))
         for seed in range(5):
             drawn = _draw_assignment(random.Random(seed), view.coeff_vars_all, 10, view.nonzero_vars)
@@ -183,29 +173,29 @@ class TestLocus:
     def test_no_locus_group_lives_on_the_class_coefficient_alone(self, p, q, d):
         fam = generic_member_g2(p, q, d)
         class_var = bvar(fam.i0, fam.j0)
-        for group in degeneracy_locus_g2(p, q, d).groups:
+        for group in polar_model_g2(p, q, d).locus.groups:
             assert not all(g.variables() <= {class_var} for g in group)
 
     @pytest.mark.parametrize("p,q,d", [(2, 5, 7), (2, 3, 5), (3, 7, 9)])
     def test_d_at_least_q_depends_only_on_the_base_curve(self, p, q, d):
-        for g in degeneracy_locus_g2(p, q, d).generators:
+        for g in polar_model_g2(p, q, d).locus.generators:
             assert all(v.kind == "aij" for v in g.variables())
 
 
 class TestPredictedTopology:
     def test_5_12_1(self):
-        rep = predicted_topology_g2(5, 12, 1)
+        rep = polar_model_g2(5, 12, 1).topology
         assert [(c.a0, c.a1, c.count) for c in rep.branches] == [(2, 5, 2), (5, 12, 1)]
         assert rep.intersections == ((0, 10, 24), (10, 0, 24), (24, 24, 0))
 
     def test_2_3_1(self):
-        rep = predicted_topology_g2(2, 3, 1)
+        rep = polar_model_g2(2, 3, 1).topology
         assert [(c.a0, c.a1, c.count) for c in rep.branches] == [(1, 2, 1), (2, 3, 1)]
         assert rep.intersections == ((0, 3), (3, 0))
 
     @pytest.mark.parametrize("k,d", [(3, 1), (5, 1), (5, 3)])
     def test_2_k_families_one_smooth_plus_2_k_meeting_in_k(self, k, d):
-        rep = predicted_topology_g2(2, k, d)
+        rep = polar_model_g2(2, k, d).topology
         classes = [(c.a0, c.a1, c.count) for c in rep.branches]
         assert sum(c.count for c in rep.branches) == 2
         assert (2, k, 1) in [(a0, a1, c) for a0, a1, c in classes]
@@ -215,7 +205,7 @@ class TestPredictedTopology:
 
     def test_exactly_one_base_class_branch(self):
         for (p, q, d) in [(2, 3, 1), (2, 5, 1), (2, 5, 7), (5, 12, 1), (3, 7, 1)]:
-            rep = predicted_topology_g2(p, q, d)
+            rep = polar_model_g2(p, q, d).topology
             assert sum(1 for c in rep.branches for _ in range(c.count)
                        if (c.a0, c.a1) == (p, q)) == 1
 
@@ -289,16 +279,3 @@ class TestClassifier:
         with pytest.raises(InvalidSemigroupError):
             classify_nondegenerate(gens)
 
-
-class TestWeightWindows:
-    def test_tail_coefficients_live_in_the_safe_band(self):
-        for (p, q, d) in [(2, 3, 1), (2, 5, 7), (3, 7, 1), (5, 12, 1)]:
-            model = polar_model_g2(p, q, d)
-            for j in model.side_heights:
-                parts = model.edge_terms[j]
-                if parts.tail_part is None:
-                    continue
-                for v in parts.tail_part.variables():
-                    if v.kind == "bij":
-                        w = v.i * p + v.j * q
-                        assert 2 * p * q + d <= w < 2 * p * q + d + p

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from polarnewton import newton, verify
 from polarnewton.algebra import avar
 from polarnewton.curves import PolarParams, polar
-from polarnewton.newton import newton_polygon
+from polarnewton.newton import PolygonError, newton_polygon
 from polarnewton.verify import (
     SampleConfig,
     VerifyError,
@@ -94,9 +95,43 @@ class TestRunVerification:
         rep = run_verification(cfg)
         assert rep["generic_member_verdict"] == "generically_nondegenerate"
 
-    def test_symbolic_ab_mode_is_not_a_trial_mode(self):
-        with pytest.raises(VerifyError):
-            SampleConfig(family=(2, 3), seed=1, trials=1, ab_mode="symbolic")
+    def test_one_polygon_and_one_squarefree_test_per_side(self, monkeypatch):
+        counts = {"polygons": 0, "sides": 0, "squarefree": 0}
+        real_polygon, real_squarefree = newton.newton_polygon, newton.squarefree_info
+
+        def polygon(f):
+            poly = real_polygon(f)
+            counts["polygons"] += 1
+            counts["sides"] += len(poly.sides)
+            return poly
+
+        def squarefree(F):
+            counts["squarefree"] += 1
+            return real_squarefree(F)
+
+        monkeypatch.setattr(newton, "newton_polygon", polygon)
+        monkeypatch.setattr(newton, "squarefree_info", squarefree)
+        run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
+        # one polygon per trial, plus the generic member's once per family
+        assert counts["polygons"] == 3 + 1
+        assert counts["squarefree"] == counts["sides"]
+
+    def test_unexpected_topology_errors_propagate(self, monkeypatch):
+        def broken(polygon):
+            raise RuntimeError("broken decomposition")
+
+        monkeypatch.setattr(verify, "oka_decomposition", broken)
+        with pytest.raises(RuntimeError, match="broken decomposition"):
+            run_verification(SampleConfig(family=(2, 3), seed=1, trials=1))
+
+    def test_polygon_off_an_axis_is_a_topology_mismatch(self, monkeypatch):
+        def off_axis(polygon):
+            raise PolygonError("support must touch the vertical axis")
+
+        monkeypatch.setattr(verify, "oka_decomposition", off_axis)
+        rep = run_verification(SampleConfig(family=(2, 3), seed=1, trials=2))
+        assert rep["summary"]["topology_match"] == 0
+        assert rep["summary"]["polygon_match"] == 2
 
 
 class TestPowerDegeneracy:
