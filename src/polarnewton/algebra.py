@@ -175,8 +175,10 @@ def _mono_div(m1: Mono, m2: Mono) -> Mono | None:
 # degree no monomial tuple can be a strict prefix of another, so plain tuple
 # comparison realizes the lexicographic rule "a positive exponent on an
 # earlier variable wins".  The negated twin inverts the order for min-heaps.
+# Each cache is emptied when it reaches the limit, so it stays bounded.
 _KEY_CACHE: dict[Mono, tuple] = {}
 _NEG_KEY_CACHE: dict[Mono, tuple] = {}
+_KEY_CACHE_LIMIT = 1 << 17
 
 
 def _MONO_KEY(m: Mono) -> tuple:
@@ -189,6 +191,8 @@ def _MONO_KEY(m: Mono) -> tuple:
             r0, r1, r2 = v.sort_key
             parts.append(((-r0, -r1, -r2), e))
         key = (deg, tuple(parts))
+        if len(_KEY_CACHE) >= _KEY_CACHE_LIMIT:
+            _KEY_CACHE.clear()
         _KEY_CACHE[m] = key
     return key
 
@@ -202,6 +206,8 @@ def _MONO_NEG_KEY(m: Mono) -> tuple:
             deg += e
             parts.append((v.sort_key, -e))
         key = (-deg, tuple(parts))
+        if len(_NEG_KEY_CACHE) >= _KEY_CACHE_LIMIT:
+            _NEG_KEY_CACHE.clear()
         _NEG_KEY_CACHE[m] = key
     return key
 
@@ -248,8 +254,6 @@ class MPoly:
         if any(e < 0 for _, e in mono):
             raise AlgebraError("negative exponent")
         return cls({mono: Fraction(coeff)})
-
-    one = classmethod(lambda cls: cls.const(1))
 
     # -- queries -----------------------------------------------------------
 
@@ -422,17 +426,6 @@ class MPoly:
         p._terms = out
         p._hash = None
         return p
-
-    def subs(self, assignment: Mapping[Var, "MPoly | Fraction | int"]) -> "MPoly":
-        """Substitute variables (partially); unmentioned variables survive."""
-        table = {v: (s if isinstance(s, MPoly) else MPoly.const(s)) for v, s in assignment.items()}
-        out = MPoly.zero()
-        for m, c in self._terms.items():
-            term = MPoly.const(c)
-            for v, e in m:
-                term = term * (table[v] ** e if v in table else MPoly.var(v, e))
-            out = out + term
-        return out
 
     def evaluate(self, assignment: Mapping[Var, Fraction]) -> Fraction:
         """Evaluate fully; every variable present must be assigned."""
@@ -615,9 +608,6 @@ class UPoly:
 
     def derivative(self) -> "UPoly":
         return UPoly(self.main, [self.coeffs[k] * k for k in range(1, len(self.coeffs))])
-
-    def scale(self, f: MPoly) -> "UPoly":
-        return UPoly(self.main, [c * f for c in self.coeffs])
 
     def has_constant_coeffs(self) -> bool:
         return all(c.is_constant() for c in self.coeffs)

@@ -1,8 +1,9 @@
 """Plane-curve series, the normal-form families, the polar operator and the
 text parser for curve expressions.
 
-A `PlaneSeries` is a polynomial in x, y whose coefficients may involve the
-pencil parameters a, b and the family coefficients a[i,j], b[i,j].  The
+A `PlaneSeries` is a polynomial in x, y stored as its coefficient at each
+lattice point (i, j); the coefficients may involve the pencil parameters a, b
+and the family coefficients a[i,j], b[i,j].  The
 normal-form families carry only the finitely many coefficient variables below
 a weight bound; the polygon predictions are insensitive to the omitted
 higher-weight terms.
@@ -35,48 +36,42 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+Point = tuple[int, int]
+
+
 @dataclass(frozen=True)
 class PlaneSeries:
-    """Polynomial in x, y over the coefficient variables."""
+    """Polynomial in x, y as the map {(i, j): coefficient of x^i y^j}.
 
-    poly: MPoly
-    truncation_weight: int | None = None
+    Every stored coefficient is a nonzero polynomial in the variables other
+    than x and y; a concrete series has constant coefficients only.
+    """
 
-    def support(self) -> set[tuple[int, int]]:
-        pts = set()
-        for mono in self.poly.terms:
-            i = j = 0
-            for v, e in mono:
-                if v == X:
-                    i = e
-                elif v == Y:
-                    j = e
-            pts.add((i, j))
-        return pts
+    terms: dict[Point, MPoly]
+
+    @classmethod
+    def from_poly(cls, poly: MPoly) -> "PlaneSeries":
+        return cls(poly.coefficients_in([X, Y]))
+
+    @property
+    def poly(self) -> MPoly:
+        out = MPoly.zero()
+        for (i, j), c in self.terms.items():
+            out = out + c * MPoly.monomial(1, {X: i, Y: j})
+        return out
+
+    def support(self) -> set[Point]:
+        return set(self.terms)
 
     def coeff(self, i: int, j: int) -> MPoly:
         """Coefficient of x^i y^j as a polynomial in the remaining variables."""
-        out = {}
-        for mono, c in self.poly.terms.items():
-            ii = jj = 0
-            rest = []
-            for v, e in mono:
-                if v == X:
-                    ii = e
-                elif v == Y:
-                    jj = e
-                else:
-                    rest.append((v, e))
-            if (ii, jj) == (i, j):
-                key = tuple(rest)
-                out[key] = out.get(key, Fraction(0)) + c
-        return MPoly(out)
+        return self.terms.get((i, j), MPoly.zero())
 
     def is_zero(self) -> bool:
-        return self.poly.is_zero()
+        return not self.terms
 
     def is_concrete(self) -> bool:
-        return self.poly.variables() <= {X, Y}
+        return all(c.is_constant() for c in self.terms.values())
 
     def render(self) -> str:
         return self.poly.render()
@@ -106,18 +101,28 @@ def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
     """a*df/dx + b*df/dy for the pencil point (a : b)."""
     if params is None:
         params = PolarParams.symbolic()
-    p = params.a * f.poly.deriv(X) + params.b * f.poly.deriv(Y)
-    return PlaneSeries(p, truncation_weight=f.truncation_weight)
+    out: dict[Point, MPoly] = {}
+    for (i, j), c in f.terms.items():
+        if i:
+            out[(i - 1, j)] = params.a * (c * i)
+    for (i, j), c in f.terms.items():
+        if j:
+            out[(i, j - 1)] = out.get((i, j - 1), MPoly.zero()) + params.b * (c * j)
+    return PlaneSeries({pt: c for pt, c in out.items() if not c.is_zero()})
 
 
 def substitute(f: PlaneSeries, assignment: Mapping[Var, Fraction]) -> PlaneSeries:
     """Instantiate every non-x,y variable; the result is a concrete series."""
-    missing = sorted(v for v in f.poly.variables() if v not in (X, Y) and v not in assignment)
+    table = {v: Fraction(val) for v, val in assignment.items()}
+    missing = sorted({v for c in f.terms.values() for v in c.variables()} - set(table))
     if missing:
         raise CurveError("missing values for: " + ", ".join(v.name for v in missing))
-    table = {v: Fraction(val) for v, val in assignment.items()}
-    out = f.poly.subs({v: MPoly.const(c) for v, c in table.items()})
-    return PlaneSeries(out, truncation_weight=f.truncation_weight)
+    out = {}
+    for pt, c in f.terms.items():
+        val = c.evaluate(table)
+        if val != 0:
+            out[pt] = MPoly.const(val)
+    return PlaneSeries(out)
 
 
 # -- normal-form families -----------------------------------------------------
@@ -175,18 +180,16 @@ class FamilyG1:
     generic: PlaneSeries
 
 
-def _bounded_terms(p: int, q: int, bound: int, coeff) -> tuple[MPoly, list[Var]]:
+def _bounded_terms(p: int, q: int, bound: int, coeff) -> tuple[PlaneSeries, list[Var]]:
     """Sum of coeff(i, j) x^i y^j over the weights i*p + j*q <= bound, and the
     family variables it carries."""
-    poly = MPoly.zero()
-    cvars = set()
+    terms = {}
     for i in range(0, bound // p + 1):
         for j in range(0, (bound - i * p) // q + 1):
             c = coeff(i, j)
             if not c.is_zero():
-                cvars |= c.variables()
-                poly = poly + MPoly.monomial(1, {X: i, Y: j}) * c
-    return poly, sorted(cvars)
+                terms[(i, j)] = c
+    return PlaneSeries(terms), sorted({v for c in terms.values() for v in c.variables()})
 
 
 def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> FamilyG1:
@@ -195,9 +198,8 @@ def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> Family
     if math.gcd(p, q) != 1:
         raise CurveError(f"p={p}, q={q} are not coprime")
     bound = weight_bound if weight_bound is not None else p * q + p + q
-    poly, cvars = _bounded_terms(p, q, bound, lambda i, j: coefficient_g1(p, q, i, j))
-    return FamilyG1(p=p, q=q, weight_bound=bound, coeff_vars=tuple(cvars),
-                    generic=PlaneSeries(poly, truncation_weight=bound))
+    generic, cvars = _bounded_terms(p, q, bound, lambda i, j: coefficient_g1(p, q, i, j))
+    return FamilyG1(p=p, q=q, weight_bound=bound, coeff_vars=tuple(cvars), generic=generic)
 
 
 @dataclass(frozen=True)
@@ -234,11 +236,10 @@ def generic_member_g2(p: int, q: int, d: int, e1: int = 2,
     # the class-defining monomial stays even below a smaller bound
     f2, bvars = _bounded_terms(p, q, max(bound, threshold),
                                lambda i, j: coefficient_tail(p, q, d, i, j, e1))
-    poly = fam1.generic.poly ** e1 + f2
+    generic = PlaneSeries.from_poly(fam1.generic.poly ** e1 + f2.poly)
     return FamilyG2(p=p, q=q, d=d, e1=e1, i0=i0, j0=j0, weight_bound=bound,
                     a_vars=fam1.coeff_vars, b_vars=tuple(bvars),
-                    f1=fam1.generic, f2=PlaneSeries(f2, truncation_weight=bound),
-                    generic=PlaneSeries(poly, truncation_weight=bound))
+                    f1=fam1.generic, f2=f2, generic=generic)
 
 
 # -- expression parser ---------------------------------------------------------
@@ -355,4 +356,4 @@ def parse_series(text: str) -> PlaneSeries:
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input")
-    return PlaneSeries(poly)
+    return PlaneSeries.from_poly(poly)

@@ -22,10 +22,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import A, B, MPoly, UPoly, X, Y, Z, discriminant, squarefree_split, strip_content
+from .algebra import A, B, MPoly, UPoly, X, Y, discriminant, squarefree_split, strip_content
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
 from .curves import CurveError, coefficient_g1
-from .newton import NewtonPolygon, Point, TopologyReport, newton_polygon_from_points, oka_decomposition
+from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
+                     oka_decomposition)
 
 __all__ = [
     "LocusError",
@@ -171,16 +172,6 @@ def _points_on_profile(sides, low_points) -> tuple[Point, ...]:
     return tuple(sorted({pt for pts in sides for pt in pts if pt == low_points[pt[1]]}))
 
 
-def _side_poly(pts, coeff_at) -> UPoly:
-    """Associated polynomial of a side: sum of coeff_at(point) z^(j - j_bottom)."""
-    F = MPoly.zero()
-    for (x, j) in pts:
-        F = F + coeff_at(x, j) * MPoly.var(Z, j - pts[0][1])
-    F = UPoly.from_mpoly(F, Z)
-    assert F.deg == pts[-1][1] - pts[0][1], "side polynomial degree must match the side height"
-    return F
-
-
 def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     """The predicted polar from the lowest point at each height.
 
@@ -192,7 +183,7 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     """
     polygon = newton_polygon_from_points(low_points)
     sides = tuple(tuple(reversed(side.lattice_points)) for side in reversed(polygon.sides))
-    side_polys = tuple(_side_poly(pts, coeff_at) for pts in sides)
+    side_polys = tuple(associated_from(pts, coeff_at) for pts in sides)
     heights = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
     lowest = [coeff_at(*low_points[j]) for j in heights]
     edge_terms = {j: c * MPoly.monomial(1, {X: low_points[j][0], Y: j}) for j, c in zip(heights, lowest)}
@@ -217,7 +208,7 @@ def _convergent_vertices(cf: ContinuedFraction, conv: ConvergentSeq) -> tuple[Po
     return tuple(out + [(0, cf.p - 1)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def polar_model_g1(p: int, q: int) -> PolarModel:
     if not (2 <= p < q) or math.gcd(p, q) != 1:
         raise CurveError(f"need coprime 2 <= p < q, got ({p}, {q})")

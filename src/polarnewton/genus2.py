@@ -73,7 +73,7 @@ def lpq_side_points(p: int, q: int, e1: int = 2) -> tuple[Point, ...]:
     return tuple((i * q, (e1 - i) * p - 1) for i in range(e1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
     if not (2 <= p < q) or math.gcd(p, q) != 1:
         raise CurveError(f"need coprime 2 <= p < q, got ({p}, {q})")

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MPoly, UPoly, Z, X, Y, squarefree_info
-from .curves import PlaneSeries
-
-Point = tuple[int, int]
+from .curves import PlaneSeries, Point
 
 
 class PolygonError(ValueError):
@@ -124,19 +122,18 @@ def side_polynomial(f: PlaneSeries, side: Side) -> MPoly:
 def associated_polynomial(f: PlaneSeries, side: Side) -> UPoly:
     """Side polynomial evaluated at (1, z) and divided by z^(min j on the side)."""
     _require_side(f, side)
-    return _associated(f, side)
+    return associated_from(side.lattice_points, f.coeff)
 
 
-def _associated(f: PlaneSeries, side: Side) -> UPoly:
-    """`associated_polynomial` for a side already known to be one of f's."""
-    j0 = side.to_pt[1]
-    out = MPoly.zero()
-    for i, j in side.lattice_points:
-        c = f.coeff(i, j)
-        if not c.is_zero():
-            out = out + c * MPoly.var(Z, j - j0)
-    F = UPoly.from_mpoly(out, Z)
-    assert F.deg == side.n, "associated polynomial must have the side height as degree"
+def associated_from(points, coeff_at) -> UPoly:
+    """Associated polynomial of a side from its lattice points: the sum of
+    coeff_at(i, j) z^(j - lowest j); its degree is the side height."""
+    j0 = min(j for (_i, j) in points)
+    coeffs = [MPoly.zero()] * (max(j for (_i, j) in points) - j0 + 1)
+    for (i, j) in points:
+        coeffs[j - j0] = coeff_at(i, j)
+    F = UPoly(Z, coeffs)
+    assert F.deg == len(coeffs) - 1, "associated polynomial must have the side height as degree"
     return F
 
 
@@ -170,7 +167,7 @@ def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     any_symbolic = False
     all_ok = True
     for side in poly.sides:
-        F = _associated(f, side)
+        F = associated_from(side.lattice_points, f.coeff)
         ok, path = squarefree_info(F)
         any_symbolic |= path == "symbolic"
         all_ok &= ok

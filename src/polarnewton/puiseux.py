@@ -70,10 +70,7 @@ class _Raw:
 def _poly_dict(f: PlaneSeries) -> dict[tuple[int, int], Fraction]:
     if not f.is_concrete():
         raise PuiseuxError("expansion needs a concrete series over the rationals")
-    out = {}
-    for (i, j) in f.support():
-        out[(i, j)] = f.coeff(i, j).constant_value()
-    return out
+    return {pt: c.constant_value() for pt, c in f.terms.items()}
 
 
 def _compact_sides(p: dict):
@@ -88,7 +85,7 @@ def _compact_sides(p: dict):
     return out
 
 
-def _edge_roots(p: dict, side, pts, exact: bool, cluster_tol: float):
+def _edge_roots(p: dict, side, pts, exact: bool):
     """Roots (value, multiplicity) of the associated polynomial of a side."""
     j0 = side.to_pt[1]
     deg = side.n
@@ -111,7 +108,7 @@ def _edge_roots(p: dict, side, pts, exact: bool, cluster_tol: float):
         placed = False
         for cl in clusters:
             ref = cl[0]
-            if abs(r - ref) <= cluster_tol * max(1.0, abs(ref)):
+            if abs(r - ref) <= CLUSTER_REL * max(1.0, abs(ref)):
                 cl.append(r)
                 placed = True
                 break
@@ -145,14 +142,13 @@ def _substituted(p: dict, nbar: int, mbar: int, c: complex) -> dict:
 
 
 def puiseux_expand(f: PlaneSeries, depth: int = 0,
-                   min_order: Fraction | int | None = None,
-                   cluster_tol: float = CLUSTER_REL) -> list[tuple[PuiseuxBranch, int]]:
+                   min_order: Fraction | int | None = None) -> list[tuple[PuiseuxBranch, int]]:
     """All branches at the origin, grouped up to conjugacy, with multiplicities.
 
     `depth` adds polygon iterations past the point where a branch separates;
     by default each branch runs 2n extra steps, which is more than enough for
     the characteristic data (no new ramification can appear after separation).
-    `min_order` forces every branch's terms to be complete below that x-order.
+    `min_order` makes every branch's terms complete below that x-order.
     """
     if f.is_zero():
         raise PuiseuxError("cannot expand the zero series")
@@ -191,7 +187,7 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
             raws.append(_Raw(terms=list(terms), mult=1, exact=False, reached=offset + u))
             continue
         for side, pts, nbar, mbar in _compact_sides(p):
-            for c, mult in _edge_roots(p, side, pts, exact, cluster_tol):
+            for c, mult in _edge_roots(p, side, pts, exact):
                 try:
                     child = _substituted(p, nbar, mbar, c)
                 except OverflowError as exc:

@@ -64,27 +64,19 @@ def _draw_assignment(rng, variables, bound, nonzero_vars=()) -> dict[Var, Fracti
     }
 
 
-def sample_off_locus(model, family, rng: random.Random, bound: int,
-                     force: dict[Var, Fraction] | None = None) -> tuple[PlaneSeries, dict]:
-    """Draw family coefficients, rejecting while any locus condition vanishes.
-
-    `force` pins chosen coefficients (useful to step onto the locus on
-    purpose); forced draws skip the rejection loop.
-    """
+def sample_off_locus(family, rng: random.Random, bound: int) -> tuple[PlaneSeries, dict]:
+    """Draw family coefficients, rejecting while any locus condition vanishes."""
     if len(family.coeff_vars_all) == 0:
-        raise VerifyError("family without coefficients")
-    nonzero = family.nonzero_vars
+        raise VerifyError(f"family {family.family}: no coefficients to draw")
     for _ in range(REJECT_LIMIT):
-        assignment = _draw_assignment(rng, family.coeff_vars_all, bound, nonzero)
-        if force:
-            assignment.update(force)
+        assignment = _draw_assignment(rng, family.coeff_vars_all, bound, family.nonzero_vars)
+        if not family.model.locus.vanishes_at(assignment):
             return substitute(family.generic, assignment), assignment
-        if not model.locus.vanishes_at(assignment):
-            return substitute(family.generic, assignment), assignment
-    raise VerifyError("rejection sampling exhausted; locus appears to cover the sample space")
+    raise VerifyError(f"family {family.family}: locus rejection exhausted {REJECT_LIMIT} draws; "
+                      "the locus appears to cover the sample space")
 
 
-def _draw_general_pencil(rng, bound, raw_conditions, assignment) -> tuple[Fraction, Fraction]:
+def _draw_general_pencil(family, rng, bound, assignment) -> tuple[Fraction, Fraction]:
     """Random (a, b) avoiding the zero set of every raw condition."""
     for _ in range(REJECT_LIMIT):
         a = _rand_fraction(rng, bound)
@@ -94,15 +86,17 @@ def _draw_general_pencil(rng, bound, raw_conditions, assignment) -> tuple[Fracti
         full = dict(assignment)
         full[A] = a
         full[B] = b
-        if all(c.evaluate(full) != 0 for c in raw_conditions):
+        if all(c.evaluate(full) != 0 for c in family.model.raw_conditions):
             return a, b
-    raise VerifyError("could not find a pencil point in general position")
+    raise VerifyError(f"family {family.family}: pencil draw found no point in general position "
+                      f"in {REJECT_LIMIT} draws")
 
 
 class _FamilyView:
     """Uniform access to either family flavour for the sampler."""
 
     def __init__(self, family_tuple):
+        self.family = tuple(family_tuple)
         if len(family_tuple) == 2:
             p, q = family_tuple
             fam = generic_member_g1(p, q)
@@ -117,7 +111,6 @@ class _FamilyView:
             self.generic = fam.generic
             self.coeff_vars_all = tuple(sorted(set(fam.a_vars) | set(fam.b_vars)))
             self.nonzero_vars = frozenset({bvar(fam.i0, fam.j0)})
-        self.locus = self.model.locus
 
 
 def _assignment_digest(assignment, a, b) -> str:
@@ -179,8 +172,8 @@ def run_verification(cfg: SampleConfig) -> dict:
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        series, assignment = sample_off_locus(model, view, rng, cfg.coeff_range)
-        a, b = _draw_general_pencil(rng, cfg.coeff_range, model.raw_conditions, assignment)
+        series, assignment = sample_off_locus(view, rng, cfg.coeff_range)
+        a, b = _draw_general_pencil(view, rng, cfg.coeff_range, assignment)
         pol = polar(series, PolarParams.concrete(a, b))
         report = is_nondegenerate(pol)
         polygon_match = report.polygon.vertices() == predicted_polygon.vertices()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarnewton import algebra
 from polarnewton.algebra import (
     A,
     B,
@@ -299,3 +300,28 @@ class TestRendering:
 
     def test_fraction_with_unit_denominator_suppressed(self):
         assert (3 * x).render() == "3*x"
+
+
+class TestMonomialKeyCaches:
+    def test_caches_stay_bounded_and_keys_stay_correct(self, monkeypatch):
+        monos = [next(iter(MPoly.monomial(1, {X: i, Y: j, A: k}).terms))
+                 for i in range(4) for j in range(4) for k in range(3)]
+        p = (x + y + MPoly.var(A)) ** 4
+        q = x + 2 * y - MPoly.var(A)
+        want_render = (p * q).render()
+        algebra._KEY_CACHE.clear()
+        algebra._NEG_KEY_CACHE.clear()
+        reference = {m: (algebra._MONO_KEY(m), algebra._MONO_NEG_KEY(m)) for m in monos}
+        assert len(algebra._KEY_CACHE) == len(monos)
+
+        monkeypatch.setattr(algebra, "_KEY_CACHE_LIMIT", 8)
+        algebra._KEY_CACHE.clear()
+        algebra._NEG_KEY_CACHE.clear()
+        for _ in range(2):
+            for m in monos:
+                assert (algebra._MONO_KEY(m), algebra._MONO_NEG_KEY(m)) == reference[m]
+                assert len(algebra._KEY_CACHE) <= 8
+                assert len(algebra._NEG_KEY_CACHE) <= 8
+        # arithmetic that orders monomials is unchanged under the tiny limit
+        assert (p * q).divexact(q) == p
+        assert (p * q).render() == want_render

@@ -27,6 +27,10 @@ def run_cli(capsys, *argv):
      ["--format", "json", "polar", "--expr", "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"]),
     ("verify_g2_5_12_1",
      ["--format", "json", "verify", "g2", "--p", "5", "--q", "12", "--d", "1", "--trials", "3", "--seed", "42"]),
+    ("puiseux_pinned_member",
+     ["--format", "json", "puiseux", "--expr", "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"]),
+    ("nondeg_symbolic_member",
+     ["--format", "json", "nondeg", "--expr", "y^5 - x^12 + a[5,3]*x^5*y^3 + x^8*y^2"]),
 ])
 def test_golden_pinned_examples(capsys, name, argv):
     code, out, _err = run_cli(capsys, *argv)

@@ -76,7 +76,7 @@ class TestPolar:
         assert got.poly == expected
 
     def test_simple_concrete_polar(self):
-        got = polar(PlaneSeries(x * y), PolarParams.concrete(1, 1))
+        got = polar(PlaneSeries.from_poly(x * y), PolarParams.concrete(1, 1))
         assert got.poly == x + y
 
     def test_product_rule_split(self):
@@ -107,7 +107,7 @@ class TestPolar:
                       for v in set(fam.a_vars) | set(fam.b_vars)}
         assignment[bvar(fam.i0, fam.j0)] = Fraction(2, 3)
         f = substitute(fam.generic, assignment)
-        reference = PlaneSeries((y**2 - x**5) ** 2)
+        reference = PlaneSeries.from_poly((y**2 - x**5) ** 2)
         assert newton_polygon(f).vertices() == newton_polygon(reference).vertices()
 
     def test_zero_pencil_point_rejected(self):
@@ -189,3 +189,60 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_series("x + qq")
         assert "position" in str(err.value)
+
+
+def _verify_family_members():
+    return [generic_member_g1(7, 19).generic, generic_member_g2(5, 12, 1).generic,
+            generic_member_g2(7, 19, 1).generic]
+
+
+_PARSED = [
+    "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y",
+    "y^7 - x^19 + a[11,3]*x^11*y^3 + a[17,1]*x^17*y",
+    "(y^2 - x^3)^2 + b[7,1]*x^7*y - x*y",
+    "a*x^2 + b*y^3 - 2*a*b*x*y",
+]
+
+
+def _random_point(rng, variables):
+    return {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in variables}
+
+
+class TestSeriesMapOracles:
+    """The {(i, j): coefficient} map against the whole polynomial in x, y."""
+
+    @pytest.mark.parametrize("params", [PolarParams.symbolic(), PolarParams.concrete(3, Fraction(-2, 5)),
+                                        PolarParams.concrete(0, 1), PolarParams.concrete(1, 0)])
+    def test_polar_is_the_derivative_pencil(self, params):
+        for f in _verify_family_members() + [parse_series(t) for t in _PARSED]:
+            want = params.a * f.poly.deriv(X) + params.b * f.poly.deriv(Y)
+            assert polar(f, params).poly == want
+
+    def test_substitute_agrees_with_evaluation(self):
+        rng = random.Random(17)
+        for f in _verify_family_members() + [parse_series(t) for t in _PARSED]:
+            variables = f.poly.variables() - {X, Y}
+            for _ in range(3):
+                s = _random_point(rng, variables)
+                x0, y0 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+                got = substitute(f, s).poly.evaluate({X: x0, Y: y0})
+                assert got == f.poly.evaluate({**s, X: x0, Y: y0})
+
+    def test_substitute_drops_vanishing_coefficients(self):
+        f = parse_series("y^2 - x^3 + a[4,1]*x^4*y + (a[4,1] - b[4,1])*x^5")
+        got = substitute(f, {avar(4, 1): Fraction(1), bvar(4, 1): Fraction(1)})
+        assert got.support() == {(0, 2), (3, 0), (4, 1)}
+        assert got.is_concrete()
+
+    def test_from_poly_round_trips(self):
+        for f in _verify_family_members() + [parse_series(t) for t in _PARSED]:
+            p = f.poly
+            assert PlaneSeries.from_poly(p).poly == p
+        assert PlaneSeries.from_poly(MPoly.zero()).is_zero()
+
+    def test_map_keys_are_the_support(self):
+        f = parse_series("y^2 - x^3 + a[4,1]*x^4*y + b*x^4*y")
+        assert f.support() == {(0, 2), (3, 0), (4, 1)}
+        assert f.coeff(4, 1) == MPoly.var(avar(4, 1)) + b
+        assert f.coeff(1, 1).is_zero()
+        assert not f.is_concrete()

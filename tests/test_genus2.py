@@ -166,7 +166,7 @@ class TestLocus:
         view = _FamilyView((2, q, 1))
         for seed in range(5):
             drawn = _draw_assignment(random.Random(seed), view.coeff_vars_all, 10, view.nonzero_vars)
-            _series, kept = sample_off_locus(view.model, view, random.Random(seed), 10)
+            _series, kept = sample_off_locus(view, random.Random(seed), 10)
             assert kept == drawn
 
     @pytest.mark.parametrize("p,q,d", [(2, 5, 1), (3, 5, 1), (3, 7, 1), (4, 7, 1), (5, 12, 1)])
@@ -243,7 +243,7 @@ class TestSampledAgreement:
             assert rep.intersections == model.topology.intersections
             # the polar polygon agrees with the one of f1 * P(f1), including
             # the support points on the sides
-            product = PlaneSeries(f1.poly * polar(f1, params).poly)
+            product = PlaneSeries.from_poly(f1.poly * polar(f1, params).poly)
             assert newton_polygon(product).vertices() == poly.vertices()
             assert all(pt in product.support() for pt in model.predicted_points())
 

@@ -28,7 +28,7 @@ b = MPoly.var(B)
 
 class TestPolygon:
     def test_single_side(self):
-        poly = newton_polygon(PlaneSeries(y**7 - x**19))
+        poly = newton_polygon(PlaneSeries.from_poly(y**7 - x**19))
         assert poly.vertices() == ((0, 7), (19, 0))
         assert len(poly.sides) == 1
         side = poly.sides[0]
@@ -48,7 +48,7 @@ class TestPolygon:
 
     def test_zero_series_rejected(self):
         with pytest.raises(PolygonError):
-            newton_polygon(PlaneSeries(MPoly.zero()))
+            newton_polygon(PlaneSeries.from_poly(MPoly.zero()))
 
     def test_matches_dominance_oracle_on_random_supports(self):
         rng = random.Random(424242)
@@ -66,7 +66,7 @@ class TestPolygon:
 
 class TestSideAndAssociated:
     def test_cusp_side_polynomial(self):
-        f = PlaneSeries(y**2 - x**3)
+        f = PlaneSeries.from_poly(y**2 - x**3)
         poly = newton_polygon(f)
         side = poly.sides[0]
         assert side_polynomial(f, side) == y**2 - x**3
@@ -84,8 +84,8 @@ class TestSideAndAssociated:
         assert F == UPoly.from_mpoly(7 * b * z**4 + 3 * b * a11, Z)
 
     def test_side_must_belong_to_polygon(self):
-        f = PlaneSeries(y**2 - x**3)
-        g = PlaneSeries(y**3 - x**4)
+        f = PlaneSeries.from_poly(y**2 - x**3)
+        g = PlaneSeries.from_poly(y**3 - x**4)
         side = newton_polygon(g).sides[0]
         with pytest.raises(PolygonError):
             side_polynomial(f, side)
@@ -93,11 +93,11 @@ class TestSideAndAssociated:
 
 class TestNondegeneracy:
     def test_square_is_degenerate(self):
-        rep = is_nondegenerate(PlaneSeries((y - x) ** 2))
+        rep = is_nondegenerate(PlaneSeries.from_poly((y - x) ** 2))
         assert rep.verdict == "degenerate"
 
     def test_cusp_is_nondegenerate(self):
-        rep = is_nondegenerate(PlaneSeries(y**2 - x**3))
+        rep = is_nondegenerate(PlaneSeries.from_poly(y**2 - x**3))
         assert rep.verdict == "nondegenerate"
         assert all(v.path == "concrete" for v in rep.sides)
 
@@ -109,7 +109,7 @@ class TestNondegeneracy:
     def test_cube_member_power_side_fails(self):
         # f1^3 + tail: the steep side carries (z^2 - 1)^2 up to scale
         f1 = y**2 - x**3 + x**2 * y
-        f = PlaneSeries(f1**3 + x**10 * y)
+        f = PlaneSeries.from_poly(f1**3 + x**10 * y)
         rep = is_nondegenerate(polar(f, PolarParams.concrete(1, 1)))
         assert rep.verdict == "degenerate"
         failing = [v for v in rep.sides if not v.squarefree]
@@ -142,13 +142,13 @@ class TestOka:
 
     def test_axis_divisibility_is_an_error(self):
         with pytest.raises(PolygonError, match="x divides"):
-            oka_decomposition(newton_polygon(PlaneSeries(x * y**2 - x**4)))
+            oka_decomposition(newton_polygon(PlaneSeries.from_poly(x * y**2 - x**4)))
         with pytest.raises(PolygonError, match="y divides"):
-            oka_decomposition(newton_polygon(PlaneSeries(y * (y - x))))
+            oka_decomposition(newton_polygon(PlaneSeries.from_poly(y * (y - x))))
 
     def test_oka_report_checks_squarefreeness(self):
         with pytest.raises(PolygonError, match="degenerate"):
-            oka_report(PlaneSeries((y - x) ** 2 + y**5))
+            oka_report(PlaneSeries.from_poly((y - x) ** 2 + y**5))
 
     def test_branch_class_validation(self):
         with pytest.raises(PolygonError):
@@ -169,7 +169,7 @@ class TestOka:
 
 class TestMinkowski:
     def test_doubling_a_single_side(self):
-        p1 = newton_polygon(PlaneSeries(y**2 - x**5))
+        p1 = newton_polygon(PlaneSeries.from_poly(y**2 - x**5))
         got = minkowski_sum(p1, p1)
         assert got.vertices() == ((0, 4), (10, 0))
         assert got.sides[0].d == 2
@@ -182,13 +182,13 @@ class TestMinkowski:
             assignment = {v: Fraction(rng.randint(1, 7), rng.randint(1, 7)) for v in fam.coeff_vars}
             f1 = substitute(fam.generic, assignment)
             pol = polar(f1, PolarParams.concrete(2, 5))
-            product = PlaneSeries(f1.poly * pol.poly)
+            product = PlaneSeries.from_poly(f1.poly * pol.poly)
             lhs = minkowski_sum(newton_polygon(f1), newton_polygon(pol))
             assert lhs.vertices() == newton_polygon(product).vertices()
 
     def test_point_polygon_is_the_identity(self):
-        origin = newton_polygon(PlaneSeries(MPoly.const(1)))
-        p1 = newton_polygon(PlaneSeries(y**3 - x**7))
+        origin = newton_polygon(PlaneSeries.from_poly(MPoly.const(1)))
+        p1 = newton_polygon(PlaneSeries.from_poly(y**3 - x**7))
         got = minkowski_sum(p1, origin)
         assert got.vertices() == p1.vertices()
 
@@ -203,7 +203,7 @@ class TestMinkowski:
                 f1 = substitute(fam.generic, assignment)
                 pol = polar(f1, PolarParams.concrete(1, 1))
                 lhs = minkowski_sum(newton_polygon(f1), newton_polygon(pol))
-                rhs = newton_polygon(PlaneSeries(f1.poly * pol.poly))
+                rhs = newton_polygon(PlaneSeries.from_poly(f1.poly * pol.poly))
                 assert lhs.vertices() == rhs.vertices()
                 count += 1
         assert count == 20

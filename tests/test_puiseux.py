@@ -22,7 +22,7 @@ y = MPoly.var(Y)
 
 class TestExpansion:
     def test_cusp(self):
-        out = puiseux_expand(PlaneSeries(y**2 - x**3))
+        out = puiseux_expand(PlaneSeries.from_poly(y**2 - x**3))
         assert len(out) == 1
         br, mult = out[0]
         assert (br.n, mult) == (2, 1)
@@ -33,12 +33,12 @@ class TestExpansion:
         assert br.semigroup == (2, 3)
 
     def test_two_transverse_lines(self):
-        out = puiseux_expand(PlaneSeries((y - x) * (y - 2 * x)))
+        out = puiseux_expand(PlaneSeries.from_poly((y - x) * (y - 2 * x)))
         assert len(out) == 2
         assert all(br.n == 1 and br.genus == 0 and mult == 1 for br, mult in out)
 
     def test_double_line_multiplicity(self):
-        out = puiseux_expand(PlaneSeries((y - x) ** 2))
+        out = puiseux_expand(PlaneSeries.from_poly((y - x) ** 2))
         assert len(out) == 1
         br, mult = out[0]
         assert (br.n, mult, br.genus) == (1, 2, 0)
@@ -68,35 +68,35 @@ class TestExpansion:
         assert sum(br.n * mult for br, mult in out) == 4  # multiplicity of the polar
 
     def test_division_by_x_component(self):
-        out = puiseux_expand(PlaneSeries(x * y - x**4))
+        out = puiseux_expand(PlaneSeries.from_poly(x * y - x**4))
         assert len(out) == 1
         assert out[0][0].genus == 0
 
     def test_errors(self):
         with pytest.raises(PuiseuxError):
-            puiseux_expand(PlaneSeries(MPoly.zero()))
+            puiseux_expand(PlaneSeries.from_poly(MPoly.zero()))
         with pytest.raises(PuiseuxError):
-            puiseux_expand(PlaneSeries(y**2 - x**3 + 1))
+            puiseux_expand(PlaneSeries.from_poly(y**2 - x**3 + 1))
         with pytest.raises(PuiseuxError):
-            puiseux_expand(PlaneSeries(x**2 - x**5))
+            puiseux_expand(PlaneSeries.from_poly(x**2 - x**5))
 
     def test_smooth_branch_tangent_to_the_vertical_axis(self):
-        out = puiseux_expand(PlaneSeries(y**3 - x * y - x**4))
+        out = puiseux_expand(PlaneSeries.from_poly(y**3 - x * y - x**4))
         assert sorted((br.n, br.genus) for br, _ in out) == [(1, 0), (2, 0)]
 
     def test_singular_steep_branch_asks_for_the_transpose(self):
         with pytest.raises(PuiseuxError, match="exchanged"):
-            puiseux_expand(PlaneSeries(x**2 - y**3))
-        out = puiseux_expand(PlaneSeries(y**2 - x**3))  # the transpose works
+            puiseux_expand(PlaneSeries.from_poly(x**2 - y**3))
+        out = puiseux_expand(PlaneSeries.from_poly(y**2 - x**3))  # the transpose works
         assert out[0][0].char_exponents == (2, 3)
 
 
 class TestResidual:
     def test_exact_parametrization_has_zero_residual(self):
-        out = puiseux_expand(PlaneSeries(y - x**2))
+        out = puiseux_expand(PlaneSeries.from_poly(y - x**2))
         br, _ = out[0]
         assert br.reached is None
-        assert reconstruction_residual(PlaneSeries(y - x**2), br) == 0.0
+        assert reconstruction_residual(PlaneSeries.from_poly(y - x**2), br) == 0.0
 
     def test_truncated_residual_stays_small(self):
         fam = generic_member_g1(2, 5)
@@ -125,18 +125,18 @@ class TestSemigroupFromChar:
 
 class TestIntersections:
     def test_transverse_smooth_pair(self):
-        out = puiseux_expand(PlaneSeries((y - x) * (y - 2 * x)))
+        out = puiseux_expand(PlaneSeries.from_poly((y - x) * (y - 2 * x)))
         assert intersection_numeric(out[0][0], out[1][0]) == 1
 
     def test_smooth_meets_cusp(self):
-        f = PlaneSeries((y**2 - x**3) * (y - x))
+        f = PlaneSeries.from_poly((y**2 - x**3) * (y - x))
         out = puiseux_expand(f)
         branches = sorted((br for br, _ in out), key=lambda b: b.n)
         assert intersection_numeric(branches[0], branches[1]) == 2
         assert intersection_numeric(branches[1], branches[0]) == 2
 
     def test_tangential_contact_needs_depth(self):
-        f = PlaneSeries((y - x**2) * (y - x**2 - x**7))
+        f = PlaneSeries.from_poly((y - x**2) * (y - x**2 - x**7))
         out = puiseux_expand(f, min_order=9)
         assert intersection_numeric(out[0][0], out[1][0]) == 7
 
@@ -146,19 +146,19 @@ class TestIntersections:
         # always part of the computed data
         g1 = y + x * y - x
         g2 = y + x * y - x - x**9
-        out = puiseux_expand(PlaneSeries(g1 * g2), depth=0, min_order=3)
+        out = puiseux_expand(PlaneSeries.from_poly(g1 * g2), depth=0, min_order=3)
         assert intersection_numeric(out[0][0], out[1][0]) == 9
 
     def test_insufficient_depth_raises_across_expansions(self):
         # branches truncated by separate runs cannot certify a contact that
         # sits beyond both truncation orders
-        b1 = puiseux_expand(PlaneSeries(y + x * y - x), min_order=3)[0][0]
-        b2 = puiseux_expand(PlaneSeries(y + x * y - x - x**9), min_order=3)[0][0]
+        b1 = puiseux_expand(PlaneSeries.from_poly(y + x * y - x), min_order=3)[0][0]
+        b2 = puiseux_expand(PlaneSeries.from_poly(y + x * y - x - x**9), min_order=3)[0][0]
         assert b1.reached is not None and b2.reached is not None
         with pytest.raises(InsufficientDepthError):
             intersection_numeric(b1, b2)
-        b1 = puiseux_expand(PlaneSeries(y + x * y - x), min_order=12)[0][0]
-        b2 = puiseux_expand(PlaneSeries(y + x * y - x - x**9), min_order=12)[0][0]
+        b1 = puiseux_expand(PlaneSeries.from_poly(y + x * y - x), min_order=12)[0][0]
+        b2 = puiseux_expand(PlaneSeries.from_poly(y + x * y - x - x**9), min_order=12)[0][0]
         assert intersection_numeric(b1, b2) == 9
 
     def test_pinned_polar_pairings(self):

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from polarnewton import newton, verify
-from polarnewton.algebra import avar
-from polarnewton.curves import PolarParams, polar
+from polarnewton.algebra import MPoly, avar
+from polarnewton.curves import PolarParams, polar, substitute
+from polarnewton.genus1 import DegeneracyLocus
 from polarnewton.newton import PolygonError, newton_polygon
 from polarnewton.verify import (
     SampleConfig,
     VerifyError,
+    _draw_assignment,
+    _draw_general_pencil,
     _FamilyView,
     report_to_json,
     run_power_degeneracy,
@@ -32,7 +36,7 @@ class TestSampling:
     def test_off_locus_sample_avoids_every_generator(self):
         view = _FamilyView((7, 19))
         rng = random.Random(0)
-        series, assignment = sample_off_locus(view.model, view, rng, 10)
+        series, assignment = sample_off_locus(view, rng, 10)
         assert not view.model.locus.vanishes_at(assignment)
         prod = Fraction(1)
         for v in (avar(17, 1), avar(14, 2), avar(11, 3)):
@@ -42,20 +46,33 @@ class TestSampling:
     def test_empty_locus_family_takes_first_draw(self):
         view = _FamilyView((2, 3))
         rng = random.Random(0)
-        _series, assignment = sample_off_locus(view.model, view, rng, 10)
+        _series, assignment = sample_off_locus(view, rng, 10)
         assert set(assignment) == set(view.coeff_vars_all)
 
     def test_forced_on_locus_draw_breaks_the_polygon(self):
         view = _FamilyView((7, 19))
         model = view.model
         rng = random.Random(4)
-        series, assignment = sample_off_locus(
-            model, view, rng, 10, force={avar(17, 1): Fraction(0)}
-        )
+        assignment = _draw_assignment(rng, view.coeff_vars_all, 10, view.nonzero_vars)
+        assignment[avar(17, 1)] = Fraction(0)
+        series = substitute(view.generic, assignment)
         pol = polar(series, PolarParams.concrete(1, 1))
         poly = newton_polygon(pol)
         assert (17, 0) not in pol.support()
         assert poly.vertices() != model.predicted_polygon().vertices()
+
+
+class TestErrorsNameFamilyAndStage:
+    def test_locus_rejection(self, monkeypatch):
+        monkeypatch.setattr(DegeneracyLocus, "vanishes_at", lambda self, assignment: True)
+        with pytest.raises(VerifyError, match=r"family \(7, 19\): locus rejection"):
+            run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
+
+    def test_pencil_draw(self):
+        view = _FamilyView((7, 19))
+        view.model = SimpleNamespace(raw_conditions=(MPoly.zero(),))
+        with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
+            _draw_general_pencil(view, random.Random(0), 10, {})
 
 
 class TestRunVerification:
