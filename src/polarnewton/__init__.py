@@ -19,7 +19,6 @@ from .algebra import (  # noqa: F401
     is_squarefree,
     mpoly_gcd,
     resultant,
-    squarefree_part,
     squarefree_split,
     strip_content,
 )

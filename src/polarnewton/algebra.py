@@ -34,11 +34,11 @@ __all__ = [
     "UPoly",
     "resultant",
     "discriminant",
+    "deflate",
     "is_squarefree",
     "squarefree_info",
     "mpoly_gcd",
     "strip_content",
-    "squarefree_part",
     "squarefree_split",
     "qpoly_gcd",
     "qpoly_yun",
@@ -649,121 +649,26 @@ class UPoly:
 
 
 # -- resultants -----------------------------------------------------------
-#
-# The Sylvester determinant runs fraction-free over integer-coefficient
-# polynomials (denominators cleared once per input); plain int arithmetic is
-# several times faster than Fraction and Bareiss keeps every division exact.
-
-IPoly = dict  # Mono -> int
 
 
-def _ipoly_mul(a: IPoly, b: IPoly) -> IPoly:
-    if not a or not b:
-        return {}
-    out: IPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
-            s = out.get(m, 0) + c1 * c2
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
-
-
-def _ipoly_sub(a: IPoly, b: IPoly) -> IPoly:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m, 0) - c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
-def _ipoly_divexact(a: IPoly, b: IPoly) -> IPoly:
-    if not b:
-        raise AlgebraError("division by zero polynomial")
-    if not a:
-        return {}
-    if len(b) == 1 and () in b:
-        d = b[()]
-        out = {}
-        for m, c in a.items():
-            q, r = divmod(c, d)
-            if r:
-                raise AlgebraError("not an exact multiple")
-            out[m] = q
-        return out
-    rem = dict(a)
-    out: IPoly = {}
-    gm = max(b, key=_MONO_KEY)
-    gc = b[gm]
-    rest = [(m2, c2) for m2, c2 in b.items() if m2 != gm]
-    heap = [(_MONO_NEG_KEY(m), m) for m in rem]
-    heapq.heapify(heap)
-    while heap:
-        _, rm = heapq.heappop(heap)
-        c = rem.pop(rm, None)
-        if c is None:
-            continue
-        qm = _mono_div(rm, gm)
-        if qm is None:
-            raise AlgebraError("not an exact multiple")
-        qc, r = divmod(c, gc)
-        if r:
-            raise AlgebraError("not an exact multiple")
-        out[qm] = qc
-        for m2, c2 in rest:
-            m = _mono_mul(qm, m2)
-            if m in rem:
-                s = rem[m] - qc * c2
-                if s:
-                    rem[m] = s
-                else:
-                    del rem[m]
-            else:
-                rem[m] = -qc * c2
-                heapq.heappush(heap, (_MONO_NEG_KEY(m), m))
-    return out
-
-
-def _to_ipoly(p: MPoly, scale: int) -> IPoly:
-    out = {}
-    for m, c in p.terms.items():
-        v = c * scale
-        assert v.denominator == 1
-        out[m] = v.numerator
-    return out
-
-
-def _bareiss_det_int(mat: list[list[IPoly]]) -> IPoly:
+def _bareiss_det(mat: list[list[MPoly]]) -> MPoly:
     """Fraction-free determinant; every intermediate division is exact."""
     n = len(mat)
-    if n == 0:
-        return {(): 1}
     m = [row[:] for row in mat]
     sign = 1
-    prev: IPoly = {(): 1}
+    prev = MPoly.const(1)
     for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+        if m[k][k].is_zero():
+            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
             if pivot is None:
-                return {}
+                return MPoly.zero()
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _ipoly_sub(_ipoly_mul(m[k][k], m[i][j]), _ipoly_mul(m[i][k], m[k][j]))
-                m[i][j] = _ipoly_divexact(num, prev)
-            m[i][k] = {}
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divexact(prev)
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = {mono: -c for mono, c in det.items()}
-    return det
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
 def resultant(F: UPoly, G: UPoly) -> MPoly:
@@ -773,27 +678,28 @@ def resultant(F: UPoly, G: UPoly) -> MPoly:
     if F.main != G.main:
         raise AlgebraError("main variables differ")
     n, m = F.deg, G.deg
-    size = n + m
-    if size == 0:
+    if n + m == 0:
         return MPoly.const(1)
-    lf = math.lcm(*(c.denominator for p in F.coeffs for c in p.terms.values()))
-    lg = math.lcm(*(c.denominator for p in G.coeffs for c in p.terms.values()))
-    fc = [_to_ipoly(F.coeff(n - k), lf) for k in range(n + 1)]  # descending
-    gc = [_to_ipoly(G.coeff(m - k), lg) for k in range(m + 1)]
-    rows: list[list[IPoly]] = []
-    for r in range(m):
-        row = [{} for _ in range(size)]
-        for k, c in enumerate(fc):
-            row[r + k] = c
-        rows.append(row)
-    for r in range(n):
-        row = [{} for _ in range(size)]
-        for k, c in enumerate(gc):
-            row[r + k] = c
-        rows.append(row)
-    det = _bareiss_det_int(rows)
-    scale = Fraction(1, lf**m * lg**n)
-    return MPoly({mono: scale * c for mono, c in det.items()})
+    zero = MPoly.zero()
+    fc = [F.coeff(n - k) for k in range(n + 1)]  # descending
+    gc = [G.coeff(m - k) for k in range(m + 1)]
+    rows = ([[zero] * r + fc + [zero] * (m - 1 - r) for r in range(m)]
+            + [[zero] * r + gc + [zero] * (n - 1 - r) for r in range(n)])
+    return _bareiss_det(rows)
+
+
+def deflate(F: UPoly) -> UPoly:
+    """G with F(z) = G(z^s), where s is the gcd of the exponents that carry a
+    nonzero coefficient; F itself when s <= 1.
+
+    For s >= 2, disc F = +-s^(s*d) * G(0)^(s-1) * lc(G)^(s-1) * (disc G)^s with
+    d = deg G, so once G(0) and lc(G) are nonzero, disc F vanishes exactly
+    where disc G does, and disc G has degree d rather than s*d.
+    """
+    s = reduce(math.gcd, (k for k, c in enumerate(F.coeffs) if not c.is_zero()), 0)
+    if s <= 1:
+        return F
+    return UPoly(F.main, F.coeffs[::s])
 
 
 def discriminant(F: UPoly) -> MPoly:
@@ -886,8 +792,10 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
     """Squarefree verdict plus which route decided it.
 
     Constant coefficients: gcd(F, F') must be constant ("concrete").
-    Otherwise: the discriminant must be nonzero as a polynomial ("symbolic"),
-    which is a statement about the generic member only.
+    Otherwise ("symbolic"), a statement about the generic member only: with
+    F(z) = G(z^s) and G = deflate(F), the discriminant of G must be nonzero as
+    a polynomial and, when s >= 2, so must G(0), since z = 0 is then a root
+    of F of multiplicity at least s.
     """
     if F.is_zero():
         raise AlgebraError("squarefree test on the zero polynomial")
@@ -899,7 +807,10 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
         return len(g) == 1, "concrete"
     if F.deg < 1:
         return True, "symbolic"
-    return not discriminant(F).is_zero(), "symbolic"
+    G = deflate(F)
+    if G.deg < F.deg and G.coeff(0).is_zero():
+        return False, "symbolic"
+    return not discriminant(G).is_zero(), "symbolic"
 
 
 def is_squarefree(F: UPoly) -> bool:
@@ -1029,16 +940,6 @@ def strip_content(g: MPoly, keep: Iterable[Var]) -> MPoly:
         if e > 0:
             out = out.divexact(MPoly.var(v, e))
     return out.primitive_normalized()
-
-
-def squarefree_part(g: MPoly, main: Var) -> MPoly:
-    """g / gcd(g, dg/dmain), content-cleared; identity when main is absent."""
-    if g.is_zero():
-        raise AlgebraError("squarefree_part of zero")
-    if g.degree_in(main) <= 0:
-        return g
-    d = mpoly_gcd(g, g.deriv(main))
-    return g.divexact(d).primitive_normalized()
 
 
 def squarefree_split(g: MPoly) -> list[tuple[MPoly, int]]:

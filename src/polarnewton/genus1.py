@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import A, B, MPoly, UPoly, X, Y, discriminant, squarefree_split, strip_content
+from .algebra import A, B, MPoly, UPoly, X, Y, deflate, discriminant, squarefree_split, strip_content
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
 from .curves import CurveError, coefficient_g1
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
@@ -178,8 +178,10 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     `low_points[j]` is the lowest (x, j) the generic polar can reach at height
     j, and `coeff_at(x, j)` is its generic coefficient at a side lattice
     point.  The polygon is the lower hull of the low points.  The locus asks
-    that no lowest term on a side and no side discriminant vanish;
-    `nonvanishing` is passed on to `build_locus`.
+    that no lowest term on a side and no discriminant of a deflated side
+    polynomial vanish; with the lowest terms at the side's ends nonzero, that
+    is the condition disc F != 0 (see `algebra.deflate`).  `nonvanishing` is
+    passed on to `build_locus`.
     """
     polygon = newton_polygon_from_points(low_points)
     sides = tuple(tuple(reversed(side.lattice_points)) for side in reversed(polygon.sides))
@@ -187,7 +189,7 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     heights = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
     lowest = [coeff_at(*low_points[j]) for j in heights]
     edge_terms = {j: c * MPoly.monomial(1, {X: low_points[j][0], Y: j}) for j, c in zip(heights, lowest)}
-    raw = lowest + [discriminant(F) for F in side_polys if F.deg >= 1]
+    raw = lowest + [discriminant(deflate(F)) for F in side_polys if F.deg >= 1]
     return PolarModel(
         low_points=tuple(low_points),
         sides=sides,

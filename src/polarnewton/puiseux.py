@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import qpoly_yun
 from .curves import PlaneSeries
 from .newton import newton_polygon_from_points
@@ -87,6 +85,8 @@ def _compact_sides(p: dict):
 
 def _edge_roots(p: dict, side, pts, exact: bool):
     """Roots (value, multiplicity) of the associated polynomial of a side."""
+    import numpy as np  # only expansions need it; importing the package does not
+
     j0 = side.to_pt[1]
     deg = side.n
     coeffs = [Fraction(0) if exact else 0j] * (deg + 1)

@@ -24,7 +24,6 @@ from polarnewton.algebra import (
     qpoly_yun,
     resultant,
     squarefree_info,
-    squarefree_part,
     squarefree_split,
     strip_content,
     var_from_name,
@@ -222,24 +221,6 @@ class TestContentAndSquarefreeOps:
         with pytest.raises(AlgebraError):
             strip_content(MPoly.zero(), set())
 
-    def test_squarefree_part_collapses_cube(self):
-        a11 = MPoly.var(avar(11, 3))
-        g = (84 * b**2 * a11) ** 3
-        # the repeated-root structure in a[11,3] collapses to the bare variable
-        assert squarefree_part(g, avar(11, 3)) == a11
-
-    def test_squarefree_part_fixed_point(self):
-        v = MPoly.var(avar(17, 1))
-        assert squarefree_part(v, avar(17, 1)) == v
-
-    def test_squarefree_part_mixed_multiplicities(self):
-        u = MPoly.var(avar(0, 1))
-        v = MPoly.var(avar(1, 0))
-        g = (u**2 - v) ** 2 * (u + v)
-        got = squarefree_part(g, avar(0, 1))
-        assert got == ((u**2 - v) * (u + v)).primitive_normalized()
-        assert squarefree_part(got, avar(0, 1)) == got
-
     @given(st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
     def test_strip_and_squarefree_are_idempotent(self, e1, e2):
@@ -249,8 +230,10 @@ class TestContentAndSquarefreeOps:
         keep = {avar(0, 1), avar(1, 0)}
         s1 = strip_content(g, keep)
         assert strip_content(s1, keep) == s1
-        s2 = squarefree_part(g, avar(0, 1))
-        assert squarefree_part(s2, avar(0, 1)) == s2
+        radical = MPoly.const(1)
+        for factor, _mult in squarefree_split(g):
+            radical = radical * factor
+        assert squarefree_split(radical) == [(radical.primitive_normalized(), 1)]
 
     def test_squarefree_split_grades_multiplicities(self):
         u = MPoly.var(avar(0, 1))

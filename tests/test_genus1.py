@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from polarnewton.algebra import A, B, MPoly, UPoly, X, Y, Z, avar
-from polarnewton.curves import CurveError, PolarParams, generic_member_g1, polar, substitute
-from polarnewton.genus1 import edge_term, min_x_exponent, polar_model_g1
+from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
+from polarnewton.curves import CurveError, PolarParams, generic_member_g1, parse_series, polar, substitute
+from polarnewton.genus1 import DegeneracyLocus, edge_term, min_x_exponent, polar_model_g1
 from polarnewton.newton import newton_polygon, oka_report
 
 x = MPoly.var(X)
@@ -152,6 +152,43 @@ class TestLocus:
             assert pt not in model.predicted_points()
             assert pt[1] not in model.side_heights
             assert polar(generic_member_g1(p, q).generic).coeff(*pt).is_zero()
+
+    # Taking side discriminants on the deflated polynomial dropped one group
+    # from each of these listings; every other family kept its listing.
+    @pytest.mark.parametrize("p,q,groups,dropped", [
+        (8, 11, [["a[7,3]"]], ["a[7,3]", "a[7,3]*a[10,1]"]),
+        (8, 19, [["a[12,3]"], ["a[17,1]"]], ["a[12,3]*a[17,1]"]),
+        (13, 31, [["a[12,8]"], ["a[24,3]"], ["a[29,1]"], ["16*a[12,8]^2 - 39*a[24,3]"]],
+         ["a[24,3]*a[29,1]"]),
+        (13, 34, [["a[21,5]"], ["a[29,2]"], ["a[32,1]"]], ["a[21,5]*a[29,2]"]),
+        (14, 33, [["a[26,3]"], ["a[31,1]"]], ["a[26,3]*a[31,1]"]),
+    ])
+    def test_dropped_groups_were_redundant(self, p, q, groups, dropped):
+        locus = polar_model_g1(p, q).locus
+        assert [[g.render() for g in group] for group in locus.groups] == groups
+        # some member of the dropped group is a product of kept singleton
+        # generators, so its zero set lies in the union of the kept ones
+        kept = [group[0] for group in locus.groups if len(group) == 1]
+
+        def product_of_kept(poly):
+            for g in kept:
+                try:
+                    rest = poly.divexact(g)
+                except AlgebraError:
+                    continue
+                if rest.is_constant() or product_of_kept(rest):
+                    return True
+            return False
+
+        members = tuple(parse_series(text).poly for text in dropped)
+        assert any(product_of_kept(m) for m in members)
+        # so sampling sees the same locus with or without the dropped group
+        old = DegeneracyLocus(locus.groups + (members,))
+        vs = sorted({v for group in old.groups for g in group for v in g.variables()})
+        rng = random.Random(f"locus:{p}:{q}")
+        for _ in range(200):
+            point = {v: Fraction(rng.choice([0, 0, rng.randint(-5, 5)])) for v in vs}
+            assert old.vanishes_at(point) == locus.vanishes_at(point)
 
     def test_locus_vanishing_probe(self):
         locus = polar_model_g1(7, 19).locus

@@ -1,0 +1,57 @@
+"""The model-build ladder: every rung finishes and reproduces its recorded
+sides, z-form side polynomials and topology.
+
+`bench/ladder_expected.json` is read, never written, here.  (17,45) and
+(11,29,1) are listed there but used to time out; (19,50), (23,60) and
+(13,34,1) are not listed and are checked only for finishing and for the
+degree of their side discriminants.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from polarnewton.algebra import deflate
+from polarnewton.genus1 import polar_model_g1
+from polarnewton.genus2 import polar_model_g2
+
+EXPECTED = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                       / "bench" / "ladder_expected.json").read_text())
+
+RUNGS = [(7, 19), (11, 29), (15, 41), (14, 37), (17, 45), (5, 12, 1), (8, 21, 1), (11, 30, 1),
+         (11, 29, 1), (19, 50), (23, 60), (13, 34, 1)]
+
+
+def name(fam) -> str:
+    return ("g1_" if len(fam) == 2 else "g2_") + "_".join(map(str, fam))
+
+
+def build(fam):
+    return polar_model_g1(*fam) if len(fam) == 2 else polar_model_g2(*fam)
+
+
+def summary(model) -> dict:
+    return {
+        "sides": [[list(pt) for pt in side] for side in model.sides],
+        "side_polys": [F.render() for F in model.side_polys],
+        "topology": {
+            "branches": [[c.a0, c.a1, c.count] for c in model.topology.branches],
+            "intersections": [list(row) for row in model.topology.intersections],
+        },
+    }
+
+
+def test_every_recorded_rung_is_on_the_ladder():
+    assert set(EXPECTED) <= {name(fam) for fam in RUNGS}
+    assert {"g1_17_45", "g2_11_29_1"} <= set(EXPECTED)
+
+
+@pytest.mark.parametrize("fam", RUNGS, ids=name)
+def test_rung_builds_and_matches_its_record(fam):
+    model = build(fam)
+    if name(fam) in EXPECTED:
+        assert summary(model) == EXPECTED[name(fam)]
+    # the discriminants the locus takes are those of the deflated sides
+    assert max(deflate(F).deg for F in model.side_polys) <= 5
+    assert not model.locus.is_empty()

@@ -1,0 +1,169 @@
+"""Resultants, discriminants, deflation and the symbolic squarefree verdict,
+checked against sympy, which shares no code with polarnewton.algebra.
+
+Skipped when sympy is not installed (it is in the `test` extra).
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from polarnewton.algebra import (  # noqa: E402
+    A,
+    B,
+    MPoly,
+    UPoly,
+    Z,
+    avar,
+    bvar,
+    deflate,
+    discriminant,
+    resultant,
+    squarefree_info,
+)
+
+PARAMS = (A, B, avar(3, 1), bvar(5, 2))
+SZ = sympy.Symbol("z")
+
+
+def to_sympy(p: MPoly):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(sympy.Symbol(v.name) ** e for v, e in m))
+                       for m, c in p.terms.items()))
+
+
+def same(ours: MPoly, theirs) -> bool:
+    return sympy.expand(to_sympy(ours) - theirs) == 0
+
+
+def random_coeff(rng, nvars=2, terms=2) -> MPoly:
+    """A sparse polynomial of degree <= 2 in the first `nvars` parameters."""
+    out = MPoly.zero()
+    for _ in range(terms):
+        powers = {v: rng.randint(0, 1) for v in rng.sample(PARAMS[:nvars], 2)}
+        out = out + MPoly.monomial(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), powers)
+    return out
+
+
+def random_upoly(rng, deg, nvars=2, density=0.6, terms=2) -> UPoly:
+    coeffs = [random_coeff(rng, nvars, terms) if rng.random() < density else MPoly.zero()
+              for _ in range(deg)]
+    lead = random_coeff(rng, nvars, terms)
+    while lead.is_zero():
+        lead = random_coeff(rng, nvars, terms)
+    return UPoly(Z, coeffs + [lead])
+
+
+def upoly_to_sympy(F: UPoly):
+    return sympy.Add(*(to_sympy(c) * SZ**k for k, c in enumerate(F.coeffs)))
+
+
+def inflate(G: UPoly, s: int) -> UPoly:
+    """F(z) = G(z^s)."""
+    coeffs = [MPoly.zero()] * (s * G.deg + 1)
+    for k, c in enumerate(G.coeffs):
+        coeffs[s * k] = c
+    return UPoly(Z, coeffs)
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 3), (4, 2), (5, 3), (7, 2)])
+    def test_resultant(self, n, m):
+        rng = random.Random(100 * n + m)
+        for _ in range(2):
+            F, G = random_upoly(rng, n), random_upoly(rng, m)
+            theirs = sympy.resultant(upoly_to_sympy(F), upoly_to_sympy(G), SZ)
+            assert same(resultant(F, G), theirs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_discriminant(self, n):
+        rng = random.Random(n)
+        for _ in range(2 if n > 4 else 3):
+            # monomial coefficients keep the higher-degree determinants small
+            F = random_upoly(rng, n, density=0.8, terms=1 if n > 4 else 2)
+            theirs = sympy.discriminant(upoly_to_sympy(F), SZ)
+            assert same(discriminant(F), theirs)
+
+    def test_discriminant_of_a_side_polynomial(self):
+        # the (7,19) steep side, as displayed in the paper's first example
+        b, a11 = MPoly.var(B), MPoly.var(avar(11, 3))
+        F = UPoly.from_mpoly(7 * b * MPoly.var(Z) ** 4 + 3 * b * a11, Z)
+        sb, sa = sympy.Symbol("b"), sympy.Symbol("a[11,3]")
+        assert same(discriminant(F), sympy.discriminant(7 * sb * SZ**4 + 3 * sb * sa, SZ))
+
+
+class TestDeflation:
+    @pytest.mark.parametrize("d,s", [(1, 2), (1, 5), (2, 2), (3, 2), (2, 3), (1, 7)])
+    def test_identity_up_to_sign(self, d, s):
+        rng = random.Random(10 * d + s)
+        for _ in range(2):
+            G0 = random_upoly(rng, d, density=1.0, terms=1 if s * d > 5 else 2)
+            if G0.coeff(0).is_zero():
+                continue
+            F = inflate(G0, s)
+            G = deflate(F)
+            step = F.deg // G.deg  # a multiple of s: G0 may deflate further
+            assert step % s == 0
+            assert sympy.expand(upoly_to_sympy(F) - upoly_to_sympy(G).subs(SZ, SZ**step)) == 0
+            lhs = sympy.discriminant(upoly_to_sympy(F), SZ)
+            rhs = (step ** (step * G.deg) * to_sympy(G.coeff(0)) ** (step - 1)
+                   * to_sympy(G.lc) ** (step - 1) * to_sympy(discriminant(G)) ** step)
+            assert sympy.expand(lhs - rhs) == 0 or sympy.expand(lhs + rhs) == 0
+
+    def test_step_is_the_gcd_of_the_exponents(self):
+        u, v = MPoly.var(avar(3, 1)), MPoly.var(bvar(5, 2))
+        z = MPoly.var(Z)
+        for expr, step in [(u * z**6 + v * z**4 + 1, 2), (u * z**6 + v * z**3, 3), (u * z**5, 5),
+                           (u * z**3 + v * z**2 + 1, 1), (u * z + v, 1), (3 * u, 0)]:
+            F = UPoly.from_mpoly(expr, Z)
+            G = deflate(F)
+            if step <= 1:
+                assert G is F
+                continue
+            exps = [k for k, c in enumerate(F.coeffs) if not c.is_zero()]
+            assert math.gcd(*exps) == step
+            assert inflate(G, step) == F
+
+
+def sympy_squarefree(F: UPoly) -> bool:
+    """Squarefree over the field of rational functions in the parameters: by
+    Gauss's lemma, gcd(F, F') over the polynomial ring has the same z-degree."""
+    expr = upoly_to_sympy(F)
+    return sympy.degree(sympy.gcd(expr, sympy.diff(expr, SZ)), SZ) == 0
+
+
+class TestSymbolicSquarefreeVerdict:
+    def test_pinned_deflatable_inputs(self):
+        a, b = MPoly.var(A), MPoly.var(B)
+        u = MPoly.var(avar(3, 1))
+        z = MPoly.var(Z)
+        cases = [
+            (a * z**4 + b * z**2, False),  # G(0) = 0, so z = 0 is a double root
+            (a * z**6 + b * z**3, False),
+            (a * z**4 + b, True),
+            (a * z**4 + b * z**2 + u, True),
+            ((a * z**2 + b) ** 2, False),  # G = (a*w + b)^2
+            (a * z**2 + b * z, True),  # no deflation, G(0) = 0 is a simple root
+            (b * z**5, False),
+            (b * z, True),
+        ]
+        for expr, expected in cases:
+            F = UPoly.from_mpoly(expr, Z)
+            assert sympy_squarefree(F) is expected
+            assert squarefree_info(F) == (expected, "symbolic")
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_random_deflatable_inputs(self, s):
+        rng = random.Random(s)
+        z = MPoly.var(Z)
+        for _ in range(8):
+            G0 = random_upoly(rng, rng.randint(1, 2))
+            if rng.random() < 0.3:  # a repeated factor in G
+                G0 = UPoly.from_mpoly(G0.to_mpoly() * (z - MPoly.var(A)) ** 2, Z)
+            F = inflate(G0, s)
+            route = "concrete" if F.has_constant_coeffs() else "symbolic"
+            assert squarefree_info(F) == (sympy_squarefree(F), route)
