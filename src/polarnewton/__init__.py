@@ -24,8 +24,7 @@ from .algebra import (  # noqa: F401
 )
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents  # noqa: F401
 from .curves import (  # noqa: F401
-    FamilyG1,
-    FamilyG2,
+    Family,
     ParseError,
     PlaneSeries,
     PolarParams,

@@ -281,17 +281,6 @@ class MPoly:
                 out.add(v)
         return frozenset(out)
 
-    def degree_in(self, v: Var) -> int:
-        """Max exponent of v; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        best = 0
-        for m in self._terms:
-            for w, e in m:
-                if w == v and e > best:
-                    best = e
-        return best
-
     def min_degree_in(self, v: Var) -> int:
         if not self._terms:
             return 0

@@ -36,12 +36,6 @@ class ConvergentSeq:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        return self.pairs[i]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def continued_fraction(q: int, p: int) -> ContinuedFraction:
     if p < 1 or q <= p:

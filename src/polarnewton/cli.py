@@ -94,23 +94,23 @@ def _cmd_family(args):
     if args.kind == "g1":
         fam = generic_member_g1(args.p, args.q, args.bound)
         return {
-            "p": fam.p,
-            "q": fam.q,
+            "p": args.p,
+            "q": args.q,
             "weight_bound": fam.weight_bound,
             "coeff_vars": [v.name for v in fam.coeff_vars],
             "generic": fam.generic.render(),
         }, []
     fam = generic_member_g2(args.p, args.q, args.d, e1=args.e1, weight_bound=args.bound)
     return {
-        "p": fam.p,
-        "q": fam.q,
-        "d": fam.d,
+        "p": args.p,
+        "q": args.q,
+        "d": args.d,
         "e1": fam.e1,
-        "i0": fam.i0,
-        "j0": fam.j0,
+        "i0": fam.class_var.i,
+        "j0": fam.class_var.j,
         "weight_bound": fam.weight_bound,
-        "a_vars": [v.name for v in fam.a_vars],
-        "b_vars": [v.name for v in fam.b_vars],
+        "a_vars": [v.name for v in fam.coeff_vars if v.kind == "aij"],
+        "b_vars": [v.name for v in fam.coeff_vars if v.kind == "bij"],
     }, []
 
 

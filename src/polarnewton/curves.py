@@ -14,12 +14,15 @@ keeps the equisingularity class, so a coefficient there describes the
 coordinates, not the class.  The genus-one family y^p - x^q + sum a[i,j] x^i y^j
 runs over j <= p-2; the genus-two family f1^e1 + f2 takes f1 from it and a tail
 f2 with y-exponents up to e1*p-2, so f and f1 are Tschirnhausen together.
+Both builders return a `Family`: the generic member with every variable a
+draw assigns and, in genus two, the class coefficient b[i0,j0] that a draw
+keeps nonzero.  `check_family` is the one test of (p, q[, d, e1]).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -171,75 +174,68 @@ def coefficient_tail(p: int, q: int, d: int, i: int, j: int, e1: int = 2) -> MPo
     return MPoly.zero()
 
 
+def check_family(p: int, q: int, d: int | None = None, e1: int = 2) -> None:
+    """Raise CurveError unless (p, q) or (p, q, d) with e1 names a modelled
+    class: coprime 2 <= p < q and, in genus two, d >= 1, e1 >= 2 and
+    gcd(e1, d) = 1."""
+    if not (2 <= p < q) or math.gcd(p, q) != 1:
+        raise CurveError(f"need coprime 2 <= p < q, got ({p}, {q})")
+    if d is not None and (d < 1 or e1 < 2 or math.gcd(e1, d) != 1):
+        raise CurveError(f"need d >= 1, e1 >= 2 and gcd(e1, d) = 1, got d={d}, e1={e1}")
+
+
 @dataclass(frozen=True)
-class FamilyG1:
-    p: int
-    q: int
+class Family:
+    """The generic member of one class and the variables a draw assigns.
+
+    `key` is (p, q) in genus one and (p, q, d) in genus two, whose member is
+    f1^e1 + f2 (e1 is 1 in genus one).  `coeff_vars` holds every family
+    variable of the member, sorted; a draw assigns all of them and keeps
+    `class_var`, the tail's class coefficient b[i0,j0] (None in genus one),
+    nonzero.
+    """
+
+    key: tuple[int, ...]
+    e1: int
     weight_bound: int
-    coeff_vars: tuple[Var, ...]
     generic: PlaneSeries
+    class_var: Var | None = None
+    coeff_vars: tuple[Var, ...] = field(init=False)
+
+    def __post_init__(self):
+        variables = {v for c in self.generic.terms.values() for v in c.variables()}
+        object.__setattr__(self, "coeff_vars", tuple(sorted(variables)))
 
 
-def _bounded_terms(p: int, q: int, bound: int, coeff) -> tuple[PlaneSeries, list[Var]]:
-    """Sum of coeff(i, j) x^i y^j over the weights i*p + j*q <= bound, and the
-    family variables it carries."""
+def _bounded_terms(p: int, q: int, bound: int, coeff) -> PlaneSeries:
+    """Sum of coeff(i, j) x^i y^j over the weights i*p + j*q <= bound."""
     terms = {}
     for i in range(0, bound // p + 1):
         for j in range(0, (bound - i * p) // q + 1):
             c = coeff(i, j)
             if not c.is_zero():
                 terms[(i, j)] = c
-    return PlaneSeries(terms), sorted({v for c in terms.values() for v in c.variables()})
+    return PlaneSeries(terms)
 
 
-def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> FamilyG1:
-    if not (2 <= p < q):
-        raise CurveError(f"need 2 <= p < q, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise CurveError(f"p={p}, q={q} are not coprime")
+def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> Family:
+    check_family(p, q)
     bound = weight_bound if weight_bound is not None else p * q + p + q
-    generic, cvars = _bounded_terms(p, q, bound, lambda i, j: coefficient_g1(p, q, i, j))
-    return FamilyG1(p=p, q=q, weight_bound=bound, coeff_vars=tuple(cvars), generic=generic)
-
-
-@dataclass(frozen=True)
-class FamilyG2:
-    p: int
-    q: int
-    d: int
-    e1: int
-    i0: int
-    j0: int
-    weight_bound: int
-    a_vars: tuple[Var, ...]
-    b_vars: tuple[Var, ...]
-    f1: PlaneSeries
-    f2: PlaneSeries
-    generic: PlaneSeries
+    generic = _bounded_terms(p, q, bound, lambda i, j: coefficient_g1(p, q, i, j))
+    return Family(key=(p, q), e1=1, weight_bound=bound, generic=generic)
 
 
 def generic_member_g2(p: int, q: int, d: int, e1: int = 2,
-                      weight_bound: int | None = None) -> FamilyG2:
+                      weight_bound: int | None = None) -> Family:
     """Generic f1^e1 + f2 with value semigroup <e1*p, e1*q, e1*p*q + d>."""
-    if not (2 <= p < q):
-        raise CurveError(f"need 2 <= p < q, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise CurveError(f"p={p}, q={q} are not coprime")
-    if d < 1:
-        raise CurveError("need d >= 1")
-    if e1 < 2 or math.gcd(e1, d) != 1:
-        raise CurveError(f"need e1 >= 2 and gcd(e1, d) = 1, got e1={e1}, d={d}")
-    fam1 = generic_member_g1(p, q)
-    i0, j0 = tail_start(p, q, d, e1)
+    check_family(p, q, d, e1)
     threshold = e1 * p * q + d
     bound = weight_bound if weight_bound is not None else threshold + 2 * p
     # the class-defining monomial stays even below a smaller bound
-    f2, bvars = _bounded_terms(p, q, max(bound, threshold),
-                               lambda i, j: coefficient_tail(p, q, d, i, j, e1))
-    generic = PlaneSeries.from_poly(fam1.generic.poly ** e1 + f2.poly)
-    return FamilyG2(p=p, q=q, d=d, e1=e1, i0=i0, j0=j0, weight_bound=bound,
-                    a_vars=fam1.coeff_vars, b_vars=tuple(bvars),
-                    f1=fam1.generic, f2=f2, generic=generic)
+    f2 = _bounded_terms(p, q, max(bound, threshold), lambda i, j: coefficient_tail(p, q, d, i, j, e1))
+    generic = PlaneSeries.from_poly(generic_member_g1(p, q).generic.poly ** e1 + f2.poly)
+    return Family(key=(p, q, d), e1=e1, weight_bound=bound, generic=generic,
+                  class_var=bvar(*tail_start(p, q, d, e1)))
 
 
 # -- expression parser ---------------------------------------------------------

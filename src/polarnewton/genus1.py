@@ -18,13 +18,12 @@ enter the side polynomials with coefficient zero and impose no condition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import A, B, MPoly, UPoly, X, Y, deflate, discriminant, squarefree_split, strip_content
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
-from .curves import CurveError, coefficient_g1
+from .curves import CurveError, check_family, coefficient_g1
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
                      oka_decomposition)
 
@@ -33,7 +32,7 @@ __all__ = [
     "DegeneracyLocus",
     "build_locus",
     "min_x_exponent",
-    "polar_coefficient_g1",
+    "polar_coefficient",
     "edge_term",
     "PolarModel",
     "build_model",
@@ -128,10 +127,10 @@ def min_x_exponent(p: int, q: int, j: int) -> int:
     return q - ((j + 1) * q) // p
 
 
-def polar_coefficient_g1(p: int, q: int, i: int, j: int) -> MPoly:
-    """Coefficient of x^i y^j in the generic polar a*f_x + b*f_y (untruncated)."""
-    return ((i + 1) * MPoly.var(A) * coefficient_g1(p, q, i + 1, j)
-            + (j + 1) * MPoly.var(B) * coefficient_g1(p, q, i, j + 1))
+def polar_coefficient(coeff, i: int, j: int) -> MPoly:
+    """Coefficient of x^i y^j in a*f_x + b*f_y, where coeff(i, j) is the
+    coefficient of x^i y^j in f (untruncated)."""
+    return (i + 1) * MPoly.var(A) * coeff(i + 1, j) + (j + 1) * MPoly.var(B) * coeff(i, j + 1)
 
 
 def edge_term(p: int, q: int, j: int) -> MPoly:
@@ -142,7 +141,7 @@ def edge_term(p: int, q: int, j: int) -> MPoly:
     only the x-derivative is left.
     """
     alpha = min_x_exponent(p, q, j)
-    return polar_coefficient_g1(p, q, alpha, j) * MPoly.monomial(1, {X: alpha, Y: j})
+    return polar_coefficient(partial(coefficient_g1, p, q), alpha, j) * MPoly.monomial(1, {X: alpha, Y: j})
 
 
 @dataclass(frozen=True)
@@ -212,11 +211,10 @@ def _convergent_vertices(cf: ContinuedFraction, conv: ConvergentSeq) -> tuple[Po
 
 @lru_cache(maxsize=32)
 def polar_model_g1(p: int, q: int) -> PolarModel:
-    if not (2 <= p < q) or math.gcd(p, q) != 1:
-        raise CurveError(f"need coprime 2 <= p < q, got ({p}, {q})")
+    check_family(p, q)
 
     def coeff_at(x, j):
-        c = polar_coefficient_g1(p, q, x, j)
+        c = polar_coefficient(partial(coefficient_g1, p, q), x, j)
         for v in c.variables():
             if v.kind == "aij":
                 w = v.i * p + v.j * q

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .algebra import A, B, MPoly, bvar
-from .curves import CurveError, coefficient_tail, tail_start
-from .genus1 import PolarModel, build_model, polar_coefficient_g1, polar_model_g1
+from .algebra import B, MPoly, bvar
+from .curves import CurveError, check_family, coefficient_g1, coefficient_tail, tail_start
+from .genus1 import PolarModel, build_model, polar_coefficient, polar_model_g1
 from .newton import Point
 
 __all__ = [
@@ -38,12 +38,6 @@ __all__ = [
 ]
 
 
-def _tail_polar_coeff(p: int, q: int, d: int, i: int, j: int) -> MPoly:
-    """Coefficient of x^i y^j in the polar of the generic tail (untruncated)."""
-    return ((i + 1) * MPoly.var(A) * coefficient_tail(p, q, d, i + 1, j)
-            + (j + 1) * MPoly.var(B) * coefficient_tail(p, q, d, i, j + 1))
-
-
 def _product_polar_coeff(p: int, q: int, i: int, j: int) -> MPoly:
     """Coefficient of x^i y^j in 2*f1*P(f1) at a point of its polygon's boundary.
 
@@ -54,7 +48,7 @@ def _product_polar_coeff(p: int, q: int, i: int, j: int) -> MPoly:
     if (i, j) == (0, 2 * p - 1):
         return 2 * p * MPoly.var(B)
     if j <= p - 1 and i >= q:
-        return -2 * polar_coefficient_g1(p, q, i - q, j)
+        return -2 * polar_coefficient(partial(coefficient_g1, p, q), i - q, j)
     return MPoly.zero()
 
 
@@ -75,12 +69,8 @@ def lpq_side_points(p: int, q: int, e1: int = 2) -> tuple[Point, ...]:
 
 @lru_cache(maxsize=32)
 def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
-    if not (2 <= p < q) or math.gcd(p, q) != 1:
-        raise CurveError(f"need coprime 2 <= p < q, got ({p}, {q})")
-    if d < 1 or d % 2 == 0:
-        raise CurveError(f"need odd d >= 1, got {d}")
+    check_family(p, q, d)
     threshold = 2 * p * q + d
-    i0, j0 = tail_start(p, q, d)
 
     # heights p..2p-2 keep the tail minimum alone: they lie above the steep
     # side, which has no lattice points there
@@ -90,7 +80,7 @@ def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
         low[j] = min(x, low.get(j, x))
 
     def coeff_at(x, j):
-        h = _tail_polar_coeff(p, q, d, x, j)
+        h = polar_coefficient(partial(coefficient_tail, p, q, d), x, j)
         for v in h.variables():
             if v.kind == "bij":
                 w = v.i * p + v.j * q
@@ -98,7 +88,7 @@ def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
         return _product_polar_coeff(p, q, x, j) + h
 
     model = build_model(tuple((low[j], j) for j in range(2 * p)), coeff_at,
-                        nonvanishing={bvar(i0, j0)})
+                        nonvanishing={bvar(*tail_start(p, q, d))})
     assert model.sides[-1] == tuple(sorted(steep, key=lambda pt: pt[1])), \
         "the tail must stay above the steep side"
     assert model.predicted_polygon().top == (0, 2 * p - 1)

@@ -33,10 +33,6 @@ class Side:
     m: int  # width
     d: int  # gcd(n, m) = number of primitive steps
 
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.n, self.m)
-
 
 def _make_side(top: Point, bottom: Point) -> Side:
     n = top[1] - bottom[1]

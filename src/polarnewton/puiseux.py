@@ -350,8 +350,7 @@ def intersection_numeric(b1: PuiseuxBranch, b2: PuiseuxBranch, tol: float = COEF
     return int(value)
 
 
-def reconstruction_residual(f: PlaneSeries, branch: PuiseuxBranch,
-                            order_slack: int = 0) -> float:
+def reconstruction_residual(f: PlaneSeries, branch: PuiseuxBranch) -> float:
     """Largest relative residual coefficient of f(t^n, y(t)) below the
     guaranteed order; small values certify the expansion."""
     p = _poly_dict(f)
@@ -361,7 +360,7 @@ def reconstruction_residual(f: PlaneSeries, branch: PuiseuxBranch,
         ymax = max((int(e * n) for e, _ in branch.terms), default=1)
         t_limit = 1 + max(i * n + j * ymax for (i, j) in p)
     else:
-        t_limit = int(branch.reached * n) - order_slack
+        t_limit = int(branch.reached * n)
     yt = {int(e * n): c for e, c in branch.terms}
 
     def mul_trunc(s1: dict, s2: dict) -> dict:

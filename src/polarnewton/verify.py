@@ -3,6 +3,10 @@ degeneracy locus, take the polar at a random pencil point in general
 position, and check every polygon/squarefree/topology prediction against a
 from-scratch computation on the concrete curve.
 
+Every draw of family coefficients, here and in the degenerate-power check,
+follows one rule read from the `curves.Family` record: a value for each of
+its `coeff_vars`, with its `class_var` (if any) nonzero.
+
 Determinism: each trial draws from a Mersenne-Twister generator seeded with
 "<seed>:<trial>" (CPython `random.Random`); the algorithm name is pinned in
 the report header, so identical configurations reproduce byte-identical
@@ -18,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import A, B, MPoly, UPoly, Var, Z, bvar
-from .curves import PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
+from .algebra import A, B, MPoly, UPoly, Var, Z
+from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from .genus1 import polar_model_g1
 from .genus2 import polar_model_g2
 from .newton import PolygonError, is_nondegenerate, oka_decomposition
@@ -57,26 +61,24 @@ def _rand_fraction(rng: random.Random, bound: int, nonzero: bool = False) -> Fra
         return Fraction(num, den)
 
 
-def _draw_assignment(rng, variables, bound, nonzero_vars=()) -> dict[Var, Fraction]:
-    return {
-        v: _rand_fraction(rng, bound, nonzero=v in nonzero_vars)
-        for v in sorted(variables)
-    }
+def _draw_assignment(family: Family, rng: random.Random, bound: int) -> dict[Var, Fraction]:
+    """A value for every family variable; the class coefficient stays nonzero."""
+    return {v: _rand_fraction(rng, bound, nonzero=v == family.class_var) for v in family.coeff_vars}
 
 
-def sample_off_locus(family, rng: random.Random, bound: int) -> tuple[PlaneSeries, dict]:
+def sample_off_locus(family: Family, model, rng: random.Random, bound: int) -> tuple[PlaneSeries, dict]:
     """Draw family coefficients, rejecting while any locus condition vanishes."""
-    if len(family.coeff_vars_all) == 0:
-        raise VerifyError(f"family {family.family}: no coefficients to draw")
+    if not family.coeff_vars:
+        raise VerifyError(f"family {family.key}: no coefficients to draw")
     for _ in range(REJECT_LIMIT):
-        assignment = _draw_assignment(rng, family.coeff_vars_all, bound, family.nonzero_vars)
-        if not family.model.locus.vanishes_at(assignment):
+        assignment = _draw_assignment(family, rng, bound)
+        if not model.locus.vanishes_at(assignment):
             return substitute(family.generic, assignment), assignment
-    raise VerifyError(f"family {family.family}: locus rejection exhausted {REJECT_LIMIT} draws; "
+    raise VerifyError(f"family {family.key}: locus rejection exhausted {REJECT_LIMIT} draws; "
                       "the locus appears to cover the sample space")
 
 
-def _draw_general_pencil(family, rng, bound, assignment) -> tuple[Fraction, Fraction]:
+def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[Fraction, Fraction]:
     """Random (a, b) avoiding the zero set of every raw condition."""
     for _ in range(REJECT_LIMIT):
         a = _rand_fraction(rng, bound)
@@ -86,31 +88,10 @@ def _draw_general_pencil(family, rng, bound, assignment) -> tuple[Fraction, Frac
         full = dict(assignment)
         full[A] = a
         full[B] = b
-        if all(c.evaluate(full) != 0 for c in family.model.raw_conditions):
+        if all(c.evaluate(full) != 0 for c in model.raw_conditions):
             return a, b
-    raise VerifyError(f"family {family.family}: pencil draw found no point in general position "
+    raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")
-
-
-class _FamilyView:
-    """Uniform access to either family flavour for the sampler."""
-
-    def __init__(self, family_tuple):
-        self.family = tuple(family_tuple)
-        if len(family_tuple) == 2:
-            p, q = family_tuple
-            fam = generic_member_g1(p, q)
-            self.model = polar_model_g1(p, q)
-            self.generic = fam.generic
-            self.coeff_vars_all = fam.coeff_vars
-            self.nonzero_vars = frozenset()
-        else:
-            p, q, d = family_tuple
-            fam = generic_member_g2(p, q, d)
-            self.model = polar_model_g2(p, q, d)
-            self.generic = fam.generic
-            self.coeff_vars_all = tuple(sorted(set(fam.a_vars) | set(fam.b_vars)))
-            self.nonzero_vars = frozenset({bvar(fam.i0, fam.j0)})
 
 
 def _assignment_digest(assignment, a, b) -> str:
@@ -162,18 +143,20 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
 
 def run_verification(cfg: SampleConfig) -> dict:
     """Per-trial polygon/lattice/squarefree/topology comparison report."""
-    view = _FamilyView(cfg.family)
-    model = view.model
+    if len(cfg.family) == 2:
+        family, model = generic_member_g1(*cfg.family), polar_model_g1(*cfg.family)
+    else:
+        family, model = generic_member_g2(*cfg.family), polar_model_g2(*cfg.family)
     predicted_polygon = model.predicted_polygon()
     predicted_points = model.predicted_points()
     # once per family: the generic member's polar is nondegenerate as a
     # polynomial statement (every side discriminant is nonzero symbolically)
-    generic_verdict = is_nondegenerate(polar(view.generic)).verdict
+    generic_verdict = is_nondegenerate(polar(family.generic)).verdict
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        series, assignment = sample_off_locus(view, rng, cfg.coeff_range)
-        a, b = _draw_general_pencil(view, rng, cfg.coeff_range, assignment)
+        series, assignment = sample_off_locus(family, model, rng, cfg.coeff_range)
+        a, b = _draw_general_pencil(family, model, rng, cfg.coeff_range, assignment)
         pol = polar(series, PolarParams.concrete(a, b))
         report = is_nondegenerate(pol)
         polygon_match = report.polygon.vertices() == predicted_polygon.vertices()
@@ -229,10 +212,9 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
     top = (0, e1 * p - 1)
     bottom_of_side = ((e1 - 1) * q, p - 1)
     records = []
-    all_vars = tuple(sorted(set(fam.a_vars) | set(fam.b_vars)))
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
-        assignment = _draw_assignment(rng, all_vars, coeff_range, {bvar(fam.i0, fam.j0)})
+        assignment = _draw_assignment(fam, rng, coeff_range)
         series = substitute(fam.generic, assignment)
         a = _rand_fraction(rng, coeff_range)
         b = _rand_fraction(rng, coeff_range, nonzero=True)

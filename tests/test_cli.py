@@ -31,6 +31,12 @@ def run_cli(capsys, *argv):
      ["--format", "json", "puiseux", "--expr", "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"]),
     ("nondeg_symbolic_member",
      ["--format", "json", "nondeg", "--expr", "y^5 - x^12 + a[5,3]*x^5*y^3 + x^8*y^2"]),
+    ("family_g1_7_19", ["--format", "json", "family", "g1", "--p", "7", "--q", "19"]),
+    ("family_g2_5_12_1", ["--format", "json", "family", "g2", "--p", "5", "--q", "12", "--d", "1"]),
+    ("family_g2_2_3_1_e1_3",
+     ["--format", "json", "family", "g2", "--p", "2", "--q", "3", "--d", "1", "--e1", "3"]),
+    ("family_g2_3_5_1_bound_20",
+     ["--format", "json", "family", "g2", "--p", "3", "--q", "5", "--d", "1", "--bound", "20"]),
 ])
 def test_golden_pinned_examples(capsys, name, argv):
     code, out, _err = run_cli(capsys, *argv)

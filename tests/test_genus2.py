@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from polarnewton.algebra import A, B, MPoly, UPoly, X, Y, Z, avar, bvar
-from polarnewton.curves import CurveError, PlaneSeries, PolarParams, generic_member_g2, polar, substitute
+from polarnewton.curves import (CurveError, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar,
+                                substitute)
 from polarnewton.genus2 import (
     InvalidSemigroupError,
     classify_nondegenerate,
@@ -13,7 +14,7 @@ from polarnewton.genus2 import (
     tail_min_x_exponent,
 )
 from polarnewton.newton import newton_polygon, oka_report
-from polarnewton.verify import _draw_assignment, _FamilyView, sample_off_locus
+from polarnewton.verify import _draw_assignment, sample_off_locus
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -162,19 +163,19 @@ class TestLocus:
         # b[i0,j0] != 0 is what puts a member in the class; for d = 1 it is
         # the bottom vertex's coefficient, and the locus must not repeat it,
         # so every draw the sampler makes with b[i0,j0] != 0 is kept
-        assert polar_model_g2(2, q, 1).locus.is_empty()
-        view = _FamilyView((2, q, 1))
+        model = polar_model_g2(2, q, 1)
+        assert model.locus.is_empty()
+        fam = generic_member_g2(2, q, 1)
         for seed in range(5):
-            drawn = _draw_assignment(random.Random(seed), view.coeff_vars_all, 10, view.nonzero_vars)
-            _series, kept = sample_off_locus(view, random.Random(seed), 10)
+            drawn = _draw_assignment(fam, random.Random(seed), 10)
+            _series, kept = sample_off_locus(fam, model, random.Random(seed), 10)
             assert kept == drawn
 
     @pytest.mark.parametrize("p,q,d", [(2, 5, 1), (3, 5, 1), (3, 7, 1), (4, 7, 1), (5, 12, 1)])
     def test_no_locus_group_lives_on_the_class_coefficient_alone(self, p, q, d):
         fam = generic_member_g2(p, q, d)
-        class_var = bvar(fam.i0, fam.j0)
         for group in polar_model_g2(p, q, d).locus.groups:
-            assert not all(g.variables() <= {class_var} for g in group)
+            assert not all(g.variables() <= {fam.class_var} for g in group)
 
     @pytest.mark.parametrize("p,q,d", [(2, 5, 7), (2, 3, 5), (3, 7, 9)])
     def test_d_at_least_q_depends_only_on_the_base_curve(self, p, q, d):
@@ -216,11 +217,10 @@ class TestSampledAgreement:
         model = polar_model_g2(p, q, d)
         fam = generic_member_g2(p, q, d)
         rng = random.Random(f"g2:{p}:{q}:{d}")
-        all_vars = sorted(set(fam.a_vars) | set(fam.b_vars))
         trials = 0
         while trials < 4:
-            assignment = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for v in all_vars}
-            if assignment[bvar(fam.i0, fam.j0)] == 0:
+            assignment = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for v in fam.coeff_vars}
+            if assignment[fam.class_var] == 0:
                 continue
             if model.locus.vanishes_at(assignment):
                 continue
@@ -231,7 +231,7 @@ class TestSampledAgreement:
                 continue
             trials += 1
             f = substitute(fam.generic, assignment)
-            f1 = substitute(fam.f1, assignment)
+            f1 = substitute(generic_member_g1(p, q).generic, assignment)
             params = PolarParams.concrete(*ab)
             pol = polar(f, params)
             poly = newton_polygon(pol)

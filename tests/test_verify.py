@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -6,7 +7,8 @@ import pytest
 
 from polarnewton import newton, verify
 from polarnewton.algebra import MPoly, avar
-from polarnewton.curves import PolarParams, polar, substitute
+from polarnewton.curves import PolarParams, generic_member_g1, polar, substitute
+from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus1 import DegeneracyLocus
 from polarnewton.newton import PolygonError, newton_polygon
 from polarnewton.verify import (
@@ -14,7 +16,6 @@ from polarnewton.verify import (
     VerifyError,
     _draw_assignment,
     _draw_general_pencil,
-    _FamilyView,
     report_to_json,
     run_power_degeneracy,
     run_verification,
@@ -34,28 +35,27 @@ class TestConfig:
 
 class TestSampling:
     def test_off_locus_sample_avoids_every_generator(self):
-        view = _FamilyView((7, 19))
+        fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(0)
-        series, assignment = sample_off_locus(view, rng, 10)
-        assert not view.model.locus.vanishes_at(assignment)
+        series, assignment = sample_off_locus(fam, model, rng, 10)
+        assert not model.locus.vanishes_at(assignment)
         prod = Fraction(1)
         for v in (avar(17, 1), avar(14, 2), avar(11, 3)):
             prod *= assignment[v]
         assert prod != 0
 
     def test_empty_locus_family_takes_first_draw(self):
-        view = _FamilyView((2, 3))
+        fam = generic_member_g1(2, 3)
         rng = random.Random(0)
-        _series, assignment = sample_off_locus(view, rng, 10)
-        assert set(assignment) == set(view.coeff_vars_all)
+        _series, assignment = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
+        assert set(assignment) == set(fam.coeff_vars)
 
     def test_forced_on_locus_draw_breaks_the_polygon(self):
-        view = _FamilyView((7, 19))
-        model = view.model
+        fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(4)
-        assignment = _draw_assignment(rng, view.coeff_vars_all, 10, view.nonzero_vars)
+        assignment = _draw_assignment(fam, rng, 10)
         assignment[avar(17, 1)] = Fraction(0)
-        series = substitute(view.generic, assignment)
+        series = substitute(fam.generic, assignment)
         pol = polar(series, PolarParams.concrete(1, 1))
         poly = newton_polygon(pol)
         assert (17, 0) not in pol.support()
@@ -69,10 +69,9 @@ class TestErrorsNameFamilyAndStage:
             run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
 
     def test_pencil_draw(self):
-        view = _FamilyView((7, 19))
-        view.model = SimpleNamespace(raw_conditions=(MPoly.zero(),))
+        model = SimpleNamespace(raw_conditions=(MPoly.zero(),))
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
-            _draw_general_pencil(view, random.Random(0), 10, {})
+            _draw_general_pencil(generic_member_g1(7, 19), model, random.Random(0), 10, {})
 
 
 class TestRunVerification:
@@ -162,3 +161,8 @@ class TestPowerDegeneracy:
     def test_requires_a_genuine_power(self):
         with pytest.raises(VerifyError):
             run_power_degeneracy(2, 3, e1=2)
+
+    def test_report_is_pinned(self):
+        golden = pathlib.Path(__file__).parent / "golden" / "power_degeneracy_2_3_1_e1_3.json"
+        rep = run_power_degeneracy(2, 3, d=1, e1=3, trials=10, seed=42)
+        assert report_to_json(rep) + "\n" == golden.read_text()
