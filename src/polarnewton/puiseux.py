@@ -7,6 +7,16 @@ soon as a computed root enters a substitution.  Root multiplicities at the
 first, still-exact level are read off a rational squarefree decomposition;
 deeper levels fall back to clustering with a relative tolerance.
 
+A simple edge root separates its branch: the substituted node holds the
+term y, and the rest of the branch is a chain of steps on the single side
+(0,1)-(i*,0).  Along that chain a term x^i y^j can only reach coefficients
+the chain still reads if i + j is below a budget that each step lowers by
+i*, so every chain substitution, the separating one included, forms only
+those terms; each coefficient it keeps is the float the full substitution
+gives.  A decision the kept terms cannot settle (no y^0 term or no y term
+left, as when the budget is spent) restarts the chain with the budget
+doubled; after three doublings the chain runs untruncated.
+
 From a finished expansion the module recovers the characteristic exponents,
 the genus, the value semigroup and numeric pairwise intersection numbers.
 """
@@ -30,6 +40,11 @@ CLUSTER_REL = 1e-6
 COEFF_REL = 1e-8  # relative tolerance for coefficient comparisons
 
 _MAX_STEPS = 4000
+# Truncation of separated chains (see `_walk_chain`): the least starting
+# budget, in x-units of the chain, and the doublings tried before a chain runs
+# untruncated.
+_BUDGET0 = 8
+_DOUBLINGS = 3
 
 
 class PuiseuxError(ValueError):
@@ -117,21 +132,34 @@ def _edge_roots(p: dict, side, pts, exact: bool):
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
 
 
-def _substituted(p: dict, nbar: int, mbar: int, c: complex) -> dict:
+def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None = None) -> dict:
     """p(x^nbar, x^mbar * (c + y)) divided by the minimal x-power.
+
+    With a `budget`, only the keys (e, k) with e + k < budget are formed; a
+    parent that is complete below its own budget gives each of them every
+    contribution, in the same order as the full shift.
 
     A coefficient that is tiny relative to the total magnitude that flowed
     into it is floating-point debris from an exact cancellation and is
     dropped; a coefficient that is small outright but arrived clean is kept.
     """
     vmin = min(i * nbar + j * mbar for (i, j) in p)
+    kept = []  # (coefficient, x-power, j, highest k formed)
+    for (i, j), coeff in p.items():
+        xpow = i * nbar + j * mbar - vmin
+        top = j if budget is None else min(j, budget - 1 - xpow)
+        if top >= 0:
+            kept.append((coeff, xpow, j, top))
+    jmax = max((j for _coeff, _xpow, j, _top in kept), default=0)
+    cpow = [c ** e for e in range(jmax + 1)]
+    rows = [[math.comb(j, k) for k in range(j + 1)] for j in range(jmax + 1)]
     out: dict[tuple[int, int], complex] = {}
     acc: dict[tuple[int, int], float] = {}
-    for (i, j), coeff in p.items():
+    for coeff, xpow, j, top in kept:
         base = complex(coeff)
-        xpow = i * nbar + j * mbar - vmin
-        for k in range(j + 1):
-            val = base * math.comb(j, k) * (c ** (j - k))
+        row = rows[j]
+        for k in range(top + 1):
+            val = base * row[k] * cpow[j - k]
             key = (xpow, k)
             out[key] = out.get(key, 0j) + val
             acc[key] = acc.get(key, 0.0) + abs(val)
@@ -164,10 +192,21 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
     min_order = Fraction(min_order) if min_order is not None else Fraction(0)
 
     raws: list[_Raw] = []
-    stack = [(p0, True, Fraction(1), Fraction(0), [], 0)]
+    # A stack node is (p, exact, u, offset, terms, post_sep, shift).  With a
+    # shift (nbar, mbar, c) the node is the not yet computed p(x^nbar,
+    # x^mbar * (c + y)) / x^vmin: a child that separates, left to its chain.
+    stack = [(p0, True, Fraction(1), Fraction(0), [], 0, None)]
     steps = 0
     while stack:
-        p, exact, u, offset, terms, post_sep = stack.pop()
+        node = stack.pop()
+        p, exact, u, offset, terms, post_sep, shift = node
+        if shift is not None:
+            end, steps = _separated_chain(node, steps, depth, min_order)
+            if isinstance(end, _Raw):
+                raws.append(end)
+            else:
+                stack.append(end)
+            continue
         steps += 1
         if steps > _MAX_STEPS:
             raise PuiseuxError("expansion exceeded the step budget")
@@ -182,28 +221,110 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
         if (0, 0) in p:
             continue  # unit times x-powers: no branch through the origin left
         separated = (0, 1) in p
-        n_cand = u.denominator
-        if separated and post_sep >= max(2 * n_cand, depth) and offset >= min_order:
+        if separated and _chain_done(u, offset, post_sep, depth, min_order):
             raws.append(_Raw(terms=list(terms), mult=1, exact=False, reached=offset + u))
             continue
         for side, pts, nbar, mbar in _compact_sides(p):
             for c, mult in _edge_roots(p, side, pts, exact):
-                try:
-                    child = _substituted(p, nbar, mbar, c)
-                except OverflowError as exc:
-                    raise PuiseuxError(
-                        "coefficient magnitudes overflowed; request a smaller order"
-                    ) from exc
                 new_u = u / nbar
                 new_offset = offset + u * Fraction(mbar, nbar)
                 new_terms = terms + [(new_offset, complex(c))]
-                stack.append((child, False, new_u, new_offset, new_terms,
-                              post_sep + 1 if separated else 0))
+                new_post_sep = post_sep + 1 if separated else 0
+                if mult == 1:
+                    stack.append((p, False, new_u, new_offset, new_terms, new_post_sep,
+                                  (nbar, mbar, c)))
+                else:
+                    stack.append((_shifted(p, nbar, mbar, c), False, new_u, new_offset,
+                                  new_terms, new_post_sep, None))
     total = sum(r.mult for r in raws)
     if total != weier_deg:
         raise PuiseuxError(f"expansion count {total} does not match the y-order {weier_deg}")
     branches = _group_conjugates(raws)
     return branches
+
+
+def _chain_done(u: Fraction, offset: Fraction, post_sep: int, depth: int,
+                min_order: Fraction) -> bool:
+    return post_sep >= max(2 * u.denominator, depth) and offset >= min_order
+
+
+def _shifted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None = None) -> dict:
+    """`_substituted`, with an overflow reported as a PuiseuxError."""
+    try:
+        return _substituted(p, nbar, mbar, c, budget)
+    except OverflowError as exc:
+        raise PuiseuxError("coefficient magnitudes overflowed; request a smaller order") from exc
+
+
+class _Uncertified(Exception):
+    """A truncated chain step met a decision its known terms cannot settle."""
+
+
+def _separated_chain(node, steps: int, depth: int, min_order: Fraction):
+    """Follow the branch of a stack node with a shift, which separates there.
+
+    Returns the branch's finished raw, or the first node that is not a plain
+    separated step (for the main loop), with the updated step count.  An
+    attempt that cannot certify a step restarts from the node's complete
+    parent with the budget doubled; the last attempt runs untruncated.  Only
+    the attempt that returns counts its steps.
+    """
+    _p, _exact, u, offset, _terms, post_sep, _shift = node
+    for budget in _chain_budgets(u, offset, post_sep, depth, min_order):
+        try:
+            return _walk_chain(node, steps, depth, min_order, budget)
+        except _Uncertified:
+            pass
+    return _walk_chain(node, steps, depth, min_order, None)
+
+
+def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int,
+                   min_order: Fraction) -> list[int]:
+    """Truncation budgets a chain tries in turn before it runs untruncated.
+
+    Each step advances the chain by one x-unit or more, and the last node
+    needs a budget of 2 to hold (0,1) and a y^0 term (1,0); the first budget
+    covers that, and each later one doubles it.
+    """
+    advance = max(math.ceil((min_order - offset) / u), max(2 * u.denominator, depth) - post_sep)
+    first = max(_BUDGET0, advance + 2)
+    return [first << k for k in range(_DOUBLINGS + 1)]
+
+
+def _walk_chain(node, steps: int, depth: int, min_order: Fraction, budget: int | None):
+    """One attempt of `_separated_chain`; `budget` None means untruncated.
+
+    A node with budget L holds exactly the keys (i, j) with i + j < L that the
+    full node holds, with identical values.  The first node of the chain has
+    the starting budget; every later one is a plain separated step, whose
+    single side (0,1)-(i*,0) has nbar = 1, keeps the x-unit u and gives its
+    child budget L - i*.  Keys at or past the budget never decide a step: with
+    j >= 1 they are dominated by (0,1), with j = 0 they lie right of the known
+    bottom vertex.  A node is uncertified when (0,1) or every y^0 term is
+    missing from its known keys, which a budget of 1 or less always makes so.
+    """
+    p, _exact, u, offset, terms, post_sep, shift = node
+    terms = list(terms)
+    while True:
+        nbar, mbar, c = shift
+        p = _shifted(p, nbar, mbar, c, budget)
+        if (0, 1) not in p or all(j > 0 for (_i, j) in p):  # not a plain separated step
+            if budget is not None:
+                raise _Uncertified
+            return (p, False, u, offset, terms, post_sep, None), steps
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise PuiseuxError("expansion exceeded the step budget")
+        if _chain_done(u, offset, post_sep, depth, min_order):
+            return _Raw(terms=terms, mult=1, exact=False, reached=offset + u), steps
+        (side, pts, nbar, mbar), = _compact_sides(p)
+        (c, _mult), = _edge_roots(p, side, pts, False)
+        shift = (nbar, mbar, c)
+        if budget is not None:
+            budget -= mbar
+        offset = offset + u * Fraction(mbar, nbar)
+        terms.append((offset, complex(c)))
+        post_sep += 1
 
 
 def _lcm(nums) -> int:

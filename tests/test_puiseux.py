@@ -1,11 +1,24 @@
+import hashlib
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from polarnewton import puiseux
 from polarnewton.algebra import MPoly, X, Y
-from polarnewton.curves import PlaneSeries, PolarParams, generic_member_g1, parse_series, polar, substitute
+from polarnewton.curves import (
+    PlaneSeries,
+    PolarParams,
+    generic_member_g1,
+    generic_member_g2,
+    parse_series,
+    polar,
+    substitute,
+)
 from polarnewton.genus1 import polar_model_g1
+from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import oka_report
 from polarnewton.puiseux import (
     InsufficientDepthError,
@@ -15,9 +28,25 @@ from polarnewton.puiseux import (
     reconstruction_residual,
     semigroup_from_char,
 )
+from polarnewton.verify import _draw_general_pencil, sample_off_locus
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+PINNED_MEMBER = "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"
+
+
+def crosscheck_polar(family, trial, seed=42):
+    """The polar that `run_verification` crosschecks in this trial."""
+    if len(family) == 2:
+        fam, model = generic_member_g1(*family), polar_model_g1(*family)
+    else:
+        fam, model = generic_member_g2(*family), polar_model_g2(*family)
+    rng = random.Random(f"{seed}:{trial}")
+    series, assignment = sample_off_locus(fam, model, rng, 10)
+    a, b = _draw_general_pencil(fam, model, rng, 10, assignment)
+    return polar(series, PolarParams.concrete(a, b))
 
 
 class TestExpansion:
@@ -220,3 +249,98 @@ class TestOkaAgreement:
             )
             # both (2,5) branches meet with multiplicity 10 = min-rule value
             assert intersection_numeric(flat[0], flat[1]) == 10
+
+
+class TestTruncatedChains:
+    """Separated branches run on truncated substitutions (see `_walk_chain`);
+    the results must be those of the untruncated expansion, float for float."""
+
+    # sha256 of repr(puiseux_expand(polar, min_order=m)), recorded with the
+    # untruncated expansion for the crosscheck polars of the bench families
+    # (seed 42, trials 0-4) at m = 4 and 8.  Left out because the untruncated
+    # expansion raises "coefficient magnitudes overflowed" there:
+    OVERFLOWED_UNTRUNCATED = {"g2_7_19_1/1/8"}
+    FAMILIES = {"g1_7_19": (7, 19), "g2_5_12_1": (5, 12, 1), "g2_7_19_1": (7, 19, 1)}
+
+    @pytest.fixture(scope="class")
+    def polars(self):
+        return {(name, t): crosscheck_polar(fam, t)
+                for name, fam in self.FAMILIES.items() for t in range(5)}
+
+    def test_crosscheck_expansions_are_pinned(self, polars):
+        pinned = json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text())
+        keys = {f"{name}/{t}/{m}" for (name, t) in polars for m in (4, 8)}
+        assert set(pinned) == keys - self.OVERFLOWED_UNTRUNCATED
+        for key, digest in sorted(pinned.items()):
+            name, t, m = key.split("/")
+            text = repr(puiseux_expand(polars[(name, int(t))], min_order=int(m)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+    def test_deep_order_finishes_where_the_full_shift_overflowed(self, polars):
+        # (7,19) trial 2 at min_order 16 overflowed without truncation
+        out = puiseux_expand(polars[("g1_7_19", 2)], min_order=16)
+        got = sorted(br.class_key() for br, mult in out for _ in range(mult))
+        want = sorted((1,) if k[0] == 1 else k for k in polar_model_g1(7, 19).topology.expanded_keys())
+        assert got == want
+
+    @pytest.fixture
+    def uncertified(self, monkeypatch):
+        """Counts truncated attempts that had to restart."""
+        count = [0]
+        walk = puiseux._walk_chain
+
+        def counting(*args):
+            try:
+                return walk(*args)
+            except puiseux._Uncertified:
+                count[0] += 1
+                raise
+
+        monkeypatch.setattr(puiseux, "_walk_chain", counting)
+        return count
+
+    @pytest.mark.parametrize("case", ["pinned_member", "pinned_member_polar", "g2_7_19_1", "exact_branch"])
+    def test_escalation_reproduces_the_untruncated_expansion(self, monkeypatch, uncertified, case):
+        f, min_order = {
+            "pinned_member": (parse_series(PINNED_MEMBER), None),
+            "pinned_member_polar": (polar(parse_series(PINNED_MEMBER), PolarParams.concrete(1, 1)), 12),
+            "g2_7_19_1": (crosscheck_polar((7, 19, 1), 0), 4),
+            "exact_branch": (PlaneSeries.from_poly((y - x - x**2) * (y**2 - x**3)), 6),
+        }[case]
+        default = repr(puiseux_expand(f, min_order=min_order))
+        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [2, 4, 8, 16])
+        uncertified[0] = 0
+        assert repr(puiseux_expand(f, min_order=min_order)) == default
+        assert uncertified[0] > 0  # a starting budget of 2 cannot certify a step
+        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [])
+        assert repr(puiseux_expand(f, min_order=min_order)) == default
+        if case == "exact_branch":
+            smooth = [br for br, _ in puiseux_expand(f, min_order=min_order) if br.n == 1]
+            assert len(smooth) == 1 and smooth[0].reached is None
+
+    def test_step_budget_still_applies(self, monkeypatch):
+        monkeypatch.setattr(puiseux, "_MAX_STEPS", 10)
+        with pytest.raises(PuiseuxError, match="expansion exceeded the step budget"):
+            puiseux_expand(crosscheck_polar((7, 19, 1), 0), min_order=4)
+
+    def test_restarts_do_not_count_toward_the_step_budget(self, monkeypatch, uncertified):
+        f = PlaneSeries.from_poly((y - x - x**2) * (y**2 - x**3))
+        budgets = puiseux._chain_budgets
+        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [])
+        need = next(n for n in range(1, 50)
+                    if not self._exceeds(monkeypatch, n, f))  # steps of the untruncated run
+        monkeypatch.setattr(puiseux, "_chain_budgets", budgets)
+        uncertified[0] = 0
+        assert not self._exceeds(monkeypatch, need, f)
+        assert uncertified[0] > 0  # the exact branch made every truncated attempt restart
+        assert self._exceeds(monkeypatch, need - 1, f)
+
+    @staticmethod
+    def _exceeds(monkeypatch, max_steps, f) -> bool:
+        monkeypatch.setattr(puiseux, "_MAX_STEPS", max_steps)
+        try:
+            puiseux_expand(f, min_order=6)
+        except PuiseuxError as exc:
+            assert "step budget" in str(exc)
+            return True
+        return False

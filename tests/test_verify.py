@@ -102,6 +102,11 @@ class TestRunVerification:
         rep = run_verification(cfg)
         assert rep["summary"]["puiseux_match"] == 2
 
+    @pytest.mark.parametrize("family", [(11, 29), (8, 21, 1)])
+    def test_crosscheck_on_must_finish_ladder_families(self, family):
+        rep = run_verification(SampleConfig(family=family, seed=42, trials=3, puiseux_crosscheck=True))
+        assert rep["summary"]["puiseux_match"] == 3
+
     def test_prng_is_pinned_in_the_header(self):
         cfg = SampleConfig(family=(2, 3), seed=1, trials=1)
         assert "mt19937" in run_verification(cfg)["prng"]
