@@ -3,7 +3,10 @@
 Coefficients are `fractions.Fraction` throughout and nothing in this module
 rounds.  Multivariate polynomials are sparse maps from monomials to nonzero
 rationals; univariate polynomials over that ring get a dense layout, which is
-what the Sylvester/discriminant machinery wants.
+what the Sylvester/discriminant machinery wants.  Evaluation at a rational
+point is exact too: it sums an integer numerator over one common denominator
+and normalises once, and a product with a constant scales the coefficients
+without the monomial merge.
 
 The variable alphabet is closed: x, y, z, the two pencil parameters a, b, and
 the doubly indexed family coefficients a[i,j], b[i,j].
@@ -238,7 +241,12 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        return cls({(): Fraction(c)})
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        p = cls.__new__(cls)
+        p._terms = {(): c} if c else {}
+        p._hash = None
+        return p
 
     @classmethod
     def var(cls, v: Var, e: int = 1) -> "MPoly":
@@ -315,6 +323,8 @@ class MPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
+        if self.is_constant() and o.is_constant():
+            return MPoly.const(self._terms.get((), 0) + o._terms.get((), 0))
         out = dict(self._terms)
         for m, c in o._terms.items():
             s = out.get(m, Fraction(0)) + c
@@ -347,15 +357,26 @@ class MPoly:
             return NotImplemented
         return o - self
 
+    def _scaled(self, c: int | Fraction) -> "MPoly":
+        """self * c for a rational c: no monomial merge, no zero seeds."""
+        p = MPoly.__new__(MPoly)
+        p._terms = {m: v * c for m, v in self._terms.items()} if c else {}
+        p._hash = None
+        return p
+
     def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        if isinstance(other, MPoly):
+            if other.is_constant():
+                return self._scaled(other._terms.get((), 0))
+            if self.is_constant():
+                return other._scaled(self._terms.get((), 0))
+        elif isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        else:
             return NotImplemented
-        if not self._terms or not o._terms:
-            return MPoly.zero()
         out: dict[Mono, Fraction] = {}
         for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
+            for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
                 s = out.get(m, Fraction(0)) + c1 * c2
                 if s == 0:
@@ -416,17 +437,28 @@ class MPoly:
         p._hash = None
         return p
 
-    def evaluate(self, assignment: Mapping[Var, Fraction]) -> Fraction:
-        """Evaluate fully; every variable present must be assigned."""
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            val = c
-            for v, e in m:
-                if v not in assignment:
-                    raise AlgebraError(f"no value for {v.name}")
-                val *= Fraction(assignment[v]) ** e
-            total += val
-        return total
+    def evaluate(self, assignment: Mapping[Var, int | Fraction]) -> Fraction:
+        """Evaluate fully; every variable present must be assigned an int or
+        a Fraction.
+
+        Each term accumulates as an integer numerator over an integer
+        denominator, and the terms are summed over their least common
+        denominator, so the one Fraction built at the end is the only
+        normalisation.
+        """
+        parts = []
+        try:
+            for m, c in self._terms.items():
+                num, den = c.numerator, c.denominator
+                for v, e in m:
+                    val = assignment[v]
+                    num *= val.numerator ** e
+                    den *= val.denominator ** e
+                parts.append((num, den))
+        except KeyError:
+            raise AlgebraError(f"no value for {v.name}") from None
+        common = math.lcm(*[den for _, den in parts])
+        return Fraction(sum(num * (common // den) for num, den in parts), common)
 
     def coefficients_in(self, vars: Sequence[Var]) -> dict[tuple[int, ...], "MPoly"]:
         """Collect by the exponents of `vars`: {exponent-tuple: coefficient}."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import A, B, MPoly, Var, X, Y, avar, bvar
+from .algebra import A, AlgebraError, B, MPoly, Var, X, Y, avar, bvar
 
 
 class CurveError(ValueError):
@@ -104,27 +104,30 @@ def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
     """a*df/dx + b*df/dy for the pencil point (a : b)."""
     if params is None:
         params = PolarParams.symbolic()
+    # a*i and b*j once per exponent present, so each term costs one product
+    a_times = {i: params.a * i for i in {i for i, _ in f.terms}}
+    b_times = {j: params.b * j for j in {j for _, j in f.terms}}
     out: dict[Point, MPoly] = {}
     for (i, j), c in f.terms.items():
         if i:
-            out[(i - 1, j)] = params.a * (c * i)
+            out[(i - 1, j)] = a_times[i] * c
     for (i, j), c in f.terms.items():
         if j:
-            out[(i, j - 1)] = out.get((i, j - 1), MPoly.zero()) + params.b * (c * j)
+            out[(i, j - 1)] = out.get((i, j - 1), MPoly.zero()) + b_times[j] * c
     return PlaneSeries({pt: c for pt, c in out.items() if not c.is_zero()})
 
 
-def substitute(f: PlaneSeries, assignment: Mapping[Var, Fraction]) -> PlaneSeries:
+def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
     """Instantiate every non-x,y variable; the result is a concrete series."""
-    table = {v: Fraction(val) for v, val in assignment.items()}
-    missing = sorted({v for c in f.terms.values() for v in c.variables()} - set(table))
-    if missing:
-        raise CurveError("missing values for: " + ", ".join(v.name for v in missing))
     out = {}
-    for pt, c in f.terms.items():
-        val = c.evaluate(table)
-        if val != 0:
-            out[pt] = MPoly.const(val)
+    try:
+        for pt, c in f.terms.items():
+            val = c.evaluate(assignment)
+            if val:
+                out[pt] = MPoly.const(val)
+    except AlgebraError:
+        missing = sorted({v for c in f.terms.values() for v in c.variables()} - set(assignment))
+        raise CurveError("missing values for: " + ", ".join(v.name for v in missing)) from None
     return PlaneSeries(out)
 
 

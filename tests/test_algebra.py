@@ -83,6 +83,51 @@ class TestRingOps:
         assert f * g == g * f
 
 
+def _general_scaled(f: MPoly, c) -> MPoly:
+    """f * c term by term through the constructor, which drops zeros."""
+    return MPoly({m: v * c for m, v in f.terms.items()})
+
+
+SCALARS = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+class TestScalarPaths:
+    OPERANDS = (x**2 * y - Fraction(3, 4) * a * x + 5, 2 * x - 1, MPoly.const(Fraction(-2, 7)),
+                MPoly.zero())
+
+    @given(SCALARS)
+    @settings(max_examples=40, deadline=None)
+    def test_products_by_scalars_on_either_side(self, c):
+        for f in self.OPERANDS:
+            want = _general_scaled(f, c)
+            for s in (c, Fraction(c), MPoly.const(c)):
+                for got in (f * s, s * f):
+                    assert got == want and hash(got) == hash(want)
+                    assert got.terms is not f.terms
+                    assert not isinstance(s, MPoly) or got.terms is not s.terms
+            assert (f * c).is_zero() == (c == 0 or f.is_zero())
+
+    @given(SCALARS, SCALARS)
+    @settings(max_examples=40, deadline=None)
+    def test_sums_of_constants(self, c1, c2):
+        p, q = MPoly.const(c1), MPoly.const(c2)
+        want = MPoly({(): Fraction(c1) + Fraction(c2)})
+        for got in (p + q, q + p, p + c2, c2 + p):
+            assert got == want and hash(got) == hash(want)
+            assert got.terms is not p.terms and got.terms is not q.terms
+        assert (p - p).is_zero() and (p + (-c1)).is_zero()
+        f = self.OPERANDS[0]
+        assert f + p == MPoly({**f.terms, (): f.terms[()] + c1}) and (f + p).terms is not f.terms
+
+    def test_zero_scalars_and_constants(self):
+        assert MPoly.const(0).is_zero() and MPoly.const(Fraction(0)).is_zero()
+        assert MPoly.const(0) == MPoly.zero() and hash(MPoly.const(0)) == hash(MPoly.zero())
+        for f in self.OPERANDS:
+            for zero in (0, Fraction(0), MPoly.const(0), MPoly.zero()):
+                assert (f * zero).is_zero() and (zero * f).is_zero()
+        assert type(MPoly.const(3).terms[()]) is Fraction
+
+
 class TestDerivative:
     def test_power_rule(self):
         assert (y**5 - x**12).deriv(X) == -12 * x**11

@@ -140,9 +140,15 @@ class TestSubstitute:
         assert lhs.poly == rhs.poly
 
     def test_missing_variable_reported(self):
-        fam = generic_member_g1(2, 3)
-        with pytest.raises(CurveError, match="missing values"):
-            substitute(fam.generic, {})
+        f = parse_series("y^2 - x^3 + b*x^2 + a[4,1]*x^4*y + b[5,1]*x^5 + a[2,3]*x^6 + a[7,0]*x^7")
+        with pytest.raises(CurveError) as info:
+            substitute(f, {avar(7, 0): Fraction(1, 2)})
+        assert str(info.value) == "missing values for: b, a[2,3], a[4,1], b[5,1]"
+        err = info.value  # no AlgebraError from the evaluation shows in its chain
+        assert err.__cause__ is None and (err.__context__ is None or err.__suppress_context__)
+        with pytest.raises(CurveError) as info:
+            substitute(generic_member_g1(2, 3).generic, {})
+        assert str(info.value) == "missing values for: a[4,0], a[5,0]"
 
     def test_pinned_member_as_family_assignment(self):
         fam = generic_member_g1(5, 12)

@@ -1,5 +1,6 @@
-"""Resultants, discriminants, deflation and the symbolic squarefree verdict,
-checked against sympy, which shares no code with polarnewton.algebra.
+"""Evaluation, resultants, discriminants, deflation and the symbolic
+squarefree verdict, checked against sympy, which shares no code with
+polarnewton.algebra.
 
 Skipped when sympy is not installed (it is in the `test` extra).
 """
@@ -9,12 +10,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
 from polarnewton.algebra import (  # noqa: E402
     A,
     B,
+    AlgebraError,
     MPoly,
     UPoly,
     Z,
@@ -68,6 +72,46 @@ def inflate(G: UPoly, s: int) -> UPoly:
     for k, c in enumerate(G.coeffs):
         coeffs[s * k] = c
     return UPoly(Z, coeffs)
+
+
+# ints and Fractions, 0 and negatives included
+RATIONALS = st.one_of(st.integers(-40, 40), st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)))
+# each term: a coefficient and one exponent per parameter, up to 6
+TERMS = st.lists(st.tuples(RATIONALS, st.lists(st.integers(0, 6), min_size=4, max_size=4)),
+                 max_size=6)
+
+
+def sympy_rational(r):
+    r = Fraction(r)
+    return sympy.Rational(r.numerator, r.denominator)
+
+
+class TestEvaluateAgainstSympy:
+    @given(TERMS, st.lists(RATIONALS, min_size=4, max_size=4))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_rational_substitution(self, terms, values):
+        poly = MPoly.zero()
+        expr = sympy.Integer(0)
+        for coeff, exps in terms:
+            poly = poly + MPoly.monomial(coeff, dict(zip(PARAMS, exps)))
+            expr += sympy_rational(coeff) * sympy.Mul(*(sympy.Symbol(v.name) ** e
+                                                        for v, e in zip(PARAMS, exps)))
+        want = expr.xreplace({sympy.Symbol(v.name): sympy_rational(val)
+                              for v, val in zip(PARAMS, values)})
+        got = poly.evaluate(dict(zip(PARAMS, values)))
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (int(want.p), int(want.q))
+
+    def test_zero_and_constant_polynomials(self):
+        assert MPoly.zero().evaluate({}) == 0
+        assert type(MPoly.zero().evaluate({})) is Fraction
+        assert MPoly.const(Fraction(-7, 3)).evaluate({A: 5}) == Fraction(-7, 3)
+        assert MPoly.const(4).evaluate({}) == 4
+
+    def test_missing_variable_is_named(self):
+        poly = MPoly.var(A) * MPoly.var(bvar(5, 2)) + 3
+        with pytest.raises(AlgebraError, match=r"^no value for b\[5,2\]$"):
+            poly.evaluate({A: Fraction(1, 2), avar(3, 1): 4})
 
 
 class TestAgainstSympy:

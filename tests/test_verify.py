@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -153,6 +155,23 @@ class TestRunVerification:
         rep = run_verification(SampleConfig(family=(2, 3), seed=1, trials=2))
         assert rep["summary"]["topology_match"] == 0
         assert rep["summary"]["polygon_match"] == 2
+
+
+# sha256 of report_to_json(run_verification(...)) under
+# "<family>/<seed>/<trials>[/crosscheck]", recorded while MPoly.evaluate still
+# summed Fractions term by term and products by constants ran the full merge.
+PINNED_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "verify_reports_sha256.json").read_text())
+
+
+class TestPinnedReportBytes:
+    @pytest.mark.parametrize("key", sorted(PINNED_REPORTS))
+    def test_report_bytes_are_unchanged(self, key):
+        family, seed, trials, *crosscheck = key.split("/")
+        cfg = SampleConfig(family=tuple(map(int, family.split("_"))), seed=int(seed),
+                           trials=int(trials), puiseux_crosscheck=bool(crosscheck))
+        text = report_to_json(run_verification(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[key]
 
 
 class TestPowerDegeneracy:
