@@ -5,7 +5,10 @@ through a fixed envelope {tool_version, command, inputs, result, warnings};
 `--format json` prints it as JSON with stable key order, `--format text`
 renders a short human-readable view of the result payload.
 
-Exit codes: 0 success, 1 computation error, 2 usage error.
+Exit codes: 0 success, 1 computation error, 2 usage error.  A computation
+error is one of the package's errors (a `ValueError` subclass, an
+`ArithmeticError` or a `VerifyError`) or an `OSError` reading `--input`; any
+other exception is a fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .genus1 import polar_model_g1
 from .genus2 import classify_nondegenerate, polar_model_g2
 from .newton import is_nondegenerate, newton_polygon
 from .puiseux import InsufficientDepthError, intersection_numeric, puiseux_expand
-from .verify import SampleConfig, run_verification
+from .verify import SampleConfig, VerifyError, run_verification
 
 
 def _fraction(text: str) -> Fraction:
@@ -327,7 +330,7 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         raise
-    except Exception as exc:
+    except (ValueError, ArithmeticError, VerifyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     envelope = {

@@ -17,6 +17,14 @@ f2 with y-exponents up to e1*p-2, so f and f1 are Tschirnhausen together.
 Both builders return a `Family`: the generic member with every variable a
 draw assigns and, in genus two, the class coefficient b[i0,j0] that a draw
 keeps nonzero.  `check_family` is the one test of (p, q[, d, e1]).
+
+`polar` has two routes with one output.  A concrete series at a constant
+pencil point, the case of every verify trial, forms each coefficient
+a*i*c(i,j) + b*(j+1)*c(i-1,j+1) from the integer numerators and denominators
+of a, b and the coefficients and normalises it once, as one `Fraction`; any
+symbolic input multiplies and adds `MPoly`s.  Both give the keys in one
+order, the x-derivative keys in the member's order and then the y-derivative
+keys that are new, because the Puiseux expansion adds floats in that order.
 """
 
 from __future__ import annotations
@@ -101,9 +109,19 @@ class PolarParams:
 
 
 def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
-    """a*df/dx + b*df/dy for the pencil point (a : b)."""
+    """a*df/dx + b*df/dy for the pencil point (a : b).
+
+    The coefficient at (i-1, j) is a*i*c(i,j) + b*(j+1)*c(i-1,j+1); a zero sum
+    is dropped.  Keys come in a fixed order: the x-derivative keys in the
+    member's order, then the y-derivative keys not already present.  For a
+    concrete series at a constant pencil point each coefficient is formed from
+    integer numerators and denominators and normalised once; otherwise the
+    terms are multiplied and added as `MPoly`s.
+    """
     if params is None:
         params = PolarParams.symbolic()
+    if params.a.is_constant() and params.b.is_constant() and f.is_concrete():
+        return _concrete_polar(f, params.a.constant_value(), params.b.constant_value())
     # a*i and b*j once per exponent present, so each term costs one product
     a_times = {i: params.a * i for i in {i for i, _ in f.terms}}
     b_times = {j: params.b * j for j in {j for _, j in f.terms}}
@@ -115,6 +133,29 @@ def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
         if j:
             out[(i, j - 1)] = out.get((i, j - 1), MPoly.zero()) + b_times[j] * c
     return PlaneSeries({pt: c for pt, c in out.items() if not c.is_zero()})
+
+
+def _concrete_polar(f: PlaneSeries, a: Fraction, b: Fraction) -> PlaneSeries:
+    """`polar` of a concrete series at (a : b), each coefficient kept as an
+    unreduced integer pair (numerator, denominator) until the one `Fraction`."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    # every key is placed by its x-derivative term, zero or not, so a key
+    # keeps its position when the y-derivative term lands on it
+    out: dict[Point, tuple[int, int]] = {}
+    for (i, j), c in f.terms.items():
+        if i:
+            v = c.terms.get((), 0)
+            out[(i - 1, j)] = (an * i * v.numerator, ad * v.denominator)
+    for (i, j), c in f.terms.items():
+        if j:
+            v = c.terms.get((), 0)
+            num, den = bn * j * v.numerator, bd * v.denominator
+            prev = out.get((i, j - 1))
+            if prev is not None:
+                num, den = prev[0] * den + num * prev[1], prev[1] * den
+            out[(i, j - 1)] = (num, den)
+    return PlaneSeries({pt: MPoly.const(Fraction(num, den)) for pt, (num, den) in out.items() if num})
 
 
 def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:

@@ -102,6 +102,31 @@ def test_computation_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_missing_input_file_exit_code(tmp_path, capsys):
+    code, _out, err = run_cli(capsys, "polygon", "--input", str(tmp_path / "absent.txt"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_verify_error_exit_code(capsys):
+    code, _out, err = run_cli(capsys, "verify", "g1", "--p", "2", "--q", "3", "--trials", "0")
+    assert code == 1
+    assert "trials" in err
+
+
+@pytest.mark.parametrize("fault", [TypeError, AssertionError, KeyError])
+def test_programming_error_propagates(monkeypatch, capsys, fault):
+    import polarnewton.cli as cli
+
+    def broken(_series):
+        raise fault("injected")
+
+    monkeypatch.setattr(cli, "newton_polygon", broken)
+    with pytest.raises(fault, match="injected"):
+        main(["polygon", "--expr", "y^2 - x^3"])
+    assert capsys.readouterr().err == ""
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "polarnewton.cli", "polygon", "--nope"],

@@ -212,11 +212,36 @@ _PARSED = [
     "y^7 - x^19 + a[11,3]*x^11*y^3 + a[17,1]*x^17*y",
     "(y^2 - x^3)^2 + b[7,1]*x^7*y - x*y",
     "a*x^2 + b*y^3 - 2*a*b*x*y",
+    # at (3 : -2/5) the two terms at (1, 0) cancel: 3*2*1 - (2/5)*15 = 0
+    "y^3 - x^5 + x^2 + 15*x*y",
 ]
 
 
 def _random_point(rng, variables):
     return {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in variables}
+
+
+def _concrete_members():
+    """The verify family members at seeded rational points, and (7, 19) at a
+    point that zeroes a[17,1], so that (17, 1) is missing from the member."""
+    rng = random.Random(29)
+    generic = _verify_family_members()
+    out = [substitute(f, _random_point(rng, sorted(f.poly.variables() - {X, Y})))
+           for f in generic for _ in range(2)]
+    s = _random_point(rng, sorted(generic[0].poly.variables() - {X, Y}))
+    out.append(substitute(generic[0], {**s, avar(17, 1): Fraction(0)}))
+    assert (17, 1) not in out[-1].terms and (17, 1) in out[0].terms
+    return out
+
+
+def _polar_key_order(f, got):
+    """The x-derivative keys in member order, then the new y-derivative keys,
+    restricted to the keys that carry a nonzero coefficient."""
+    order = {(i - 1, j): None for i, j in f.terms if i}
+    for i, j in f.terms:
+        if j:
+            order.setdefault((i, j - 1))
+    return [pt for pt in order if pt in got.terms]
 
 
 class TestSeriesMapOracles:
@@ -225,9 +250,17 @@ class TestSeriesMapOracles:
     @pytest.mark.parametrize("params", [PolarParams.symbolic(), PolarParams.concrete(3, Fraction(-2, 5)),
                                         PolarParams.concrete(0, 1), PolarParams.concrete(1, 0)])
     def test_polar_is_the_derivative_pencil(self, params):
-        for f in _verify_family_members() + [parse_series(t) for t in _PARSED]:
+        members = _verify_family_members() + [parse_series(t) for t in _PARSED] + _concrete_members()
+        assert sum(f.is_concrete() for f in members) == 9
+        for f in members:
             want = params.a * f.poly.deriv(X) + params.b * f.poly.deriv(Y)
-            assert polar(f, params).poly == want
+            got = polar(f, params)
+            assert got.poly == want
+            assert list(got.terms) == _polar_key_order(f, got)
+            assert not any(c.is_zero() for c in got.terms.values())
+            if f.is_concrete() and params.a.is_constant():
+                assert got.is_concrete()
+                assert all(type(c.constant_value()) is Fraction for c in got.terms.values())
 
     def test_substitute_agrees_with_evaluation(self):
         rng = random.Random(17)
