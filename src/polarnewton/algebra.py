@@ -173,46 +173,17 @@ def _mono_div(m1: Mono, m2: Mono) -> Mono | None:
     return tuple(sorted(out.items(), key=lambda ve: ve[0].sort_key))
 
 
-# Graded lexicographic order over the Var order, as a cached sortable key:
-# total degree first, then pairs (negated var rank, exponent).  At equal
-# degree no monomial tuple can be a strict prefix of another, so plain tuple
+# Graded lexicographic order over the Var order, as a flat sortable key:
+# total degree first, then (negated var rank, exponent) for each variable.
+# At equal degree no key can be a strict prefix of another, so plain tuple
 # comparison realizes the lexicographic rule "a positive exponent on an
-# earlier variable wins".  The negated twin inverts the order for min-heaps.
-# Each cache is emptied when it reaches the limit, so it stays bounded.
-_KEY_CACHE: dict[Mono, tuple] = {}
-_NEG_KEY_CACHE: dict[Mono, tuple] = {}
-_KEY_CACHE_LIMIT = 1 << 17
-
-
+# earlier variable wins", and negating every entry reverses the order.
 def _MONO_KEY(m: Mono) -> tuple:
-    key = _KEY_CACHE.get(m)
-    if key is None:
-        deg = 0
-        parts = []
-        for v, e in m:
-            deg += e
-            r0, r1, r2 = v.sort_key
-            parts.append(((-r0, -r1, -r2), e))
-        key = (deg, tuple(parts))
-        if len(_KEY_CACHE) >= _KEY_CACHE_LIMIT:
-            _KEY_CACHE.clear()
-        _KEY_CACHE[m] = key
-    return key
-
-
-def _MONO_NEG_KEY(m: Mono) -> tuple:
-    key = _NEG_KEY_CACHE.get(m)
-    if key is None:
-        deg = 0
-        parts = []
-        for v, e in m:
-            deg += e
-            parts.append((v.sort_key, -e))
-        key = (-deg, tuple(parts))
-        if len(_NEG_KEY_CACHE) >= _KEY_CACHE_LIMIT:
-            _NEG_KEY_CACHE.clear()
-        _NEG_KEY_CACHE[m] = key
-    return key
+    key = [_mono_deg(m)]
+    for v, e in m:
+        r0, r1, r2 = v.sort_key
+        key += (-r0, -r1, -r2, e)
+    return tuple(key)
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -222,7 +193,7 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
         self._terms: dict[Mono, Fraction] = {}
@@ -231,9 +202,15 @@ class MPoly:
                 c = Fraction(c)
                 if c != 0:
                     self._terms[m] = c
-        self._hash = None
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _wrap(cls, terms: dict[Mono, Fraction]) -> "MPoly":
+        """The polynomial on a map of nonzero Fractions, taken without a copy."""
+        p = cls.__new__(cls)
+        p._terms = terms
+        return p
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -243,10 +220,7 @@ class MPoly:
     def const(cls, c) -> "MPoly":
         if not isinstance(c, Fraction):
             c = Fraction(c)
-        p = cls.__new__(cls)
-        p._terms = {(): c} if c else {}
-        p._hash = None
-        return p
+        return cls._wrap({(): c} if c else {})
 
     @classmethod
     def var(cls, v: Var, e: int = 1) -> "MPoly":
@@ -323,8 +297,6 @@ class MPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        if self.is_constant() and o.is_constant():
-            return MPoly.const(self._terms.get((), 0) + o._terms.get((), 0))
         out = dict(self._terms)
         for m, c in o._terms.items():
             s = out.get(m, Fraction(0)) + c
@@ -332,18 +304,12 @@ class MPoly:
                 out.pop(m, None)
             else:
                 out[m] = s
-        p = MPoly.__new__(MPoly)
-        p._terms = out
-        p._hash = None
-        return p
+        return MPoly._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = MPoly.__new__(MPoly)
-        p._terms = {m: -c for m, c in self._terms.items()}
-        p._hash = None
-        return p
+        return MPoly._wrap({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerced(other)
@@ -359,10 +325,7 @@ class MPoly:
 
     def _scaled(self, c: int | Fraction) -> "MPoly":
         """self * c for a rational c: no monomial merge, no zero seeds."""
-        p = MPoly.__new__(MPoly)
-        p._terms = {m: v * c for m, v in self._terms.items()} if c else {}
-        p._hash = None
-        return p
+        return MPoly._wrap({m: v * c for m, v in self._terms.items()} if c else {})
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
@@ -383,10 +346,7 @@ class MPoly:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        p = MPoly.__new__(MPoly)
-        p._terms = out
-        p._hash = None
-        return p
+        return MPoly._wrap(out)
 
     __rmul__ = __mul__
 
@@ -409,9 +369,7 @@ class MPoly:
         return self._terms == o._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- calculus and substitution -------------------------------------------
 
@@ -432,10 +390,7 @@ class MPoly:
                 out.pop(rest, None)
             else:
                 out[rest] = s
-        p = MPoly.__new__(MPoly)
-        p._terms = out
-        p._hash = None
-        return p
+        return MPoly._wrap(out)
 
     def evaluate(self, assignment: Mapping[Var, int | Fraction]) -> Fraction:
         """Evaluate fully; every variable present must be assigned an int or
@@ -496,10 +451,7 @@ class MPoly:
         _, lead = self.leading()
         if lead < 0:
             c = -c
-        p = MPoly.__new__(MPoly)
-        p._terms = {m: v / c for m, v in self._terms.items()}
-        p._hash = None
-        return p
+        return MPoly._wrap({m: v / c for m, v in self._terms.items()})
 
     def divexact(self, other: "MPoly | Fraction | int") -> "MPoly":
         """Exact division; raises AlgebraError when the quotient is not exact.
@@ -512,15 +464,15 @@ class MPoly:
             raise AlgebraError("division by zero polynomial")
         if o.is_constant():
             c = o.constant_value()
-            p = MPoly.__new__(MPoly)
-            p._terms = {m: v / c for m, v in self._terms.items()}
-            p._hash = None
-            return p
+            return MPoly._wrap({m: v / c for m, v in self._terms.items()})
         rem = dict(self._terms)
         out: dict[Mono, Fraction] = {}
         gm, gc = o.leading()
         rest = [(m2, c2) for m2, c2 in o._terms.items() if m2 != gm]
-        heap = [(_MONO_NEG_KEY(m), m) for m in rem]
+        def neg_key(m: Mono) -> tuple:
+            return tuple([-k for k in _MONO_KEY(m)])
+
+        heap = [(neg_key(m), m) for m in rem]
         heapq.heapify(heap)
         while heap:
             _, rm = heapq.heappop(heap)
@@ -542,8 +494,8 @@ class MPoly:
                         rem[m] = s
                 else:
                     rem[m] = -qc * c2
-                    heapq.heappush(heap, (_MONO_NEG_KEY(m), m))
-        return MPoly(out)
+                    heapq.heappush(heap, (neg_key(m), m))
+        return MPoly._wrap(out)
 
     # -- rendering ----------------------------------------------------------
 

@@ -16,7 +16,9 @@ runs over j <= p-2; the genus-two family f1^e1 + f2 takes f1 from it and a tail
 f2 with y-exponents up to e1*p-2, so f and f1 are Tschirnhausen together.
 Both builders return a `Family`: the generic member with every variable a
 draw assigns and, in genus two, the class coefficient b[i0,j0] that a draw
-keeps nonzero.  `check_family` is the one test of (p, q[, d, e1]).
+keeps nonzero.  Like the polar models, each member is built once per
+argument list and shared, so callers must not mutate it.  `check_family`
+is the one test of (p, q[, d, e1]).
 
 `polar` has two routes with one output.  A concrete series at a constant
 pencil point, the case of every verify trial, forms each coefficient
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .algebra import A, AlgebraError, B, MPoly, Var, X, Y, avar, bvar
@@ -262,6 +265,7 @@ def _bounded_terms(p: int, q: int, bound: int, coeff) -> PlaneSeries:
     return PlaneSeries(terms)
 
 
+@lru_cache(maxsize=32)
 def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> Family:
     check_family(p, q)
     bound = weight_bound if weight_bound is not None else p * q + p + q
@@ -269,6 +273,7 @@ def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> Family
     return Family(key=(p, q), e1=1, weight_bound=bound, generic=generic)
 
 
+@lru_cache(maxsize=32)
 def generic_member_g2(p: int, q: int, d: int, e1: int = 2,
                       weight_bound: int | None = None) -> Family:
     """Generic f1^e1 + f2 with value semigroup <e1*p, e1*q, e1*p*q + d>."""

@@ -142,6 +142,7 @@ def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None =
     A coefficient that is tiny relative to the total magnitude that flowed
     into it is floating-point debris from an exact cancellation and is
     dropped; a coefficient that is small outright but arrived clean is kept.
+    A float overflow is reported as a PuiseuxError.
     """
     vmin = min(i * nbar + j * mbar for (i, j) in p)
     kept = []  # (coefficient, x-power, j, highest k formed)
@@ -151,19 +152,22 @@ def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None =
         if top >= 0:
             kept.append((coeff, xpow, j, top))
     jmax = max((j for _coeff, _xpow, j, _top in kept), default=0)
-    cpow = [c ** e for e in range(jmax + 1)]
     rows = [[math.comb(j, k) for k in range(j + 1)] for j in range(jmax + 1)]
     out: dict[tuple[int, int], complex] = {}
     acc: dict[tuple[int, int], float] = {}
-    for coeff, xpow, j, top in kept:
-        base = complex(coeff)
-        row = rows[j]
-        for k in range(top + 1):
-            val = base * row[k] * cpow[j - k]
-            key = (xpow, k)
-            out[key] = out.get(key, 0j) + val
-            acc[key] = acc.get(key, 0.0) + abs(val)
-    out = {k: v for k, v in out.items() if v != 0 and abs(v) > DROP_ACC * acc[k]}
+    try:
+        cpow = [c ** e for e in range(jmax + 1)]
+        for coeff, xpow, j, top in kept:
+            base = complex(coeff)
+            row = rows[j]
+            for k in range(top + 1):
+                val = base * row[k] * cpow[j - k]
+                key = (xpow, k)
+                out[key] = out.get(key, 0j) + val
+                acc[key] = acc.get(key, 0.0) + abs(val)
+        out = {k: v for k, v in out.items() if v != 0 and abs(v) > DROP_ACC * acc[k]}
+    except OverflowError as exc:
+        raise PuiseuxError("coefficient magnitudes overflowed; request a smaller order") from exc
     if (0, 0) in out:
         raise PuiseuxError("substituted root does not vanish on the side; tolerance failure")
     return out
@@ -234,7 +238,7 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
                     stack.append((p, False, new_u, new_offset, new_terms, new_post_sep,
                                   (nbar, mbar, c)))
                 else:
-                    stack.append((_shifted(p, nbar, mbar, c), False, new_u, new_offset,
+                    stack.append((_substituted(p, nbar, mbar, c), False, new_u, new_offset,
                                   new_terms, new_post_sep, None))
     total = sum(r.mult for r in raws)
     if total != weier_deg:
@@ -246,14 +250,6 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
 def _chain_done(u: Fraction, offset: Fraction, post_sep: int, depth: int,
                 min_order: Fraction) -> bool:
     return post_sep >= max(2 * u.denominator, depth) and offset >= min_order
-
-
-def _shifted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None = None) -> dict:
-    """`_substituted`, with an overflow reported as a PuiseuxError."""
-    try:
-        return _substituted(p, nbar, mbar, c, budget)
-    except OverflowError as exc:
-        raise PuiseuxError("coefficient magnitudes overflowed; request a smaller order") from exc
 
 
 class _Uncertified(Exception):
@@ -307,7 +303,7 @@ def _walk_chain(node, steps: int, depth: int, min_order: Fraction, budget: int |
     terms = list(terms)
     while True:
         nbar, mbar, c = shift
-        p = _shifted(p, nbar, mbar, c, budget)
+        p = _substituted(p, nbar, mbar, c, budget)
         if (0, 1) not in p or all(j > 0 for (_i, j) in p):  # not a plain separated step
             if budget is not None:
                 raise _Uncertified
@@ -325,13 +321,6 @@ def _walk_chain(node, steps: int, depth: int, min_order: Fraction, budget: int |
         offset = offset + u * Fraction(mbar, nbar)
         terms.append((offset, complex(c)))
         post_sep += 1
-
-
-def _lcm(nums) -> int:
-    out = 1
-    for v in nums:
-        out = out * v // math.gcd(out, v)
-    return out
 
 
 def _conjugate_terms(terms, n: int, k: int):
@@ -356,7 +345,7 @@ def _group_conjugates(raws: list[_Raw]) -> list[tuple[PuiseuxBranch, int]]:
     for idx, raw in enumerate(raws):
         if used[idx]:
             continue
-        n = _lcm([e.denominator for (e, _c) in raw.terms]) if raw.terms else 1
+        n = math.lcm(*[e.denominator for (e, _c) in raw.terms])
         members = [idx]
         for jdx in range(idx + 1, len(raws)):
             if used[jdx]:

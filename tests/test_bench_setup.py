@@ -2,6 +2,8 @@
 
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -24,3 +26,16 @@ def test_build_models_runs(cold):
 def test_ladder_rung_builds(cold, fam):
     model = cold.polar_model(polarnewton, fam)(*fam)
     assert cold.model_summary(model)["sides"]
+
+
+def test_import_and_verify_leave_numpy_unloaded():
+    # only the Puiseux expansion imports numpy, which would double verify's set-up time
+    code = """
+import sys
+import polarnewton
+assert "numpy" not in sys.modules, "import polarnewton loaded numpy"
+polarnewton.run_verification(polarnewton.SampleConfig(family=(7, 19), seed=42, trials=3))
+assert "numpy" not in sys.modules, "run_verification loaded numpy"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,7 @@ import pytest
 
 from polarnewton import newton, verify
 from polarnewton.algebra import MPoly, avar
-from polarnewton.curves import PolarParams, generic_member_g1, polar, substitute
+from polarnewton.curves import PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus1 import DegeneracyLocus
 from polarnewton.newton import PolygonError, newton_polygon
@@ -82,6 +82,12 @@ class TestRunVerification:
         r1 = report_to_json(run_verification(cfg))
         r2 = report_to_json(run_verification(cfg))
         assert r1 == r2
+
+    def test_cached_generic_member_survives_a_run(self):
+        run_verification(SampleConfig(family=(5, 12, 1), seed=42, trials=3))
+        cached = generic_member_g2(5, 12, 1)
+        assert cached is generic_member_g2(5, 12, 1)
+        assert cached.generic.terms == generic_member_g2.__wrapped__(5, 12, 1).generic.terms
 
     def test_records_match_summary(self):
         cfg = SampleConfig(family=(3, 7), seed=11, trials=4)
