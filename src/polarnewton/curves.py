@@ -20,13 +20,18 @@ keeps nonzero.  Like the polar models, each member is built once per
 argument list and shared, so callers must not mutate it.  `check_family`
 is the one test of (p, q[, d, e1]).
 
-`polar` has two routes with one output.  A concrete series at a constant
-pencil point, the case of every verify trial, forms each coefficient
-a*i*c(i,j) + b*(j+1)*c(i-1,j+1) from the integer numerators and denominators
-of a, b and the coefficients and normalises it once, as one `Fraction`; any
-symbolic input multiplies and adds `MPoly`s.  Both give the keys in one
-order, the x-derivative keys in the member's order and then the y-derivative
-keys that are new, because the Puiseux expansion adds floats in that order.
+`polar` has two routes with one output.  The integer route takes a series,
+a constant pencil point and an optional assignment of the series' variables
+(none for a series that is already concrete, as in the CLI); each verify
+trial takes it from the generic member and its draw, so no concrete member is
+built.  It evaluates each member coefficient at the draw as an integer over
+one shared denominator, from a plan of integer terms compiled once per series
+and kept on it, skips those that are 0, forms each coefficient
+a*i*c(i,j) + b*(j+1)*c(i-1,j+1) over integers and normalises it once, as one
+`Fraction`.  Any symbolic input multiplies and adds `MPoly`s.  Both give the
+keys in one order, the x-derivative keys in the member's order and then the
+y-derivative keys that are new, because the Puiseux expansion adds floats in
+that order.  `substitute` instantiates a series on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .algebra import A, AlgebraError, B, MPoly, Var, X, Y, avar, bvar
@@ -87,6 +92,25 @@ class PlaneSeries:
     def is_concrete(self) -> bool:
         return all(c.is_constant() for c in self.terms.values())
 
+    @cached_property
+    def integer_plan(self) -> tuple:
+        """The series as integers for `polar`'s integer route, built once:
+        (variables, den, degree, points).  `den` is the lcm of the term
+        coefficients' denominators and `degree` the top total degree; each
+        point is ((i, j), terms) with one (den * coefficient, degree - deg,
+        variable indices repeated by exponent) per term."""
+        variables = sorted({v for c in self.terms.values() for v in c.variables()})
+        index = {v: k for k, v in enumerate(variables)}
+        den = math.lcm(*[c.denominator for poly in self.terms.values() for c in poly.terms.values()])
+        degree = max([sum(e for _, e in m) for poly in self.terms.values() for m in poly.terms], default=0)
+        points = []
+        for pt, poly in self.terms.items():
+            terms = tuple((int(c * den), degree - sum(e for _, e in m),
+                           tuple(index[v] for v, e in m for _ in range(e)))
+                          for m, c in poly.terms.items())
+            points.append((pt, terms))
+        return tuple(variables), den, degree, tuple(points)
+
     def render(self) -> str:
         return self.poly.render()
 
@@ -111,20 +135,26 @@ class PolarParams:
         return cls(MPoly.const(Fraction(a)), MPoly.const(Fraction(b)))
 
 
-def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
-    """a*df/dx + b*df/dy for the pencil point (a : b).
+def polar(f: PlaneSeries, params: PolarParams | None = None,
+          assignment: Mapping[Var, int | Fraction] | None = None) -> PlaneSeries:
+    """a*df/dx + b*df/dy for the pencil point (a : b), at `assignment` if given.
 
     The coefficient at (i-1, j) is a*i*c(i,j) + b*(j+1)*c(i-1,j+1); a zero sum
     is dropped.  Keys come in a fixed order: the x-derivative keys in the
-    member's order, then the y-derivative keys not already present.  For a
-    concrete series at a constant pencil point each coefficient is formed from
-    integer numerators and denominators and normalised once; otherwise the
-    terms are multiplied and added as `MPoly`s.
+    member's order, then the y-derivative keys not already present.  At a
+    constant pencil point, for a concrete series or one whose variables
+    `assignment` all fixes, each member coefficient is evaluated as an integer
+    over one shared denominator (a coefficient that evaluates to 0 places no
+    key) and each polar coefficient is normalised once; the result equals
+    `polar(substitute(f, assignment), params)`.  Otherwise the terms are
+    multiplied and added as `MPoly`s.
     """
     if params is None:
         params = PolarParams.symbolic()
-    if params.a.is_constant() and params.b.is_constant() and f.is_concrete():
-        return _concrete_polar(f, params.a.constant_value(), params.b.constant_value())
+    if params.a.is_constant() and params.b.is_constant() and (assignment is not None or f.is_concrete()):
+        return _integer_polar(f, params.a.constant_value(), params.b.constant_value(), assignment or {})
+    if assignment is not None:
+        f = substitute(f, assignment)
     # a*i and b*j once per exponent present, so each term costs one product
     a_times = {i: params.a * i for i in {i for i, _ in f.terms}}
     b_times = {j: params.b * j for j in {j for _, j in f.terms}}
@@ -138,27 +168,45 @@ def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
     return PlaneSeries({pt: c for pt, c in out.items() if not c.is_zero()})
 
 
-def _concrete_polar(f: PlaneSeries, a: Fraction, b: Fraction) -> PlaneSeries:
-    """`polar` of a concrete series at (a : b), each coefficient kept as an
-    unreduced integer pair (numerator, denominator) until the one `Fraction`."""
-    an, ad = a.numerator, a.denominator
-    bn, bd = b.numerator, b.denominator
+def _integer_polar(f: PlaneSeries, a: Fraction, b: Fraction,
+                   assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
+    """`polar` of f at `assignment` and (a : b) over integers: every value of
+    f's plan is a numerator over L = den * m^degree, m the lcm of the drawn
+    denominators, and every polar coefficient one over ad * bd * L."""
+    variables, den, degree, points = f.integer_plan
+    try:
+        values = [assignment[v] for v in variables]
+    except KeyError:
+        raise _missing_values(f, assignment) from None
+    m = math.lcm(*[v.denominator for v in values])
+    scaled = [v.numerator * (m // v.denominator) for v in values]
+    m_pow = [m ** k for k in range(degree + 1)]
+    member = []
+    for pt, terms in points:
+        num = 0
+        for c, gap, idx in terms:
+            for k in idx:
+                c *= scaled[k]
+            num += c * m_pow[gap]
+        if num:
+            member.append((pt, num))
+    ax, by = a.numerator * b.denominator, b.numerator * a.denominator
+    common = a.denominator * b.denominator * den * m_pow[degree]
     # every key is placed by its x-derivative term, zero or not, so a key
     # keeps its position when the y-derivative term lands on it
-    out: dict[Point, tuple[int, int]] = {}
-    for (i, j), c in f.terms.items():
+    out: dict[Point, int] = {}
+    for (i, j), num in member:
         if i:
-            v = c.terms.get((), 0)
-            out[(i - 1, j)] = (an * i * v.numerator, ad * v.denominator)
-    for (i, j), c in f.terms.items():
+            out[(i - 1, j)] = ax * i * num
+    for (i, j), num in member:
         if j:
-            v = c.terms.get((), 0)
-            num, den = bn * j * v.numerator, bd * v.denominator
-            prev = out.get((i, j - 1))
-            if prev is not None:
-                num, den = prev[0] * den + num * prev[1], prev[1] * den
-            out[(i, j - 1)] = (num, den)
-    return PlaneSeries({pt: MPoly.const(Fraction(num, den)) for pt, (num, den) in out.items() if num})
+            out[(i, j - 1)] = out.get((i, j - 1), 0) + by * j * num
+    return PlaneSeries({pt: MPoly.const(Fraction(num, common)) for pt, num in out.items() if num})
+
+
+def _missing_values(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> CurveError:
+    missing = sorted({v for c in f.terms.values() for v in c.variables()} - set(assignment))
+    return CurveError("missing values for: " + ", ".join(v.name for v in missing))
 
 
 def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
@@ -170,8 +218,7 @@ def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> Plan
             if val:
                 out[pt] = MPoly.const(val)
     except AlgebraError:
-        missing = sorted({v for c in f.terms.values() for v in c.variables()} - set(assignment))
-        raise CurveError("missing values for: " + ", ".join(v.name for v in missing)) from None
+        raise _missing_values(f, assignment) from None
     return PlaneSeries(out)
 
 

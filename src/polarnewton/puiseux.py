@@ -116,7 +116,12 @@ def _edge_roots(p: dict, side, pts, exact: bool):
                 roots = np.roots([complex(c) for c in reversed(fac)]).tolist()
             out.extend((r, mult) for r in roots)
         return out
-    roots = np.roots([complex(c) for c in reversed(coeffs)]).tolist()
+    if deg == 1:
+        # np.roots([c1, c0]) bit for bit, without its 1x1 eigenvalue problem;
+        # both ends of a side are support points, so c0 and c1 are nonzero
+        roots = (-np.array([complex(coeffs[0])]) / complex(coeffs[1])).tolist()
+    else:
+        roots = np.roots([complex(c) for c in reversed(coeffs)]).tolist()
     roots.sort(key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
     for r in roots:

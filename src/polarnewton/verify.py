@@ -1,7 +1,8 @@
-"""Seeded sampling harness: instantiate generic family members off the
-degeneracy locus, take the polar at a random pencil point in general
-position, and check every polygon/squarefree/topology prediction against a
-from-scratch computation on the concrete curve.
+"""Seeded sampling harness: draw family coefficients off the degeneracy
+locus, take the polar of the generic member at that draw and at a random
+pencil point in general position (one integer pass, `curves.polar` with the
+assignment), and check every polygon/squarefree/topology prediction against a
+from-scratch computation on the concrete polar.
 
 Every draw of family coefficients, here and in the degenerate-power check,
 follows one rule read from the `curves.Family` record: a value for each of
@@ -21,6 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import A, B, MPoly, UPoly, Var, Z
 from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
@@ -66,14 +68,14 @@ def _draw_assignment(family: Family, rng: random.Random, bound: int) -> dict[Var
     return {v: _rand_fraction(rng, bound, nonzero=v == family.class_var) for v in family.coeff_vars}
 
 
-def sample_off_locus(family: Family, model, rng: random.Random, bound: int) -> tuple[PlaneSeries, dict]:
+def sample_off_locus(family: Family, model, rng: random.Random, bound: int) -> dict[Var, Fraction]:
     """Draw family coefficients, rejecting while any locus condition vanishes."""
     if not family.coeff_vars:
         raise VerifyError(f"family {family.key}: no coefficients to draw")
     for _ in range(REJECT_LIMIT):
         assignment = _draw_assignment(family, rng, bound)
         if not model.locus.vanishes_at(assignment):
-            return substitute(family.generic, assignment), assignment
+            return assignment
     raise VerifyError(f"family {family.key}: locus rejection exhausted {REJECT_LIMIT} draws; "
                       "the locus appears to cover the sample space")
 
@@ -141,23 +143,30 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
     return False
 
 
+def _family(key: tuple[int, ...]) -> Family:
+    return generic_member_g1(*key) if len(key) == 2 else generic_member_g2(*key)
+
+
+@lru_cache(maxsize=32)
+def _generic_verdict(key: tuple[int, ...]) -> str:
+    """The generic member's polar is nondegenerate as a polynomial statement
+    (every side discriminant is nonzero symbolically); once per family."""
+    return is_nondegenerate(polar(_family(key).generic)).verdict
+
+
 def run_verification(cfg: SampleConfig) -> dict:
     """Per-trial polygon/lattice/squarefree/topology comparison report."""
-    if len(cfg.family) == 2:
-        family, model = generic_member_g1(*cfg.family), polar_model_g1(*cfg.family)
-    else:
-        family, model = generic_member_g2(*cfg.family), polar_model_g2(*cfg.family)
+    family = _family(cfg.family)
+    model = polar_model_g1(*cfg.family) if len(cfg.family) == 2 else polar_model_g2(*cfg.family)
     predicted_polygon = model.predicted_polygon()
     predicted_points = model.predicted_points()
-    # once per family: the generic member's polar is nondegenerate as a
-    # polynomial statement (every side discriminant is nonzero symbolically)
-    generic_verdict = is_nondegenerate(polar(family.generic)).verdict
+    generic_verdict = _generic_verdict(tuple(cfg.family))
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        series, assignment = sample_off_locus(family, model, rng, cfg.coeff_range)
+        assignment = sample_off_locus(family, model, rng, cfg.coeff_range)
         a, b = _draw_general_pencil(family, model, rng, cfg.coeff_range, assignment)
-        pol = polar(series, PolarParams.concrete(a, b))
+        pol = polar(family.generic, PolarParams.concrete(a, b), assignment)
         report = is_nondegenerate(pol)
         polygon_match = report.polygon.vertices() == predicted_polygon.vertices()
         support = pol.support()

@@ -5,6 +5,7 @@ import pathlib
 import sys
 
 import polarnewton  # noqa: F401  (loads every module a probe names)
+from polarnewton import verify
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,3 +35,21 @@ def test_every_probe_target_resolves(monkeypatch):
     targets = {f"{module}.{attr}": _resolves(module, attr) for module, attr, _name in probes}
     assert KNOWN_MISSING <= set(targets)
     assert sorted(t for t, ok in targets.items() if not ok) == sorted(KNOWN_MISSING)
+
+
+def test_each_trial_opens_with_one_draw_and_takes_one_polar(monkeypatch):
+    # bench/run.py splits trials at the verify.sample_off_locus spans and
+    # times each trial's polar under the verify.polar probe
+    cfg = verify.SampleConfig(family=(5, 12, 1), seed=42, trials=3)
+    verify._generic_verdict(cfg.family)  # cached, so the run takes no generic polar
+    calls = {"sample_off_locus": 0, "polar": 0}
+    for name in calls:
+        real = getattr(verify, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    verify.run_verification(cfg)
+    assert calls == {"sample_off_locus": 3, "polar": 3}

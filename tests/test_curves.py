@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,10 @@ def _polar_key_order(f, got):
     return [pt for pt in order if pt in got.terms]
 
 
+def _typed(f):
+    return [(pt, c, [type(v) for v in c.terms.values()]) for pt, c in f.terms.items()]
+
+
 class TestSeriesMapOracles:
     """The {(i, j): coefficient} map against the whole polynomial in x, y."""
 
@@ -261,6 +266,19 @@ class TestSeriesMapOracles:
             if f.is_concrete() and params.a.is_constant():
                 assert got.is_concrete()
                 assert all(type(c.constant_value()) is Fraction for c in got.terms.values())
+        # the route from a draw: the generic member and an assignment of its variables
+        rng = random.Random(31)
+        for f in _verify_family_members():
+            variables = sorted(f.poly.variables() - {X, Y})
+            draws = [_random_point(rng, variables) for _ in range(2)]
+            draws.append({**draws[0], variables[0]: Fraction(0)})
+            for s in draws:
+                assert _typed(polar(f, params, s)) == _typed(polar(substitute(f, s), params))
+            partial = {v: Fraction(1) for v in variables[1:]}
+            with pytest.raises(CurveError) as want:
+                substitute(f, partial)
+            with pytest.raises(CurveError, match=re.escape(str(want.value))):
+                polar(f, params, partial)
 
     def test_substitute_agrees_with_evaluation(self):
         rng = random.Random(17)

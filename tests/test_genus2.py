@@ -168,7 +168,7 @@ class TestLocus:
         fam = generic_member_g2(2, q, 1)
         for seed in range(5):
             drawn = _draw_assignment(fam, random.Random(seed), 10)
-            _series, kept = sample_off_locus(fam, model, random.Random(seed), 10)
+            kept = sample_off_locus(fam, model, random.Random(seed), 10)
             assert kept == drawn
 
     @pytest.mark.parametrize("p,q,d", [(2, 5, 1), (3, 5, 1), (3, 7, 1), (4, 7, 1), (5, 12, 1)])

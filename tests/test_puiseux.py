@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,9 +45,9 @@ def crosscheck_polar(family, trial, seed=42):
     else:
         fam, model = generic_member_g2(*family), polar_model_g2(*family)
     rng = random.Random(f"{seed}:{trial}")
-    series, assignment = sample_off_locus(fam, model, rng, 10)
+    assignment = sample_off_locus(fam, model, rng, 10)
     a, b = _draw_general_pencil(fam, model, rng, 10, assignment)
-    return polar(series, PolarParams.concrete(a, b))
+    return polar(fam.generic, PolarParams.concrete(a, b), assignment)
 
 
 class TestExpansion:
@@ -249,6 +250,20 @@ class TestOkaAgreement:
             )
             # both (2,5) branches meet with multiplicity 10 = min-rule value
             assert intersection_numeric(flat[0], flat[1]) == 10
+
+
+class TestEdgeRoots:
+    def test_degree_one_root_is_the_np_roots_root(self):
+        import numpy as np
+        rng = random.Random(5)
+        side = SimpleNamespace(to_pt=(3, 0), n=1)
+        for _ in range(500):
+            c0, c1 = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-6, 6)
+                      for _ in range(2))
+            (got, mult), = puiseux._edge_roots({(0, 1): c1, (3, 0): c0}, side, [(0, 1), (3, 0)], False)
+            want, = np.roots([c1, c0]).tolist()
+            assert mult == 1
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 class TestTruncatedChains:

@@ -39,7 +39,7 @@ class TestSampling:
     def test_off_locus_sample_avoids_every_generator(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(0)
-        series, assignment = sample_off_locus(fam, model, rng, 10)
+        assignment = sample_off_locus(fam, model, rng, 10)
         assert not model.locus.vanishes_at(assignment)
         prod = Fraction(1)
         for v in (avar(17, 1), avar(14, 2), avar(11, 3)):
@@ -49,7 +49,7 @@ class TestSampling:
     def test_empty_locus_family_takes_first_draw(self):
         fam = generic_member_g1(2, 3)
         rng = random.Random(0)
-        _series, assignment = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
+        assignment = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
         assert set(assignment) == set(fam.coeff_vars)
 
     def test_forced_on_locus_draw_breaks_the_polygon(self):
@@ -140,9 +140,15 @@ class TestRunVerification:
 
         monkeypatch.setattr(newton, "newton_polygon", polygon)
         monkeypatch.setattr(newton, "squarefree_info", squarefree)
+        verify._generic_verdict.cache_clear()
         run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
         # one polygon per trial, plus the generic member's once per family
         assert counts["polygons"] == 3 + 1
+        assert counts["squarefree"] == counts["sides"]
+        counts.update(polygons=0, sides=0, squarefree=0)
+        run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
+        # the generic verdict is cached per family
+        assert counts["polygons"] == 3 + 0
         assert counts["squarefree"] == counts["sides"]
 
     def test_unexpected_topology_errors_propagate(self, monkeypatch):
