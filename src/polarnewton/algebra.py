@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -32,7 +31,6 @@ __all__ = [
     "B",
     "avar",
     "bvar",
-    "var_from_name",
     "MPoly",
     "UPoly",
     "resultant",
@@ -50,8 +48,6 @@ __all__ = [
 # Render/sort order: pencil and family coefficients first, geometry last.
 _KIND_ORDER = {"a": 0, "b": 1, "aij": 2, "bij": 3, "x": 4, "y": 5, "z": 6}
 _INDEXED = ("aij", "bij")
-
-_NAME_RE = re.compile(r"^([ab])\[(\d+),(\d+)\]$")
 
 
 class AlgebraError(ValueError):
@@ -112,16 +108,6 @@ def avar(i: int, j: int) -> Var:
 
 def bvar(i: int, j: int) -> Var:
     return Var("bij", i, j)
-
-
-def var_from_name(name: str) -> Var:
-    if name in ("x", "y", "z", "a", "b"):
-        return Var(name)
-    m = _NAME_RE.match(name)
-    if m:
-        kind = "aij" if m.group(1) == "a" else "bij"
-        return Var(kind, int(m.group(2)), int(m.group(3)))
-    raise AlgebraError(f"unknown variable name {name!r}")
 
 
 # A monomial is a tuple of (Var, exponent) pairs, sorted by variable, with

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,16 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0 < tol < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite: {text!r}")
+    return tol
 
 
 def _polygon_payload(poly) -> dict:
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_series_input(p)
     p.add_argument("--depth", type=int, default=0)
     p.add_argument("--min-order", type=int, default=None, dest="min_order")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=_cmd_puiseux)
 
     for g in add_family_command("verify", _cmd_verify, "sampled verification of the predictions"):

@@ -7,14 +7,15 @@ soon as a computed root enters a substitution.  Root multiplicities at the
 first, still-exact level are read off a rational squarefree decomposition;
 deeper levels fall back to clustering with a relative tolerance.
 
-A simple edge root separates its branch: the substituted node holds the
-term y, and the rest of the branch is a chain of steps on the single side
-(0,1)-(i*,0).  Along that chain a term x^i y^j can only reach coefficients
-the chain still reads if i + j is below a budget that each step lowers by
-i*, so every chain substitution, the separating one included, forms only
-those terms; each coefficient it keeps is the float the full substitution
-gives.  A decision the kept terms cannot settle (no y^0 term or no y term
-left, as when the budget is spent) restarts the chain with the budget
+One loop walks every node.  A simple edge root separates its branch: the
+substituted node holds the term y, and the rest of the branch is a chain of
+steps on the single side (0,1)-(i*,0).  Along that chain a term x^i y^j can
+only reach coefficients the chain still reads if i + j is below a budget
+that each step lowers by i*, so every chain node carries its budget and its
+substitution, the separating one included, forms only those terms; each
+coefficient it keeps is the float the full substitution gives.  A decision
+the kept terms cannot settle (no y^0 term or no y term left, as when the
+budget is spent) restarts the chain from its first node with the budget
 doubled; after three doublings the chain runs untruncated.
 
 From a finished expansion the module recovers the characteristic exponents,
@@ -40,7 +41,7 @@ CLUSTER_REL = 1e-6
 COEFF_REL = 1e-8  # relative tolerance for coefficient comparisons
 
 _MAX_STEPS = 4000
-# Truncation of separated chains (see `_walk_chain`): the least starting
+# Truncation of separated chains (see `puiseux_expand`): the least starting
 # budget, in x-units of the chain, and the doublings tried before a chain runs
 # untruncated.
 _BUDGET0 = 8
@@ -76,7 +77,6 @@ class PuiseuxBranch:
 class _Raw:
     terms: list[tuple[Fraction, complex]]
     mult: int
-    exact: bool
     reached: Fraction | None
 
 
@@ -201,50 +201,67 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
     min_order = Fraction(min_order) if min_order is not None else Fraction(0)
 
     raws: list[_Raw] = []
-    # A stack node is (p, exact, u, offset, terms, post_sep, shift).  With a
+    # A stack node is (p, u, offset, terms, post_sep, shift, budget, chain);
+    # only the root has no terms, and only its coefficients are exact.  With a
     # shift (nbar, mbar, c) the node is the not yet computed p(x^nbar,
-    # x^mbar * (c + y)) / x^vmin: a child that separates, left to its chain.
-    stack = [(p0, True, Fraction(1), Fraction(0), [], 0, None)]
+    # x^mbar * (c + y)) / x^vmin, a child whose simple root separates it, and
+    # `budget` bounds the keys that substitution forms (None: all of them).
+    # `chain` is (first node, step count when it was popped, budgets left),
+    # or None outside a separated chain.  A chain node with budget L holds
+    # exactly the keys (i, j) with i + j < L that the full node holds, with
+    # identical values.  The chain's first node has the starting budget; every
+    # later one is the child of a plain separated step, whose single side
+    # (0,1)-(i*,0) has nbar = 1, keeps the x-unit u and gives its child budget
+    # L - i*.  Keys at or past the budget never decide a step: with j >= 1 they
+    # are dominated by (0,1), with j = 0 they lie right of the known bottom
+    # vertex.  A truncated node that is not a plain separated step ((0,1) or
+    # every y^0 term missing from its known keys, as a budget of 1 or less
+    # always makes it) restarts the chain from its first node with the next
+    # budget; only the attempt that goes on counts its steps.
+    stack = [(p0, Fraction(1), Fraction(0), [], 0, None, None, None)]
     steps = 0
     while stack:
         node = stack.pop()
-        p, exact, u, offset, terms, post_sep, shift = node
+        p, u, offset, terms, post_sep, shift, budget, chain = node
         if shift is not None:
-            end, steps = _separated_chain(node, steps, depth, min_order)
-            if isinstance(end, _Raw):
-                raws.append(end)
-            else:
-                stack.append(end)
-            continue
+            if chain is None:
+                budget, *later = _chain_budgets(u, offset, post_sep, depth, min_order) + [None]
+                chain = (node, steps, later)
+            p = _substituted(p, *shift, budget)
+            if (0, 1) not in p or all(j > 0 for (_i, j) in p):  # not a plain separated step
+                if budget is not None:
+                    first, steps, later = chain
+                    stack.append(first[:6] + (later[0], (first, steps, later[1:])))
+                    continue
+                chain = None
         steps += 1
         if steps > _MAX_STEPS:
             raise PuiseuxError("expansion exceeded the step budget")
-        jmin = min(j for (_i, j) in p)
-        if jmin > 0:
-            raws.append(_Raw(terms=list(terms), mult=jmin, exact=True, reached=None))
-            p = {(i, j - jmin): c for (i, j), c in p.items()}
+        if chain is None:  # else a plain separated step: a y^0 term, y and no constant
+            jmin = min(j for (_i, j) in p)
+            if jmin > 0:
+                raws.append(_Raw(terms=list(terms), mult=jmin, reached=None))
+                p = {(i, j - jmin): c for (i, j), c in p.items()}
             if all(j == 0 for (_i, j) in p):
                 continue
-        if all(j == 0 for (_i, j) in p):
-            continue
-        if (0, 0) in p:
-            continue  # unit times x-powers: no branch through the origin left
+            if (0, 0) in p:
+                continue  # unit times x-powers: no branch through the origin left
         separated = (0, 1) in p
         if separated and _chain_done(u, offset, post_sep, depth, min_order):
-            raws.append(_Raw(terms=list(terms), mult=1, exact=False, reached=offset + u))
+            raws.append(_Raw(terms=list(terms), mult=1, reached=offset + u))
             continue
         for side, pts, nbar, mbar in _compact_sides(p):
-            for c, mult in _edge_roots(p, side, pts, exact):
-                new_u = u / nbar
+            for c, mult in _edge_roots(p, side, pts, not terms):
+                new_u = u if nbar == 1 else u / nbar
                 new_offset = offset + u * Fraction(mbar, nbar)
                 new_terms = terms + [(new_offset, complex(c))]
                 new_post_sep = post_sep + 1 if separated else 0
-                if mult == 1:
-                    stack.append((p, False, new_u, new_offset, new_terms, new_post_sep,
-                                  (nbar, mbar, c)))
+                if mult == 1:  # separates; a plain separated step hands on its chain
+                    stack.append((p, new_u, new_offset, new_terms, new_post_sep, (nbar, mbar, c),
+                                  None if budget is None else budget - mbar, chain))
                 else:
-                    stack.append((_substituted(p, nbar, mbar, c), False, new_u, new_offset,
-                                  new_terms, new_post_sep, None))
+                    stack.append((_substituted(p, nbar, mbar, c), new_u, new_offset, new_terms,
+                                  new_post_sep, None, None, None))
     total = sum(r.mult for r in raws)
     if total != weier_deg:
         raise PuiseuxError(f"expansion count {total} does not match the y-order {weier_deg}")
@@ -255,28 +272,6 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
 def _chain_done(u: Fraction, offset: Fraction, post_sep: int, depth: int,
                 min_order: Fraction) -> bool:
     return post_sep >= max(2 * u.denominator, depth) and offset >= min_order
-
-
-class _Uncertified(Exception):
-    """A truncated chain step met a decision its known terms cannot settle."""
-
-
-def _separated_chain(node, steps: int, depth: int, min_order: Fraction):
-    """Follow the branch of a stack node with a shift, which separates there.
-
-    Returns the branch's finished raw, or the first node that is not a plain
-    separated step (for the main loop), with the updated step count.  An
-    attempt that cannot certify a step restarts from the node's complete
-    parent with the budget doubled; the last attempt runs untruncated.  Only
-    the attempt that returns counts its steps.
-    """
-    _p, _exact, u, offset, _terms, post_sep, _shift = node
-    for budget in _chain_budgets(u, offset, post_sep, depth, min_order):
-        try:
-            return _walk_chain(node, steps, depth, min_order, budget)
-        except _Uncertified:
-            pass
-    return _walk_chain(node, steps, depth, min_order, None)
 
 
 def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int,
@@ -290,42 +285,6 @@ def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int,
     advance = max(math.ceil((min_order - offset) / u), max(2 * u.denominator, depth) - post_sep)
     first = max(_BUDGET0, advance + 2)
     return [first << k for k in range(_DOUBLINGS + 1)]
-
-
-def _walk_chain(node, steps: int, depth: int, min_order: Fraction, budget: int | None):
-    """One attempt of `_separated_chain`; `budget` None means untruncated.
-
-    A node with budget L holds exactly the keys (i, j) with i + j < L that the
-    full node holds, with identical values.  The first node of the chain has
-    the starting budget; every later one is a plain separated step, whose
-    single side (0,1)-(i*,0) has nbar = 1, keeps the x-unit u and gives its
-    child budget L - i*.  Keys at or past the budget never decide a step: with
-    j >= 1 they are dominated by (0,1), with j = 0 they lie right of the known
-    bottom vertex.  A node is uncertified when (0,1) or every y^0 term is
-    missing from its known keys, which a budget of 1 or less always makes so.
-    """
-    p, _exact, u, offset, terms, post_sep, shift = node
-    terms = list(terms)
-    while True:
-        nbar, mbar, c = shift
-        p = _substituted(p, nbar, mbar, c, budget)
-        if (0, 1) not in p or all(j > 0 for (_i, j) in p):  # not a plain separated step
-            if budget is not None:
-                raise _Uncertified
-            return (p, False, u, offset, terms, post_sep, None), steps
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise PuiseuxError("expansion exceeded the step budget")
-        if _chain_done(u, offset, post_sep, depth, min_order):
-            return _Raw(terms=terms, mult=1, exact=False, reached=offset + u), steps
-        (side, pts, nbar, mbar), = _compact_sides(p)
-        (c, _mult), = _edge_roots(p, side, pts, False)
-        shift = (nbar, mbar, c)
-        if budget is not None:
-            budget -= mbar
-        offset = offset + u * Fraction(mbar, nbar)
-        terms.append((offset, complex(c)))
-        post_sep += 1
 
 
 def _conjugate_terms(terms, n: int, k: int):

@@ -28,7 +28,6 @@ from polarnewton.algebra import (
     squarefree_info,
     squarefree_split,
     strip_content,
-    var_from_name,
 )
 
 from _oracles import det_fraction, sylvester_matrix
@@ -45,17 +44,9 @@ def upoly(p: MPoly) -> UPoly:
 
 
 class TestVar:
-    def test_names_round_trip(self):
-        for v in (X, Y, Z, A, B, avar(11, 3), bvar(17, 3)):
-            assert var_from_name(v.name) == v
-
     def test_ordering_is_total_and_deterministic(self):
         vs = [bvar(17, 3), avar(11, 3), X, A, avar(11, 2), Y]
         assert sorted(vs) == [A, avar(11, 2), avar(11, 3), bvar(17, 3), X, Y]
-
-    def test_rejects_unknown(self):
-        with pytest.raises(AlgebraError):
-            var_from_name("w")
 
 
 class TestRingOps:

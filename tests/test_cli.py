@@ -89,6 +89,24 @@ def test_puiseux_json_payload(capsys):
     assert branch["semigroup"] == [2, 3]
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf", "tiny"])
+def test_puiseux_rejects_a_tolerance_that_is_not_positive_and_finite(capsys, tol):
+    # a negative tolerance found every coefficient apart and gave intersection
+    # 6 instead of 8 here; nan left every pair unresolved
+    with pytest.raises(SystemExit) as exc:
+        main(["puiseux", "--expr", "(y^2 - x^3)*(y^2 - x^3 - x^4)", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_puiseux_tolerance_keeps_the_intersection(capsys):
+    for tol in ("1e-8", "1e-6"):
+        code, out, _ = run_cli(capsys, "--format", "json", "puiseux",
+                               "--expr", "(y^2 - x^3)*(y^2 - x^3 - x^4)", "--tol", tol)
+        assert code == 0
+        assert [p["value"] for p in json.loads(out)["result"]["intersections"]] == [8]
+
+
 def test_verify_subcommand_runs(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "verify", "g1",
                            "--p", "2", "--q", "3", "--trials", "2", "--seed", "1")

@@ -267,7 +267,7 @@ class TestEdgeRoots:
 
 
 class TestTruncatedChains:
-    """Separated branches run on truncated substitutions (see `_walk_chain`);
+    """Separated branches run on truncated substitutions (see `puiseux_expand`);
     the results must be those of the untruncated expansion, float for float."""
 
     # sha256 of repr(puiseux_expand(polar, min_order=m)), recorded with the
@@ -291,6 +291,22 @@ class TestTruncatedChains:
             text = repr(puiseux_expand(polars[(name, int(t))], min_order=int(m)))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
+    def test_expansions_that_restart_are_pinned(self, uncertified):
+        # sha256 of repr(puiseux_expand(polar, min_order=m)) for crosscheck
+        # polars (seed 42) whose chains restart with the default budgets: on
+        # g1 (4,9) three chains restart once; on g1 (2,5) one chain fails all
+        # four budgets and goes back untruncated to the general steps
+        pinned = json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())
+        assert set(pinned) == ({f"g1_4_9/{t}/{m}" for t in range(3) for m in (4, 8, 16)}
+                               | {f"g1_2_5/{t}/{m}" for t in range(3) for m in (8, 16)})
+        for key, digest in sorted(pinned.items()):
+            name, t, m = key.split("/")
+            family = tuple(int(k) for k in name.split("_")[1:])
+            uncertified[0] = 0
+            text = repr(puiseux_expand(crosscheck_polar(family, int(t)), min_order=int(m)))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+            assert uncertified[0] > 0, key
+
     def test_deep_order_finishes_where_the_full_shift_overflowed(self, polars):
         # (7,19) trial 2 at min_order 16 overflowed without truncation
         out = puiseux_expand(polars[("g1_7_19", 2)], min_order=16)
@@ -300,18 +316,22 @@ class TestTruncatedChains:
 
     @pytest.fixture
     def uncertified(self, monkeypatch):
-        """Counts truncated attempts that had to restart."""
+        """Counts truncated attempts that had to restart.
+
+        A restart substitutes its chain's first node again: the same parent
+        dict with the same shift, which no other substitution repeats.
+        """
         count = [0]
-        walk = puiseux._walk_chain
+        seen = {}  # keeps every parent alive, so no id is reused
+        substituted = puiseux._substituted
 
-        def counting(*args):
-            try:
-                return walk(*args)
-            except puiseux._Uncertified:
-                count[0] += 1
-                raise
+        def counting(p, nbar, mbar, c, budget=None):
+            key = (id(p), nbar, mbar, c)
+            count[0] += key in seen
+            seen[key] = p
+            return substituted(p, nbar, mbar, c, budget)
 
-        monkeypatch.setattr(puiseux, "_walk_chain", counting)
+        monkeypatch.setattr(puiseux, "_substituted", counting)
         return count
 
     @pytest.mark.parametrize("case", ["pinned_member", "pinned_member_polar", "g2_7_19_1", "exact_branch"])
