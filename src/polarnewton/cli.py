@@ -80,18 +80,10 @@ def _locus_payload(locus) -> dict:
 
 
 def _read_series(args):
-    if getattr(args, "expr", None):
-        text = args.expr
-    elif getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        raise SystemExit2("one of --expr or --input is required")
-    return parse_series(text)
-
-
-class SystemExit2(RuntimeError):
-    """Usage error surfaced after argparse has run."""
+    if args.expr is not None:
+        return parse_series(args.expr)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        return parse_series(fh.read())
 
 
 def _cmd_cf(args):
@@ -255,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--bound", type=int, default=None)
 
     def add_series_input(cmd):
-        cmd.add_argument("--input", help="file with a curve expression")
-        cmd.add_argument("--expr", help="curve expression")
+        source = cmd.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help="file with a curve expression")
+        source.add_argument("--expr", help="curve expression")
 
     p = sub.add_parser("polar", help="polar series a*fx + b*fy")
     add_series_input(p)
@@ -336,9 +329,6 @@ def main(argv=None) -> int:
               if k not in ("func", "format") and v is not None and not callable(v)}
     try:
         result, warnings = args.func(args)
-    except (SystemExit2,) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         raise
     except (ValueError, ArithmeticError, VerifyError, OSError) as exc:

@@ -20,18 +20,21 @@ keeps nonzero.  Like the polar models, each member is built once per
 argument list and shared, so callers must not mutate it.  `check_family`
 is the one test of (p, q[, d, e1]).
 
-`polar` has two routes with one output.  The integer route takes a series,
-a constant pencil point and an optional assignment of the series' variables
-(none for a series that is already concrete, as in the CLI); each verify
-trial takes it from the generic member and its draw, so no concrete member is
-built.  It evaluates each member coefficient at the draw as an integer over
-one shared denominator, from a plan of integer terms compiled once per series
-and kept on it, skips those that are 0, forms each coefficient
-a*i*c(i,j) + b*(j+1)*c(i-1,j+1) over integers and normalises it once, as one
-`Fraction`.  Any symbolic input multiplies and adds `MPoly`s.  Both give the
-keys in one order, the x-derivative keys in the member's order and then the
-y-derivative keys that are new, because the Puiseux expansion adds floats in
-that order.  `substitute` instantiates a series on its own.
+The polar rule lives once, as `polar_coefficient`: the coefficient at
+(i, j) is a*(i+1)*c(i+1,j) + b*(j+1)*c(i,j+1).  `polar` reads it over
+`MPoly`s for symbolic input, and the model builders of genus1 and genus2
+read it at the symbolic pencil point.  At a constant pencil point, for a
+concrete series or a member with a draw of its variables, `polar` takes the
+integer route instead: `_member_at` evaluates each member coefficient at the
+draw (empty for a concrete series, as in the CLI) as an integer over one
+shared denominator, from a plan of integer terms compiled once per series
+and kept on it, and skips those that are 0; each polar coefficient is then
+formed over integers and normalised once, as one `Fraction`.  Each verify
+trial takes this route from the generic member and its draw, so no concrete
+member is built.  `substitute` reads the same `_member_at`.  Both routes
+give the keys in one order, the x-derivative keys in the member's order and
+then the y-derivative keys that are new, because the Puiseux expansion adds
+floats in that order.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping
 
-from .algebra import A, AlgebraError, B, MPoly, Var, X, Y, avar, bvar
+from .algebra import A, B, MPoly, Var, X, Y, avar, bvar
 
 
 class CurveError(ValueError):
@@ -94,7 +97,7 @@ class PlaneSeries:
 
     @cached_property
     def integer_plan(self) -> tuple:
-        """The series as integers for `polar`'s integer route, built once:
+        """The series as integers for `_member_at`, built once:
         (variables, den, degree, points).  `den` is the lcm of the term
         coefficients' denominators and `degree` the top total degree; each
         point is ((i, j), terms) with one (den * coefficient, degree - deg,
@@ -135,6 +138,12 @@ class PolarParams:
         return cls(MPoly.const(Fraction(a)), MPoly.const(Fraction(b)))
 
 
+def polar_coefficient(coeff, i: int, j: int, a: MPoly = MPoly.var(A), b: MPoly = MPoly.var(B)) -> MPoly:
+    """Coefficient of x^i y^j in a*f_x + b*f_y at the pencil point (a : b),
+    where coeff(i, j) is the coefficient of x^i y^j in f (untruncated)."""
+    return (i + 1) * a * coeff(i + 1, j) + (j + 1) * b * coeff(i, j + 1)
+
+
 def polar(f: PlaneSeries, params: PolarParams | None = None,
           assignment: Mapping[Var, int | Fraction] | None = None) -> PlaneSeries:
     """a*df/dx + b*df/dy for the pencil point (a : b), at `assignment` if given.
@@ -143,41 +152,45 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
     is dropped.  Keys come in a fixed order: the x-derivative keys in the
     member's order, then the y-derivative keys not already present.  At a
     constant pencil point, for a concrete series or one whose variables
-    `assignment` all fixes, each member coefficient is evaluated as an integer
-    over one shared denominator (a coefficient that evaluates to 0 places no
-    key) and each polar coefficient is normalised once; the result equals
-    `polar(substitute(f, assignment), params)`.  Otherwise the terms are
-    multiplied and added as `MPoly`s.
+    `assignment` all fixes, the member is evaluated over integers by
+    `_member_at` and each polar coefficient is normalised once; the result
+    equals `polar(substitute(f, assignment), params)`.  Otherwise each key
+    takes `polar_coefficient` over `MPoly`s.
     """
     if params is None:
         params = PolarParams.symbolic()
     if params.a.is_constant() and params.b.is_constant() and (assignment is not None or f.is_concrete()):
-        return _integer_polar(f, params.a.constant_value(), params.b.constant_value(), assignment or {})
+        a, b = params.a.constant_value(), params.b.constant_value()
+        member, den = _member_at(f, assignment or {})
+        ax, by = a.numerator * b.denominator, b.numerator * a.denominator
+        common = a.denominator * b.denominator * den
+        # every key is placed by its x-derivative term, zero or not, so a key
+        # keeps its position when the y-derivative term lands on it
+        out: dict[Point, int] = {}
+        for (i, j), num in member:
+            if i:
+                out[(i - 1, j)] = ax * i * num
+        for (i, j), num in member:
+            if j:
+                out[(i, j - 1)] = out.get((i, j - 1), 0) + by * j * num
+        return PlaneSeries({pt: MPoly.const(Fraction(num, common)) for pt, num in out.items() if num})
     if assignment is not None:
         f = substitute(f, assignment)
-    # a*i and b*j once per exponent present, so each term costs one product
-    a_times = {i: params.a * i for i in {i for i, _ in f.terms}}
-    b_times = {j: params.b * j for j in {j for _, j in f.terms}}
-    out: dict[Point, MPoly] = {}
-    for (i, j), c in f.terms.items():
-        if i:
-            out[(i - 1, j)] = a_times[i] * c
-    for (i, j), c in f.terms.items():
-        if j:
-            out[(i, j - 1)] = out.get((i, j - 1), MPoly.zero()) + b_times[j] * c
-    return PlaneSeries({pt: c for pt, c in out.items() if not c.is_zero()})
+    keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])
+    coeffs = {pt: polar_coefficient(f.coeff, *pt, params.a, params.b) for pt in keys}
+    return PlaneSeries({pt: c for pt, c in coeffs.items() if not c.is_zero()})
 
 
-def _integer_polar(f: PlaneSeries, a: Fraction, b: Fraction,
-                   assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
-    """`polar` of f at `assignment` and (a : b) over integers: every value of
-    f's plan is a numerator over L = den * m^degree, m the lcm of the drawn
-    denominators, and every polar coefficient one over ad * bd * L."""
+def _member_at(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tuple[list, int]:
+    """f at `assignment` over integers, from its `integer_plan`: the nonzero
+    coefficient numerators in member order and their one denominator
+    L = den * m^degree, m the lcm of the drawn denominators."""
     variables, den, degree, points = f.integer_plan
     try:
         values = [assignment[v] for v in variables]
     except KeyError:
-        raise _missing_values(f, assignment) from None
+        missing = [v.name for v in variables if v not in assignment]
+        raise CurveError("missing values for: " + ", ".join(missing)) from None
     m = math.lcm(*[v.denominator for v in values])
     scaled = [v.numerator * (m // v.denominator) for v in values]
     m_pow = [m ** k for k in range(degree + 1)]
@@ -190,36 +203,13 @@ def _integer_polar(f: PlaneSeries, a: Fraction, b: Fraction,
             num += c * m_pow[gap]
         if num:
             member.append((pt, num))
-    ax, by = a.numerator * b.denominator, b.numerator * a.denominator
-    common = a.denominator * b.denominator * den * m_pow[degree]
-    # every key is placed by its x-derivative term, zero or not, so a key
-    # keeps its position when the y-derivative term lands on it
-    out: dict[Point, int] = {}
-    for (i, j), num in member:
-        if i:
-            out[(i - 1, j)] = ax * i * num
-    for (i, j), num in member:
-        if j:
-            out[(i, j - 1)] = out.get((i, j - 1), 0) + by * j * num
-    return PlaneSeries({pt: MPoly.const(Fraction(num, common)) for pt, num in out.items() if num})
-
-
-def _missing_values(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> CurveError:
-    missing = sorted({v for c in f.terms.values() for v in c.variables()} - set(assignment))
-    return CurveError("missing values for: " + ", ".join(v.name for v in missing))
+    return member, den * m_pow[degree]
 
 
 def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
     """Instantiate every non-x,y variable; the result is a concrete series."""
-    out = {}
-    try:
-        for pt, c in f.terms.items():
-            val = c.evaluate(assignment)
-            if val:
-                out[pt] = MPoly.const(val)
-    except AlgebraError:
-        raise _missing_values(f, assignment) from None
-    return PlaneSeries(out)
+    member, den = _member_at(f, assignment)
+    return PlaneSeries({pt: MPoly.const(Fraction(num, den)) for pt, num in member})
 
 
 # -- normal-form families -----------------------------------------------------

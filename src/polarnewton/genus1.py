@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 from .algebra import A, B, MPoly, UPoly, X, Y, deflate, discriminant, squarefree_split, strip_content
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
-from .curves import CurveError, check_family, coefficient_g1
+from .curves import CurveError, check_family, coefficient_g1, polar_coefficient
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
                      oka_decomposition)
 
@@ -32,7 +32,6 @@ __all__ = [
     "DegeneracyLocus",
     "build_locus",
     "min_x_exponent",
-    "polar_coefficient",
     "edge_term",
     "PolarModel",
     "build_model",
@@ -125,12 +124,6 @@ def min_x_exponent(p: int, q: int, j: int) -> int:
     if j == p - 2:
         return q - (j * q) // p - 1
     return q - ((j + 1) * q) // p
-
-
-def polar_coefficient(coeff, i: int, j: int) -> MPoly:
-    """Coefficient of x^i y^j in a*f_x + b*f_y, where coeff(i, j) is the
-    coefficient of x^i y^j in f (untruncated)."""
-    return (i + 1) * MPoly.var(A) * coeff(i + 1, j) + (j + 1) * MPoly.var(B) * coeff(i, j + 1)
 
 
 def edge_term(p: int, q: int, j: int) -> MPoly:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .algebra import B, MPoly, bvar
-from .curves import CurveError, check_family, coefficient_g1, coefficient_tail, tail_start
-from .genus1 import PolarModel, build_model, polar_coefficient, polar_model_g1
+from .curves import CurveError, check_family, coefficient_g1, coefficient_tail, polar_coefficient, tail_start
+from .genus1 import PolarModel, build_model, polar_model_g1
 from .newton import Point
 
 __all__ = [

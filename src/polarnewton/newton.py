@@ -194,10 +194,6 @@ class BranchClass:
         if self.a0 > self.a1:
             raise PolygonError("branch class must be ordered a0 <= a1")
 
-    @property
-    def smooth(self) -> bool:
-        return self.a0 == 1
-
     def key(self) -> tuple[int, int]:
         return (self.a0, self.a1)
 

@@ -109,6 +109,10 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
     Pairwise contact orders sit just past the side slopes, so a shallow
     expansion usually suffices; on an unresolved contact the depth doubles.
     """
+    keys = [(1,) if k[0] == 1 else k for k in predicted.expanded_keys()]
+    want_keys = sorted(keys)
+    want_triples = Counter((tuple(sorted((keys[r], keys[c]))), predicted.intersections[r][c])
+                           for r in range(len(keys)) for c in range(r + 1, len(keys)))
     min_order = 4
     for _attempt in range(4):
         try:
@@ -118,19 +122,9 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
                 if br.genus > 1:
                     return False
                 got.extend([br] * mult)
-            want_keys = sorted(
-                (1,) if k[0] == 1 else k for k in predicted.expanded_keys()
-            )
             got_keys = sorted(br.class_key() for br in got)
             if got_keys != want_keys:
                 return False
-            want_triples = Counter()
-            keys = predicted.expanded_keys()
-            for r in range(len(keys)):
-                for c in range(r + 1, len(keys)):
-                    k1 = (1,) if keys[r][0] == 1 else keys[r]
-                    k2 = (1,) if keys[c][0] == 1 else keys[c]
-                    want_triples[(tuple(sorted((k1, k2))), predicted.intersections[r][c])] += 1
             got_triples = Counter()
             for r in range(len(got)):
                 for c in range(r + 1, len(got)):

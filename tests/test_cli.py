@@ -126,6 +126,30 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def test_expr_and_input_together_are_a_usage_error(tmp_path, capsys):
+    # --input used to be ignored silently whenever --expr was given
+    path = tmp_path / "curve.txt"
+    path.write_text("y^3 - x^4")
+    with pytest.raises(SystemExit) as exc:
+        main(["polygon", "--expr", "y^2 - x^3", "--input", str(path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["polar", "polygon", "nondeg", "puiseux"])
+def test_series_command_without_input_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "one of the arguments --input --expr is required" in capsys.readouterr().err
+
+
+def test_empty_expression_is_a_computation_error(capsys):
+    code, _out, err = run_cli(capsys, "polygon", "--expr", "")
+    assert code == 1
+    assert "empty expression" in err
+
+
 def test_verify_error_exit_code(capsys):
     code, _out, err = run_cli(capsys, "verify", "g1", "--p", "2", "--q", "3", "--trials", "0")
     assert code == 1
