@@ -47,13 +47,10 @@ from .newton import (  # noqa: F401
     NewtonPolygon,
     Side,
     TopologyReport,
-    associated_polynomial,
     is_nondegenerate,
     minkowski_sum,
     newton_polygon,
     oka_decomposition,
-    oka_report,
-    side_polynomial,
 )
 from .puiseux import (  # noqa: F401
     InsufficientDepthError,

@@ -780,9 +780,12 @@ def is_squarefree(F: UPoly) -> bool:
 
 
 def _prem(F: UPoly, G: UPoly) -> UPoly:
-    """Pseudo-remainder of F by G (both in the same main variable)."""
+    """Pseudo-remainder of F by G (both in the same main variable): the R with
+    lc(G)^(deg F - deg G + 1) * F = Q*G + R, also when a step drops the degree
+    by more than one."""
     R = F
     glc = G.lc
+    steps = F.deg - G.deg + 1
     while not R.is_zero() and R.deg >= G.deg:
         shift = R.deg - G.deg
         head = R.lc
@@ -790,6 +793,9 @@ def _prem(F: UPoly, G: UPoly) -> UPoly:
         for k, gc in enumerate(G.coeffs):
             newc[shift + k] = newc[shift + k] - head * gc
         R = UPoly(F.main, newc)
+        steps -= 1
+    if steps > 0:
+        R = UPoly(F.main, [c * glc**steps for c in R.coeffs])
     return R
 
 
@@ -817,13 +823,10 @@ def _coprime_by_evaluation(Fp: UPoly, Gp: UPoly) -> bool:
     rng = _random.Random(0x5EED)
     for _ in range(6):
         point = {v: Fraction(rng.randint(-19, 19)) for v in others}
-        try:
-            if Fp.lc.evaluate(point) == 0 or Gp.lc.evaluate(point) == 0:
-                continue
-            fu = [c.evaluate(point) for c in Fp.coeffs]
-            gu = [c.evaluate(point) for c in Gp.coeffs]
-        except AlgebraError:
-            return False
+        if Fp.lc.evaluate(point) == 0 or Gp.lc.evaluate(point) == 0:
+            continue
+        fu = [c.evaluate(point) for c in Fp.coeffs]
+        gu = [c.evaluate(point) for c in Gp.coeffs]
         if len(qpoly_gcd(fu, gu)) == 1:
             return True
     return False

@@ -46,6 +46,12 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _nonnegative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
 def _polygon_payload(poly) -> dict:
     return {
         "vertices": [list(v) for v in poly.vertices()],
@@ -274,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("puiseux", help="numeric branch expansions with invariants")
     add_series_input(p)
-    p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--min-order", type=int, default=None, dest="min_order")
+    p.add_argument("--depth", type=_nonnegative, default=0)
+    p.add_argument("--min-order", type=_nonnegative, default=None, dest="min_order")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=_cmd_puiseux)
 

@@ -306,6 +306,8 @@ def _bounded_terms(p: int, q: int, bound: int, coeff) -> PlaneSeries:
 def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> Family:
     check_family(p, q)
     bound = weight_bound if weight_bound is not None else p * q + p + q
+    if bound < p * q:
+        raise CurveError(f"weight bound {bound} is below p*q = {p * q}, which drops y^{p} and x^{q}")
     generic = _bounded_terms(p, q, bound, lambda i, j: coefficient_g1(p, q, i, j))
     return Family(key=(p, q), e1=1, weight_bound=bound, generic=generic)
 

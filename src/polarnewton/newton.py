@@ -1,6 +1,6 @@
-"""Newton polygons, side and associated polynomials, the nondegeneracy test,
-and the decomposition of a nondegenerate germ into branch classes with their
-pairwise intersection numbers.
+"""Newton polygons, the one associated-polynomial rule `associated_from`, the
+nondegeneracy test, and the decomposition of a nondegenerate germ into branch
+classes with their pairwise intersection numbers.
 
 Conventions: the polygon is the lower-left hull of the exponent support plus
 the positive quadrant; `sides` keeps the compact faces ordered from steepest
@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MPoly, UPoly, Z, X, Y, squarefree_info
+from .algebra import MPoly, UPoly, Z, squarefree_info
 from .curves import PlaneSeries, Point
 
 
@@ -56,9 +56,6 @@ class NewtonPolygon:
             return (self.top,)
         return tuple([self.sides[0].from_pt] + [s.to_pt for s in self.sides])
 
-    def height(self) -> int:
-        return self.top[1] - self.bottom[1]
-
 
 def newton_polygon_from_points(points) -> NewtonPolygon:
     pts = sorted(set(points))
@@ -94,31 +91,6 @@ def newton_polygon(f: PlaneSeries) -> NewtonPolygon:
     if f.is_zero():
         raise PolygonError("Newton polygon of the zero series")
     return newton_polygon_from_points(f.support())
-
-
-def _require_side(f: PlaneSeries, side: Side):
-    poly = newton_polygon(f)
-    for s in poly.sides:
-        if s.from_pt == side.from_pt and s.to_pt == side.to_pt:
-            return
-    raise PolygonError(f"{side.from_pt}-{side.to_pt} is not a side of the polygon")
-
-
-def side_polynomial(f: PlaneSeries, side: Side) -> MPoly:
-    """Sum of the terms of f supported on the side (as a polynomial in x, y)."""
-    _require_side(f, side)
-    out = MPoly.zero()
-    for i, j in side.lattice_points:
-        c = f.coeff(i, j)
-        if not c.is_zero():
-            out = out + c * MPoly.monomial(1, {X: i, Y: j})
-    return out
-
-
-def associated_polynomial(f: PlaneSeries, side: Side) -> UPoly:
-    """Side polynomial evaluated at (1, z) and divided by z^(min j on the side)."""
-    _require_side(f, side)
-    return associated_from(side.lattice_points, f.coeff)
 
 
 def associated_from(points, coeff_at) -> UPoly:
@@ -220,9 +192,7 @@ class TopologyReport:
 def topology_from_classes(keys) -> TopologyReport:
     counted = Counter(keys)
     classes = tuple(BranchClass(a0=k[0], a1=k[1], count=c) for k, c in sorted(counted.items()))
-    individual = []
-    for cls in classes:
-        individual.extend([cls.key()] * cls.count)
+    individual = sorted(keys)
     n = len(individual)
     table = tuple(
         tuple(0 if r == c else pair_intersection(individual[r], individual[c]) for c in range(n))
@@ -249,15 +219,6 @@ def oka_decomposition(polygon: NewtonPolygon) -> TopologyReport:
         pair = tuple(sorted((side.n // side.d, side.m // side.d)))
         keys.extend([pair] * side.d)
     return topology_from_classes(keys)
-
-
-def oka_report(f: PlaneSeries) -> TopologyReport:
-    """Concrete route: check nondegeneracy exactly, then decompose."""
-    report = is_nondegenerate(f)
-    if report.verdict == "degenerate":
-        bad = [v.side for v in report.sides if not v.squarefree]
-        raise PolygonError(f"series is Newton degenerate on side(s) {bad}")
-    return oka_decomposition(report.polygon)
 
 
 def minkowski_sum(p1: NewtonPolygon, p2: NewtonPolygon) -> NewtonPolygon:

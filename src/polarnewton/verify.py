@@ -27,7 +27,7 @@ from functools import lru_cache
 from .algebra import A, B, MPoly, UPoly, Var, Z
 from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from .genus1 import polar_model_g1
-from .genus2 import polar_model_g2
+from .genus2 import lpq_side_points, polar_model_g2
 from .newton import PolygonError, is_nondegenerate, oka_decomposition
 from .puiseux import InsufficientDepthError, intersection_numeric, puiseux_expand
 
@@ -212,8 +212,7 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
         raise VerifyError("this check is for e1 > 2")
     fam = generic_member_g2(p, q, d, e1=e1)
     reference = (MPoly.var(Z, p) - 1) ** (e1 - 1)
-    top = (0, e1 * p - 1)
-    bottom_of_side = ((e1 - 1) * q, p - 1)
+    steep = lpq_side_points(p, q, e1)
     records = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
@@ -225,7 +224,7 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
         report = is_nondegenerate(pol)
         failing = [v for v in report.sides if not v.squarefree]
         target = [v for v in report.sides
-                  if v.side.from_pt == top and v.side.to_pt == bottom_of_side]
+                  if v.side.from_pt == steep[0] and v.side.to_pt == steep[-1]]
         proportional = False
         if target:
             F = target[0].associated

@@ -298,6 +298,21 @@ class TestGcd:
         v = MPoly.var(avar(1, 0))
         assert mpoly_gcd(u + 1, v + 2) == MPoly.const(1)
 
+    def test_degree_gap_in_the_remainder_sequence(self):
+        # one pseudo-division step here drops the degree by three; the
+        # subresultant step divides the remainder exactly only if it still
+        # carries the full lc^(deg F - deg G + 1) factor
+        f = -(a**3) * y**3 + 3 * b * y**5 + a**3 - 3 * b * y**2
+        g = -(a**3) * y**6 + 2 * b**3 * y**6 + a**3 * y**3 - 2 * b**3 * y**3
+        assert mpoly_gcd(f, g) == y**3 - 1
+
+    def test_squarefree_split_with_a_degree_gap(self):
+        u, v = b * x**3 + a**3, 3 * b**3 * y**3 + a**3 * x**2
+        h = (3 * b**5 * x**6 * y**3 + 6 * a**3 * b**4 * x**3 * y**3 + a**3 * b**2 * x**8
+             + 3 * a**6 * b**3 * y**3 + 2 * a**6 * b * x**5 + a**9 * x**2)
+        assert h == u**2 * v
+        assert squarefree_split(h) == [(v, 1), (u, 2)]
+
     def test_univariate_rational_gcd(self):
         f = [Fraction(c) for c in (1, -2, 1)]  # (z-1)^2
         g = [Fraction(c) for c in (-1, 1)]  # z - 1

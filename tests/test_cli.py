@@ -107,6 +107,30 @@ def test_puiseux_tolerance_keeps_the_intersection(capsys):
         assert [p["value"] for p in json.loads(out)["result"]["intersections"]] == [8]
 
 
+@pytest.mark.parametrize("option,value", [("--depth", "-3"), ("--min-order", "-1"), ("--depth", "two")])
+def test_puiseux_rejects_negative_or_non_integer_orders(capsys, option, value):
+    # without the check a negative --depth runs as --depth 0
+    with pytest.raises(SystemExit) as exc:
+        main(["puiseux", "--expr", "y^2 - x^3", option, value])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
+def test_puiseux_accepts_zero_orders(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "puiseux", "--expr", "y^2 - x^3",
+                           "--depth", "0", "--min-order", "0")
+    assert code == 0
+    assert json.loads(out)["result"]["branches"][0]["char_exponents"] == [2, 3]
+
+
+def test_family_bound_below_pq_is_a_computation_error(capsys):
+    # without the check bound 0 prints "generic: 0" and exits 0
+    code, out, err = run_cli(capsys, "family", "g1", "--p", "7", "--q", "19", "--bound", "0")
+    assert code == 1
+    assert out == ""
+    assert "weight bound 0" in err
+
+
 def test_verify_subcommand_runs(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "verify", "g1",
                            "--p", "2", "--q", "3", "--trials", "2", "--seed", "1")

@@ -49,6 +49,13 @@ class TestFamilies:
         with pytest.raises(CurveError):
             generic_member_g1(1, 5)
 
+    def test_g1_bound_must_keep_both_vertices(self):
+        with pytest.raises(CurveError, match="weight bound 132"):
+            generic_member_g1(7, 19, 132)
+        with pytest.raises(CurveError, match="weight bound 0"):
+            generic_member_g1(7, 19, 0)
+        assert generic_member_g1(7, 19, 133).generic.poly == y**7 - x**19
+
     @pytest.mark.parametrize("p,q,d,i0,j0", [(5, 12, 1, 17, 3), (2, 3, 1, 5, 1), (2, 5, 7, 11, 1)])
     def test_g2_distinguished_monomial(self, p, q, d, i0, j0):
         fam = generic_member_g2(p, q, d)

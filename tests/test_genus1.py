@@ -6,7 +6,7 @@ import pytest
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
 from polarnewton.curves import CurveError, PolarParams, generic_member_g1, parse_series, polar, substitute
 from polarnewton.genus1 import DegeneracyLocus, edge_term, min_x_exponent, polar_model_g1
-from polarnewton.newton import newton_polygon, oka_report
+from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -241,4 +241,6 @@ class TestSampledAgreement:
             assert poly.vertices() == model.predicted_polygon().vertices()
             support = pol.support()
             assert all(pt in support for pt in model.predicted_points())
-            assert oka_report(pol).branches == model.topology.branches
+            nondeg = is_nondegenerate(pol)
+            assert nondeg.verdict == "nondegenerate"
+            assert oka_decomposition(nondeg.polygon).branches == model.topology.branches

@@ -13,7 +13,7 @@ from polarnewton.genus2 import (
     polar_model_g2,
     tail_min_x_exponent,
 )
-from polarnewton.newton import newton_polygon, oka_report
+from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 from polarnewton.verify import _draw_assignment, sample_off_locus
 
 x = MPoly.var(X)
@@ -97,7 +97,7 @@ class TestPredictedPolygon:
             model = polar_model_g2(p, q, d)
             poly = model.predicted_polygon()
             assert poly.top == (0, 2 * p - 1)
-            assert poly.height() == 2 * p - 1
+            assert poly.top[1] - poly.bottom[1] == 2 * p - 1
 
     def test_even_d_rejected(self):
         with pytest.raises(CurveError):
@@ -238,7 +238,9 @@ class TestSampledAgreement:
             assert poly.vertices() == model.predicted_polygon().vertices()
             support = pol.support()
             assert all(pt in support for pt in model.predicted_points())
-            rep = oka_report(pol)
+            nondeg = is_nondegenerate(pol)
+            assert nondeg.verdict == "nondegenerate"
+            rep = oka_decomposition(nondeg.polygon)
             assert rep.branches == model.topology.branches
             assert rep.intersections == model.topology.intersections
             # the polar polygon agrees with the one of f1 * P(f1), including

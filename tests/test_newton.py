@@ -8,14 +8,12 @@ from polarnewton.curves import PlaneSeries, PolarParams, generic_member_g1, pola
 from polarnewton.newton import (
     BranchClass,
     PolygonError,
-    associated_polynomial,
+    associated_from,
     is_nondegenerate,
     minkowski_sum,
     newton_polygon,
     newton_polygon_from_points,
     oka_decomposition,
-    oka_report,
-    side_polynomial,
 )
 
 from _oracles import hull_oracle, min_rule
@@ -69,8 +67,7 @@ class TestSideAndAssociated:
         f = PlaneSeries.from_poly(y**2 - x**3)
         poly = newton_polygon(f)
         side = poly.sides[0]
-        assert side_polynomial(f, side) == y**2 - x**3
-        F = associated_polynomial(f, side)
+        F = associated_from(side.lattice_points, f.coeff)
         assert F == UPoly.from_mpoly(z**2 - 1, Z)
 
     def test_symbolic_generic_polar_side(self):
@@ -79,16 +76,9 @@ class TestSideAndAssociated:
         poly = newton_polygon(pol)
         steep = poly.sides[0]
         assert (steep.from_pt, steep.to_pt) == ((0, 6), (11, 2))
-        F = associated_polynomial(pol, steep)
+        F = associated_from(steep.lattice_points, pol.coeff)
         a11 = MPoly.var(avar(11, 3))
         assert F == UPoly.from_mpoly(7 * b * z**4 + 3 * b * a11, Z)
-
-    def test_side_must_belong_to_polygon(self):
-        f = PlaneSeries.from_poly(y**2 - x**3)
-        g = PlaneSeries.from_poly(y**3 - x**4)
-        side = newton_polygon(g).sides[0]
-        with pytest.raises(PolygonError):
-            side_polynomial(f, side)
 
 
 class TestNondegeneracy:
@@ -146,9 +136,8 @@ class TestOka:
         with pytest.raises(PolygonError, match="y divides"):
             oka_decomposition(newton_polygon(PlaneSeries.from_poly(y * (y - x))))
 
-    def test_oka_report_checks_squarefreeness(self):
-        with pytest.raises(PolygonError, match="degenerate"):
-            oka_report(PlaneSeries.from_poly((y - x) ** 2 + y**5))
+    def test_squarefree_failure_makes_the_verdict_degenerate(self):
+        assert is_nondegenerate(PlaneSeries.from_poly((y - x) ** 2 + y**5)).verdict == "degenerate"
 
     def test_branch_class_validation(self):
         with pytest.raises(PolygonError):
@@ -162,8 +151,10 @@ class TestOka:
         for trial in range(5):
             assignment = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in fam.coeff_vars}
             pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(3, 2))
-            report = oka_report(pol)
-            height = newton_polygon(pol).height()
+            nondeg = is_nondegenerate(pol)
+            assert nondeg.verdict == "nondegenerate"
+            report = oka_decomposition(nondeg.polygon)
+            height = nondeg.polygon.top[1] - nondeg.polygon.bottom[1]
             assert sum(c.a0 * c.count for c in report.branches) == height
 
 

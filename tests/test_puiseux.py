@@ -20,7 +20,7 @@ from polarnewton.curves import (
 )
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import polar_model_g2
-from polarnewton.newton import oka_report
+from polarnewton.newton import is_nondegenerate, oka_decomposition
 from polarnewton.puiseux import (
     InsufficientDepthError,
     PuiseuxError,
@@ -242,7 +242,9 @@ class TestOkaAgreement:
                 continue
             count += 1
             pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(1, 2))
-            rep = oka_report(pol)
+            nondeg = is_nondegenerate(pol)
+            assert nondeg.verdict == "nondegenerate"
+            rep = oka_decomposition(nondeg.polygon)
             out = puiseux_expand(pol, min_order=4)
             flat = [br for br, mult in out for _ in range(mult)]
             assert sorted(br.class_key() for br in flat) == sorted(

@@ -1,6 +1,6 @@
-"""Evaluation, resultants, discriminants, deflation and the symbolic
-squarefree verdict, checked against sympy, which shares no code with
-polarnewton.algebra.
+"""Evaluation, resultants, discriminants, deflation, the symbolic squarefree
+verdict, multivariate gcds and squarefree splits, checked against sympy,
+which shares no code with polarnewton.algebra.
 
 Skipped when sympy is not installed (it is in the `test` extra).
 """
@@ -21,13 +21,17 @@ from polarnewton.algebra import (  # noqa: E402
     AlgebraError,
     MPoly,
     UPoly,
+    X,
+    Y,
     Z,
     avar,
     bvar,
     deflate,
     discriminant,
+    mpoly_gcd,
     resultant,
     squarefree_info,
+    squarefree_split,
 )
 
 PARAMS = (A, B, avar(3, 1), bvar(5, 2))
@@ -211,3 +215,40 @@ class TestSymbolicSquarefreeVerdict:
             F = inflate(G0, s)
             route = "concrete" if F.has_constant_coeffs() else "symbolic"
             assert squarefree_info(F) == (sympy_squarefree(F), route)
+
+
+def sparse_poly(rng) -> MPoly:
+    """Two terms, each in two of a, b, x, y with exponents up to 3: degrees
+    with gaps, where one pseudo-division step can drop several degrees."""
+    out = MPoly.zero()
+    while out.is_zero():
+        for _ in range(2):
+            powers = {v: rng.randint(0, 3) for v in rng.sample((A, B, X, Y), 2)}
+            out = out + MPoly.monomial(rng.choice([-3, -2, -1, 1, 2, 3]), powers)
+    return out
+
+
+def same_up_to_unit(ours: MPoly, theirs) -> bool:
+    ratio = sympy.cancel(to_sympy(ours) / theirs)
+    return ratio.is_number and ratio != 0
+
+
+class TestGcdAgainstSympy:
+    def test_sparse_common_factors(self):
+        rng = random.Random(6)
+        for _ in range(25):
+            g = sparse_poly(rng)
+            f1, f2 = g * sparse_poly(rng), g * sparse_poly(rng)
+            assert same_up_to_unit(mpoly_gcd(f1, f2), sympy.gcd(to_sympy(f1), to_sympy(f2)))
+
+    def test_sparse_squarefree_split(self):
+        rng = random.Random(0)
+        for _ in range(25):
+            h = sparse_poly(rng) ** 2 * sparse_poly(rng)
+            ours = squarefree_split(h)
+            theirs = sympy.sqf_list(to_sympy(h))[1]
+            assert len({m for _f, m in ours}) == len(ours)
+            for mult in {m for _f, m in ours} | {m for _f, m in theirs}:
+                want = sympy.Mul(*(f for f, m in theirs if m == mult))
+                got = [f for f, m in ours if m == mult]
+                assert got and same_up_to_unit(got[0], want)

@@ -194,6 +194,11 @@ class TestPowerDegeneracy:
         assert s["steep_side_fails"] == 4
         assert s["steep_side_power_shape"] == 4
 
+    @pytest.mark.parametrize("p,q,d,e1", [(3, 5, 1, 4), (2, 5, 1, 5)])
+    def test_higher_powers_fail_on_the_steep_side(self, p, q, d, e1):
+        s = run_power_degeneracy(p, q, d=d, e1=e1, trials=4, seed=9)["summary"]
+        assert (s["degenerate"], s["steep_side_fails"], s["steep_side_power_shape"]) == (4, 4, 4)
+
     def test_requires_a_genuine_power(self):
         with pytest.raises(VerifyError):
             run_power_degeneracy(2, 3, e1=2)
