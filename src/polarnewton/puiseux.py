@@ -18,6 +18,12 @@ the kept terms cannot settle (no y^0 term or no y term left, as when the
 budget is spent) restarts the chain from its first node with the budget
 doubled; after three doublings the chain runs untruncated.
 
+A separated node past the root needs no polygon: its one compact side is
+(0,1)-(i*,0), i* the least x-exponent of its y^0 terms, and its one root is
+the quotient -p[i*,0]/p[0,1], formed with numpy's complex-division formula so
+that it has the bits np.roots gives.  The module's own lower-hull walk serves
+the other nodes, and numpy only finds roots of degree 2 or more.
+
 From a finished expansion the module recovers the characteristic exponents,
 the genus, the value semigroup and numeric pairwise intersection numbers.
 """
@@ -25,13 +31,13 @@ the genus, the value semigroup and numeric pairwise intersection numbers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import qpoly_yun
 from .curves import PlaneSeries
-from .newton import newton_polygon_from_points
 
 DROP_ACC = 1e-9  # cancellation cutoff relative to accumulated contributions
 # Root clustering must merge the numeric splitting of an exact multiple root,
@@ -87,23 +93,60 @@ def _poly_dict(f: PlaneSeries) -> dict[tuple[int, int], Fraction]:
 
 
 def _compact_sides(p: dict):
-    """Compact polygon sides of the support, with the support points on each."""
-    poly = newton_polygon_from_points(p.keys())
+    """Compact sides of the Newton polygon of the support, steepest first,
+    each as (its support points from the high-j end down, nbar, mbar)."""
+    low: dict[int, int] = {}  # lowest j at each i
+    for (i, j) in p:
+        if j < low.get(i, j + 1):
+            low[i] = j
+    # lower hull along the staircase of dominance-minimal points; a middle
+    # point on or above the chord of its neighbours is not a vertex
+    hull: list[tuple[int, int]] = []
+    for i in sorted(low):
+        j = low[i]
+        if hull and j >= hull[-1][1]:
+            continue
+        while len(hull) >= 2:
+            (i0, j0), (i1, j1) = hull[-2], hull[-1]
+            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
+                break
+            hull.pop()
+        hull.append((i, j))
     out = []
-    for side in poly.sides:
-        pts = [pt for pt in side.lattice_points if pt in p]
-        nbar = side.n // side.d
-        mbar = side.m // side.d
-        out.append((side, pts, nbar, mbar))
+    for (i0, j0), (i1, j1) in zip(hull, hull[1:]):
+        d = math.gcd(j0 - j1, i1 - i0)
+        nbar, mbar = (j0 - j1) // d, (i1 - i0) // d
+        pts = [pt for pt in ((i0 + k * mbar, j0 - k * nbar) for k in range(d + 1)) if pt in p]
+        out.append((pts, nbar, mbar))
     return out
 
 
-def _edge_roots(p: dict, side, pts, exact: bool):
-    """Roots (value, multiplicity) of the associated polynomial of a side."""
-    import numpy as np  # only expansions need it; importing the package does not
+def _linear_root(c0: complex, c1: complex) -> complex:
+    """The root -c0/c1 of c1*z + c0, bit for bit as np.roots([c1, c0]) has it.
 
-    j0 = side.to_pt[1]
-    deg = side.n
+    numpy divides complex scalars by Smith's formula, which Python's `/` does
+    not match to the last bit; `0j +` then turns a -0.0 part into 0.0, as the
+    mean of a one-root cluster does.  c1 must be nonzero.
+    """
+    ar, ai, br, bi = -c0.real, -c0.imag, c1.real, c1.imag
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        q = complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    else:
+        rat = br / bi
+        scl = 1.0 / (bi + br * rat)
+        q = complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+    return 0j + q
+
+
+def _edge_roots(p: dict, pts, exact: bool):
+    """Roots (value, multiplicity) of the associated polynomial of a side,
+    given by its support points from the high-j end down."""
+    import numpy as np  # only roots of degree >= 2 need it; importing the package does not
+
+    j0 = pts[-1][1]
+    deg = pts[0][1] - j0
     coeffs = [Fraction(0) if exact else 0j] * (deg + 1)
     for (i, j) in pts:
         coeffs[j - j0] = p[(i, j)]
@@ -116,12 +159,9 @@ def _edge_roots(p: dict, side, pts, exact: bool):
                 roots = np.roots([complex(c) for c in reversed(fac)]).tolist()
             out.extend((r, mult) for r in roots)
         return out
-    if deg == 1:
-        # np.roots([c1, c0]) bit for bit, without its 1x1 eigenvalue problem;
-        # both ends of a side are support points, so c0 and c1 are nonzero
-        roots = (-np.array([complex(coeffs[0])]) / complex(coeffs[1])).tolist()
-    else:
-        roots = np.roots([complex(c) for c in reversed(coeffs)]).tolist()
+    if deg == 1:  # both ends of a side are support points, so c1 is nonzero
+        return [(_linear_root(coeffs[0], coeffs[1]), 1)]
+    roots = np.roots([complex(c) for c in reversed(coeffs)]).tolist()
     roots.sort(key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
     for r in roots:
@@ -135,6 +175,11 @@ def _edge_roots(p: dict, side, pts, exact: bool):
         if not placed:
             clusters.append([r])
     return [(sum(cl) / len(cl), len(cl)) for cl in clusters]
+
+
+@functools.lru_cache(maxsize=64)
+def _binomial_rows(jmax: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(math.comb(j, k) for k in range(j + 1)) for j in range(jmax + 1))
 
 
 def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None = None) -> dict:
@@ -153,13 +198,13 @@ def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None =
     kept = []  # (coefficient, x-power, j, highest k formed)
     for (i, j), coeff in p.items():
         xpow = i * nbar + j * mbar - vmin
-        top = j if budget is None else min(j, budget - 1 - xpow)
-        if top >= 0:
-            kept.append((coeff, xpow, j, top))
+        if budget is None or xpow + j < budget:
+            kept.append((coeff, xpow, j, j))
+        elif xpow < budget:
+            kept.append((coeff, xpow, j, budget - 1 - xpow))
     jmax = max((j for _coeff, _xpow, j, _top in kept), default=0)
-    rows = [[math.comb(j, k) for k in range(j + 1)] for j in range(jmax + 1)]
-    out: dict[tuple[int, int], complex] = {}
-    acc: dict[tuple[int, int], float] = {}
+    rows = _binomial_rows(jmax)
+    acc: dict[tuple[int, int], list] = {}  # key -> [sum, sum of magnitudes]
     try:
         cpow = [c ** e for e in range(jmax + 1)]
         for coeff, xpow, j, top in kept:
@@ -167,10 +212,13 @@ def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None =
             row = rows[j]
             for k in range(top + 1):
                 val = base * row[k] * cpow[j - k]
-                key = (xpow, k)
-                out[key] = out.get(key, 0j) + val
-                acc[key] = acc.get(key, 0.0) + abs(val)
-        out = {k: v for k, v in out.items() if v != 0 and abs(v) > DROP_ACC * acc[k]}
+                s = acc.get((xpow, k))
+                if s is None:
+                    acc[xpow, k] = [0j + val, abs(val)]
+                else:
+                    s[0] += val
+                    s[1] += abs(val)
+        out = {key: v for key, (v, mag) in acc.items() if v != 0 and abs(v) > DROP_ACC * mag}
     except OverflowError as exc:
         raise PuiseuxError("coefficient magnitudes overflowed; request a smaller order") from exc
     if (0, 0) in out:
@@ -250,8 +298,14 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
         if separated and _chain_done(u, offset, post_sep, depth, min_order):
             raws.append(_Raw(terms=list(terms), mult=1, reached=offset + u))
             continue
-        for side, pts, nbar, mbar in _compact_sides(p):
-            for c, mult in _edge_roots(p, side, pts, not terms):
+        if separated and terms:  # the one compact side (0,1)-(i*,0) and its simple root
+            istar = min(i for (i, j) in p if j == 0)
+            sides = [(1, istar, [(_linear_root(p[(istar, 0)], p[(0, 1)]), 1)])]
+        else:
+            sides = ((nbar, mbar, _edge_roots(p, pts, not terms))
+                     for pts, nbar, mbar in _compact_sides(p))
+        for nbar, mbar, roots in sides:
+            for c, mult in roots:
                 new_u = u if nbar == 1 else u / nbar
                 new_offset = offset + u * Fraction(mbar, nbar)
                 new_terms = terms + [(new_offset, complex(c))]
@@ -289,7 +343,7 @@ def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int,
 
 def _conjugate_terms(terms, n: int, k: int):
     w = cmath.exp(2j * cmath.pi * k / n)
-    return [(e, c * w ** int(e * n)) for (e, c) in terms]
+    return [(e, c * w ** (e.numerator * (n // e.denominator))) for (e, c) in terms]
 
 
 def _terms_close(t1, t2) -> bool:
@@ -401,24 +455,28 @@ def intersection_numeric(b1: PuiseuxBranch, b2: PuiseuxBranch, tol: float = COEF
     """
     limit_candidates = [r for r in (b1.reached, b2.reached) if r is not None]
     limit = min(limit_candidates) if limit_candidates else None
-    total = Fraction(0)
-    t1 = dict(b1.terms)
+    unit = math.lcm(b1.n, b2.n)  # exponents below are integers, in x-units / unit
+
+    def scaled(terms) -> dict[int, complex]:
+        return {e.numerator * (unit // e.denominator): c for (e, c) in terms}
+
+    total = 0
+    t1 = scaled(b1.terms)
     for k in range(b2.n):
-        t2 = dict(_conjugate_terms(list(b2.terms), b2.n, k))
-        exps = sorted(set(t1) | set(t2))
+        t2 = scaled(_conjugate_terms(b2.terms, b2.n, k))
         contact = None
-        for e in exps:
+        for e in sorted(t1.keys() | t2.keys()):
             c1 = t1.get(e, 0j)
             c2 = t2.get(e, 0j)
             if abs(c1 - c2) > tol * max(1.0, abs(c1), abs(c2)):
                 contact = e
                 break
-        if contact is None or (limit is not None and contact >= limit):
+        if contact is None or (limit is not None and contact >= limit * unit):
             raise InsufficientDepthError(
                 "contact order not resolved by the computed terms; expand deeper"
             )
         total += contact
-    value = total * b1.n
+    value = Fraction(total * b1.n, unit)
     if value.denominator != 1:
         raise PuiseuxError(f"intersection number came out fractional: {value}")
     return int(value)

@@ -1,9 +1,9 @@
 import hashlib
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -20,7 +20,12 @@ from polarnewton.curves import (
 )
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import polar_model_g2
-from polarnewton.newton import is_nondegenerate, oka_decomposition
+from polarnewton.newton import (
+    is_nondegenerate,
+    minkowski_sum,
+    newton_polygon_from_points,
+    oka_decomposition,
+)
 from polarnewton.puiseux import (
     InsufficientDepthError,
     PuiseuxError,
@@ -30,6 +35,8 @@ from polarnewton.puiseux import (
     semigroup_from_char,
 )
 from polarnewton.verify import _draw_general_pencil, sample_off_locus
+
+from _oracles import hull_oracle
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -254,18 +261,79 @@ class TestOkaAgreement:
             assert intersection_numeric(flat[0], flat[1]) == 10
 
 
+class TestCompactSides:
+    """`_compact_sides` has its own hull walk; these check it against the
+    all-pairs oracle and against Minkowski sums of product supports."""
+
+    @staticmethod
+    def check(pts, vertices):
+        sides = puiseux._compact_sides(dict.fromkeys(pts))
+        if len(vertices) == 1:
+            assert sides == []
+            return
+        assert [on[0] for on, _n, _m in sides] + [sides[-1][0][-1]] == list(vertices)
+        for on, nbar, mbar in sides:
+            (i0, j0), (i1, j1) = on[0], on[-1]
+            assert math.gcd(nbar, mbar) == 1 and (j0 - j1) * mbar == (i1 - i0) * nbar
+            assert on == sorted((pt for pt in pts if (pt[0] - i0) * nbar == (j0 - pt[1]) * mbar
+                                   and i0 <= pt[0] <= i1), reverse=True, key=lambda pt: pt[1])
+
+    def test_matches_dominance_oracle_on_random_supports(self):
+        rng = random.Random(1616)
+        for _ in range(200):
+            pts = {(rng.randint(0, 14), rng.randint(0, 14)) for _ in range(rng.randint(1, 30))}
+            self.check(pts, hull_oracle(pts))
+
+    def test_product_supports_give_the_minkowski_sum(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            a, b = ({(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(rng.randint(1, 8))}
+                    for _ in range(2))
+            product = {(i + k, j + l) for (i, j) in a for (k, l) in b}  # no cancellation
+            want = minkowski_sum(newton_polygon_from_points(a), newton_polygon_from_points(b))
+            self.check(product, want.vertices())
+            assert list(want.vertices()) == hull_oracle(product)
+
+
+def _bits(z: complex):
+    return (z.real.hex(), z.imag.hex())
+
+
 class TestEdgeRoots:
     def test_degree_one_root_is_the_np_roots_root(self):
         import numpy as np
         rng = random.Random(5)
-        side = SimpleNamespace(to_pt=(3, 0), n=1)
         for _ in range(500):
             c0, c1 = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-6, 6)
                       for _ in range(2))
-            (got, mult), = puiseux._edge_roots({(0, 1): c1, (3, 0): c0}, side, [(0, 1), (3, 0)], False)
+            (got, mult), = puiseux._edge_roots({(0, 1): c1, (3, 0): c0}, [(0, 1), (3, 0)], False)
             want, = np.roots([c1, c0]).tolist()
             assert mult == 1
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_linear_root_is_the_np_roots_root_bit_for_bit(self):
+        import numpy as np
+        rng = random.Random(16)
+
+        def part():
+            return rng.uniform(-1, 1) * 10 ** rng.uniform(-30, 30)
+
+        cases = [(complex(part(), part()), complex(part(), part())) for _ in range(3000)]
+        for _ in range(500):  # purely real and purely imaginary, with either signed zero
+            a, b, c, d = part(), part(), part(), part()
+            z0, z1 = rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0))
+            cases += [(c0, c1) for c0 in (complex(a, z0), complex(z0, b))
+                      for c1 in (complex(c, z1), complex(z1, d))]
+        cases += [(complex(a, b), complex(s, s * t)) for a, b in ((1.0, -2.0), (-0.0, 3.0))
+                  for s in (1.0, -2.5) for t in (1.0, -1.0)]  # |Re c1| == |Im c1|
+        for c0, c1 in cases:
+            raw, = np.roots([c1, c0]).tolist()
+            assert _bits(puiseux._linear_root(c0, c1)) == _bits(0j + raw), (c0, c1)
+        # the raw quotient of 1 by 1 has a -0.0 imaginary part; the mean of a
+        # one-root cluster turned it into 0.0, and so must the helper
+        raw, = np.roots([1 + 0j, -1 + 0j]).tolist()
+        assert _bits(raw) == _bits(complex(1.0, -0.0))
+        assert _bits(puiseux._linear_root(-1 + 0j, 1 + 0j)) == _bits(sum([raw]) / 1) == _bits(1 + 0j)
 
 
 class TestTruncatedChains:
@@ -315,6 +383,56 @@ class TestTruncatedChains:
         got = sorted(br.class_key() for br, mult in out for _ in range(mult))
         want = sorted((1,) if k[0] == 1 else k for k in polar_model_g1(7, 19).topology.expanded_keys())
         assert got == want
+
+    def test_separated_nodes_have_the_known_side(self, polars, monkeypatch):
+        # every separated node past the root: the hull gives the one side
+        # (0,1)-(i*,0), and np.roots (with the one-root cluster mean) gives
+        # the root bits of the direct quotient
+        import numpy as np
+        made = []  # (node before its own y^jmin division, budget)
+        substituted = puiseux._substituted
+
+        def recording(p, nbar, mbar, c, budget=None):
+            made.append((substituted(p, nbar, mbar, c, budget), budget))
+            return made[-1][0]
+
+        monkeypatch.setattr(puiseux, "_substituted", recording)
+        keys = (list(json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text()))
+                + list(json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())))
+        for key in keys:
+            name, t, m = key.split("/")
+            family = tuple(int(k) for k in name.split("_")[1:])
+            f = polars[(name, int(t))] if (name, int(t)) in polars else crosscheck_polar(family, int(t))
+            made.clear()
+            puiseux_expand(f, min_order=int(m))
+            nodes = 0
+            for q, budget in made:
+                if budget is None:  # untruncated nodes first divide out y^jmin
+                    jmin = min(j for (_i, j) in q)
+                    q = {(i, j - jmin): c for (i, j), c in q.items()}
+                if (0, 1) not in q or (0, 0) in q or all(j > 0 for (_i, j) in q):
+                    continue  # not separated, a unit, or a truncated attempt that restarts
+                istar = min(i for (i, j) in q if j == 0)
+                assert puiseux._compact_sides(q) == [([(0, 1), (istar, 0)], 1, istar)], key
+                raw, = np.roots([q[(0, 1)], q[(istar, 0)]]).tolist()
+                assert _bits(puiseux._linear_root(q[(istar, 0)], q[(0, 1)])) == _bits(sum([raw]) / 1)
+                nodes += 1
+            assert nodes > 0, key
+
+    def test_hull_runs_only_on_unseparated_nodes(self, polars, monkeypatch):
+        # a call-count guard: chain steps take their known side, so on the
+        # bench polars the hull runs once per expansion, on the root
+        separated = []
+        compact = puiseux._compact_sides
+
+        def recording(p):
+            separated.append((0, 1) in p)
+            return compact(p)
+
+        monkeypatch.setattr(puiseux, "_compact_sides", recording)
+        for f in polars.values():
+            puiseux_expand(f, min_order=4)
+        assert len(polars) == 15 and separated == [False] * 15
 
     @pytest.fixture
     def uncertified(self, monkeypatch):
