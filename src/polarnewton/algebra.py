@@ -6,7 +6,9 @@ rationals; univariate polynomials over that ring get a dense layout, which is
 what the Sylvester/discriminant machinery wants.  Evaluation at a rational
 point is exact too: it sums an integer numerator over one common denominator
 and normalises once, and a product with a constant scales the coefficients
-without the monomial merge.
+without the monomial merge.  `IntegerPlan` compiles a sequence of
+polynomials once for the many points of a sampling run and evaluates them
+over integers only.
 
 The variable alphabet is closed: x, y, z, the two pencil parameters a, b, and
 the doubly indexed family coefficients a[i,j], b[i,j].
@@ -32,6 +34,7 @@ __all__ = [
     "avar",
     "bvar",
     "MPoly",
+    "IntegerPlan",
     "UPoly",
     "resultant",
     "discriminant",
@@ -511,6 +514,49 @@ class MPoly:
         return f"MPoly({self.render()})"
 
 
+class IntegerPlan:
+    """Polynomials compiled once for exact evaluation at many points, over
+    integers only: coefficients are scaled by `den`, the lcm of their
+    denominators, and every term is padded to the top total degree `degree`,
+    so at values with least common denominator m each polynomial is its
+    numerator over den * m^degree, and zero exactly when that numerator is.
+    """
+
+    __slots__ = ("variables", "den", "degree", "polys")
+
+    def __init__(self, polys: Iterable[MPoly]):
+        maps = [p.terms for p in polys]
+        self.variables = tuple(sorted({v for terms in maps for m in terms for v, _ in m}))
+        index = {v: k for k, v in enumerate(self.variables)}
+        self.den = math.lcm(*[c.denominator for terms in maps for c in terms.values()])
+        self.degree = max([_mono_deg(m) for terms in maps for m in terms], default=0)
+        # per term: den * coefficient, its degree gap, its variable indices repeated by exponent
+        self.polys = tuple(tuple((c.numerator * (self.den // c.denominator), self.degree - _mono_deg(m),
+                                  tuple(index[v] for v, e in m for _ in range(e)))
+                                 for m, c in terms.items()) for terms in maps)
+
+    def at(self, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:
+        """Every polynomial's numerator at `assignment`, in order, and their
+        one positive denominator."""
+        try:
+            values = [assignment[v] for v in self.variables]
+        except KeyError:
+            missing = [v.name for v in self.variables if v not in assignment]
+            raise AlgebraError("missing values for: " + ", ".join(missing)) from None
+        m = math.lcm(*[v.denominator for v in values])
+        scaled = [v.numerator * (m // v.denominator) for v in values]
+        m_pow = [m**k for k in range(self.degree + 1)]
+        nums = []
+        for terms in self.polys:
+            num = 0
+            for c, gap, idx in terms:
+                for k in idx:
+                    c *= scaled[k]
+                num += c * m_pow[gap]
+            nums.append(num)
+        return nums, self.den * m_pow[self.degree]
+
+
 class UPoly:
     """Dense univariate polynomial in `main` over the multivariate ring."""
 
@@ -747,10 +793,32 @@ def qpoly_yun(c: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
     return out
 
 
+_P = 2**61 - 1  # a Mersenne prime, the modulus of the squarefree certificate
+
+
+def _coprime_mod_p(f: list[int], g: list[int]) -> bool:
+    """gcd(f, g) = 1 over GF(_P), for residues listed low degree first with
+    nonzero last entries."""
+    while g:
+        inv = pow(g[-1], -1, _P)
+        while len(f) >= len(g):
+            q, k = f[-1] * inv % _P, len(f) - len(g)
+            f[k:] = [(x - q * y) % _P for x, y in zip(f[k:], g)]
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 def squarefree_info(F: UPoly) -> tuple[bool, str]:
     """Squarefree verdict plus which route decided it.
 
-    Constant coefficients: gcd(F, F') must be constant ("concrete").
+    Constant coefficients ("concrete"): first a modular certificate.  Scale F
+    to integers; if _P does not divide lc(F) and gcd(F mod _P, F' mod _P) = 1,
+    F is squarefree, since a repeated factor G^2 of F over Z keeps its degree
+    mod _P (lc(G) divides lc(F)) and divides both F and F' there.  Any other
+    outcome falls through to the exact test, gcd(F, F') constant over Q,
+    which is the only one that can answer "not squarefree".
     Otherwise ("symbolic"), a statement about the generic member only: with
     F(z) = G(z^s) and G = deflate(F), the discriminant of G must be nonzero as
     a polynomial and, when s >= 2, so must G(0), since z = 0 is then a root
@@ -761,6 +829,10 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
     if F.has_constant_coeffs():
         c = F.as_fractions()
         if len(c) == 1:
+            return True, "concrete"
+        den = math.lcm(*[x.denominator for x in c])
+        f = [x.numerator * (den // x.denominator) % _P for x in c]
+        if f[-1] and _coprime_mod_p(f, [k * f[k] % _P for k in range(1, len(f))]):
             return True, "concrete"
         g = qpoly_gcd(c, _qderiv(list(c)))
         return len(g) == 1, "concrete"

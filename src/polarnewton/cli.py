@@ -52,6 +52,13 @@ def _nonnegative(text: str) -> int:
     return int(text)
 
 
+def _semigroup(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from exc
+
+
 def _polygon_payload(poly) -> dict:
     return {
         "vertices": [list(v) for v in poly.vertices()],
@@ -176,10 +183,9 @@ def _cmd_topology(args):
 
 
 def _cmd_classify(args):
-    gens = [int(x) for x in args.semigroup.split(",")]
-    res = classify_nondegenerate(gens)
+    res = classify_nondegenerate(args.semigroup)
     return {
-        "semigroup": gens,
+        "semigroup": args.semigroup,
         "nondegenerate_general_polar": res.nondegenerate,
         "genus": res.genus,
         "reason": res.reason,
@@ -275,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family_command("topology", _cmd_topology, "predicted branch classes and intersections")
 
     p = sub.add_parser("classify", help="does the class have nondegenerate general polars?")
-    p.add_argument("--semigroup", required=True, help="comma-separated minimal generators")
+    p.add_argument("--semigroup", type=_semigroup, required=True, help="comma-separated minimal generators")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("puiseux", help="numeric branch expansions with invariants")

@@ -27,9 +27,11 @@ read it at the symbolic pencil point.  At a constant pencil point, for a
 concrete series or a member with a draw of its variables, `polar` takes the
 integer route instead: `_member_at` evaluates each member coefficient at the
 draw (empty for a concrete series, as in the CLI) as an integer over one
-shared denominator, from a plan of integer terms compiled once per series
+shared denominator, from an `algebra.IntegerPlan` compiled once per series
 and kept on it, and skips those that are 0; each polar coefficient is then
-formed over integers and normalised once, as one `Fraction`.  Each verify
+formed over integers and normalised once, as one `Fraction` wrapped straight
+into a constant `MPoly`.  The same evaluator serves the verify trial's
+locus test and pencil check (see genus1 and verify).  Each verify
 trial takes this route from the generic member and its draw, so no concrete
 member is built.  `substitute` reads the same `_member_at`.  Both routes
 give the keys in one order, the x-derivative keys in the member's order and
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Mapping
 
-from .algebra import A, B, MPoly, Var, X, Y, avar, bvar
+from .algebra import A, B, AlgebraError, IntegerPlan, MPoly, Var, X, Y, avar, bvar
 
 
 class CurveError(ValueError):
@@ -96,23 +98,9 @@ class PlaneSeries:
         return all(c.is_constant() for c in self.terms.values())
 
     @cached_property
-    def integer_plan(self) -> tuple:
-        """The series as integers for `_member_at`, built once:
-        (variables, den, degree, points).  `den` is the lcm of the term
-        coefficients' denominators and `degree` the top total degree; each
-        point is ((i, j), terms) with one (den * coefficient, degree - deg,
-        variable indices repeated by exponent) per term."""
-        variables = sorted({v for c in self.terms.values() for v in c.variables()})
-        index = {v: k for k, v in enumerate(variables)}
-        den = math.lcm(*[c.denominator for poly in self.terms.values() for c in poly.terms.values()])
-        degree = max([sum(e for _, e in m) for poly in self.terms.values() for m in poly.terms], default=0)
-        points = []
-        for pt, poly in self.terms.items():
-            terms = tuple((int(c * den), degree - sum(e for _, e in m),
-                           tuple(index[v] for v, e in m for _ in range(e)))
-                          for m, c in poly.terms.items())
-            points.append((pt, terms))
-        return tuple(variables), den, degree, tuple(points)
+    def integer_plan(self) -> IntegerPlan:
+        """The coefficients compiled for `_member_at`, once per series."""
+        return IntegerPlan(self.terms.values())
 
     def render(self) -> str:
         return self.poly.render()
@@ -173,7 +161,8 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
         for (i, j), num in member:
             if j:
                 out[(i, j - 1)] = out.get((i, j - 1), 0) + by * j * num
-        return PlaneSeries({pt: MPoly.const(Fraction(num, common)) for pt, num in out.items() if num})
+        wrap = MPoly._wrap  # each value is a nonzero Fraction: no coercion
+        return PlaneSeries({pt: wrap({(): Fraction(num, common)}) for pt, num in out.items() if num})
     if assignment is not None:
         f = substitute(f, assignment)
     keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])
@@ -183,27 +172,12 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
 
 def _member_at(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tuple[list, int]:
     """f at `assignment` over integers, from its `integer_plan`: the nonzero
-    coefficient numerators in member order and their one denominator
-    L = den * m^degree, m the lcm of the drawn denominators."""
-    variables, den, degree, points = f.integer_plan
+    coefficient numerators in member order and their one denominator."""
     try:
-        values = [assignment[v] for v in variables]
-    except KeyError:
-        missing = [v.name for v in variables if v not in assignment]
-        raise CurveError("missing values for: " + ", ".join(missing)) from None
-    m = math.lcm(*[v.denominator for v in values])
-    scaled = [v.numerator * (m // v.denominator) for v in values]
-    m_pow = [m ** k for k in range(degree + 1)]
-    member = []
-    for pt, terms in points:
-        num = 0
-        for c, gap, idx in terms:
-            for k in idx:
-                c *= scaled[k]
-            num += c * m_pow[gap]
-        if num:
-            member.append((pt, num))
-    return member, den * m_pow[degree]
+        nums, den = f.integer_plan.at(assignment)
+    except AlgebraError as exc:  # a missing value
+        raise CurveError(str(exc)) from None
+    return [(pt, num) for pt, num in zip(f.terms, nums) if num], den
 
 
 def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:

@@ -19,9 +19,11 @@ enter the side polynomials with coefficient zero and impose no condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate
 
-from .algebra import A, B, MPoly, UPoly, X, Y, deflate, discriminant, squarefree_split, strip_content
+from .algebra import (A, B, AlgebraError, IntegerPlan, MPoly, UPoly, X, Y, deflate, discriminant,
+                      squarefree_split, strip_content)
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
 from .curves import CurveError, check_family, coefficient_g1, polar_coefficient
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
@@ -68,9 +70,20 @@ class DegeneracyLocus:
     def is_empty(self) -> bool:
         return not self.groups
 
+    @cached_property
+    def plan(self) -> tuple[IntegerPlan, tuple[tuple[int, int], ...]]:
+        """Every generator in one `IntegerPlan`, and each group's slice of it."""
+        ends = list(accumulate(len(g) for g in self.groups))
+        return IntegerPlan(p for g in self.groups for p in g), tuple(zip([0] + ends, ends))
+
     def vanishes_at(self, assignment) -> bool:
         """True when some group vanishes identically at the assignment."""
-        return any(all(p.evaluate(assignment) == 0 for p in group) for group in self.groups)
+        plan, bounds = self.plan
+        try:
+            nums = plan.at(assignment)[0]
+        except AlgebraError:  # a missing value: evaluation names it
+            return any(all(p.evaluate(assignment) == 0 for p in group) for group in self.groups)
+        return any(not any(nums[lo:hi]) for lo, hi in bounds)
 
 
 def build_locus(raw_conditions, nonvanishing=()) -> DegeneracyLocus:
@@ -150,6 +163,11 @@ class PolarModel:
     edge_terms: dict[int, MPoly]  # the lowest polar term at each side height
     locus: DegeneracyLocus
     topology: TopologyReport
+
+    @cached_property
+    def raw_plan(self) -> IntegerPlan:
+        """`raw_conditions` compiled once, for the pencil draw of each trial."""
+        return IntegerPlan(self.raw_conditions)
 
     def predicted_polygon(self) -> NewtonPolygon:
         return newton_polygon_from_points([pt for pts in self.sides for pt in pts])

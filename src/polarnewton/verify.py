@@ -82,22 +82,24 @@ def sample_off_locus(family: Family, model, rng: random.Random, bound: int) -> d
 
 def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[Fraction, Fraction]:
     """Random (a, b) avoiding the zero set of every raw condition."""
+    full = dict(assignment)
     for _ in range(REJECT_LIMIT):
         a = _rand_fraction(rng, bound)
         b = _rand_fraction(rng, bound)
         if (a, b) == (0, 0):
             continue
-        full = dict(assignment)
         full[A] = a
         full[B] = b
-        if all(c.evaluate(full) != 0 for c in model.raw_conditions):
+        if all(model.raw_plan.at(full)[0]):
             return a, b
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")
 
 
-def _assignment_digest(assignment, a, b) -> str:
-    text = ";".join(f"{v.name}={assignment[v]}" for v in sorted(assignment))
+def _assignment_digest(labels, assignment, a, b) -> str:
+    """Digest of the draw; `labels` pairs each of the family's `coeff_vars`,
+    in their (sorted) order, with its "name=" prefix."""
+    text = ";".join([label + str(assignment[v]) for v, label in labels])
     text += f";a={a};b={b}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -155,6 +157,7 @@ def run_verification(cfg: SampleConfig) -> dict:
     predicted_polygon = model.predicted_polygon()
     predicted_points = model.predicted_points()
     generic_verdict = _generic_verdict(tuple(cfg.family))
+    labels = [(v, f"{v.name}=") for v in family.coeff_vars]
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
@@ -174,7 +177,7 @@ def run_verification(cfg: SampleConfig) -> dict:
                 pass
         rec = {
             "trial": trial,
-            "digest": _assignment_digest(assignment, a, b),
+            "digest": _assignment_digest(labels, assignment, a, b),
             "polygon_match": bool(polygon_match),
             "points_present": bool(points_present),
             "sides_squarefree": sides_sf,

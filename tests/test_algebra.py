@@ -12,6 +12,7 @@ from polarnewton.algebra import (
     A,
     B,
     AlgebraError,
+    IntegerPlan,
     MPoly,
     UPoly,
     X,
@@ -119,6 +120,41 @@ class TestScalarPaths:
             for zero in (0, Fraction(0), MPoly.const(0), MPoly.zero()):
                 assert (f * zero).is_zero() and (zero * f).is_zero()
         assert type(MPoly.const(3).terms[()]) is Fraction
+
+
+PLAN_VARS = (A, B, avar(3, 1), bvar(5, 2))
+
+
+def _poly_in_plan_vars(terms) -> MPoly:
+    return sum((MPoly.monomial(c, dict(zip(PLAN_VARS, exps))) for c, exps in terms), MPoly.zero())
+
+
+# up to five terms, each a scalar and one exponent per variable
+PLAN_POLYS = st.lists(st.tuples(SCALARS, st.lists(st.integers(0, 3), min_size=4, max_size=4)),
+                      max_size=5).map(_poly_in_plan_vars)
+
+
+class TestIntegerPlan:
+    @given(st.lists(PLAN_POLYS, max_size=4), st.lists(SCALARS, min_size=4, max_size=4))
+    @settings(max_examples=120, deadline=None)
+    def test_numerators_over_one_denominator_match_evaluate(self, polys, values):
+        point = dict(zip(PLAN_VARS, values))
+        nums, den = IntegerPlan(polys).at(point)
+        assert den > 0 and len(nums) == len(polys)
+        for poly, num in zip(polys, nums):
+            assert Fraction(num, den) == poly.evaluate(point)
+
+    def test_variables_are_sorted_and_missing_ones_named(self):
+        plan = IntegerPlan([MPoly.var(bvar(5, 2)) * a + 1, MPoly.var(avar(3, 1)) ** 2, MPoly.zero()])
+        assert plan.variables == (A, avar(3, 1), bvar(5, 2))
+        # 1/3 and 1/4 over den * m^degree = 1 * 6^2
+        assert plan.at({A: 2, avar(3, 1): Fraction(1, 2), bvar(5, 2): Fraction(-1, 3)}) == ([12, 9, 0], 36)
+        with pytest.raises(AlgebraError, match=r"^missing values for: a, b\[5,2\]$"):
+            plan.at({avar(3, 1): 1})
+
+    def test_empty_and_constant_plans(self):
+        assert IntegerPlan([]).at({}) == ([], 1)
+        assert IntegerPlan([MPoly.const(Fraction(-7, 3)), MPoly.zero()]).at({A: 5}) == ([-7, 0], 3)
 
 
 class TestDerivative:

@@ -65,6 +65,24 @@ def test_classify_yes_cases(capsys):
         assert "nondegenerate_general_polar: True" in out
 
 
+@pytest.mark.parametrize("text", ["4,a", "4,,6", ""])
+def test_classify_non_integer_semigroup_is_a_usage_error(capsys, text):
+    # these used to exit 1 with only "invalid literal for int() with base 10"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--semigroup", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --semigroup: not a comma-separated list of integers" in err
+    assert "invalid literal" not in err
+
+
+def test_classify_bad_semigroup_is_a_computation_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "--semigroup", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_nondeg_reports_sides(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "nondeg", "--expr", "y^2 - x^3")
     payload = json.loads(out)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
 from polarnewton.curves import CurveError, PolarParams, generic_member_g1, parse_series, polar, substitute
 from polarnewton.genus1 import DegeneracyLocus, edge_term, min_x_exponent, polar_model_g1
+from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
 x = MPoly.var(X)
@@ -197,6 +199,40 @@ class TestLocus:
         assert locus.vanishes_at(zeros)
         ones = {v: Fraction(1) for v in fam.coeff_vars}
         assert not locus.vanishes_at(ones)
+
+
+def vanishes_by_generator(locus, point) -> bool:
+    return any(all(p.evaluate(point) == 0 for p in group) for group in locus.groups)
+
+
+class TestLocusPlan:
+    @pytest.mark.parametrize("family", [(7, 19), (5, 12, 1), (7, 19, 1)])
+    def test_vanishing_matches_the_per_generator_definition(self, family):
+        locus = (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).locus
+        gens = [p for group in locus.groups for p in group]
+        # and the same generators as simultaneous-vanishing groups
+        loci = [locus, DegeneracyLocus((tuple(gens[:2]), tuple(gens[2:])))]
+        vs = sorted({v for p in gens for v in p.variables()})
+        rng = random.Random(f"plan:{family}")
+        seen = set()
+        for _ in range(300):
+            point = {v: Fraction(0 if rng.random() < 0.2 else rng.randint(-3, 3), rng.randint(1, 3)) for v in vs}
+            for candidate in loci:
+                want = vanishes_by_generator(candidate, point)
+                assert candidate.vanishes_at(point) is want
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_a_missing_value_is_named_as_before(self):
+        locus = polar_model_g1(7, 19).locus
+        point = {v: Fraction(1) for g in locus.groups for p in g for v in p.variables()}
+        for v in sorted(point):
+            partial = {w: c for w, c in point.items() if w != v}
+            message = f"^{re.escape(f'no value for {v.name}')}$"
+            with pytest.raises(AlgebraError, match=message):
+                vanishes_by_generator(locus, partial)
+            with pytest.raises(AlgebraError, match=message):
+                locus.vanishes_at(partial)
 
 
 class TestPredictedTopology:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from polarnewton import algebra  # noqa: E402
 from polarnewton.algebra import (  # noqa: E402
     A,
     B,
@@ -215,6 +216,76 @@ class TestSymbolicSquarefreeVerdict:
             F = inflate(G0, s)
             route = "concrete" if F.has_constant_coeffs() else "symbolic"
             assert squarefree_info(F) == (sympy_squarefree(F), route)
+
+
+P = 2**61 - 1  # the certificate's modulus
+
+
+def concrete(coeffs) -> UPoly:
+    return UPoly(Z, [MPoly.const(c) for c in coeffs])
+
+
+def exact_route(F: UPoly) -> tuple[bool, str]:
+    """The exact test the certificate falls through to: gcd(F, F') over Q."""
+    c = list(F.as_fractions())
+    return len(algebra.qpoly_gcd(c, [k * c[k] for k in range(1, len(c))])) == 1, "concrete"
+
+
+def sympy_concrete_squarefree(F: UPoly) -> bool:
+    return all(mult == 1 for _f, mult in sympy.sqf_list(upoly_to_sympy(F))[1])
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    calls = []
+    real = algebra.qpoly_gcd
+    monkeypatch.setattr(algebra, "qpoly_gcd", lambda f, g: calls.append(1) or real(f, g))
+    return calls
+
+
+class TestModularSquarefreeCertificate:
+    def test_random_concrete_polynomials(self, gcd_calls):
+        rng = random.Random(17)
+        z = MPoly.var(Z)
+        seen = set()
+        for _ in range(120):
+            deg = rng.randint(1, 8)
+            lead = rng.choice([-3, 1, Fraction(5, 2)])
+            F = concrete([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)] + [lead])
+            if rng.random() < 0.3 and deg <= 6:  # a true repeated factor
+                F = UPoly.from_mpoly(F.to_mpoly() * (z - rng.randint(-3, 3)) ** 2, Z)
+            want = exact_route(F)
+            assert want[0] is sympy_concrete_squarefree(F)
+            before = len(gcd_calls)
+            assert squarefree_info(F) == want
+            # small coefficients: the certificate decides every squarefree case
+            assert len(gcd_calls) - before == (0 if want[0] else 1)
+            seen.add(want[0])
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("text,squarefree", [
+        ("P*z**2 + 1", True),  # P divides lc(F)
+        ("2*P*z**3 + 1", True),
+        ("z**2/P + 1", True),  # P divides lc of the integer scaling z^2 + P
+        ("z*(z - P)", True),  # squarefree, but P divides disc F
+        ("(z - 1)*(z - 1 - P)", True),
+        ("(z - 1)*(z - 1 - P)*(z - P)*(z + 3)", True),
+        ("(z - 1)**2", False),  # true repeated factors
+        ("(z**2 + P)**2", False),
+        ("(z - 1)**2*(z - 2)*(3*z + 5)", False),
+        ("z**2*(P*z + 1)", False),  # P divides lc(F) too
+    ])
+    def test_adversarial_cases_fall_through_to_the_exact_route(self, gcd_calls, text, squarefree):
+        expr = sympy.expand(sympy.sympify(text, locals={"z": SZ, "P": P}))
+        F = concrete([Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, SZ).all_coeffs())])
+        assert sympy_concrete_squarefree(F) is squarefree
+        assert squarefree_info(F) == exact_route(F) == (squarefree, "concrete")
+        assert len(gcd_calls) == 2  # the exact route decided, once in each call
+
+    def test_certified_case_takes_no_exact_gcd(self, gcd_calls):
+        F = concrete([Fraction(c) for c in (-2, 1, 0, 1)])  # z^3 + z - 2 = (z - 1)(z^2 + z + 2)
+        assert squarefree_info(F) == (True, "concrete")
+        assert gcd_calls == []
 
 
 def sparse_poly(rng) -> MPoly:

@@ -7,11 +7,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from polarnewton import newton, verify
-from polarnewton.algebra import MPoly, avar
+from polarnewton import algebra, newton, verify
+from polarnewton.algebra import IntegerPlan, MPoly, avar
 from polarnewton.curves import PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus1 import DegeneracyLocus
+from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import PolygonError, newton_polygon
 from polarnewton.verify import (
     SampleConfig,
@@ -71,9 +72,39 @@ class TestErrorsNameFamilyAndStage:
             run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
 
     def test_pencil_draw(self):
-        model = SimpleNamespace(raw_conditions=(MPoly.zero(),))
+        model = SimpleNamespace(raw_plan=IntegerPlan([MPoly.zero()]))
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
             _draw_general_pencil(generic_member_g1(7, 19), model, random.Random(0), 10, {})
+
+
+def count_exact_gcd(monkeypatch) -> list:
+    """Records each `algebra.qpoly_gcd` call, the exact squarefree route."""
+    calls = []
+    real = algebra.qpoly_gcd
+    monkeypatch.setattr(algebra, "qpoly_gcd", lambda f, g: calls.append(1) or real(f, g))
+    return calls
+
+
+class TestSquarefreeCertificateInTrials:
+    # Models are built before counting: the locus build's coprimality test
+    # also calls qpoly_gcd.  No timing is involved.
+    BENCH_FAMILIES = ((7, 19), (5, 12, 1), (7, 19, 1))
+
+    def test_bench_families_never_take_the_exact_route(self, monkeypatch):
+        for family in self.BENCH_FAMILIES:
+            polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+            verify._generic_verdict(family)
+        calls = count_exact_gcd(monkeypatch)
+        for family in self.BENCH_FAMILIES:
+            rep = run_verification(SampleConfig(family=family, seed=42, trials=50))
+            assert rep["summary"]["all_sides_squarefree"] == 50
+        assert calls == []
+
+    def test_degenerate_sides_are_decided_by_the_exact_route(self, monkeypatch):
+        calls = count_exact_gcd(monkeypatch)
+        rep = run_power_degeneracy(2, 3, 1, e1=3)
+        assert rep["summary"]["degenerate"] == rep["summary"]["steep_side_fails"] == rep["summary"]["trials"]
+        assert len(calls) >= 1
 
 
 class TestRunVerification:
