@@ -29,11 +29,12 @@ integer route instead: `_member_at` evaluates each member coefficient at the
 draw (empty for a concrete series, as in the CLI) as an integer over one
 shared denominator, from an `algebra.IntegerPlan` compiled once per series
 and kept on it, and skips those that are 0; each polar coefficient is then
-formed over integers and normalised once, as one `Fraction` wrapped straight
-into a constant `MPoly`.  The same evaluator serves the verify trial's
-locus test and pencil check (see genus1 and verify).  Each verify
-trial takes this route from the generic member and its draw, so no concrete
-member is built.  `substitute` reads the same `_member_at`.  Both routes
+formed over integers and kept as a numerator over one denominator, in
+`_IntegerTerms`, which builds a key's constant `MPoly` only when a check
+reads it (the nondegeneracy test reads the side lattice points only).  The
+same evaluator serves the verify trial's locus test and pencil check (see
+genus1 and verify).  Each verify trial takes this route from the generic
+member and its draw, so no concrete member is built.  `substitute` reads the same `_member_at`.  Both routes
 give the keys in one order, the x-derivative keys in the member's order and
 then the y-derivative keys that are new, because the Puiseux expansion adds
 floats in that order.
@@ -42,10 +43,10 @@ floats in that order.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 from .algebra import A, B, AlgebraError, IntegerPlan, MPoly, Var, X, Y, avar, bvar
 
@@ -68,10 +69,11 @@ class PlaneSeries:
     """Polynomial in x, y as the map {(i, j): coefficient of x^i y^j}.
 
     Every stored coefficient is a nonzero polynomial in the variables other
-    than x and y; a concrete series has constant coefficients only.
+    than x and y; a concrete series has constant coefficients only.  The
+    integer route of `polar` stores them as `_IntegerTerms`.
     """
 
-    terms: dict[Point, MPoly]
+    terms: Mapping[Point, MPoly]
 
     @classmethod
     def from_poly(cls, poly: MPoly) -> "PlaneSeries":
@@ -95,7 +97,7 @@ class PlaneSeries:
         return not self.terms
 
     def is_concrete(self) -> bool:
-        return all(c.is_constant() for c in self.terms.values())
+        return isinstance(self.terms, _IntegerTerms) or all(c.is_constant() for c in self.terms.values())
 
     @cached_property
     def integer_plan(self) -> IntegerPlan:
@@ -104,6 +106,51 @@ class PlaneSeries:
 
     def render(self) -> str:
         return self.poly.render()
+
+
+class _IntegerTerms(Mapping):
+    """Read-only terms of a concrete series: nonzero integer numerators over
+    one denominator.  A key's constant `MPoly` is built, and kept, when the
+    key is first read; `items()` and `values()` build every key in one pass,
+    in key order.  Keys, length and membership never build one.
+    """
+
+    __slots__ = ("_terms", "_den")
+
+    def __init__(self, nums: dict[Point, int], den: int):
+        self._terms: dict[Point, int | MPoly] = nums
+        self._den = den
+
+    def __getitem__(self, pt: Point) -> MPoly:
+        c = self._terms[pt]
+        if type(c) is int:
+            c = self._terms[pt] = MPoly._wrap({(): Fraction(c, self._den)})
+        return c
+
+    def __contains__(self, pt) -> bool:
+        return pt in self._terms
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def _built(self) -> dict[Point, MPoly]:
+        terms, den, wrap = self._terms, self._den, MPoly._wrap
+        for pt, c in terms.items():
+            if type(c) is int:  # a new value for a present key keeps the order
+                terms[pt] = wrap({(): Fraction(c, den)})
+        return terms
+
+    def items(self):
+        return self._built().items()
+
+    def values(self):
+        return self._built().values()
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 @dataclass(frozen=True)
@@ -141,8 +188,10 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
     member's order, then the y-derivative keys not already present.  At a
     constant pencil point, for a concrete series or one whose variables
     `assignment` all fixes, the member is evaluated over integers by
-    `_member_at` and each polar coefficient is normalised once; the result
-    equals `polar(substitute(f, assignment), params)`.  Otherwise each key
+    `_member_at` and the polar's terms are `_IntegerTerms`: integer
+    numerators over one denominator, each normalised into a constant `MPoly`
+    when it is first read; the result equals
+    `polar(substitute(f, assignment), params)`.  Otherwise each key
     takes `polar_coefficient` over `MPoly`s.
     """
     if params is None:
@@ -161,8 +210,7 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
         for (i, j), num in member:
             if j:
                 out[(i, j - 1)] = out.get((i, j - 1), 0) + by * j * num
-        wrap = MPoly._wrap  # each value is a nonzero Fraction: no coercion
-        return PlaneSeries({pt: wrap({(): Fraction(num, common)}) for pt, num in out.items() if num})
+        return PlaneSeries(_IntegerTerms({pt: num for pt, num in out.items() if num}, common))
     if assignment is not None:
         f = substitute(f, assignment)
     keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])

@@ -11,7 +11,11 @@ its `coeff_vars`, with its `class_var` (if any) nonzero.
 Determinism: each trial draws from a Mersenne-Twister generator seeded with
 "<seed>:<trial>" (CPython `random.Random`); the algorithm name is pinned in
 the report header, so identical configurations reproduce byte-identical
-reports.
+reports.  A drawn value is num/den with num and den taken by `rng.choice`
+over a range, which reads the generator exactly as `randint` over the same
+bounds; the value and its digest text come from one bounded memo on the
+integer pair, so a trial builds no `Fraction` and formats no value that an
+earlier draw already made.
 """
 
 from __future__ import annotations
@@ -54,53 +58,63 @@ class SampleConfig:
             raise VerifyError("family must be (p, q) or (p, q, d)")
 
 
-def _rand_fraction(rng: random.Random, bound: int, nonzero: bool = False) -> Fraction:
+@lru_cache(maxsize=1024)
+def _drawn(num: int, den: int) -> tuple[Fraction, str]:
+    """A drawn value and its digest text, memoised on the integer pair."""
+    value = Fraction(num, den)
+    return value, str(value)
+
+
+def _rand_fraction(rng: random.Random, bound: int, nonzero: bool = False) -> tuple[Fraction, str]:
+    """num/den with |num| <= bound and 1 <= den <= bound, and its text; each
+    `choice` reads the generator as `randint` over the same range does."""
     while True:
-        num = rng.randint(-bound, bound)
+        num = rng.choice(range(-bound, bound + 1))
         if nonzero and num == 0:
             continue
-        den = rng.randint(1, bound)
-        return Fraction(num, den)
+        return _drawn(num, rng.choice(range(1, bound + 1)))
 
 
-def _draw_assignment(family: Family, rng: random.Random, bound: int) -> dict[Var, Fraction]:
-    """A value for every family variable; the class coefficient stays nonzero."""
-    return {v: _rand_fraction(rng, bound, nonzero=v == family.class_var) for v in family.coeff_vars}
+def _draw_assignment(family: Family, rng: random.Random, bound: int) -> tuple[dict[Var, Fraction], list[str]]:
+    """A value for every family variable and their texts, in `coeff_vars`
+    order; the class coefficient stays nonzero."""
+    draws = [_rand_fraction(rng, bound, nonzero=v == family.class_var) for v in family.coeff_vars]
+    return dict(zip(family.coeff_vars, [value for value, _ in draws])), [text for _, text in draws]
 
 
-def sample_off_locus(family: Family, model, rng: random.Random, bound: int) -> dict[Var, Fraction]:
-    """Draw family coefficients, rejecting while any locus condition vanishes."""
+def sample_off_locus(family: Family, model, rng: random.Random,
+                     bound: int) -> tuple[dict[Var, Fraction], list[str]]:
+    """Draw family coefficients and their texts, rejecting while any locus
+    condition vanishes."""
     if not family.coeff_vars:
         raise VerifyError(f"family {family.key}: no coefficients to draw")
     for _ in range(REJECT_LIMIT):
-        assignment = _draw_assignment(family, rng, bound)
+        assignment, texts = _draw_assignment(family, rng, bound)
         if not model.locus.vanishes_at(assignment):
-            return assignment
+            return assignment, texts
     raise VerifyError(f"family {family.key}: locus rejection exhausted {REJECT_LIMIT} draws; "
                       "the locus appears to cover the sample space")
 
 
-def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[Fraction, Fraction]:
-    """Random (a, b) avoiding the zero set of every raw condition."""
+def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[tuple[Fraction, str], ...]:
+    """Random (a, b), each with its text, avoiding the zero set of every raw condition."""
     full = dict(assignment)
     for _ in range(REJECT_LIMIT):
-        a = _rand_fraction(rng, bound)
-        b = _rand_fraction(rng, bound)
-        if (a, b) == (0, 0):
+        a, b = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
+        if not (a[0] or b[0]):
             continue
-        full[A] = a
-        full[B] = b
+        full[A], full[B] = a[0], b[0]
         if all(model.raw_plan.at(full)[0]):
             return a, b
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")
 
 
-def _assignment_digest(labels, assignment, a, b) -> str:
-    """Digest of the draw; `labels` pairs each of the family's `coeff_vars`,
-    in their (sorted) order, with its "name=" prefix."""
-    text = ";".join([label + str(assignment[v]) for v, label in labels])
-    text += f";a={a};b={b}"
+def _assignment_digest(labels, texts, a_text, b_text) -> str:
+    """Digest of the draw; `labels` are the "name=" prefixes of the family's
+    `coeff_vars`, in their (sorted) order, and `texts` the drawn values."""
+    text = ";".join([label + value for label, value in zip(labels, texts)])
+    text += f";a={a_text};b={b_text}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -157,12 +171,12 @@ def run_verification(cfg: SampleConfig) -> dict:
     predicted_polygon = model.predicted_polygon()
     predicted_points = model.predicted_points()
     generic_verdict = _generic_verdict(tuple(cfg.family))
-    labels = [(v, f"{v.name}=") for v in family.coeff_vars]
+    labels = [f"{v.name}=" for v in family.coeff_vars]
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        assignment = sample_off_locus(family, model, rng, cfg.coeff_range)
-        a, b = _draw_general_pencil(family, model, rng, cfg.coeff_range, assignment)
+        assignment, texts = sample_off_locus(family, model, rng, cfg.coeff_range)
+        (a, a_text), (b, b_text) = _draw_general_pencil(family, model, rng, cfg.coeff_range, assignment)
         pol = polar(family.generic, PolarParams.concrete(a, b), assignment)
         report = is_nondegenerate(pol)
         polygon_match = report.polygon.vertices() == predicted_polygon.vertices()
@@ -177,7 +191,7 @@ def run_verification(cfg: SampleConfig) -> dict:
                 pass
         rec = {
             "trial": trial,
-            "digest": _assignment_digest(labels, assignment, a, b),
+            "digest": _assignment_digest(labels, texts, a_text, b_text),
             "polygon_match": bool(polygon_match),
             "points_present": bool(points_present),
             "sides_squarefree": sides_sf,
@@ -219,10 +233,10 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
     records = []
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
-        assignment = _draw_assignment(fam, rng, coeff_range)
+        assignment, _ = _draw_assignment(fam, rng, coeff_range)
         series = substitute(fam.generic, assignment)
-        a = _rand_fraction(rng, coeff_range)
-        b = _rand_fraction(rng, coeff_range, nonzero=True)
+        a, _ = _rand_fraction(rng, coeff_range)
+        b, _ = _rand_fraction(rng, coeff_range, nonzero=True)
         pol = polar(series, PolarParams.concrete(a, b))
         report = is_nondegenerate(pol)
         failing = [v for v in report.sides if not v.squarefree]

@@ -13,12 +13,14 @@ from polarnewton.curves import PolarParams, generic_member_g1, generic_member_g2
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus1 import DegeneracyLocus
 from polarnewton.genus2 import polar_model_g2
-from polarnewton.newton import PolygonError, newton_polygon
+from polarnewton.newton import PolygonError, is_nondegenerate, newton_polygon
+from polarnewton.puiseux import puiseux_expand
 from polarnewton.verify import (
     SampleConfig,
     VerifyError,
     _draw_assignment,
     _draw_general_pencil,
+    _family as _family_of,
     report_to_json,
     run_power_degeneracy,
     run_verification,
@@ -40,7 +42,7 @@ class TestSampling:
     def test_off_locus_sample_avoids_every_generator(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(0)
-        assignment = sample_off_locus(fam, model, rng, 10)
+        assignment, _ = sample_off_locus(fam, model, rng, 10)
         assert not model.locus.vanishes_at(assignment)
         prod = Fraction(1)
         for v in (avar(17, 1), avar(14, 2), avar(11, 3)):
@@ -50,13 +52,13 @@ class TestSampling:
     def test_empty_locus_family_takes_first_draw(self):
         fam = generic_member_g1(2, 3)
         rng = random.Random(0)
-        assignment = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
+        assignment, _ = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
         assert set(assignment) == set(fam.coeff_vars)
 
     def test_forced_on_locus_draw_breaks_the_polygon(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(4)
-        assignment = _draw_assignment(fam, rng, 10)
+        assignment, _ = _draw_assignment(fam, rng, 10)
         assignment[avar(17, 1)] = Fraction(0)
         series = substitute(fam.generic, assignment)
         pol = polar(series, PolarParams.concrete(1, 1))
@@ -75,6 +77,59 @@ class TestErrorsNameFamilyAndStage:
         model = SimpleNamespace(raw_plan=IntegerPlan([MPoly.zero()]))
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
             _draw_general_pencil(generic_member_g1(7, 19), model, random.Random(0), 10, {})
+
+
+def randint_fraction(rng, bound, nonzero=False) -> Fraction:
+    """The draw as `randint` makes it: numerator, redrawn while it must not
+    be 0, then denominator."""
+    while True:
+        num = rng.randint(-bound, bound)
+        if nonzero and num == 0:
+            continue
+        return Fraction(num, rng.randint(1, bound))
+
+
+class TestDrawStream:
+    # The pinned reports fix every draw; `choice` over a range must read the
+    # generator exactly as `randint` over the same bounds.
+    BOUNDS = (2, 10, 97, 10**12)
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_choice_over_a_range_draws_as_randint(self, bound):
+        for seed in range(1000):
+            old, new = random.Random(seed), random.Random(seed)
+            for lo, hi in ((-bound, bound), (1, bound)) * 3:
+                assert new.choice(range(lo, hi + 1)) == old.randint(lo, hi)
+            assert new.getstate() == old.getstate()
+
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_draws_and_class_redraws_match_randint(self, bound):
+        fam = generic_member_g2(2, 3, 1)  # b[i0,j0] is drawn nonzero
+        redraws = 0
+        for seed in range(1000):
+            old, new = random.Random(seed), random.Random(seed)
+            assignment, texts = _draw_assignment(fam, new, bound)
+            for v in fam.coeff_vars:
+                if v == fam.class_var:
+                    ahead = random.Random()
+                    ahead.setstate(old.getstate())
+                    redraws += ahead.randint(-bound, bound) == 0
+                assert assignment[v] == randint_fraction(old, bound, nonzero=v == fam.class_var)
+            assert texts == [str(assignment[v]) for v in fam.coeff_vars]
+            for nonzero in (False, True):
+                value, text = verify._rand_fraction(new, bound, nonzero)
+                assert value == randint_fraction(old, bound, nonzero) and text == str(value)
+            assert new.getstate() == old.getstate()
+        # a zero class numerator comes about once in 2*bound+1 draws
+        assert redraws > 0 or bound == 10**12
+
+    def test_draw_memo_is_bounded_for_wide_ranges(self):
+        verify._drawn.cache_clear()
+        rep = run_verification(SampleConfig(family=(7, 19), seed=1, trials=2, coeff_range=10**12))
+        assert rep["summary"]["trials"] == 2
+        info = verify._drawn.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.misses > 0
 
 
 def count_exact_gcd(monkeypatch) -> list:
@@ -105,6 +160,30 @@ class TestSquarefreeCertificateInTrials:
         rep = run_power_degeneracy(2, 3, 1, e1=3)
         assert rep["summary"]["degenerate"] == rep["summary"]["steep_side_fails"] == rep["summary"]["trials"]
         assert len(calls) >= 1
+
+
+class TestReadTimePolar:
+    """The trial polar builds a coefficient only when a check reads it.  No
+    timing is involved."""
+
+    @pytest.mark.parametrize("family", TestSquarefreeCertificateInTrials.BENCH_FAMILIES)
+    def test_side_points_only_then_the_substituted_polar(self, family):
+        fam = _family_of(family)
+        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+        for trial in range(5):
+            rng = random.Random(f"42:{trial}")
+            assignment, _ = sample_off_locus(fam, model, rng, 10)
+            (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
+            params = PolarParams.concrete(a, b)
+            pol = polar(fam.generic, params, assignment)
+            report = is_nondegenerate(pol)
+            on_sides = {pt for side in report.polygon.sides for pt in side.lattice_points} & pol.support()
+            built = [pt for pt, c in pol.terms._terms.items() if type(c) is not int]
+            assert 0 < len(built) <= len(on_sides)
+            ref = polar(substitute(fam.generic, assignment), params)
+            assert pol == ref and ref == pol
+            assert pol.render() == ref.render() and repr(pol) == repr(ref)
+            assert repr(puiseux_expand(pol, min_order=4)) == repr(puiseux_expand(ref, min_order=4))
 
 
 class TestRunVerification:
