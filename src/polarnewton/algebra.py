@@ -8,7 +8,8 @@ point is exact too: it sums an integer numerator over one common denominator
 and normalises once, and a product with a constant scales the coefficients
 without the monomial merge.  `IntegerPlan` compiles a sequence of
 polynomials once for the many points of a sampling run and evaluates them
-over integers only.
+over integers only, and `integer_discriminant` takes the discriminant of an
+integer coefficient vector by one division-free determinant.
 
 The variable alphabet is closed: x, y, z, the two pencil parameters a, b, and
 the doubly indexed family coefficients a[i,j], b[i,j].
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -38,6 +41,7 @@ __all__ = [
     "UPoly",
     "resultant",
     "discriminant",
+    "integer_discriminant",
     "deflate",
     "is_squarefree",
     "squarefree_info",
@@ -656,22 +660,23 @@ class UPoly:
 # -- resultants -----------------------------------------------------------
 
 
-def _bareiss_det(mat: list[list[MPoly]]) -> MPoly:
-    """Fraction-free determinant; every intermediate division is exact."""
+def _bareiss_det(mat: list[list], exact_div=MPoly.divexact):
+    """Fraction-free determinant over `MPoly` or, with `exact_div` floor
+    division, over int; every intermediate division is exact."""
     n = len(mat)
     m = [row[:] for row in mat]
     sign = 1
-    prev = MPoly.const(1)
+    prev = 1
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot is None:
-                return MPoly.zero()
+                return m[k][k]  # a zero column below the diagonal
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).divexact(prev)
+                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
@@ -716,6 +721,32 @@ def discriminant(F: UPoly) -> MPoly:
     if (n * (n - 1) // 2) % 2:
         r = -r
     return r.divexact(F.lc)
+
+
+def integer_discriminant(g: Sequence[int]) -> int:
+    """The discriminant of sum g[k] z^k as a polynomial of formal degree
+    d = len(g) - 1 in its coefficients, evaluated at the integers g; it holds
+    also where g[d] = 0.
+
+    Subtracting d times the first row of F from the first row of F' in the
+    Sylvester matrix of (F, F') leaves g[d] alone in the first column, so
+    disc F = (-1)^(d(d-1)/2) * det M with M that matrix less its first row
+    and column: no division by g[d].
+    """
+    d = len(g) - 1
+    if d < 1:
+        raise AlgebraError("discriminant needs degree >= 1")
+    if d == 1:
+        return 1
+    if d == 2:
+        return g[1] * g[1] - 4 * g[0] * g[2]
+    c = list(reversed(g))  # descending
+    dc = [(d - k) * c[k] for k in range(d)]
+    rows = [[0] * (r - 1) + c + [0] * (d - 2 - r) for r in range(1, d - 1)]
+    rows.append([-k * c[k] for k in range(1, d + 1)] + [0] * (d - 2))
+    rows += [[0] * (r - 1) + dc + [0] * (d - 1 - r) for r in range(1, d)]
+    det = _bareiss_det(rows, operator.floordiv)
+    return -det if (d * (d - 1) // 2) % 2 else det
 
 
 # -- univariate rational helpers ---------------------------------------------
@@ -822,7 +853,9 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
     Otherwise ("symbolic"), a statement about the generic member only: with
     F(z) = G(z^s) and G = deflate(F), the discriminant of G must be nonzero as
     a polynomial and, when s >= 2, so must G(0), since z = 0 is then a root
-    of F of multiplicity at least s.
+    of F of multiplicity at least s.  One nonzero `integer_discriminant` of
+    G's coefficients at a fixed integer point proves disc G != 0; disc G is
+    expanded only when every fixed point gives 0.
     """
     if F.is_zero():
         raise AlgebraError("squarefree test on the zero polynomial")
@@ -841,7 +874,19 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
     G = deflate(F)
     if G.deg < F.deg and G.coeff(0).is_zero():
         return False, "symbolic"
-    return not discriminant(G).is_zero(), "symbolic"
+    return _nonzero_discriminant(G), "symbolic"
+
+
+def _nonzero_discriminant(G: UPoly) -> bool:
+    """disc G != 0 as a polynomial.  One nonzero integer value at a fixed
+    point proves it; only when every fixed point gives 0 is disc G expanded."""
+    plan = IntegerPlan(G.coeffs)
+    for seed in range(2):
+        rng = random.Random(seed)
+        point = {v: rng.randrange(1, 1 << 20) for v in plan.variables}
+        if integer_discriminant(plan.at(point)[0]):
+            return True
+    return not discriminant(G).is_zero()
 
 
 def is_squarefree(F: UPoly) -> bool:

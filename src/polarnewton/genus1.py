@@ -7,8 +7,11 @@ it is governed by the continued fraction of q/p; for p = 2 it is the single
 side (q-1, 0)-(0, 1).  This module builds that polygon, the associated
 polynomial of each side, the coefficient locus outside which the prediction
 holds with every side squarefree, and the resulting branch topology.  The
-model and its builder serve genus two as well (see genus2), which supplies
-its own lowest points and coefficients.
+locus is kept as data, the lowest terms and the deflated side polynomials:
+a point is tested by exact integer evaluation, and the side discriminants
+are expanded only when the locus is listed.  The model and its builder serve
+genus two as well (see genus2), which supplies its own lowest points and
+coefficients.
 
 A lattice point of a side need not carry a polar term: at height p-2 the
 normal form leaves only the x-derivative route, which lands strictly right of
@@ -20,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate
 
-from .algebra import (A, B, AlgebraError, IntegerPlan, MPoly, UPoly, X, Y, deflate, discriminant,
-                      squarefree_split, strip_content)
+from .algebra import (A, B, AlgebraError, IntegerPlan, MPoly, UPoly, Var, X, Y, deflate, discriminant,
+                      integer_discriminant, squarefree_split, strip_content)
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
 from .curves import CurveError, check_family, coefficient_g1, polar_coefficient
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
@@ -31,6 +33,7 @@ from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newt
 
 __all__ = [
     "LocusError",
+    "RawConditions",
     "DegeneracyLocus",
     "build_locus",
     "min_x_exponent",
@@ -46,16 +49,105 @@ class LocusError(ValueError):
 
 
 @dataclass(frozen=True)
+class RawConditions:
+    """The raw conditions of a model, kept as data: the lowest term at each
+    side height and the deflated polynomial G of each side of degree >= 1.
+    The conditions are the lowest terms and the discriminants disc G; every
+    lowest term and every coefficient of G is linear in the pencil point
+    (a, b), so both tests below evaluate the family point once, exactly, over
+    integers, and expand no discriminant.  `nonvanishing` is passed on to
+    `build_locus`.
+    """
+
+    lowest: tuple[MPoly, ...]
+    sides: tuple[UPoly, ...]
+    nonvanishing: frozenset[Var] = frozenset()
+
+    @cached_property
+    def raw(self) -> tuple[MPoly, ...]:
+        """The conditions expanded: each lowest term, then each disc G."""
+        return self.lowest + tuple(discriminant(G) for G in self.sides)
+
+    @cached_property
+    def _split(self):
+        """One `IntegerPlan` over the distinct A- and B-parts of the lowest
+        terms and side coefficients, and per form the indices of its two
+        parts (-1 for a zero part).  A side of degree 1 has disc G = 1 and is
+        left out."""
+        parts: dict[MPoly, int] = {}
+
+        def indices(form: MPoly) -> tuple[int, int]:
+            split = form.coefficients_in([A, B])
+            if not split.keys() <= {(1, 0), (0, 1)}:
+                raise LocusError(f"condition {form.render()} is not linear in the pencil point")
+            return tuple(parts.setdefault(split[e], len(parts)) if e in split else -1
+                         for e in ((1, 0), (0, 1)))
+
+        lowest = tuple(indices(c) for c in self.lowest)
+        sides = tuple(tuple(indices(c) for c in G.coeffs) for G in self.sides if G.deg >= 2)
+        return IntegerPlan(parts), lowest, sides
+
+    def _values(self, assignment) -> list[int]:
+        """The parts at the family point over one positive denominator, then a
+        0 that index -1 reads."""
+        values = self._split[0].at(assignment)[0]
+        values.append(0)
+        return values
+
+    def degenerate_at(self, assignment) -> bool:
+        """True when some condition vanishes at the family point for every
+        pencil point: a lowest term with both parts 0, or a side whose disc G,
+        a binary form of degree 2d - 2 in (a, b), is 0 at the 2d - 1 ratios
+        (r : 1), r = 0, ..., 2d - 2."""
+        _plan, lowest, sides = self._split
+        v = self._values(assignment)
+        for i, j in lowest:
+            if not (v[i] or v[j]):
+                return True
+        for side in sides:
+            pa, pb = [v[i] for i, _ in side], [v[j] for _, j in side]
+            if integer_discriminant(pb):  # r = 0
+                continue
+            for r in range(1, 2 * len(side) - 3):
+                if integer_discriminant([r * x + y for x, y in zip(pa, pb)]):
+                    break
+            else:
+                return True
+        return False
+
+    def nonzero_at(self, assignment, a, b) -> bool:
+        """True when no condition vanishes at the family point and the
+        pencil point (a, b), rationals scaled here to one denominator."""
+        _plan, lowest, sides = self._split
+        v = self._values(assignment)
+        x, y = a.numerator * b.denominator, b.numerator * a.denominator
+        for i, j in lowest:
+            if not v[i] * x + v[j] * y:
+                return False
+        for side in sides:
+            if not integer_discriminant([v[i] * x + v[j] * y for i, j in side]):
+                return False
+        return True
+
+
 class DegeneracyLocus:
     """Coefficient conditions whose union of zero sets must be avoided.
 
     Each group is a simultaneous-vanishing condition: the member it encodes
     fails only where every polynomial of the group is zero.  All pinned
     families produce singleton groups, in which case `generators` is the flat
-    hypersurface list.
+    hypersurface list.  A model's locus is given by its `RawConditions`
+    instead: it expands its groups by `build_locus` only when they are read.
     """
 
-    groups: tuple[tuple[MPoly, ...], ...]
+    def __init__(self, groups=(), conditions: RawConditions | None = None):
+        self.conditions = conditions
+        if conditions is None:
+            self.groups = tuple(groups)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[MPoly, ...], ...]:
+        return build_locus(self.conditions.raw, self.conditions.nonvanishing).groups
 
     @property
     def generators(self) -> tuple[MPoly, ...]:
@@ -70,20 +162,18 @@ class DegeneracyLocus:
     def is_empty(self) -> bool:
         return not self.groups
 
-    @cached_property
-    def plan(self) -> tuple[IntegerPlan, tuple[tuple[int, int], ...]]:
-        """Every generator in one `IntegerPlan`, and each group's slice of it."""
-        ends = list(accumulate(len(g) for g in self.groups))
-        return IntegerPlan(p for g in self.groups for p in g), tuple(zip([0] + ends, ends))
-
     def vanishes_at(self, assignment) -> bool:
-        """True when some group vanishes identically at the assignment."""
-        plan, bounds = self.plan
-        try:
-            nums = plan.at(assignment)[0]
-        except AlgebraError:  # a missing value: evaluation names it
-            return any(all(p.evaluate(assignment) == 0 for p in group) for group in self.groups)
-        return any(not any(nums[lo:hi]) for lo, hi in bounds)
+        """True when some group vanishes identically at the assignment.  With
+        conditions, that is `RawConditions.degenerate_at`, except at a missing
+        value or where a `nonvanishing` variable is 0: there, as for a locus
+        given by its groups, each group is evaluated."""
+        c = self.conditions
+        if c is not None and all(assignment.get(v) for v in c.nonvanishing):
+            try:
+                return c.degenerate_at(assignment)
+            except AlgebraError:  # a missing value: evaluating the groups names it
+                pass
+        return any(all(p.evaluate(assignment) == 0 for p in group) for group in self.groups)
 
 
 def build_locus(raw_conditions, nonvanishing=()) -> DegeneracyLocus:
@@ -159,15 +249,14 @@ class PolarModel:
     sides: tuple[tuple[Point, ...], ...]  # bottom side first; ascending j within a side
     side_polys: tuple[UPoly, ...]
     side_heights: tuple[int, ...]  # heights j whose lowest term must not vanish
-    raw_conditions: tuple[MPoly, ...]
     edge_terms: dict[int, MPoly]  # the lowest polar term at each side height
+    conditions: RawConditions
     locus: DegeneracyLocus
     topology: TopologyReport
 
-    @cached_property
-    def raw_plan(self) -> IntegerPlan:
-        """`raw_conditions` compiled once, for the pencil draw of each trial."""
-        return IntegerPlan(self.raw_conditions)
+    @property
+    def raw_conditions(self) -> tuple[MPoly, ...]:
+        return self.conditions.raw
 
     def predicted_polygon(self) -> NewtonPolygon:
         return newton_polygon_from_points([pt for pts in self.sides for pt in pts])
@@ -190,24 +279,27 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     point.  The polygon is the lower hull of the low points.  The locus asks
     that no lowest term on a side and no discriminant of a deflated side
     polynomial vanish; with the lowest terms at the side's ends nonzero, that
-    is the condition disc F != 0 (see `algebra.deflate`).  `nonvanishing` is
-    passed on to `build_locus`.
+    is the condition disc F != 0 (see `algebra.deflate`).  Those conditions
+    are kept as `RawConditions`, the lowest terms and the deflated sides, and
+    no discriminant is expanded here.  `nonvanishing` is passed on to
+    `build_locus`.
     """
     polygon = newton_polygon_from_points(low_points)
     sides = tuple(tuple(reversed(side.lattice_points)) for side in reversed(polygon.sides))
     side_polys = tuple(associated_from(pts, coeff_at) for pts in sides)
     heights = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
-    lowest = [coeff_at(*low_points[j]) for j in heights]
+    lowest = tuple(coeff_at(*low_points[j]) for j in heights)
     edge_terms = {j: c * MPoly.monomial(1, {X: low_points[j][0], Y: j}) for j, c in zip(heights, lowest)}
-    raw = lowest + [discriminant(deflate(F)) for F in side_polys if F.deg >= 1]
+    conditions = RawConditions(lowest, tuple(deflate(F) for F in side_polys if F.deg >= 1),
+                               frozenset(nonvanishing))
     return PolarModel(
         low_points=tuple(low_points),
         sides=sides,
         side_polys=side_polys,
         side_heights=tuple(heights),
-        raw_conditions=tuple(raw),
         edge_terms=edge_terms,
-        locus=build_locus(raw, nonvanishing=nonvanishing),
+        conditions=conditions,
+        locus=DegeneracyLocus(conditions=conditions),
         topology=oka_decomposition(polygon),
     )
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import A, B, MPoly, UPoly, Var, Z
+from .algebra import MPoly, UPoly, Var, Z
 from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
@@ -98,13 +98,9 @@ def sample_off_locus(family: Family, model, rng: random.Random,
 
 def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[tuple[Fraction, str], ...]:
     """Random (a, b), each with its text, avoiding the zero set of every raw condition."""
-    full = dict(assignment)
     for _ in range(REJECT_LIMIT):
         a, b = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
-        if not (a[0] or b[0]):
-            continue
-        full[A], full[B] = a[0], b[0]
-        if all(model.raw_plan.at(full)[0]):
+        if (a[0] or b[0]) and model.conditions.nonzero_at(assignment, a[0], b[0]):
             return a, b
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")
@@ -160,7 +156,8 @@ def _family(key: tuple[int, ...]) -> Family:
 @lru_cache(maxsize=32)
 def _generic_verdict(key: tuple[int, ...]) -> str:
     """The generic member's polar is nondegenerate as a polynomial statement
-    (every side discriminant is nonzero symbolically); once per family."""
+    (every side discriminant is nonzero symbolically, which one nonzero
+    integer value proves without expanding it); once per family."""
     return is_nondegenerate(polar(_family(key).generic)).verdict
 
 

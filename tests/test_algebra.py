@@ -277,6 +277,18 @@ class TestSquarefree:
         with pytest.raises(AlgebraError):
             is_squarefree(upoly(MPoly.zero()))
 
+    def test_symbolic_route_expands_only_a_vanishing_discriminant(self, monkeypatch):
+        calls = []
+        real = algebra.discriminant
+        monkeypatch.setattr(algebra, "discriminant", lambda F: calls.append(F) or real(F))
+        u = MPoly.var(avar(3, 1))
+        # a nonzero integer value at a fixed point certifies disc != 0
+        assert squarefree_info(upoly(b * z**3 + a * u * z + u)) == (True, "symbolic")
+        assert calls == []
+        # disc = 0 at every fixed point: only the expansion can say so
+        assert squarefree_info(upoly(b * (z - u) ** 2 * (z + a))) == (False, "symbolic")
+        assert len(calls) == 1
+
 
 class TestContentAndSquarefreeOps:
     def test_strip_keeps_family_factor_structure(self):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
-from polarnewton.curves import CurveError, PolarParams, generic_member_g1, parse_series, polar, substitute
+from polarnewton.curves import (CurveError, PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
+                                substitute)
 from polarnewton.genus1 import DegeneracyLocus, edge_term, min_x_exponent, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
@@ -233,6 +234,114 @@ class TestLocusPlan:
                 vanishes_by_generator(locus, partial)
             with pytest.raises(AlgebraError, match=message):
                 locus.vanishes_at(partial)
+
+
+LADDER = [(7, 19), (11, 29), (15, 41), (14, 37), (17, 45), (5, 12, 1), (8, 21, 1), (11, 30, 1), (11, 29, 1)]
+# families whose side coefficients have an a-part: the ratio test reads past r = 0
+A_PARTS = [(4, 7), (5, 9), (6, 11), (7, 10), (4, 7, 1), (5, 9, 1)]
+
+
+def _solve_for_first_variable(form: MPoly, target, point, keep=None) -> dict | None:
+    """The point with the first variable of `form` other than `keep` (form is
+    linear in it) changed so that `form` takes the value `target` there; None
+    when no such variable is left."""
+    free = sorted(form.variables() - {keep})
+    if not free:
+        return None
+    split = form.coefficients_in([free[0]])
+    assert set(split) <= {(0,), (1,)}
+    rest = split[(0,)].evaluate(point) if (0,) in split else 0
+    return {**point, free[0]: (target - rest) / split[(1,)].constant_value()}
+
+
+def _on_repeated_root(side: UPoly, rng, point, keep=None) -> tuple[dict, bool]:
+    """A point where the b-part of the side's G is a multiple of
+    (z - r)^2 * H(z), and whether it is exactly that with the a-part 0, so
+    that disc G vanishes there for every (a, b).  Each nonconstant b-part and
+    a-part is solved for its own first variable other than `keep`, to a
+    multiple of the target fixed by the first nonzero constant b-part, or to
+    0; a constant part stays as it is."""
+    exact = True
+    parts = [c.coefficients_in([A, B]) for c in side.coeffs]
+    for part in (c.get((1, 0), MPoly.zero()) for c in parts):
+        if not part.is_zero():
+            solved = _solve_for_first_variable(part, 0, point, keep)
+            exact &= solved is not None
+            point = solved or point
+    coeffs = [c.get((0, 1), MPoly.zero()) for c in parts]
+    fixed = [k for k, c in enumerate(coeffs) if c.is_constant() and not c.is_zero()]
+    while True:
+        r = rng.choice([-3, -2, -1, 1, 2, 3])
+        target = [r * r, -2 * r, 1]
+        for h in [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(side.deg - 2)]:
+            target = [x + h * y for x, y in zip([0] + target, target + [0])]
+        if all(target[k] for k in fixed):
+            break
+    scale = Fraction(coeffs[fixed[0]].constant_value()) / target[fixed[0]] if fixed else Fraction(1)
+    for k, c in enumerate(coeffs):
+        if c.is_constant():
+            exact &= c.constant_value() == scale * target[k]
+        else:
+            solved = _solve_for_first_variable(c, scale * target[k], point, keep)
+            exact &= solved is not None
+            point = solved or point
+    return point, exact
+
+
+class TestLocusByEvaluation:
+    """`vanishes_at` and the pencil check read each model's lowest terms and
+    deflated sides by integer evaluation; the expanded locus and raw
+    conditions are the definition they must agree with."""
+
+    @pytest.mark.parametrize("family", LADDER + A_PARTS)
+    def test_agrees_with_the_expanded_definitions(self, family):
+        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+        fam = generic_member_g1(*family) if len(family) == 2 else generic_member_g2(*family)
+        rng = random.Random(f"evaluation:{family}")
+
+        def draw():
+            point = {v: Fraction(0 if rng.random() < 0.05 else rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]),
+                                 rng.randint(1, 3)) for v in fam.coeff_vars}
+            if fam.class_var is not None:
+                point[fam.class_var] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+            return point
+
+        points = [(draw(), False) for _ in range(80)]
+        for side in model.conditions.sides:
+            if side.deg >= 2:
+                points += [_on_repeated_root(side, rng, draw(), fam.class_var) for _ in range(8)]
+        for term in model.conditions.lowest:
+            parts = term.coefficients_in([A, B])
+            solved = _solve_for_first_variable(parts.get((0, 1), MPoly.zero()), 0, draw(), fam.class_var)
+            if solved is not None:
+                points.append((solved, (1, 0) not in parts))
+        seen, pencil_seen = set(), set()
+        for point, built_on_locus in points:
+            if fam.class_var is not None:
+                assert point[fam.class_var] != 0
+            want = vanishes_by_generator(model.locus, point)
+            assert want or not built_on_locus
+            assert model.locus.vanishes_at(point) is want
+            seen.add(want)
+            for _ in range(3):
+                ab = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                if not any(ab):
+                    continue
+                full = {**point, A: ab[0], B: ab[1]}
+                pencil = all(c.evaluate(full) != 0 for c in model.raw_conditions)
+                assert model.conditions.nonzero_at(point, *ab) is pencil
+                pencil_seen.add(pencil)
+        assert seen == {True, False}
+        assert pencil_seen == {True, False}
+
+    def test_a_zero_class_coefficient_reads_the_groups(self):
+        # the lowest term 2*b[7,2]*b of (3,5,1) is 0 where its class
+        # coefficient b[7,2] is; the locus strips that factor and is empty
+        model, fam = polar_model_g2(3, 5, 1), generic_member_g2(3, 5, 1)
+        point = {v: Fraction(0 if v == fam.class_var else 1) for v in fam.coeff_vars}
+        assert model.conditions.degenerate_at(point)
+        assert model.locus.is_empty()
+        assert not model.locus.vanishes_at(point)
 
 
 class TestPredictedTopology:

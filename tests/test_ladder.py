@@ -2,9 +2,10 @@
 sides, z-form side polynomials and topology.
 
 `bench/ladder_expected.json` is read, never written, here.  (17,45) and
-(11,29,1) are listed there but used to time out; (19,50), (23,60) and
-(13,34,1) are not listed and are checked only for finishing and for the
-degree of their side discriminants.
+(11,29,1) are listed there; (19,50), (23,60) and (13,34,1) are not listed and
+are checked only for finishing and for the degree of their deflated sides.
+The q = -1 (mod p) families, whose sides do not deflate, build and verify
+too, and no model build or verify trial expands a side discriminant.
 """
 
 import json
@@ -12,15 +13,20 @@ import pathlib
 
 import pytest
 
+from polarnewton import algebra, genus1, verify
 from polarnewton.algebra import deflate
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import polar_model_g2
+from polarnewton.verify import SampleConfig, run_verification
 
 EXPECTED = json.loads((pathlib.Path(__file__).resolve().parent.parent
                        / "bench" / "ladder_expected.json").read_text())
 
 RUNGS = [(7, 19), (11, 29), (15, 41), (14, 37), (17, 45), (5, 12, 1), (8, 21, 1), (11, 30, 1),
          (11, 29, 1), (19, 50), (23, 60), (13, 34, 1)]
+# each has a side that does not deflate, of degree p - 1
+WALL = [(8, 15), (9, 17), (13, 25), (6, 11, 1), (7, 13, 1)]
+BENCH_FAMILIES = [(7, 19), (5, 12, 1), (7, 19, 1)]
 
 
 def name(fam) -> str:
@@ -55,3 +61,33 @@ def test_rung_builds_and_matches_its_record(fam):
     # the discriminants the locus takes are those of the deflated sides
     assert max(deflate(F).deg for F in model.side_polys) <= 5
     assert not model.locus.is_empty()
+
+
+@pytest.mark.parametrize("fam", WALL, ids=name)
+def test_wall_family_builds_and_verifies(fam):
+    model = build(fam)
+    assert max(deflate(F).deg for F in model.side_polys) == fam[0] - 1
+    summary = run_verification(SampleConfig(family=fam, seed=42, trials=20))["summary"]
+    assert summary == {"trials": 20, "polygon_match": 20, "points_present": 20,
+                       "all_sides_squarefree": 20, "topology_match": 20}
+
+
+def test_no_side_discriminant_is_expanded_until_the_locus_is_listed(monkeypatch):
+    calls = []
+    for module in (algebra, genus1):
+        real = module.discriminant
+
+        def counted(F, _real=real):
+            calls.append(F)
+            return _real(F)
+
+        monkeypatch.setattr(module, "discriminant", counted)
+    polar_model_g1.cache_clear()
+    polar_model_g2.cache_clear()
+    verify._generic_verdict.cache_clear()
+    models = [build(fam) for fam in RUNGS[:9]]
+    for fam in BENCH_FAMILIES:
+        run_verification(SampleConfig(family=fam, seed=42, trials=50))
+    assert calls == []
+    assert models[0].locus.groups
+    assert calls

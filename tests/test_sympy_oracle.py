@@ -1,4 +1,4 @@
-"""Evaluation, resultants, discriminants, deflation, the symbolic squarefree
+"""Evaluation, resultants, discriminants (also of integer vectors), deflation, the symbolic squarefree
 verdict, multivariate gcds and squarefree splits, checked against sympy,
 which shares no code with polarnewton.algebra.
 
@@ -29,6 +29,7 @@ from polarnewton.algebra import (  # noqa: E402
     bvar,
     deflate,
     discriminant,
+    integer_discriminant,
     mpoly_gcd,
     resultant,
     squarefree_info,
@@ -143,6 +144,60 @@ class TestAgainstSympy:
         F = UPoly.from_mpoly(7 * b * MPoly.var(Z) ** 4 + 3 * b * a11, Z)
         sb, sa = sympy.Symbol("b"), sympy.Symbol("a[11,3]")
         assert same(discriminant(F), sympy.discriminant(7 * sb * SZ**4 + 3 * sb * sa, SZ))
+
+
+def integer_vectors(rng, d):
+    """Coefficient vectors of formal degree d, low degree first: random ones,
+    ones with leading coefficient 0, and ones with a repeated root."""
+    out = []
+    for kind in range(9):
+        g = [rng.randint(-6, 6) for _ in range(d + 1)]
+        if kind % 3 == 1:
+            g[d] = 0
+        elif kind % 3 == 2 and d >= 2:
+            r = rng.randint(-3, 3)
+            g = [r * r, -2 * r, 1]  # (z - r)^2 times d - 2 random linear factors
+            for _ in range(d - 2):
+                h = rng.randint(-3, 3)
+                g = [x + h * y for x, y in zip([0] + g, g + [0])]
+            g = [rng.choice([-2, -1, 1, 2]) * c for c in g]
+        out.append(g)
+    return out
+
+
+class TestIntegerDiscriminant:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_symbolic_discriminant_at_the_pencil_points(self, d):
+        # G = sum (g_k * u + h_k * w) z^k with fresh u, w has formal degree d;
+        # its discriminant, expanded once, is read at (u, w) = (1, 0), (0, 1),
+        # a point where the leading coefficient is 0, and (2, -3)
+        u, w = MPoly.var(avar(0, 0)), MPoly.var(bvar(0, 0))
+        vectors = integer_vectors(random.Random(f"pencil:{d}"), d)
+        # g with leading coefficient 0, then g with a repeated root
+        for g, h in [(vectors[1], vectors[0]), (vectors[2], vectors[3])]:
+            if not (g[d] or h[d]):
+                h = h[:d] + [1]
+            disc = discriminant(UPoly(Z, [u * x + w * y for x, y in zip(g, h)]))
+            for su, sw in [(1, 0), (0, 1), (h[d], -g[d]), (2, -3)]:
+                want = disc.evaluate({avar(0, 0): Fraction(su), bvar(0, 0): Fraction(sw)})
+                assert integer_discriminant([x * su + y * sw for x, y in zip(g, h)]) == want
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_sympy(self, d):
+        # a leading coefficient t + g_d keeps sympy at formal degree d at t = 0
+        t = sympy.Symbol("t")
+        for g in integer_vectors(random.Random(f"sympy:{d}"), d):
+            expr = sum(c * SZ**k for k, c in enumerate(g[:d])) + (t + g[d]) * SZ**d
+            assert integer_discriminant(g) == sympy.discriminant(expr, SZ).subs(t, 0)
+            if g[d]:
+                assert integer_discriminant(g) == sympy.discriminant(sympy.Poly(g[::-1], SZ))
+
+    def test_repeated_roots_give_zero_and_constants_are_rejected(self):
+        assert integer_discriminant([4, -4, 1]) == 0
+        assert integer_discriminant([0, 0, 0, 5]) == 0
+        assert integer_discriminant([3, 0, 0, 0]) == 0  # formal degree 3: a triple root at infinity
+        with pytest.raises(AlgebraError):
+            integer_discriminant([7])
 
 
 class TestDeflation:

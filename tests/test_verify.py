@@ -8,10 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from polarnewton import algebra, newton, verify
-from polarnewton.algebra import IntegerPlan, MPoly, avar
+from polarnewton.algebra import MPoly, avar
 from polarnewton.curves import PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from polarnewton.genus1 import polar_model_g1
-from polarnewton.genus1 import DegeneracyLocus
+from polarnewton.genus1 import DegeneracyLocus, RawConditions
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import PolygonError, is_nondegenerate, newton_polygon
 from polarnewton.puiseux import puiseux_expand
@@ -74,7 +74,7 @@ class TestErrorsNameFamilyAndStage:
             run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
 
     def test_pencil_draw(self):
-        model = SimpleNamespace(raw_plan=IntegerPlan([MPoly.zero()]))
+        model = SimpleNamespace(conditions=RawConditions(lowest=(MPoly.zero(),), sides=()))
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
             _draw_general_pencil(generic_member_g1(7, 19), model, random.Random(0), 10, {})
 
@@ -141,8 +141,8 @@ def count_exact_gcd(monkeypatch) -> list:
 
 
 class TestSquarefreeCertificateInTrials:
-    # Models are built before counting: the locus build's coprimality test
-    # also calls qpoly_gcd.  No timing is involved.
+    # Models and generic verdicts are built before counting, so only the
+    # trials are counted.  No timing is involved.
     BENCH_FAMILIES = ((7, 19), (5, 12, 1), (7, 19, 1))
 
     def test_bench_families_never_take_the_exact_route(self, monkeypatch):
