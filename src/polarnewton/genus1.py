@@ -22,7 +22,7 @@ enter the side polynomials with coefficient zero and impose no condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 
 from .algebra import (A, B, AlgebraError, IntegerPlan, MPoly, UPoly, Var, X, Y, deflate, discriminant,
                       integer_discriminant, squarefree_split, strip_content)
@@ -282,8 +282,10 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     is the condition disc F != 0 (see `algebra.deflate`).  Those conditions
     are kept as `RawConditions`, the lowest terms and the deflated sides, and
     no discriminant is expanded here.  `nonvanishing` is passed on to
-    `build_locus`.
+    `build_locus`.  `coeff_at` is called once per point: a vertex shared by
+    two sides and each lowest term read the side's computed coefficient.
     """
+    coeff_at = cache(coeff_at)  # one dict per build
     polygon = newton_polygon_from_points(low_points)
     sides = tuple(tuple(reversed(side.lattice_points)) for side in reversed(polygon.sides))
     side_polys = tuple(associated_from(pts, coeff_at) for pts in sides)

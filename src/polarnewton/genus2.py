@@ -1,20 +1,21 @@
 """Predicted polar geometry for branches with semigroup <2p, 2q, 2pq+d>.
 
 A generic member is f1^2 + f2 with f1 in the two-generator normal form and
-f2 a tail starting at weight 2pq+d; both are Tschirnhausen (no y^(p-1) in f1,
-no y^(2p-1) in f2).  The general polar splits as 2*f1*P(f1) + P(f2).  The
-product part contributes the genus-one profile shifted by (q, 0) and the
+f2 a tail starting at weight 2pq+d; both are Tschirnhausen (no y^(p-1) in
+f1, no y^(2p-1) in f2).  The general polar splits as 2*f1*P(f1) + P(f2).
+The product part contributes the genus-one profile shifted by (q, 0) and the
 steep side joining (0, 2p-1) to (q, p-1); the tail contributes its own
-lowest exponent at each height.  The predicted Newton polygon is the lower
-hull of the per-height minimum of the two profiles.  The tail lies strictly
-above the steep side's line, but it can reach the shifted genus-one sides:
-for p = 2 and d = 1 the class-defining tail term b[i0,j0] undercuts the
-product part at height 0, and on (3,5,1) it fills the side lattice point
+lowest exponent at each height, in closed form from the first tail monomial
+of each row (`tail_min_x_exponent`).  The predicted Newton polygon is the
+lower hull of the per-height minimum of the two profiles.  The tail lies
+strictly above the steep side's line, but it can reach the shifted genus-one
+sides: for p = 2 and d = 1 the class-defining tail term b[i0,j0] undercuts
+the product part at height 0, and on (3,5,1) it fills the side lattice point
 (7,1), where the product part has no term.  This module supplies that
 profile and the polar coefficients on its sides to the shared builder of
-genus1, which derives the side polynomials, the degeneracy locus (without the
-class condition b[i0,j0] != 0) and the predicted topology.  It also holds the
-semigroup classifier for nondegenerate general polars.
+genus1, which derives the side polynomials, the degeneracy locus (without
+the class condition b[i0,j0] != 0) and the predicted topology.  It also
+holds the semigroup classifier for nondegenerate general polars.
 """
 
 from __future__ import annotations
@@ -53,13 +54,24 @@ def _product_polar_coeff(p: int, q: int, i: int, j: int) -> MPoly:
 
 
 def tail_min_x_exponent(p: int, q: int, d: int, j: int) -> int:
-    """Least x-exponent occurring with y^j in the polar of the weight->=2pq+d tail."""
+    """Least x-exponent occurring with y^j in the polar of the weight->=2pq+d tail.
+
+    The tail at height h holds every x^i y^h from i = first(h) upward, where
+    first(h) is the least i with i*p + h*q > 2pq + d, or the class point's i0
+    at its height j0 (see `curves.tail_start`); first(h) >= 1, since
+    h*q < 2pq at every tail height.  The x-derivative lands at first(j) - 1,
+    and the y-derivative at first(j + 1) when j + 1 <= 2p - 2; the least of
+    the two is the answer.
+    """
     if not 0 <= j <= 2 * p - 2:
         raise CurveError(f"need 0 <= j <= {2 * p - 2}, got {j}")
-    x = 0  # first x where the x- or the y-derivative of a tail monomial lands
-    while coefficient_tail(p, q, d, x + 1, j).is_zero() and coefficient_tail(p, q, d, x, j + 1).is_zero():
-        x += 1
-    return x
+    threshold = 2 * p * q + d
+    i0, j0 = tail_start(p, q, d)
+
+    def first(h):
+        return i0 if h == j0 else (threshold - h * q) // p + 1
+
+    return min(first(j) - 1, first(j + 1)) if j + 1 <= 2 * p - 2 else first(j) - 1
 
 
 def lpq_side_points(p: int, q: int, e1: int = 2) -> tuple[Point, ...]:

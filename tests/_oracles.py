@@ -2,7 +2,8 @@
 
 Nothing here shares code with the implementation paths it cross-checks: the
 hull oracle tests all support pairs for dominance, the determinant oracle is
-plain fraction Gaussian elimination, and root counting goes through numpy.
+plain fraction Gaussian elimination, root counting goes through numpy, and
+the tail polar's lowest exponents come from listing the tail monomials.
 """
 
 from __future__ import annotations
@@ -129,3 +130,27 @@ def distinct_root_count(coeffs, merge_tol=1e-6):
 
 def min_rule(c1, c2):
     return min(c1[0] * c2[1], c2[0] * c1[1])
+
+
+def tail_polar_min_x(p, q, d):
+    """Least x-exponent at each height 0..2p-2 of the polar of the genus-two
+    tail of <2p, 2q, 2pq+d>.
+
+    The tail is listed by weight w = 2pq + d, ..., 2pq + d + p: every
+    x^i y^h with h <= 2p-2 and weight i*p + h*q above 2pq + d, and the one
+    monomial of weight exactly 2pq + d with h < p.  Each lands its
+    x-derivative at (i-1, h) and its y-derivative at (i, h-1).  Since
+    h*q < 2pq at every height, each height has a monomial in this window, so
+    a heavier one, further right on its row, sets no minimum.
+    """
+    threshold = 2 * p * q + d
+    low = {}
+    for w in range(threshold, threshold + p + 1):
+        for h in range(2 * p - 1):
+            if (w - h * q) % p or (w == threshold and h >= p):
+                continue
+            i = (w - h * q) // p
+            for (x, j) in ((i - 1, h), (i, h - 1)):
+                if x >= 0 and j >= 0:
+                    low[j] = min(x, low.get(j, x))
+    return [low[j] for j in range(2 * p - 1)]

@@ -7,7 +7,7 @@ import pytest
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
 from polarnewton.curves import (CurveError, PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
                                 substitute)
-from polarnewton.genus1 import DegeneracyLocus, edge_term, min_x_exponent, polar_model_g1
+from polarnewton.genus1 import DegeneracyLocus, RawConditions, edge_term, min_x_exponent, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
@@ -333,6 +333,15 @@ class TestLocusByEvaluation:
                 pencil_seen.add(pencil)
         assert seen == {True, False}
         assert pencil_seen == {True, False}
+
+    def test_the_ratio_test_reads_all_2d_minus_1_ratios(self):
+        # G = a + (b - a) z^2 has disc G = 4a(a - b): 0 at (0 : 1) and
+        # (1 : 1), not at (2 : 1), so stopping at 2*deg G - 2 ratios would
+        # call it degenerate
+        c = RawConditions(lowest=(), sides=(UPoly(Z, [a, MPoly.zero(), b - a]),))
+        assert not c.degenerate_at({})
+        assert not c.nonzero_at({}, Fraction(1), Fraction(1))
+        assert c.nonzero_at({}, Fraction(2), Fraction(1))
 
     def test_a_zero_class_coefficient_reads_the_groups(self):
         # the lowest term 2*b[7,2]*b of (3,5,1) is 0 where its class

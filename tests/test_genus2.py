@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,8 @@ from polarnewton.genus2 import (
 )
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 from polarnewton.verify import _draw_assignment, sample_off_locus
+
+from _oracles import tail_polar_min_x
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -43,6 +46,16 @@ class TestTailExponents:
     def test_range_error(self):
         with pytest.raises(CurveError):
             tail_min_x_exponent(5, 12, 1, 9)
+
+    def test_closed_form_matches_the_listed_tail(self):
+        box = [(p, q, d) for p in range(2, 12) for q in range(p + 1, 4 * p + 3) if math.gcd(p, q) == 1
+               for d in range(1, 2 * q + 2, 2)]
+        heights = 0
+        for (p, q, d) in box:
+            assert [tail_min_x_exponent(p, q, d, j) for j in range(2 * p - 1)] == tail_polar_min_x(p, q, d), \
+                (p, q, d)
+            heights += 2 * p - 1
+        assert heights == 48823
 
 
 class TestEdgeTerms:

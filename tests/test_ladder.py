@@ -5,7 +5,9 @@ sides, z-form side polynomials and topology.
 (11,29,1) are listed there; (19,50), (23,60) and (13,34,1) are not listed and
 are checked only for finishing and for the degree of their deflated sides.
 The q = -1 (mod p) families, whose sides do not deflate, build and verify
-too, and no model build or verify trial expands a side discriminant.
+too, and no model build or verify trial expands a side discriminant.  A
+genus-two build reads each tail coefficient a bounded number of times and
+computes each side coefficient once; both are counted, not timed.
 """
 
 import json
@@ -13,7 +15,7 @@ import pathlib
 
 import pytest
 
-from polarnewton import algebra, genus1, verify
+from polarnewton import algebra, genus1, genus2, verify
 from polarnewton.algebra import deflate
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import polar_model_g2
@@ -27,6 +29,7 @@ RUNGS = [(7, 19), (11, 29), (15, 41), (14, 37), (17, 45), (5, 12, 1), (8, 21, 1)
 # each has a side that does not deflate, of degree p - 1
 WALL = [(8, 15), (9, 17), (13, 25), (6, 11, 1), (7, 13, 1)]
 BENCH_FAMILIES = [(7, 19), (5, 12, 1), (7, 19, 1)]
+G2_RUNGS = [fam for fam in RUNGS[:9] if len(fam) == 3]
 
 
 def name(fam) -> str:
@@ -91,3 +94,37 @@ def test_no_side_discriminant_is_expanded_until_the_locus_is_listed(monkeypatch)
     assert calls == []
     assert models[0].locus.groups
     assert calls
+
+
+def test_g2_builds_read_each_coefficient_once(monkeypatch):
+    tail_calls, builds = [], []
+    real_tail, real_build = genus2.coefficient_tail, genus1.build_model
+
+    def counted_tail(*args):
+        tail_calls.append(args)
+        return real_tail(*args)
+
+    def counted_build(low_points, coeff_at, nonvanishing=()):
+        asked = []
+        builds.append(asked)
+
+        def counted(x, j):
+            asked.append((x, j))
+            return coeff_at(x, j)
+
+        return real_build(low_points, counted, nonvanishing)
+
+    monkeypatch.setattr(genus2, "coefficient_tail", counted_tail)
+    for module in (genus1, genus2):
+        monkeypatch.setattr(module, "build_model", counted_build)
+    polar_model_g1.cache_clear()
+    polar_model_g2.cache_clear()
+    for fam in G2_RUNGS:
+        tail_calls.clear()
+        builds.clear()
+        model = polar_model_g2(*fam)
+        # two tail reads per polar coefficient, one coefficient per side point
+        assert len(tail_calls) <= 2 * sum(len(side) for side in model.sides)
+        assert len(builds) == 2  # the nested genus-one model, then this one
+        for asked in builds:
+            assert len(asked) == len(set(asked))
