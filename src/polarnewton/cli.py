@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("puiseux", help="numeric branch expansions with invariants")
     add_series_input(p)
-    p.add_argument("--depth", type=_nonnegative, default=0)
+    p.add_argument("--depth", type=_nonnegative, default=0,
+                   help="steps past separation, at least 2*ramification")
     p.add_argument("--min-order", type=_nonnegative, default=None, dest="min_order")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=_cmd_puiseux)

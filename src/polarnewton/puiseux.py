@@ -226,13 +226,16 @@ def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None =
     return out
 
 
-def puiseux_expand(f: PlaneSeries, depth: int = 0,
+def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
                    min_order: Fraction | int | None = None) -> list[tuple[PuiseuxBranch, int]]:
     """All branches at the origin, grouped up to conjugacy, with multiplicities.
 
     `depth` adds polygon iterations past the point where a branch separates;
     by default each branch runs 2n extra steps, which is more than enough for
     the characteristic data (no new ramification can appear after separation).
+    `depth=None` runs none: each branch ends at its separating term, where
+    its characteristic exponents are all known and it differs from every
+    other branch, and its `reached` is one x-unit 1/n past that term.
     `min_order` makes every branch's terms complete below that x-order.
     """
     if f.is_zero():
@@ -323,12 +326,18 @@ def puiseux_expand(f: PlaneSeries, depth: int = 0,
     return branches
 
 
-def _chain_done(u: Fraction, offset: Fraction, post_sep: int, depth: int,
+def _tail(u: Fraction, depth: int | None) -> int:
+    """Steps a separated branch runs past separation: none for depth None,
+    else at least twice its ramification."""
+    return 0 if depth is None else max(2 * u.denominator, depth)
+
+
+def _chain_done(u: Fraction, offset: Fraction, post_sep: int, depth: int | None,
                 min_order: Fraction) -> bool:
-    return post_sep >= max(2 * u.denominator, depth) and offset >= min_order
+    return post_sep >= _tail(u, depth) and offset >= min_order
 
 
-def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int,
+def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int | None,
                    min_order: Fraction) -> list[int]:
     """Truncation budgets a chain tries in turn before it runs untruncated.
 
@@ -336,7 +345,7 @@ def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int,
     needs a budget of 2 to hold (0,1) and a y^0 term (1,0); the first budget
     covers that, and each later one doubles it.
     """
-    advance = max(math.ceil((min_order - offset) / u), max(2 * u.denominator, depth) - post_sep)
+    advance = max(math.ceil((min_order - offset) / u), _tail(u, depth) - post_sep)
     first = max(_BUDGET0, advance + 2)
     return [first << k for k in range(_DOUBLINGS + 1)]
 

@@ -336,6 +336,17 @@ class TestEdgeRoots:
         assert _bits(puiseux._linear_root(-1 + 0j, 1 + 0j)) == _bits(sum([raw]) / 1) == _bits(1 + 0j)
 
 
+def _contacts(b1, b2):
+    """The x-order at which b1 first differs from each conjugate of b2."""
+    out = []
+    for k in range(b2.n):
+        t1, t2 = dict(b1.terms), dict(puiseux._conjugate_terms(b2.terms, b2.n, k))
+        out.append(min(e for e in t1.keys() | t2.keys()
+                       if abs(t1.get(e, 0j) - t2.get(e, 0j))
+                       > puiseux.COEFF_REL * max(1.0, abs(t1.get(e, 0j)), abs(t2.get(e, 0j)))))
+    return out
+
+
 class TestTruncatedChains:
     """Separated branches run on truncated substitutions (see `puiseux_expand`);
     the results must be those of the untruncated expansion, float for float."""
@@ -395,6 +406,27 @@ class TestTruncatedChains:
         got = sorted(br.class_key() for br, mult in out for _ in range(mult))
         want = sorted((1,) if k[0] == 1 else k for k in polar_model_g2(5, 12, 1).topology.expanded_keys())
         assert got == want
+
+    def test_separating_terms_decide_what_the_pinned_expansions_decide(self, polars):
+        # depth=None ends each branch at its separating term; on every pinned
+        # polar that keeps the branches, ramifications, classes and pairwise
+        # intersections of the min_order expansion, each contact below reached
+        keys = (list(json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text()))
+                + list(json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())))
+        for key in keys:
+            name, t, m = key.split("/")
+            family = tuple(int(k) for k in name.split("_")[1:])
+            f = polars[(name, int(t))] if (name, int(t)) in polars else crosscheck_polar(family, int(t))
+            short = [br for br, mult in puiseux_expand(f, depth=None) for _ in range(mult)]
+            full = [br for br, mult in puiseux_expand(f, min_order=int(m)) for _ in range(mult)]
+            assert [(br.n, br.class_key()) for br in short] == [(br.n, br.class_key()) for br in full], key
+            for r in range(len(short)):
+                assert short[r].terms == full[r].terms[:len(short[r].terms)], key
+                for c in range(r + 1, len(short)):
+                    assert (intersection_numeric(short[r], short[c])
+                            == intersection_numeric(full[r], full[c])), key
+                    for contact in _contacts(short[r], short[c]):
+                        assert contact < short[r].reached and contact < short[c].reached, key
 
     def test_separated_nodes_have_the_known_side(self, polars, monkeypatch):
         # every separated node past the root: the hull gives the one side

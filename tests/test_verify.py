@@ -7,9 +7,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from polarnewton import algebra, newton, verify
+from polarnewton import algebra, newton, puiseux, verify
 from polarnewton.algebra import MPoly, avar
-from polarnewton.curves import PolarParams, generic_member_g1, generic_member_g2, polar, substitute
+from polarnewton.curves import PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus1 import DegeneracyLocus, RawConditions
 from polarnewton.genus2 import polar_model_g2
@@ -184,6 +184,48 @@ class TestReadTimePolar:
             assert pol == ref and ref == pol
             assert pol.render() == ref.render() and repr(pol) == repr(ref)
             assert repr(puiseux_expand(pol, min_order=4)) == repr(puiseux_expand(ref, min_order=4))
+
+
+class TestCrosscheckRungs:
+    """The crosscheck expands to the separating terms first and falls back to
+    deeper expansions only on an unresolved contact.  No timing is involved."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"expand": [], "substituted": 0}
+        expand, substituted = verify.puiseux_expand, puiseux._substituted
+
+        def counting_expand(f, depth=0, min_order=None):
+            calls["expand"].append((depth, min_order))
+            return expand(f, depth=depth, min_order=min_order)
+
+        def counting_substituted(*args):
+            calls["substituted"] += 1
+            return substituted(*args)
+
+        monkeypatch.setattr(verify, "puiseux_expand", counting_expand)
+        monkeypatch.setattr(puiseux, "_substituted", counting_substituted)
+        return calls
+
+    def test_bench_families_expand_once_per_trial_to_separation(self, monkeypatch):
+        # the default tail (min_order 4, 2n steps past separation) made 1,320
+        # substitutions here; separation needs one per branch
+        calls = self._count(monkeypatch)
+        for family in TestSquarefreeCertificateInTrials.BENCH_FAMILIES:
+            rep = run_verification(SampleConfig(family=family, seed=42, trials=5, puiseux_crosscheck=True))
+            assert rep["summary"]["puiseux_match"] == 5
+        assert calls["expand"] == [(None, None)] * 15
+        assert calls["substituted"] == 140
+
+    def test_a_repeated_branch_runs_every_rung_and_fails(self, monkeypatch):
+        x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
+        doubled = PlaneSeries.from_poly((y - x**2) ** 2 * (y - x**3))
+        # three smooth branches, so the class keys agree and the contacts are read
+        predicted = SimpleNamespace(expanded_keys=lambda: [(1, 1)] * 3,
+                                    intersections=((0, 2, 2), (2, 0, 2), (2, 2, 0)))
+        calls = self._count(monkeypatch)
+        assert verify._puiseux_crosscheck(doubled, predicted) is False
+        assert calls["expand"] == [(None, None), (0, 4), (0, 8), (0, 16), (0, 32)]
 
 
 class TestRunVerification:
