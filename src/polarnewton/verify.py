@@ -37,9 +37,6 @@ from .puiseux import InsufficientDepthError, intersection_numeric, puiseux_expan
 
 PRNG_NAME = "mt19937 (CPython random.Random), per-trial seed '<seed>:<trial>'"
 REJECT_LIMIT = 1000
-# (depth, min_order) of each expansion the crosscheck tries in turn: the
-# separating terms alone, then the default tail to a doubling x-order
-_CROSSCHECK_RUNGS = ((None, None), (0, 4), (0, 8), (0, 16), (0, 32))
 
 
 class VerifyError(RuntimeError):
@@ -121,40 +118,35 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
     """Compare branch classes and the full intersection table against the
     expansion-based computation; smooth classes match on their table rows.
 
-    The first rung expands each branch only to its separating term.  That
-    suffices: every characteristic exponent appears at or before separation
-    (each later step has nbar = 1), and two distinct branches differ at or
-    before either one's separating term, below the `reached` order one
-    x-unit past it, so every contact resolves.  A contact left unresolved there (a
-    repeated branch of a degenerate polar, or roots closer than the float
-    tolerance) falls to the later rungs, which expand past separation to
-    x-order 4, 8, 16 and 32.
+    Each branch is expanded only to its separating term.  That suffices:
+    every characteristic exponent appears at or before separation (each later
+    step has nbar = 1), and two distinct branches differ at or before either
+    one's separating term, below the `reached` order one x-unit past it, so
+    every contact resolves.  A contact left unresolved comes from a repeated
+    branch, which no deeper expansion separates, so it fails the check.
     """
     keys = [(1,) if k[0] == 1 else k for k in predicted.expanded_keys()]
     want_keys = sorted(keys)
     want_triples = Counter((tuple(sorted((keys[r], keys[c]))), predicted.intersections[r][c])
                            for r in range(len(keys)) for c in range(r + 1, len(keys)))
-    for depth, min_order in _CROSSCHECK_RUNGS:
-        try:
-            branches = puiseux_expand(polar_series, depth=depth, min_order=min_order)
-            got = []
-            for br, mult in branches:
-                if br.genus > 1:
-                    return False
-                got.extend([br] * mult)
-            got_keys = sorted(br.class_key() for br in got)
-            if got_keys != want_keys:
-                return False
-            got_triples = Counter()
-            for r in range(len(got)):
-                for c in range(r + 1, len(got)):
-                    val = intersection_numeric(got[r], got[c])
-                    pair = tuple(sorted((got[r].class_key(), got[c].class_key())))
-                    got_triples[(pair, val)] += 1
-            return got_triples == want_triples
-        except InsufficientDepthError:
-            pass
-    return False
+    got = []
+    for br, mult in puiseux_expand(polar_series, depth=None):
+        if br.genus > 1:
+            return False
+        got.extend([br] * mult)
+    got_keys = sorted(br.class_key() for br in got)
+    if got_keys != want_keys:
+        return False
+    got_triples = Counter()
+    try:
+        for r in range(len(got)):
+            for c in range(r + 1, len(got)):
+                val = intersection_numeric(got[r], got[c])
+                pair = tuple(sorted((got[r].class_key(), got[c].class_key())))
+                got_triples[(pair, val)] += 1
+    except InsufficientDepthError:
+        return False
+    return got_triples == want_triples
 
 
 def _family(key: tuple[int, ...]) -> Family:

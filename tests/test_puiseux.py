@@ -336,17 +336,6 @@ class TestEdgeRoots:
         assert _bits(puiseux._linear_root(-1 + 0j, 1 + 0j)) == _bits(sum([raw]) / 1) == _bits(1 + 0j)
 
 
-def _contacts(b1, b2):
-    """The x-order at which b1 first differs from each conjugate of b2."""
-    out = []
-    for k in range(b2.n):
-        t1, t2 = dict(b1.terms), dict(puiseux._conjugate_terms(b2.terms, b2.n, k))
-        out.append(min(e for e in t1.keys() | t2.keys()
-                       if abs(t1.get(e, 0j) - t2.get(e, 0j))
-                       > puiseux.COEFF_REL * max(1.0, abs(t1.get(e, 0j)), abs(t2.get(e, 0j)))))
-    return out
-
-
 class TestTruncatedChains:
     """Separated branches run on truncated substitutions (see `puiseux_expand`);
     the results must be those of the untruncated expansion, float for float."""
@@ -410,7 +399,8 @@ class TestTruncatedChains:
     def test_separating_terms_decide_what_the_pinned_expansions_decide(self, polars):
         # depth=None ends each branch at its separating term; on every pinned
         # polar that keeps the branches, ramifications, classes and pairwise
-        # intersections of the min_order expansion, each contact below reached
+        # intersections of the min_order expansion (intersection_numeric raises
+        # on a contact at or past reached, so each contact resolves below it)
         keys = (list(json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text()))
                 + list(json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())))
         for key in keys:
@@ -425,8 +415,6 @@ class TestTruncatedChains:
                 for c in range(r + 1, len(short)):
                     assert (intersection_numeric(short[r], short[c])
                             == intersection_numeric(full[r], full[c])), key
-                    for contact in _contacts(short[r], short[c]):
-                        assert contact < short[r].reached and contact < short[c].reached, key
 
     def test_separated_nodes_have_the_known_side(self, polars, monkeypatch):
         # every separated node past the root: the hull gives the one side

@@ -186,9 +186,9 @@ class TestReadTimePolar:
             assert repr(puiseux_expand(pol, min_order=4)) == repr(puiseux_expand(ref, min_order=4))
 
 
-class TestCrosscheckRungs:
-    """The crosscheck expands to the separating terms first and falls back to
-    deeper expansions only on an unresolved contact.  No timing is involved."""
+class TestCrosscheckExpansion:
+    """The crosscheck expands each branch once, to its separating term.  No
+    timing is involved."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -217,7 +217,7 @@ class TestCrosscheckRungs:
         assert calls["expand"] == [(None, None)] * 15
         assert calls["substituted"] == 140
 
-    def test_a_repeated_branch_runs_every_rung_and_fails(self, monkeypatch):
+    def test_a_repeated_branch_fails_after_one_expansion(self, monkeypatch):
         x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
         doubled = PlaneSeries.from_poly((y - x**2) ** 2 * (y - x**3))
         # three smooth branches, so the class keys agree and the contacts are read
@@ -225,7 +225,7 @@ class TestCrosscheckRungs:
                                     intersections=((0, 2, 2), (2, 0, 2), (2, 2, 0)))
         calls = self._count(monkeypatch)
         assert verify._puiseux_crosscheck(doubled, predicted) is False
-        assert calls["expand"] == [(None, None), (0, 4), (0, 8), (0, 16), (0, 32)]
+        assert calls["expand"] == [(None, None)]
 
 
 class TestRunVerification:
