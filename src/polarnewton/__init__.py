@@ -17,9 +17,7 @@ from .algebra import (  # noqa: F401
     bvar,
     discriminant,
     is_squarefree,
-    mpoly_gcd,
     resultant,
-    squarefree_split,
     strip_content,
 )
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents  # noqa: F401

@@ -9,7 +9,9 @@ and normalises once, and a product with a constant scales the coefficients
 without the monomial merge.  `IntegerPlan` compiles a sequence of
 polynomials once for the many points of a sampling run and evaluates them
 over integers only, and `integer_discriminant` takes the discriminant of an
-integer coefficient vector by one division-free determinant.
+integer coefficient vector by one division-free determinant.  There is no
+multivariate gcd: the locus listing only strips monomial factors and the
+rational content of a condition (`strip_content`).
 
 The variable alphabet is closed: x, y, z, the two pencil parameters a, b, and
 the doubly indexed family coefficients a[i,j], b[i,j].
@@ -45,9 +47,7 @@ __all__ = [
     "deflate",
     "is_squarefree",
     "squarefree_info",
-    "mpoly_gcd",
     "strip_content",
-    "squarefree_split",
     "qpoly_gcd",
     "qpoly_yun",
 ]
@@ -893,116 +893,7 @@ def is_squarefree(F: UPoly) -> bool:
     return squarefree_info(F)[0]
 
 
-# -- multivariate gcd and squarefree structure -------------------------------
-
-
-def _prem(F: UPoly, G: UPoly) -> UPoly:
-    """Pseudo-remainder of F by G (both in the same main variable): the R with
-    lc(G)^(deg F - deg G + 1) * F = Q*G + R, also when a step drops the degree
-    by more than one."""
-    R = F
-    glc = G.lc
-    steps = F.deg - G.deg + 1
-    while not R.is_zero() and R.deg >= G.deg:
-        shift = R.deg - G.deg
-        head = R.lc
-        newc = [c * glc for c in R.coeffs]
-        for k, gc in enumerate(G.coeffs):
-            newc[shift + k] = newc[shift + k] - head * gc
-        R = UPoly(F.main, newc)
-        steps -= 1
-    if steps > 0:
-        R = UPoly(F.main, [c * glc**steps for c in R.coeffs])
-    return R
-
-
-def _upoly_content(F: UPoly) -> MPoly:
-    c = MPoly.zero()
-    for coeff in F.coeffs:
-        c = mpoly_gcd(c, coeff)
-    return c
-
-
-def _coprime_by_evaluation(Fp: UPoly, Gp: UPoly) -> bool:
-    """Deterministic coprimality certificate for primitive inputs.
-
-    Evaluating every non-main variable at a point where neither leading
-    coefficient vanishes can only preserve the main degree of any common
-    divisor (leading coefficients of divisors divide the leading
-    coefficients), so a trivial univariate gcd proves the primitive parts
-    coprime.  Failure to certify is inconclusive.
-    """
-    others = sorted((Fp.lc.variables() | Gp.lc.variables()
-                     | {v for c in Fp.coeffs for v in c.variables()}
-                     | {v for c in Gp.coeffs for v in c.variables()}))
-    import random as _random
-
-    rng = _random.Random(0x5EED)
-    for _ in range(6):
-        point = {v: Fraction(rng.randint(-19, 19)) for v in others}
-        if Fp.lc.evaluate(point) == 0 or Gp.lc.evaluate(point) == 0:
-            continue
-        fu = [c.evaluate(point) for c in Fp.coeffs]
-        gu = [c.evaluate(point) for c in Gp.coeffs]
-        if len(qpoly_gcd(fu, gu)) == 1:
-            return True
-    return False
-
-
-def _subresultant_gcd(Fp: UPoly, Gp: UPoly) -> UPoly:
-    """Last member of the subresultant remainder sequence of primitive inputs
-    with deg Fp >= deg Gp >= 1; exact divisions keep coefficient growth tame."""
-    A, B = Fp, Gp
-    g = MPoly.const(1)
-    h = MPoly.const(1)
-    while True:
-        delta = A.deg - B.deg
-        R = _prem(A, B)
-        if R.is_zero():
-            return B
-        divisor = g * h**delta
-        R = UPoly(R.main, [c.divexact(divisor) for c in R.coeffs])
-        A, B = B, R
-        if B.deg == 0:
-            return B
-        g = A.lc
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = (g**delta).divexact(h ** (delta - 1))
-
-
-def mpoly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Gcd in Q[vars], primitive with positive leading coefficient."""
-    if f.is_zero():
-        return g.primitive_normalized()
-    if g.is_zero():
-        return f.primitive_normalized()
-    if f.is_constant() or g.is_constant():
-        return MPoly.const(1)
-    vs = sorted(f.variables() | g.variables())
-    v = vs[-1]
-    F = UPoly.from_mpoly(f, v)
-    G = UPoly.from_mpoly(g, v)
-    if F.deg == 0:
-        return mpoly_gcd(F.coeffs[0], _upoly_content(G))
-    if G.deg == 0:
-        return mpoly_gcd(G.coeffs[0], _upoly_content(F))
-    cf = _upoly_content(F)
-    cg = _upoly_content(G)
-    c = mpoly_gcd(cf, cg)
-    Fp = UPoly(v, [x.divexact(cf) for x in F.coeffs])
-    Gp = UPoly(v, [x.divexact(cg) for x in G.coeffs])
-    if Fp.deg < Gp.deg:
-        Fp, Gp = Gp, Fp
-    if _coprime_by_evaluation(Fp, Gp):
-        return c.primitive_normalized() if not c.is_constant() else MPoly.const(1)
-    last = _subresultant_gcd(Fp, Gp)
-    if last.deg == 0:
-        return c.primitive_normalized() if not c.is_constant() else MPoly.const(1)
-    cont = _upoly_content(last)
-    prim = UPoly(v, [x.divexact(cont) for x in last.coeffs])
-    return (c * prim.to_mpoly()).primitive_normalized()
+# -- content ---------------------------------------------------------------
 
 
 def strip_content(g: MPoly, keep: Iterable[Var]) -> MPoly:
@@ -1019,31 +910,3 @@ def strip_content(g: MPoly, keep: Iterable[Var]) -> MPoly:
         if e > 0:
             out = out.divexact(MPoly.var(v, e))
     return out.primitive_normalized()
-
-
-def squarefree_split(g: MPoly) -> list[tuple[MPoly, int]]:
-    """Multiplicity-graded squarefree factors over all variables.
-
-    Returns normalized pairwise-coprime factors f_k with g = unit * prod f_k^k.
-    """
-    if g.is_zero():
-        raise AlgebraError("squarefree_split of zero")
-    g = g.primitive_normalized()
-    if g.is_constant():
-        return []
-    d = g
-    for v in sorted(g.variables()):
-        d = mpoly_gcd(d, g.deriv(v))
-    radical = g.divexact(d).primitive_normalized()
-    if d.is_constant():
-        return [(radical, 1)]
-    sub = squarefree_split(d)
-    rad_d = MPoly.const(1)
-    for fac, _ in sub:
-        rad_d = rad_d * fac
-    a1 = radical.divexact(rad_d).primitive_normalized()
-    out: list[tuple[MPoly, int]] = []
-    if not a1.is_constant():
-        out.append((a1, 1))
-    out.extend((fac, mult + 1) for fac, mult in sub)
-    return out

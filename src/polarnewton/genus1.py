@@ -7,11 +7,11 @@ it is governed by the continued fraction of q/p; for p = 2 it is the single
 side (q-1, 0)-(0, 1).  This module builds that polygon, the associated
 polynomial of each side, the coefficient locus outside which the prediction
 holds with every side squarefree, and the resulting branch topology.  The
-locus is kept as data, the lowest terms and the deflated side polynomials:
-a point is tested by exact integer evaluation, and the side discriminants
-are expanded only when the locus is listed.  The model and its builder serve
-genus two as well (see genus2), which supplies its own lowest points and
-coefficients.
+locus is one `DegeneracyLocus`, kept as data, the lowest terms and the
+deflated side polynomials: a point is tested by exact integer evaluation,
+and the side discriminants are expanded only when the locus is listed.  The
+model and its builder serve genus two as well (see genus2), which supplies
+its own lowest points and coefficients.
 
 A lattice point of a side need not carry a polar term: at height p-2 the
 normal form leaves only the x-derivative route, which lands strictly right of
@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 
-from .algebra import (A, B, AlgebraError, IntegerPlan, MPoly, UPoly, Var, X, Y, deflate, discriminant,
-                      integer_discriminant, squarefree_split, strip_content)
+from .algebra import (A, B, IntegerPlan, MPoly, UPoly, Var, X, Y, deflate, discriminant, integer_discriminant,
+                      strip_content)
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
 from .curves import CurveError, check_family, coefficient_g1, polar_coefficient
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
@@ -33,7 +33,6 @@ from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newt
 
 __all__ = [
     "LocusError",
-    "RawConditions",
     "DegeneracyLocus",
     "build_locus",
     "min_x_exponent",
@@ -49,14 +48,16 @@ class LocusError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawConditions:
-    """The raw conditions of a model, kept as data: the lowest term at each
-    side height and the deflated polynomial G of each side of degree >= 1.
-    The conditions are the lowest terms and the discriminants disc G; every
-    lowest term and every coefficient of G is linear in the pencil point
-    (a, b), so both tests below evaluate the family point once, exactly, over
-    integers, and expand no discriminant.  `nonvanishing` is passed on to
-    `build_locus`.
+class DegeneracyLocus:
+    """The coefficient conditions of a model, whose union of zero sets must
+    be avoided, kept as data: the lowest term at each side height and the
+    deflated polynomial G of each side of degree >= 1.  The conditions are
+    the lowest terms and the discriminants disc G; every lowest term and
+    every coefficient of G is linear in the pencil point (a, b), so both
+    tests below evaluate the family point once, exactly, over integers, and
+    expand no discriminant.  The listing (`groups`) expands them by
+    `build_locus` when first read; `nonvanishing` names the variables that
+    are nonzero on the whole class.
     """
 
     lowest: tuple[MPoly, ...]
@@ -67,6 +68,28 @@ class RawConditions:
     def raw(self) -> tuple[MPoly, ...]:
         """The conditions expanded: each lowest term, then each disc G."""
         return self.lowest + tuple(discriminant(G) for G in self.sides)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[MPoly, ...], ...]:
+        """The listing: each group is a simultaneous-vanishing condition, and
+        the member it encodes fails only where every polynomial of the group
+        is zero."""
+        return build_locus(self.raw, self.nonvanishing)
+
+    @property
+    def generators(self) -> tuple[MPoly, ...]:
+        """The flat hypersurface list, when every group is a singleton (as in
+        all pinned families)."""
+        for g in self.groups:
+            if len(g) != 1:
+                raise LocusError(
+                    "locus involves a simultaneous-vanishing condition; "
+                    "use .groups for the full description"
+                )
+        return tuple(g[0] for g in self.groups)
+
+    def is_empty(self) -> bool:
+        return not self.groups
 
     @cached_property
     def _split(self):
@@ -94,11 +117,13 @@ class RawConditions:
         values.append(0)
         return values
 
-    def degenerate_at(self, assignment) -> bool:
+    def vanishes_at(self, assignment) -> bool:
         """True when some condition vanishes at the family point for every
         pencil point: a lowest term with both parts 0, or a side whose disc G,
         a binary form of degree 2d - 2 in (a, b), is 0 at the 2d - 1 ratios
-        (r : 1), r = 0, ..., 2d - 2."""
+        (r : 1), r = 0, ..., 2d - 2.  The conditions are read as given, so a
+        `nonvanishing` variable at 0 may make one vanish, and a missing value
+        raises the `AlgebraError` of `IntegerPlan.at`."""
         _plan, lowest, sides = self._split
         v = self._values(assignment)
         for i, j in lowest:
@@ -130,54 +155,8 @@ class RawConditions:
         return True
 
 
-class DegeneracyLocus:
-    """Coefficient conditions whose union of zero sets must be avoided.
-
-    Each group is a simultaneous-vanishing condition: the member it encodes
-    fails only where every polynomial of the group is zero.  All pinned
-    families produce singleton groups, in which case `generators` is the flat
-    hypersurface list.  A model's locus is given by its `RawConditions`
-    instead: it expands its groups by `build_locus` only when they are read.
-    """
-
-    def __init__(self, groups=(), conditions: RawConditions | None = None):
-        self.conditions = conditions
-        if conditions is None:
-            self.groups = tuple(groups)
-
-    @cached_property
-    def groups(self) -> tuple[tuple[MPoly, ...], ...]:
-        return build_locus(self.conditions.raw, self.conditions.nonvanishing).groups
-
-    @property
-    def generators(self) -> tuple[MPoly, ...]:
-        for g in self.groups:
-            if len(g) != 1:
-                raise LocusError(
-                    "locus involves a simultaneous-vanishing condition; "
-                    "use .groups for the full description"
-                )
-        return tuple(g[0] for g in self.groups)
-
-    def is_empty(self) -> bool:
-        return not self.groups
-
-    def vanishes_at(self, assignment) -> bool:
-        """True when some group vanishes identically at the assignment.  With
-        conditions, that is `RawConditions.degenerate_at`, except at a missing
-        value or where a `nonvanishing` variable is 0: there, as for a locus
-        given by its groups, each group is evaluated."""
-        c = self.conditions
-        if c is not None and all(assignment.get(v) for v in c.nonvanishing):
-            try:
-                return c.degenerate_at(assignment)
-            except AlgebraError:  # a missing value: evaluating the groups names it
-                pass
-        return any(all(p.evaluate(assignment) == 0 for p in group) for group in self.groups)
-
-
-def build_locus(raw_conditions, nonvanishing=()) -> DegeneracyLocus:
-    """Normalize raw vanishing conditions into a degeneracy locus.
+def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...]:
+    """Normalize raw vanishing conditions into the groups of a locus listing.
 
     Every raw condition is a polynomial in the pencil parameters a, b and the
     family coefficients.  It fails for a general pencil point exactly when all
@@ -185,7 +164,6 @@ def build_locus(raw_conditions, nonvanishing=()) -> DegeneracyLocus:
     therefore kill the condition.  The variables in `nonvanishing` are nonzero
     on the whole class (its defining coefficient), so monomial factors in them
     are stripped as well, and a coefficient left constant kills the condition.
-    Single surviving coefficients are split into squarefree factors.
     """
     groups: list[tuple[MPoly, ...]] = []
     seen: set[tuple[MPoly, ...]] = set()
@@ -197,21 +175,12 @@ def build_locus(raw_conditions, nonvanishing=()) -> DegeneracyLocus:
         coeffs = [strip_content(c, keep) for c in coeffs]
         if any(c.is_constant() for c in coeffs):
             continue
-        if len(coeffs) == 1:
-            for factor, _mult in squarefree_split(coeffs[0]):
-                if factor.is_constant():
-                    continue
-                group = (factor,)
-                if group not in seen:
-                    seen.add(group)
-                    groups.append(group)
-        else:
-            group = tuple(sorted(coeffs, key=lambda p: (p.total_degree(), p.render())))
-            if group not in seen:
-                seen.add(group)
-                groups.append(group)
+        group = tuple(sorted(coeffs, key=lambda p: (p.total_degree(), p.render())))
+        if group not in seen:
+            seen.add(group)
+            groups.append(group)
     groups.sort(key=lambda g: (len(g), [(p.total_degree(), p.render()) for p in g]))
-    return DegeneracyLocus(groups=tuple(groups))
+    return tuple(groups)
 
 
 def min_x_exponent(p: int, q: int, j: int) -> int:
@@ -250,13 +219,8 @@ class PolarModel:
     side_polys: tuple[UPoly, ...]
     side_heights: tuple[int, ...]  # heights j whose lowest term must not vanish
     edge_terms: dict[int, MPoly]  # the lowest polar term at each side height
-    conditions: RawConditions
     locus: DegeneracyLocus
     topology: TopologyReport
-
-    @property
-    def raw_conditions(self) -> tuple[MPoly, ...]:
-        return self.conditions.raw
 
     def predicted_polygon(self) -> NewtonPolygon:
         return newton_polygon_from_points([pt for pts in self.sides for pt in pts])
@@ -280,10 +244,11 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     that no lowest term on a side and no discriminant of a deflated side
     polynomial vanish; with the lowest terms at the side's ends nonzero, that
     is the condition disc F != 0 (see `algebra.deflate`).  Those conditions
-    are kept as `RawConditions`, the lowest terms and the deflated sides, and
-    no discriminant is expanded here.  `nonvanishing` is passed on to
-    `build_locus`.  `coeff_at` is called once per point: a vertex shared by
-    two sides and each lowest term read the side's computed coefficient.
+    are kept as the `DegeneracyLocus`, the lowest terms and the deflated
+    sides, and no discriminant is expanded here.  `nonvanishing` names the
+    class variables that the listing strips.  `coeff_at` is called once per
+    point: a vertex shared by two sides and each lowest term read the side's
+    computed coefficient.
     """
     coeff_at = cache(coeff_at)  # one dict per build
     polygon = newton_polygon_from_points(low_points)
@@ -292,16 +257,14 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     heights = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
     lowest = tuple(coeff_at(*low_points[j]) for j in heights)
     edge_terms = {j: c * MPoly.monomial(1, {X: low_points[j][0], Y: j}) for j, c in zip(heights, lowest)}
-    conditions = RawConditions(lowest, tuple(deflate(F) for F in side_polys if F.deg >= 1),
-                               frozenset(nonvanishing))
     return PolarModel(
         low_points=tuple(low_points),
         sides=sides,
         side_polys=side_polys,
         side_heights=tuple(heights),
         edge_terms=edge_terms,
-        conditions=conditions,
-        locus=DegeneracyLocus(conditions=conditions),
+        locus=DegeneracyLocus(lowest, tuple(deflate(F) for F in side_polys if F.deg >= 1),
+                              frozenset(nonvanishing)),
         topology=oka_decomposition(polygon),
     )
 

@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 
 from .algebra import B, MPoly, bvar
 from .curves import CurveError, check_family, coefficient_g1, coefficient_tail, polar_coefficient, tail_start
-from .genus1 import PolarModel, build_model, polar_model_g1
+from .genus1 import PolarModel, build_model, min_x_exponent
 from .newton import Point
 
 __all__ = [
@@ -88,7 +88,7 @@ def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
     # side, which has no lattice points there
     low = {j: tail_min_x_exponent(p, q, d, j) for j in range(2 * p - 1)}
     steep = lpq_side_points(p, q, 2)
-    for (x, j) in steep + tuple((x + q, j) for (x, j) in polar_model_g1(p, q).low_points):
+    for (x, j) in steep + tuple((min_x_exponent(p, q, j) + q, j) for j in range(p)):
         low[j] = min(x, low.get(j, x))
 
     def coeff_at(x, j):

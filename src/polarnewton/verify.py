@@ -100,7 +100,7 @@ def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple
     """Random (a, b), each with its text, avoiding the zero set of every raw condition."""
     for _ in range(REJECT_LIMIT):
         a, b = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
-        if (a[0] or b[0]) and model.conditions.nonzero_at(assignment, a[0], b[0]):
+        if (a[0] or b[0]) and model.locus.nonzero_at(assignment, a[0], b[0]):
             return a, b
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")

@@ -22,12 +22,10 @@ from polarnewton.algebra import (
     bvar,
     discriminant,
     is_squarefree,
-    mpoly_gcd,
     qpoly_gcd,
     qpoly_yun,
     resultant,
     squarefree_info,
-    squarefree_split,
     strip_content,
 )
 
@@ -309,58 +307,16 @@ class TestContentAndSquarefreeOps:
 
     @given(st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=20, deadline=None)
-    def test_strip_and_squarefree_are_idempotent(self, e1, e2):
+    def test_strip_is_idempotent(self, e1, e2):
         u = MPoly.var(avar(0, 1))
         v = MPoly.var(avar(1, 0))
         g = (2 * u + 3 * v) ** e1 * u**e2 * 6
         keep = {avar(0, 1), avar(1, 0)}
         s1 = strip_content(g, keep)
         assert strip_content(s1, keep) == s1
-        radical = MPoly.const(1)
-        for factor, _mult in squarefree_split(g):
-            radical = radical * factor
-        assert squarefree_split(radical) == [(radical.primitive_normalized(), 1)]
-
-    def test_squarefree_split_grades_multiplicities(self):
-        u = MPoly.var(avar(0, 1))
-        v = MPoly.var(avar(1, 0))
-        g = u * (9 * u**2 - 20 * v) ** 2
-        split = squarefree_split(g)
-        assert split == [(u, 1), ((9 * u**2 - 20 * v).primitive_normalized(), 2)]
-
-    def test_squarefree_split_on_pure_powers(self):
-        u = MPoly.var(avar(0, 1))
-        assert squarefree_split(u**3) == [(u, 3)]
 
 
 class TestGcd:
-    def test_multivariate_common_factor(self):
-        u = MPoly.var(avar(0, 1))
-        v = MPoly.var(avar(1, 0))
-        f = (u + v) * (u - v)
-        g = (u + v) * (u + 2 * v)
-        assert mpoly_gcd(f, g) == u + v
-
-    def test_coprime_inputs(self):
-        u = MPoly.var(avar(0, 1))
-        v = MPoly.var(avar(1, 0))
-        assert mpoly_gcd(u + 1, v + 2) == MPoly.const(1)
-
-    def test_degree_gap_in_the_remainder_sequence(self):
-        # one pseudo-division step here drops the degree by three; the
-        # subresultant step divides the remainder exactly only if it still
-        # carries the full lc^(deg F - deg G + 1) factor
-        f = -(a**3) * y**3 + 3 * b * y**5 + a**3 - 3 * b * y**2
-        g = -(a**3) * y**6 + 2 * b**3 * y**6 + a**3 * y**3 - 2 * b**3 * y**3
-        assert mpoly_gcd(f, g) == y**3 - 1
-
-    def test_squarefree_split_with_a_degree_gap(self):
-        u, v = b * x**3 + a**3, 3 * b**3 * y**3 + a**3 * x**2
-        h = (3 * b**5 * x**6 * y**3 + 6 * a**3 * b**4 * x**3 * y**3 + a**3 * b**2 * x**8
-             + 3 * a**6 * b**3 * y**3 + 2 * a**6 * b * x**5 + a**9 * x**2)
-        assert h == u**2 * v
-        assert squarefree_split(h) == [(v, 1), (u, 2)]
-
     def test_univariate_rational_gcd(self):
         f = [Fraction(c) for c in (1, -2, 1)]  # (z-1)^2
         g = [Fraction(c) for c in (-1, 1)]  # z - 1

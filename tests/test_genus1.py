@@ -7,7 +7,7 @@ import pytest
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
 from polarnewton.curves import (CurveError, PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
                                 substitute)
-from polarnewton.genus1 import DegeneracyLocus, RawConditions, edge_term, min_x_exponent, polar_model_g1
+from polarnewton.genus1 import DegeneracyLocus, edge_term, min_x_exponent, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
@@ -186,12 +186,12 @@ class TestLocus:
         members = tuple(parse_series(text).poly for text in dropped)
         assert any(product_of_kept(m) for m in members)
         # so sampling sees the same locus with or without the dropped group
-        old = DegeneracyLocus(locus.groups + (members,))
-        vs = sorted({v for group in old.groups for g in group for v in g.variables()})
+        old = locus.groups + (members,)
+        vs = sorted({v for group in old for g in group for v in g.variables()})
         rng = random.Random(f"locus:{p}:{q}")
         for _ in range(200):
             point = {v: Fraction(rng.choice([0, 0, rng.randint(-5, 5)])) for v in vs}
-            assert old.vanishes_at(point) == locus.vanishes_at(point)
+            assert vanishes_by_generator(old, point) == vanishes_by_generator(locus.groups, point)
 
     def test_locus_vanishing_probe(self):
         locus = polar_model_g1(7, 19).locus
@@ -202,38 +202,40 @@ class TestLocus:
         assert not locus.vanishes_at(ones)
 
 
-def vanishes_by_generator(locus, point) -> bool:
-    return any(all(p.evaluate(point) == 0 for p in group) for group in locus.groups)
+def vanishes_by_generator(groups, point) -> bool:
+    return any(all(p.evaluate(point) == 0 for p in group) for group in groups)
 
 
 class TestLocusPlan:
     @pytest.mark.parametrize("family", [(7, 19), (5, 12, 1), (7, 19, 1)])
     def test_vanishing_matches_the_per_generator_definition(self, family):
         locus = (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).locus
-        gens = [p for group in locus.groups for p in group]
-        # and the same generators as simultaneous-vanishing groups
-        loci = [locus, DegeneracyLocus((tuple(gens[:2]), tuple(gens[2:])))]
-        vs = sorted({v for p in gens for v in p.variables()})
+        fam = generic_member_g1(*family) if len(family) == 2 else generic_member_g2(*family)
         rng = random.Random(f"plan:{family}")
         seen = set()
         for _ in range(300):
-            point = {v: Fraction(0 if rng.random() < 0.2 else rng.randint(-3, 3), rng.randint(1, 3)) for v in vs}
-            for candidate in loci:
-                want = vanishes_by_generator(candidate, point)
-                assert candidate.vanishes_at(point) is want
-                seen.add(want)
+            point = {v: Fraction(0 if rng.random() < 0.2 and v != fam.class_var else rng.choice([-3, -2, -1, 1, 2, 3]),
+                                 rng.randint(1, 3)) for v in fam.coeff_vars}
+            want = vanishes_by_generator(locus.groups, point)
+            assert locus.vanishes_at(point) is want
+            seen.add(want)
         assert seen == {True, False}
 
-    def test_a_missing_value_is_named_as_before(self):
-        locus = polar_model_g1(7, 19).locus
-        point = {v: Fraction(1) for g in locus.groups for p in g for v in p.variables()}
-        for v in sorted(point):
+    def test_a_missing_value_is_named(self):
+        # the test reads only the variables of the lowest terms and sides;
+        # a draw without one of them is an error that names it
+        locus, fam = polar_model_g1(7, 19).locus, generic_member_g1(7, 19)
+        read = {"a[11,3]", "a[14,2]", "a[17,1]"}
+        point = {v: Fraction(1) for v in fam.coeff_vars}
+        for v in fam.coeff_vars:
             partial = {w: c for w, c in point.items() if w != v}
-            message = f"^{re.escape(f'no value for {v.name}')}$"
-            with pytest.raises(AlgebraError, match=message):
-                vanishes_by_generator(locus, partial)
-            with pytest.raises(AlgebraError, match=message):
-                locus.vanishes_at(partial)
+            if v.name in read:
+                with pytest.raises(AlgebraError, match=f"^{re.escape(f'missing values for: {v.name}')}$"):
+                    locus.vanishes_at(partial)
+            else:
+                assert not locus.vanishes_at(partial)
+        with pytest.raises(AlgebraError, match=f"^{re.escape('missing values for: ' + ', '.join(sorted(read)))}$"):
+            locus.vanishes_at({})
 
 
 LADDER = [(7, 19), (11, 29), (15, 41), (14, 37), (17, 45), (5, 12, 1), (8, 21, 1), (11, 30, 1), (11, 29, 1)]
@@ -307,10 +309,10 @@ class TestLocusByEvaluation:
             return point
 
         points = [(draw(), False) for _ in range(80)]
-        for side in model.conditions.sides:
+        for side in model.locus.sides:
             if side.deg >= 2:
                 points += [_on_repeated_root(side, rng, draw(), fam.class_var) for _ in range(8)]
-        for term in model.conditions.lowest:
+        for term in model.locus.lowest:
             parts = term.coefficients_in([A, B])
             solved = _solve_for_first_variable(parts.get((0, 1), MPoly.zero()), 0, draw(), fam.class_var)
             if solved is not None:
@@ -319,7 +321,7 @@ class TestLocusByEvaluation:
         for point, built_on_locus in points:
             if fam.class_var is not None:
                 assert point[fam.class_var] != 0
-            want = vanishes_by_generator(model.locus, point)
+            want = vanishes_by_generator(model.locus.groups, point)
             assert want or not built_on_locus
             assert model.locus.vanishes_at(point) is want
             seen.add(want)
@@ -328,8 +330,8 @@ class TestLocusByEvaluation:
                 if not any(ab):
                     continue
                 full = {**point, A: ab[0], B: ab[1]}
-                pencil = all(c.evaluate(full) != 0 for c in model.raw_conditions)
-                assert model.conditions.nonzero_at(point, *ab) is pencil
+                pencil = all(c.evaluate(full) != 0 for c in model.locus.raw)
+                assert model.locus.nonzero_at(point, *ab) is pencil
                 pencil_seen.add(pencil)
         assert seen == {True, False}
         assert pencil_seen == {True, False}
@@ -338,19 +340,20 @@ class TestLocusByEvaluation:
         # G = a + (b - a) z^2 has disc G = 4a(a - b): 0 at (0 : 1) and
         # (1 : 1), not at (2 : 1), so stopping at 2*deg G - 2 ratios would
         # call it degenerate
-        c = RawConditions(lowest=(), sides=(UPoly(Z, [a, MPoly.zero(), b - a]),))
-        assert not c.degenerate_at({})
+        c = DegeneracyLocus(lowest=(), sides=(UPoly(Z, [a, MPoly.zero(), b - a]),))
+        assert not c.vanishes_at({})
         assert not c.nonzero_at({}, Fraction(1), Fraction(1))
         assert c.nonzero_at({}, Fraction(2), Fraction(1))
 
-    def test_a_zero_class_coefficient_reads_the_groups(self):
+    def test_a_zero_class_coefficient_reads_the_conditions(self):
         # the lowest term 2*b[7,2]*b of (3,5,1) is 0 where its class
-        # coefficient b[7,2] is; the locus strips that factor and is empty
+        # coefficient b[7,2] is, and the test answers for the conditions as
+        # given; the listing strips that factor and is empty
         model, fam = polar_model_g2(3, 5, 1), generic_member_g2(3, 5, 1)
         point = {v: Fraction(0 if v == fam.class_var else 1) for v in fam.coeff_vars}
-        assert model.conditions.degenerate_at(point)
+        assert 2 * b * MPoly.var(fam.class_var) in model.locus.lowest
+        assert model.locus.vanishes_at(point)
         assert model.locus.is_empty()
-        assert not model.locus.vanishes_at(point)
 
 
 class TestPredictedTopology:
@@ -387,7 +390,7 @@ class TestSampledAgreement:
             ab = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))
             full[A] = ab[0]
             full[B] = ab[1]
-            if any(c.evaluate(full) == 0 for c in model.raw_conditions):
+            if any(c.evaluate(full) == 0 for c in model.locus.raw):
                 continue
             trials += 1
             pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(*ab))

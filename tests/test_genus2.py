@@ -240,7 +240,7 @@ class TestSampledAgreement:
             full = dict(assignment)
             ab = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))
             full[A], full[B] = ab
-            if any(c.evaluate(full) == 0 for c in model.raw_conditions):
+            if any(c.evaluate(full) == 0 for c in model.locus.raw):
                 continue
             trials += 1
             f = substitute(fam.generic, assignment)

@@ -125,6 +125,6 @@ def test_g2_builds_read_each_coefficient_once(monkeypatch):
         model = polar_model_g2(*fam)
         # two tail reads per polar coefficient, one coefficient per side point
         assert len(tail_calls) <= 2 * sum(len(side) for side in model.sides)
-        assert len(builds) == 2  # the nested genus-one model, then this one
+        assert len(builds) == 1  # no nested genus-one model
         for asked in builds:
             assert len(asked) == len(set(asked))

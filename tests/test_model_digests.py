@@ -31,7 +31,7 @@ def name(fam) -> str:
 
 
 def render(model) -> str:
-    c = model.conditions
+    c = model.locus
     lines = [
         f"low_points {model.low_points!r}",
         f"sides {model.sides!r}",

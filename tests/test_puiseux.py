@@ -210,7 +210,7 @@ class TestIntersections:
                 continue
             full = dict(assignment)
             full[A], full[B] = Fraction(3), Fraction(2)
-            if all(c.evaluate(full) != 0 for c in model.raw_conditions):
+            if all(c.evaluate(full) != 0 for c in model.locus.raw):
                 break
         pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(3, 2))
         out = puiseux_expand(pol, min_order=4)
@@ -245,7 +245,7 @@ class TestOkaAgreement:
                 continue
             full = dict(assignment)
             full[A], full[B] = Fraction(1), Fraction(2)
-            if any(c.evaluate(full) == 0 for c in model.raw_conditions):
+            if any(c.evaluate(full) == 0 for c in model.locus.raw):
                 continue
             count += 1
             pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(1, 2))

@@ -10,8 +10,7 @@ import pytest
 from polarnewton import algebra, newton, puiseux, verify
 from polarnewton.algebra import MPoly, avar
 from polarnewton.curves import PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
-from polarnewton.genus1 import polar_model_g1
-from polarnewton.genus1 import DegeneracyLocus, RawConditions
+from polarnewton.genus1 import DegeneracyLocus, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import PolygonError, is_nondegenerate, newton_polygon
 from polarnewton.puiseux import puiseux_expand
@@ -74,7 +73,7 @@ class TestErrorsNameFamilyAndStage:
             run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
 
     def test_pencil_draw(self):
-        model = SimpleNamespace(conditions=RawConditions(lowest=(MPoly.zero(),), sides=()))
+        model = SimpleNamespace(locus=DegeneracyLocus(lowest=(MPoly.zero(),), sides=()))
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
             _draw_general_pencil(generic_member_g1(7, 19), model, random.Random(0), 10, {})
 
