@@ -315,12 +315,59 @@ class TestContentAndSquarefreeOps:
         s1 = strip_content(g, keep)
         assert strip_content(s1, keep) == s1
 
+    def test_strip_keeps_repeated_factors(self):
+        # nothing splits a condition into its squarefree parts: a square
+        # of a kept factor stays a square
+        u = MPoly.var(avar(0, 1))
+        v = MPoly.var(avar(1, 0))
+        g = 6 * b**2 * u * (9 * u**2 - 20 * v) ** 2
+        assert strip_content(g, {avar(0, 1), avar(1, 0)}) == u * (9 * u**2 - 20 * v) ** 2
+
+    def test_strip_on_pure_powers(self):
+        u = MPoly.var(avar(0, 1))
+        assert strip_content(-3 * u**3, {avar(0, 1)}) == u**3
+        assert strip_content(-3 * u**3, set()) == MPoly.const(1)
+
 
 class TestGcd:
     def test_univariate_rational_gcd(self):
         f = [Fraction(c) for c in (1, -2, 1)]  # (z-1)^2
         g = [Fraction(c) for c in (-1, 1)]  # z - 1
         assert qpoly_gcd(f, g) == [Fraction(-1), Fraction(1)]
+
+    def test_univariate_coprime_inputs(self):
+        f = [Fraction(c) for c in (1, 1)]  # z + 1
+        g = [Fraction(c) for c in (4, 0, 2)]  # 2z^2 + 4
+        assert qpoly_gcd(f, g) == [Fraction(1)]
+
+    def test_divexact_by_a_common_factor(self):
+        u = MPoly.var(avar(0, 1))
+        v = MPoly.var(avar(1, 0))
+        f = (u + v) * (u - v)
+        assert f.divexact(u + v) == u - v
+        with pytest.raises(AlgebraError, match="not an exact multiple"):
+            f.divexact(u + 2 * v)
+
+    def test_divexact_with_a_degree_gap(self):
+        # the quotient's terms skip degrees in y, so the remainder drops
+        # several degrees in one reduction step
+        f = -(a**3) * y**3 + 3 * b * y**5 + a**3 - 3 * b * y**2
+        g = -(a**3) * y**6 + 2 * b**3 * y**6 + a**3 * y**3 - 2 * b**3 * y**3
+        assert f.divexact(y**3 - 1) == 3 * b * y**2 - a**3
+        assert g.divexact(y**3 - 1) == (2 * b**3 - a**3) * y**3
+
+    def test_divexact_of_a_square_with_a_degree_gap(self):
+        u, v = b * x**3 + a**3, 3 * b**3 * y**3 + a**3 * x**2
+        h = (3 * b**5 * x**6 * y**3 + 6 * a**3 * b**4 * x**3 * y**3 + a**3 * b**2 * x**8
+             + 3 * a**6 * b**3 * y**3 + 2 * a**6 * b * x**5 + a**9 * x**2)
+        assert h.divexact(u**2) == v
+        assert h.divexact(v).divexact(u) == u
+        with pytest.raises(AlgebraError):
+            h.divexact(u**3)
+
+    def test_yun_on_pure_powers(self):
+        f = [Fraction(c) for c in (-2, 6, -6, 2)]  # 2(z-1)^3
+        assert qpoly_yun(f) == [([Fraction(-1), Fraction(1)], 3)]
 
     def test_yun_decomposition(self):
         # (z-1)^2 (z+2)

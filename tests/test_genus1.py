@@ -7,7 +7,7 @@ import pytest
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
 from polarnewton.curves import (CurveError, PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
                                 substitute)
-from polarnewton.genus1 import DegeneracyLocus, edge_term, min_x_exponent, polar_model_g1
+from polarnewton.genus1 import DegeneracyLocus, build_locus, edge_term, min_x_exponent, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
@@ -192,6 +192,17 @@ class TestLocus:
         for _ in range(200):
             point = {v: Fraction(rng.choice([0, 0, rng.randint(-5, 5)])) for v in vs}
             assert vanishes_by_generator(old, point) == vanishes_by_generator(locus.groups, point)
+
+    def test_a_repeated_factor_is_listed_as_given(self):
+        # a condition is split into its (a, b)-coefficients and stripped of
+        # monomial factors outside the class and of its content, but never
+        # into squarefree parts
+        a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
+        c = 9 * a53**2 - 20 * a101
+        raw = [-4 * a * a101 * c**2, 6 * b**2 * c, 5 * a + 2 * b * c]
+        assert build_locus(raw) == ((c,), (a101 * c**2,))
+        # with a[10,1] nonzero on the class its factor goes, the square stays
+        assert build_locus(raw, nonvanishing=(avar(10, 1),)) == ((c,), (c**2,))
 
     def test_locus_vanishing_probe(self):
         locus = polar_model_g1(7, 19).locus

@@ -30,6 +30,8 @@ from polarnewton.algebra import (  # noqa: E402
     deflate,
     discriminant,
     integer_discriminant,
+    qpoly_gcd,
+    qpoly_yun,
     resultant,
     squarefree_info,
 )
@@ -339,3 +341,63 @@ class TestModularSquarefreeCertificate:
         F = concrete([Fraction(c) for c in (-2, 1, 0, 1)])  # z^3 + z - 2 = (z - 1)(z^2 + z + 2)
         assert squarefree_info(F) == (True, "concrete")
         assert gcd_calls == []
+
+
+def sparse_poly(rng) -> MPoly:
+    """Two terms, each in two of a, b, x, y with exponents up to 3: degrees
+    with gaps, where one reduction step can drop several degrees."""
+    out = MPoly.zero()
+    while out.is_zero():
+        for _ in range(2):
+            powers = {v: rng.randint(0, 3) for v in rng.sample((A, B, X, Y), 2)}
+            out = out + MPoly.monomial(rng.choice([-3, -2, -1, 1, 2, 3]), powers)
+    return out
+
+
+def qpoly_to_sympy(c):
+    return sympy.Add(*(sympy_rational(v) * SZ**k for k, v in enumerate(c)))
+
+
+def qpoly_mul(f, g) -> list[Fraction]:
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            out[i + j] += u * v
+    return out
+
+
+def monic(expr):
+    return sympy.Poly(expr, SZ, domain="QQ").monic().as_expr()
+
+
+class TestDivisionAgainstSympy:
+    def test_sparse_exact_quotients(self):
+        rng = random.Random(6)
+        for _ in range(25):
+            g, h = sparse_poly(rng), sparse_poly(rng)
+            f = g * h
+            assert f.divexact(h) == g
+            assert same(f.divexact(h), sympy.cancel(to_sympy(f) / to_sympy(h)))
+            if not h.is_constant():
+                with pytest.raises(AlgebraError):
+                    (f + 1).divexact(h)
+
+    def test_univariate_gcd_and_squarefree_parts(self):
+        rng = random.Random(0)
+        for _ in range(25):
+            factors = [[Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))] + [Fraction(rng.randint(1, 3))]
+                       for _ in range(3)]
+            f = [Fraction(1)]
+            for k, factor in enumerate(factors):  # the k-th factor to the power k + 1
+                for _ in range(k + 1):
+                    f = qpoly_mul(f, factor)
+            fprime = [f[k] * k for k in range(1, len(f))]
+            theirs = monic(sympy.gcd(qpoly_to_sympy(f), qpoly_to_sympy(fprime)))
+            assert sympy.expand(qpoly_to_sympy(qpoly_gcd(f, fprime)) - theirs) == 0
+            ours = qpoly_yun(f)
+            want = sympy.sqf_list(qpoly_to_sympy(f))[1]
+            assert len({m for _c, m in ours}) == len(ours)
+            for mult in {m for _c, m in ours} | {m for _p, m in want}:
+                got = [qpoly_to_sympy(c) for c, m in ours if m == mult]
+                expected = monic(sympy.Mul(*(p for p, m in want if m == mult)))
+                assert got and sympy.expand(got[0] - expected) == 0
