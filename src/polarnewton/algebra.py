@@ -802,11 +802,15 @@ def _qsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 
 def qpoly_yun(c: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun squarefree decomposition: list of (monic factor, multiplicity)."""
+    """Yun squarefree decomposition: list of (monic factor, multiplicity).
+
+    The modular certificate of `squarefree_info` settles a squarefree input
+    without the exact gcd; any other outcome takes the exact path.
+    """
     f = _qtrim(list(c))
     if len(f) <= 1:
         return []
-    g = qpoly_gcd(f, _qderiv(f))
+    g = [1] if _squarefree_mod_p(f) else qpoly_gcd(f, _qderiv(f))
     if len(g) == 1:
         lead = f[-1]
         return [([x / lead for x in f], 1)]
@@ -841,6 +845,14 @@ def _coprime_mod_p(f: list[int], g: list[int]) -> bool:
     return len(f) == 1
 
 
+def _squarefree_mod_p(c: Sequence[Fraction]) -> bool:
+    """True proves c (low degree first, nonzero last entry, degree >= 1)
+    squarefree over Q; see `squarefree_info`.  False decides nothing."""
+    den = math.lcm(*[x.denominator for x in c])
+    f = [x.numerator * (den // x.denominator) % _P for x in c]
+    return bool(f[-1]) and _coprime_mod_p(f, [k * f[k] % _P for k in range(1, len(f))])
+
+
 def squarefree_info(F: UPoly) -> tuple[bool, str]:
     """Squarefree verdict plus which route decided it.
 
@@ -863,9 +875,7 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
         c = F.as_fractions()
         if len(c) == 1:
             return True, "concrete"
-        den = math.lcm(*[x.denominator for x in c])
-        f = [x.numerator * (den // x.denominator) % _P for x in c]
-        if f[-1] and _coprime_mod_p(f, [k * f[k] % _P for k in range(1, len(f))]):
+        if _squarefree_mod_p(c):
             return True, "concrete"
         g = qpoly_gcd(c, _qderiv(list(c)))
         return len(g) == 1, "concrete"

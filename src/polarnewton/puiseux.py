@@ -2,10 +2,11 @@
 
 Branches through the origin are developed side by side on successive Newton
 polygons.  Exponent bookkeeping is exact (Fractions produced by polygon
-slopes); coefficients start as exact rationals and become complex floats as
-soon as a computed root enters a substitution.  Root multiplicities at the
-first, still-exact level are read off a rational squarefree decomposition;
-deeper levels fall back to clustering with a relative tolerance.
+slopes); coefficients start as exact rationals, become complex floats once
+per expansion, and a shift's x-powers and coefficients are laid out once per
+side for all its roots.  Root multiplicities at the first, still-exact level
+are read off a rational squarefree decomposition; deeper levels fall back to
+clustering with a relative tolerance.
 
 One loop walks every node.  A simple edge root separates its branch: the
 substituted node holds the term y, and the rest of the branch is a chain of
@@ -13,10 +14,11 @@ steps on the single side (0,1)-(i*,0).  Along that chain a term x^i y^j can
 only reach coefficients the chain still reads if i + j is below a budget
 that each step lowers by i*, so every chain node carries its budget and its
 substitution, the separating one included, forms only those terms; each
-coefficient it keeps is the float the full substitution gives.  A decision
-the kept terms cannot settle (no y^0 term or no y term left, as when the
-budget is spent) restarts the chain from its first node with the budget
-doubled; after three doublings the chain runs untruncated.
+coefficient it keeps is the float the full substitution gives.  A chain's
+last truncated node forms only its keys y^0 and y^1, all that its decision
+reads.  A decision the kept terms cannot settle (no y^0 term or no y term
+left, as when the budget is spent) restarts the chain from its first node
+with the budget doubled; after three doublings the chain runs untruncated.
 
 A separated node past the root needs no polygon: its one compact side is
 (0,1)-(i*,0), i* the least x-exponent of its y^0 terms, and its one root is
@@ -182,36 +184,42 @@ def _binomial_rows(jmax: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.comb(j, k) for k in range(j + 1)) for j in range(jmax + 1))
 
 
-def _substituted(p: dict, nbar: int, mbar: int, c: complex, budget: int | None = None) -> dict:
-    """p(x^nbar, x^mbar * (c + y)) divided by the minimal x-power.
+def _shift_layout(p: dict, nbar: int, mbar: int) -> list:
+    """(coefficient, x-power, j) of each term x^i y^j of p, in p's order, in
+    p(x^nbar, x^mbar * (c + y)) / x^vmin for every root c of the side."""
+    vmin = min(i * nbar + j * mbar for (i, j) in p)
+    return [(coeff, i * nbar + j * mbar - vmin, j) for (i, j), coeff in p.items()]
+
+
+def _substituted(layout: list, c: complex, budget: int | None = None, decide: bool = False) -> dict:
+    """p(x^nbar, x^mbar * (c + y)) divided by the minimal x-power, from the
+    `_shift_layout` of p on the side (nbar, mbar) of the root c.
 
     With a `budget`, only the keys (e, k) with e + k < budget are formed; a
     parent that is complete below its own budget gives each of them every
-    contribution, in the same order as the full shift.
+    contribution, in the same order as the full shift.  With `decide`, only
+    those with k <= 1 are: all that decides whether a truncated child that
+    ends its chain is a plain separated step.
 
     A coefficient that is tiny relative to the total magnitude that flowed
     into it is floating-point debris from an exact cancellation and is
     dropped; a coefficient that is small outright but arrived clean is kept.
     A float overflow is reported as a PuiseuxError.
     """
-    vmin = min(i * nbar + j * mbar for (i, j) in p)
     kept = []  # (coefficient, x-power, j, highest k formed)
-    for (i, j), coeff in p.items():
-        xpow = i * nbar + j * mbar - vmin
-        if budget is None or xpow + j < budget:
-            kept.append((coeff, xpow, j, j))
-        elif xpow < budget:
-            kept.append((coeff, xpow, j, budget - 1 - xpow))
+    for coeff, xpow, j in layout:
+        top = j if budget is None or xpow + j < budget else budget - 1 - xpow
+        if top >= 0:
+            kept.append((coeff, xpow, j, 1 if decide and top > 1 else top))
     jmax = max((j for _coeff, _xpow, j, _top in kept), default=0)
     rows = _binomial_rows(jmax)
     acc: dict[tuple[int, int], list] = {}  # key -> [sum, sum of magnitudes]
     try:
         cpow = [c ** e for e in range(jmax + 1)]
         for coeff, xpow, j, top in kept:
-            base = complex(coeff)
             row = rows[j]
             for k in range(top + 1):
-                val = base * row[k] * cpow[j - k]
+                val = coeff * row[k] * cpow[j - k]
                 s = acc.get((xpow, k))
                 if s is None:
                     acc[xpow, k] = [0j + val, abs(val)]
@@ -254,8 +262,8 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     raws: list[_Raw] = []
     # A stack node is (p, u, offset, terms, post_sep, shift, budget, chain);
     # only the root has no terms, and only its coefficients are exact.  With a
-    # shift (nbar, mbar, c) the node is the not yet computed p(x^nbar,
-    # x^mbar * (c + y)) / x^vmin, a child whose simple root separates it, and
+    # shift c, p is its parent's `_shift_layout` on the side of the simple root
+    # c, the node is the not yet computed shift, a child that c separates, and
     # `budget` bounds the keys that substitution forms (None: all of them).
     # `chain` is (first node, step count when it was popped, budgets left),
     # or None outside a separated chain.  A chain node with budget L holds
@@ -274,11 +282,12 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     while stack:
         node = stack.pop()
         p, u, offset, terms, post_sep, shift, budget, chain = node
+        done = _chain_done(u, offset, post_sep, depth, min_order)
         if shift is not None:
             if chain is None:
                 budget, *later = _chain_budgets(u, offset, post_sep, depth, min_order) + [None]
                 chain = (node, steps, later)
-            p = _substituted(p, *shift, budget)
+            p = _substituted(p, shift, budget, done and budget is not None)
             if (0, 1) not in p or all(j > 0 for (_i, j) in p):  # not a plain separated step
                 if budget is not None:
                     first, steps, later = chain
@@ -298,7 +307,7 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
             if (0, 0) in p:
                 continue  # unit times x-powers: no branch through the origin left
         separated = (0, 1) in p
-        if separated and _chain_done(u, offset, post_sep, depth, min_order):
+        if separated and done:
             raws.append(_Raw(terms=list(terms), mult=1, reached=offset + u))
             continue
         if separated and terms:  # the one compact side (0,1)-(i*,0) and its simple root
@@ -307,17 +316,19 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
         else:
             sides = ((nbar, mbar, _edge_roots(p, pts, not terms))
                      for pts, nbar, mbar in _compact_sides(p))
+        cp = p if terms else {pt: complex(v) for pt, v in p.items()}
         for nbar, mbar, roots in sides:
+            layout = _shift_layout(cp, nbar, mbar)
             for c, mult in roots:
                 new_u = u if nbar == 1 else u / nbar
                 new_offset = offset + u * Fraction(mbar, nbar)
                 new_terms = terms + [(new_offset, complex(c))]
                 new_post_sep = post_sep + 1 if separated else 0
                 if mult == 1:  # separates; a plain separated step hands on its chain
-                    stack.append((p, new_u, new_offset, new_terms, new_post_sep, (nbar, mbar, c),
+                    stack.append((layout, new_u, new_offset, new_terms, new_post_sep, c,
                                   None if budget is None else budget - mbar, chain))
                 else:
-                    stack.append((_substituted(p, nbar, mbar, c), new_u, new_offset, new_terms,
+                    stack.append((_substituted(layout, c), new_u, new_offset, new_terms,
                                   new_post_sep, None, None, None))
     total = sum(r.mult for r in raws)
     if total != weier_deg:

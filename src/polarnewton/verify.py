@@ -33,7 +33,7 @@ from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
 from .newton import PolygonError, is_nondegenerate, oka_decomposition
-from .puiseux import InsufficientDepthError, intersection_numeric, puiseux_expand
+from .puiseux import InsufficientDepthError, PuiseuxError, intersection_numeric, puiseux_expand
 
 PRNG_NAME = "mt19937 (CPython random.Random), per-trial seed '<seed>:<trial>'"
 REJECT_LIMIT = 1000
@@ -195,7 +195,11 @@ def run_verification(cfg: SampleConfig) -> dict:
             "topology_match": bool(topology_match),
         }
         if cfg.puiseux_crosscheck:
-            rec["puiseux_match"] = bool(_puiseux_crosscheck(pol, model.topology))
+            try:
+                rec["puiseux_match"] = bool(_puiseux_crosscheck(pol, model.topology))
+            except PuiseuxError as exc:  # an expander failure, not a mismatch
+                raise VerifyError(f"family {family.key} trial {trial}: puiseux crosscheck: "
+                                  f"{type(exc).__name__}: {exc}") from exc
         records.append(rec)
     summary = {
         "trials": cfg.trials,

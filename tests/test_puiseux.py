@@ -352,6 +352,17 @@ class TestTruncatedChains:
         return {(name, t): crosscheck_polar(fam, t)
                 for name, fam in self.FAMILIES.items() for t in range(5)}
 
+    @staticmethod
+    def _pinned(polars):
+        """(key, polar, min_order) for every pinned crosscheck and restart key."""
+        keys = (list(json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text()))
+                + list(json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())))
+        for key in keys:
+            name, t, m = key.split("/")
+            family = tuple(int(k) for k in name.split("_")[1:])
+            f = polars[(name, int(t))] if (name, int(t)) in polars else crosscheck_polar(family, int(t))
+            yield key, f, int(m)
+
     def test_crosscheck_expansions_are_pinned(self, polars):
         pinned = json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text())
         keys = {f"{name}/{t}/{m}" for (name, t) in polars for m in (4, 8)}
@@ -401,14 +412,9 @@ class TestTruncatedChains:
         # polar that keeps the branches, ramifications, classes and pairwise
         # intersections of the min_order expansion (intersection_numeric raises
         # on a contact at or past reached, so each contact resolves below it)
-        keys = (list(json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text()))
-                + list(json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())))
-        for key in keys:
-            name, t, m = key.split("/")
-            family = tuple(int(k) for k in name.split("_")[1:])
-            f = polars[(name, int(t))] if (name, int(t)) in polars else crosscheck_polar(family, int(t))
+        for key, f, m in self._pinned(polars):
             short = [br for br, mult in puiseux_expand(f, depth=None) for _ in range(mult)]
-            full = [br for br, mult in puiseux_expand(f, min_order=int(m)) for _ in range(mult)]
+            full = [br for br, mult in puiseux_expand(f, min_order=m) for _ in range(mult)]
             assert [(br.n, br.class_key()) for br in short] == [(br.n, br.class_key()) for br in full], key
             for r in range(len(short)):
                 assert short[r].terms == full[r].terms[:len(short[r].terms)], key
@@ -424,19 +430,14 @@ class TestTruncatedChains:
         made = []  # (node before its own y^jmin division, budget)
         substituted = puiseux._substituted
 
-        def recording(p, nbar, mbar, c, budget=None):
-            made.append((substituted(p, nbar, mbar, c, budget), budget))
+        def recording(layout, c, budget=None, decide=False):
+            made.append((substituted(layout, c, budget, decide), budget))
             return made[-1][0]
 
         monkeypatch.setattr(puiseux, "_substituted", recording)
-        keys = (list(json.loads((GOLDEN / "puiseux_crosscheck_sha256.json").read_text()))
-                + list(json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())))
-        for key in keys:
-            name, t, m = key.split("/")
-            family = tuple(int(k) for k in name.split("_")[1:])
-            f = polars[(name, int(t))] if (name, int(t)) in polars else crosscheck_polar(family, int(t))
+        for key, f, m in self._pinned(polars):
             made.clear()
-            puiseux_expand(f, min_order=int(m))
+            puiseux_expand(f, min_order=m)
             nodes = 0
             for q, budget in made:
                 if budget is None:  # untruncated nodes first divide out y^jmin
@@ -450,6 +451,63 @@ class TestTruncatedChains:
                 assert _bits(puiseux._linear_root(q[(istar, 0)], q[(0, 1)])) == _bits(sum([raw]) / 1)
                 nodes += 1
             assert nodes > 0, key
+
+    def test_decision_rows_are_the_rows_of_the_full_shift(self, polars, monkeypatch):
+        # a truncated separating child whose chain is done forms only its keys
+        # with k <= 1; each holds the float the full shift at that budget gives
+        substituted = puiseux._substituted
+        checked = [0]
+
+        def comparing(layout, c, budget=None, decide=False):
+            out = substituted(layout, c, budget, decide)
+            if decide:
+                full = substituted(layout, c, budget)
+                assert ({key: _bits(v) for key, v in out.items()}
+                        == {key: _bits(v) for key, v in full.items() if key[1] <= 1})
+                checked[0] += 1
+            return out
+
+        monkeypatch.setattr(puiseux, "_substituted", comparing)
+        for f in polars.values():
+            puiseux_expand(f, depth=None)
+        assert checked[0] == 140  # every substitution of the crosscheck
+        undecided = set()
+        for key, f, m in self._pinned(polars):
+            checked[0] = 0
+            puiseux_expand(f, min_order=m)
+            if not checked[0]:
+                undecided.add(key)
+        # on g1 (2,5) the one chain fails every budget and runs untruncated
+        assert sorted(undecided) == [f"g1_2_5/{t}/{m}" for t in range(3) for m in (16, 8)]
+
+    def test_separation_forms_no_row_past_y(self, polars, monkeypatch):
+        # a work guard: at depth=None every substitution of these polars is a
+        # separating child that ends its chain, so no key (e, k) has k >= 2
+        rows = []
+        substituted = puiseux._substituted
+
+        def recording(layout, c, budget=None, decide=False):
+            out = substituted(layout, c, budget, decide)
+            rows.extend(k for (_e, k) in out)
+            return out
+
+        monkeypatch.setattr(puiseux, "_substituted", recording)
+        for f in [*polars.values(), *(f for _key, f, _m in self._pinned(polars))]:
+            puiseux_expand(f, depth=None)
+        assert rows and max(rows) == 1
+
+    def test_each_side_lays_out_its_shift_once(self, polars, monkeypatch):
+        # a work guard: every root on a side reuses that side's layout; at
+        # depth=None the only sides are the compact sides of each root node
+        built = []
+        layout = puiseux._shift_layout
+        monkeypatch.setattr(puiseux, "_shift_layout",
+                            lambda p, nbar, mbar: built.append((nbar, mbar)) or layout(p, nbar, mbar))
+        sides = 0
+        for f in polars.values():
+            puiseux_expand(f, depth=None)
+            sides += len(puiseux._compact_sides(puiseux._poly_dict(f)))
+        assert len(built) == sides == 35
 
     def test_hull_runs_only_on_unseparated_nodes(self, polars, monkeypatch):
         # a call-count guard: chain steps take their known side, so on the
@@ -471,17 +529,17 @@ class TestTruncatedChains:
         """Counts truncated attempts that had to restart.
 
         A restart substitutes its chain's first node again: the same parent
-        dict with the same shift, which no other substitution repeats.
+        shift (its side layout and root), which no other substitution repeats.
         """
         count = [0]
-        seen = {}  # keeps every parent alive, so no id is reused
+        seen = {}  # keeps every layout alive, so no id is reused
         substituted = puiseux._substituted
 
-        def counting(p, nbar, mbar, c, budget=None):
-            key = (id(p), nbar, mbar, c)
+        def counting(layout, c, budget=None, decide=False):
+            key = (id(layout), c)
             count[0] += key in seen
-            seen[key] = p
-            return substituted(p, nbar, mbar, c, budget)
+            seen[key] = layout
+            return substituted(layout, c, budget, decide)
 
         monkeypatch.setattr(puiseux, "_substituted", counting)
         return count

@@ -1,6 +1,6 @@
 """Evaluation, resultants, discriminants (also of integer vectors), deflation, the symbolic squarefree
-verdict, multivariate gcds and squarefree splits, checked against sympy,
-which shares no code with polarnewton.algebra.
+verdict, the modular squarefree certificate, exact division, univariate gcds and Yun
+decompositions, checked against sympy, which shares no code with polarnewton.algebra.
 
 Skipped when sympy is not installed (it is in the `test` extra).
 """
@@ -370,6 +370,62 @@ def monic(expr):
     return sympy.Poly(expr, SZ, domain="QQ").monic().as_expr()
 
 
+def assert_yun_matches_sympy(ours, f):
+    """`ours`, a Yun decomposition of f, has one monic factor per
+    multiplicity, the product of sympy's squarefree factors of that multiplicity."""
+    want = sympy.sqf_list(qpoly_to_sympy(f))[1]
+    assert len({m for _c, m in ours}) == len(ours)
+    for mult in {m for _c, m in ours} | {m for _p, m in want}:
+        got = [qpoly_to_sympy(c) for c, m in ours if m == mult]
+        expected = monic(sympy.Mul(*(p for p, m in want if m == mult)))
+        assert got and sympy.expand(got[0] - expected) == 0
+
+
+def exact_yun(monkeypatch, f):
+    """qpoly_yun(f) with the modular certificate declining every input."""
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_squarefree_mod_p", lambda c: False)
+        return qpoly_yun(f)
+
+
+class TestYunCertificate:
+    """qpoly_yun returns [(monic f, 1)] on the modular certificate, without
+    an exact gcd; that is the exact path's output, and sympy's."""
+
+    def test_random_inputs(self, monkeypatch, gcd_calls):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(150):
+            deg = rng.randint(1, 7)
+            f = ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+                 + [Fraction(rng.choice([-3, 1, 7]), rng.randint(1, 4))])
+            if rng.random() < 0.4:  # a true repeated factor
+                r = [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 2))]
+                f = qpoly_mul(f, qpoly_mul(r, r))
+            squarefree = all(m == 1 for _p, m in sympy.sqf_list(qpoly_to_sympy(f))[1])
+            before = len(gcd_calls)
+            ours = qpoly_yun(f)
+            # small coefficients: the certificate decides every squarefree case
+            assert (len(gcd_calls) == before) is squarefree
+            assert ours == exact_yun(monkeypatch, f)
+            assert_yun_matches_sympy(ours, f)
+            seen.add(squarefree)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("text", [
+        "P*z**2 + 1",  # P divides the leading coefficient
+        "(z - 1)*(z - 1 - P)",  # squarefree over Q, a double root mod P
+    ])
+    def test_fall_back_cases_take_the_exact_path(self, monkeypatch, gcd_calls, text):
+        expr = sympy.expand(sympy.sympify(text, locals={"z": SZ, "P": P}))
+        f = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, SZ).all_coeffs())]
+        assert not algebra._squarefree_mod_p(f)
+        ours = qpoly_yun(f)
+        assert len(gcd_calls) == 1  # the exact gcd decided
+        assert ours == exact_yun(monkeypatch, f) == [([c / f[-1] for c in f], 1)]
+        assert_yun_matches_sympy(ours, f)
+
+
 class TestDivisionAgainstSympy:
     def test_sparse_exact_quotients(self):
         rng = random.Random(6)
@@ -394,10 +450,4 @@ class TestDivisionAgainstSympy:
             fprime = [f[k] * k for k in range(1, len(f))]
             theirs = monic(sympy.gcd(qpoly_to_sympy(f), qpoly_to_sympy(fprime)))
             assert sympy.expand(qpoly_to_sympy(qpoly_gcd(f, fprime)) - theirs) == 0
-            ours = qpoly_yun(f)
-            want = sympy.sqf_list(qpoly_to_sympy(f))[1]
-            assert len({m for _c, m in ours}) == len(ours)
-            for mult in {m for _c, m in ours} | {m for _p, m in want}:
-                got = [qpoly_to_sympy(c) for c, m in ours if m == mult]
-                expected = monic(sympy.Mul(*(p for p, m in want if m == mult)))
-                assert got and sympy.expand(got[0] - expected) == 0
+            assert_yun_matches_sympy(qpoly_yun(f), f)

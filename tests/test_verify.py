@@ -77,6 +77,24 @@ class TestErrorsNameFamilyAndStage:
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
             _draw_general_pencil(generic_member_g1(7, 19), model, random.Random(0), 10, {})
 
+    def test_puiseux_crosscheck(self, monkeypatch):
+        # an expander failure names the family and the trial; it is not a mismatch
+        expand = verify.puiseux_expand
+        calls = []
+
+        def failing_second(f, depth=0, min_order=None):
+            calls.append(f)
+            if len(calls) == 2:
+                raise puiseux.PuiseuxError("expansion exceeded the step budget")
+            return expand(f, depth=depth, min_order=min_order)
+
+        monkeypatch.setattr(verify, "puiseux_expand", failing_second)
+        cfg = SampleConfig(family=(5, 12, 1), seed=42, trials=3, puiseux_crosscheck=True)
+        with pytest.raises(VerifyError, match=r"^family \(5, 12, 1\) trial 1: puiseux crosscheck: "
+                                              r"PuiseuxError: expansion exceeded the step budget$") as err:
+            run_verification(cfg)
+        assert isinstance(err.value.__cause__, puiseux.PuiseuxError)
+
 
 def randint_fraction(rng, bound, nonzero=False) -> Fraction:
     """The draw as `randint` makes it: numerator, redrawn while it must not
