@@ -8,7 +8,8 @@ point is exact too: it sums an integer numerator over one common denominator
 and normalises once, and a product with a constant scales the coefficients
 without the monomial merge.  `IntegerPlan` compiles a sequence of
 polynomials once for the many points of a sampling run and evaluates them
-over integers only, and `integer_discriminant` takes the discriminant of an
+over integers only, at a point kept over integers (`IntegerPoint`) without
+a `Fraction`, and `integer_discriminant` takes the discriminant of an
 integer coefficient vector by one division-free determinant.  There is no
 multivariate gcd: the locus listing only strips monomial factors and the
 rational content of a condition (`strip_content`).
@@ -39,6 +40,7 @@ __all__ = [
     "avar",
     "bvar",
     "MPoly",
+    "IntegerPoint",
     "IntegerPlan",
     "UPoly",
     "resultant",
@@ -46,6 +48,7 @@ __all__ = [
     "integer_discriminant",
     "deflate",
     "is_squarefree",
+    "certify_squarefree",
     "squarefree_info",
     "strip_content",
     "qpoly_gcd",
@@ -518,6 +521,26 @@ class MPoly:
         return f"MPoly({self.render()})"
 
 
+class IntegerPoint(Mapping):
+    """A rational point over integers: `variables[k]` takes `scaled[k] / m`,
+    m > 0.  `IntegerPlan.at` reads the integers; as a mapping the point gives
+    each value as a `Fraction`."""
+
+    def __init__(self, variables: tuple[Var, ...], scaled: list[int], m: int):
+        self.variables, self.scaled, self.m = variables, scaled, m
+
+    def __getitem__(self, v: Var) -> Fraction:
+        if v not in self.variables:
+            raise KeyError(v)
+        return Fraction(self.scaled[self.variables.index(v)], self.m)
+
+    def __iter__(self):
+        return iter(self.variables)
+
+    def __len__(self) -> int:
+        return len(self.variables)
+
+
 class IntegerPlan:
     """Polynomials compiled once for exact evaluation at many points, over
     integers only: coefficients are scaled by `den`, the lcm of their
@@ -526,7 +549,7 @@ class IntegerPlan:
     numerator over den * m^degree, and zero exactly when that numerator is.
     """
 
-    __slots__ = ("variables", "den", "degree", "polys")
+    __slots__ = ("variables", "den", "degree", "polys", "_reads")
 
     def __init__(self, polys: Iterable[MPoly]):
         maps = [p.terms for p in polys]
@@ -538,17 +561,29 @@ class IntegerPlan:
         self.polys = tuple(tuple((c.numerator * (self.den // c.denominator), self.degree - _mono_deg(m),
                                   tuple(index[v] for v, e in m for _ in range(e)))
                                  for m, c in terms.items()) for terms in maps)
+        self._reads = (None, None)  # an `IntegerPoint` order and the plan's positions in it
 
     def at(self, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:
         """Every polynomial's numerator at `assignment`, in order, and their
-        one positive denominator."""
+        one positive denominator.  An `IntegerPoint` builds no `Fraction`: it
+        is read as it is when its variables are the plan's, else through the
+        positions of the plan's variables in its order, fixed when the plan
+        first reads that order."""
         try:
-            values = [assignment[v] for v in self.variables]
+            if isinstance(assignment, IntegerPoint):
+                scaled, m = assignment.scaled, assignment.m
+                if assignment.variables != self.variables:
+                    if self._reads[0] is not assignment.variables:
+                        index = {v: k for k, v in enumerate(assignment.variables)}
+                        self._reads = assignment.variables, [index[v] for v in self.variables]
+                    scaled = [scaled[k] for k in self._reads[1]]
+            else:
+                values = [assignment[v] for v in self.variables]
+                m = math.lcm(*[v.denominator for v in values])
+                scaled = [v.numerator * (m // v.denominator) for v in values]
         except KeyError:
             missing = [v.name for v in self.variables if v not in assignment]
             raise AlgebraError("missing values for: " + ", ".join(missing)) from None
-        m = math.lcm(*[v.denominator for v in values])
-        scaled = [v.numerator * (m // v.denominator) for v in values]
         m_pow = [m**k for k in range(self.degree + 1)]
         nums = []
         for terms in self.polys:
@@ -845,23 +880,28 @@ def _coprime_mod_p(f: list[int], g: list[int]) -> bool:
     return len(f) == 1
 
 
-def _squarefree_mod_p(c: Sequence[Fraction]) -> bool:
-    """True proves c (low degree first, nonzero last entry, degree >= 1)
+def certify_squarefree(nums: Sequence[int]) -> bool:
+    """True proves sum nums[k] z^k (integers, low degree first, degree >= 1)
     squarefree over Q; see `squarefree_info`.  False decides nothing."""
-    den = math.lcm(*[x.denominator for x in c])
-    f = [x.numerator * (den // x.denominator) % _P for x in c]
+    f = [x % _P for x in nums]
     return bool(f[-1]) and _coprime_mod_p(f, [k * f[k] % _P for k in range(1, len(f))])
+
+
+def _squarefree_mod_p(c: Sequence[Fraction]) -> bool:
+    """`certify_squarefree` on c (nonzero last entry) scaled to integers."""
+    den = math.lcm(*[x.denominator for x in c])
+    return certify_squarefree([x.numerator * (den // x.denominator) for x in c])
 
 
 def squarefree_info(F: UPoly) -> tuple[bool, str]:
     """Squarefree verdict plus which route decided it.
 
-    Constant coefficients ("concrete"): first a modular certificate.  Scale F
-    to integers; if _P does not divide lc(F) and gcd(F mod _P, F' mod _P) = 1,
-    F is squarefree, since a repeated factor G^2 of F over Z keeps its degree
-    mod _P (lc(G) divides lc(F)) and divides both F and F' there.  Any other
-    outcome falls through to the exact test, gcd(F, F') constant over Q,
-    which is the only one that can answer "not squarefree".
+    Constant coefficients ("concrete"): first `certify_squarefree` on any
+    integer multiple N of F; if _P does not divide lc(N) and gcd(N mod _P,
+    N' mod _P) = 1, F is squarefree, since a repeated factor G^2 of N over Z
+    keeps its degree mod _P (lc(G) divides lc(N)) and divides both N and N'
+    there.  Any other outcome falls through to the exact test, gcd(F, F')
+    constant over Q, which is the only one that can answer "not squarefree".
     Otherwise ("symbolic"), a statement about the generic member only: with
     F(z) = G(z^s) and G = deflate(F), the discriminant of G must be nonzero as
     a polynomial and, when s >= 2, so must G(0), since z = 0 is then a root
@@ -873,9 +913,7 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
         raise AlgebraError("squarefree test on the zero polynomial")
     if F.has_constant_coeffs():
         c = F.as_fractions()
-        if len(c) == 1:
-            return True, "concrete"
-        if _squarefree_mod_p(c):
+        if len(c) == 1 or _squarefree_mod_p(c):
             return True, "concrete"
         g = qpoly_gcd(c, _qderiv(list(c)))
         return len(g) == 1, "concrete"

@@ -31,10 +31,12 @@ shared denominator, from an `algebra.IntegerPlan` compiled once per series
 and kept on it, and skips those that are 0; each polar coefficient is then
 formed over integers and kept as a numerator over one denominator, in
 `_IntegerTerms`, which builds a key's constant `MPoly` only when a check
-reads it (the nondegeneracy test reads the side lattice points only).  The
-same evaluator serves the verify trial's locus test and pencil check (see
-genus1 and verify).  Each verify trial takes this route from the generic
-member and its draw, so no concrete member is built.  `substitute` reads the same `_member_at`.  Both routes
+reads it (the nondegeneracy test reads the numerators instead).  The same
+evaluator serves the verify trial's locus test and pencil check (see genus1
+and verify).  Each verify trial takes this route from the generic member and
+its draw, an `algebra.IntegerPoint` in the member's variable order, so no
+concrete member and no `Fraction` of the draw is built.  `substitute` reads
+the same `_member_at`.  Both routes
 give the keys in one order, the x-derivative keys in the member's order and
 then the y-derivative keys that are new, because the Puiseux expansion adds
 floats in that order.
@@ -112,7 +114,7 @@ class _IntegerTerms(Mapping):
     """Read-only terms of a concrete series: nonzero integer numerators over
     one denominator.  A key's constant `MPoly` is built, and kept, when the
     key is first read; `items()` and `values()` build every key in one pass,
-    in key order.  Keys, length and membership never build one.
+    in key order.  Keys, length, membership and `numerator` never build one.
     """
 
     __slots__ = ("_terms", "_den")
@@ -129,6 +131,12 @@ class _IntegerTerms(Mapping):
 
     def __contains__(self, pt) -> bool:
         return pt in self._terms
+
+    def numerator(self, pt: Point) -> int:
+        """The integer numerator at `pt` over the one denominator, 0 off the
+        support; no `MPoly` is built."""
+        c = self._terms.get(pt, 0)
+        return c if type(c) is int else int(c.constant_value() * self._den)
 
     def __iter__(self):
         return iter(self._terms)
@@ -311,6 +319,11 @@ class Family:
     def __post_init__(self):
         variables = {v for c in self.generic.terms.values() for v in c.variables()}
         object.__setattr__(self, "coeff_vars", tuple(sorted(variables)))
+
+    @cached_property
+    def class_flags(self) -> tuple[bool, ...]:
+        """Per variable of `coeff_vars`, whether it is `class_var`."""
+        return tuple(v == self.class_var for v in self.coeff_vars)
 
 
 def _bounded_terms(p: int, q: int, bound: int, coeff) -> PlaneSeries:

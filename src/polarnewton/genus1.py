@@ -112,7 +112,8 @@ class DegeneracyLocus:
 
     def _values(self, assignment) -> list[int]:
         """The parts at the family point over one positive denominator, then a
-        0 that index -1 reads."""
+        0 that index -1 reads; a verify draw's `IntegerPoint` is read through
+        the plan's positions in the family order, fixed at the first read."""
         values = self._split[0].at(assignment)[0]
         values.append(0)
         return values

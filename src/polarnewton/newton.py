@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .algebra import MPoly, UPoly, Z, squarefree_info
-from .curves import PlaneSeries, Point
+from .algebra import MPoly, UPoly, Z, certify_squarefree, squarefree_info
+from .curves import PlaneSeries, Point, _IntegerTerms
 
 
 class PolygonError(ValueError):
@@ -107,10 +108,17 @@ def associated_from(points, coeff_at) -> UPoly:
 
 @dataclass(frozen=True)
 class SideVerdict:
+    """A side's squarefree verdict; `associated`, the side's associated
+    polynomial, is built from `series` when first read."""
+
     side: Side
     squarefree: bool
     path: str  # "concrete" or "symbolic"
-    associated: UPoly
+    series: PlaneSeries = field(repr=False)
+
+    @cached_property
+    def associated(self) -> UPoly:
+        return associated_from(self.side.lattice_points, self.series.coeff)
 
 
 @dataclass(frozen=True)
@@ -127,19 +135,29 @@ class NondegReport:
 def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     """Squarefree test of every associated polynomial.
 
-    A side checked through the symbolic route only certifies the generic
-    member, so the overall verdict is downgraded accordingly.
+    A side of an integer-route polar (`curves._IntegerTerms`) first goes to
+    `certify_squarefree` as its integer numerators, with no `UPoly`; any side
+    it leaves open takes `squarefree_info`.  A side checked through the
+    symbolic route only certifies the generic member, so the overall verdict
+    is downgraded accordingly.
     """
     poly = newton_polygon(f)
+    numerator = f.terms.numerator if isinstance(f.terms, _IntegerTerms) else None
     verdicts = []
     any_symbolic = False
     all_ok = True
     for side in poly.sides:
-        F = associated_from(side.lattice_points, f.coeff)
-        ok, path = squarefree_info(F)
+        ok, path = False, "concrete"
+        if numerator is not None:
+            nums = [0] * (side.n + 1)
+            for (i, j) in side.lattice_points:
+                nums[j - side.to_pt[1]] = numerator((i, j))
+            ok = certify_squarefree(nums)
+        if not ok:
+            ok, path = squarefree_info(associated_from(side.lattice_points, f.coeff))
         any_symbolic |= path == "symbolic"
         all_ok &= ok
-        verdicts.append(SideVerdict(side=side, squarefree=ok, path=path, associated=F))
+        verdicts.append(SideVerdict(side=side, squarefree=ok, path=path, series=f))
     if not all_ok:
         verdict = "degenerate"
     elif any_symbolic:

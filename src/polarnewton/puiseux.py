@@ -285,13 +285,13 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
         done = _chain_done(u, offset, post_sep, depth, min_order)
         if shift is not None:
             if chain is None:
-                budget, *later = _chain_budgets(u, offset, post_sep, depth, min_order) + [None]
-                chain = (node, steps, later)
+                later = iter(_chain_budgets(u, offset, post_sep, depth, min_order))
+                budget, chain = next(later, None), (node, steps, later)
             p = _substituted(p, shift, budget, done and budget is not None)
             if (0, 1) not in p or all(j > 0 for (_i, j) in p):  # not a plain separated step
                 if budget is not None:
                     first, steps, later = chain
-                    stack.append(first[:6] + (later[0], (first, steps, later[1:])))
+                    stack.append(first[:6] + (next(later, None), chain))
                     continue
                 chain = None
         steps += 1
@@ -349,16 +349,19 @@ def _chain_done(u: Fraction, offset: Fraction, post_sep: int, depth: int | None,
 
 
 def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int | None,
-                   min_order: Fraction) -> list[int]:
-    """Truncation budgets a chain tries in turn before it runs untruncated.
+                   min_order: Fraction):
+    """Truncation budgets a chain tries in turn before it runs untruncated,
+    each doubled only when the chain restarts.
 
     Each step advances the chain by one x-unit or more, and the last node
     needs a budget of 2 to hold (0,1) and a y^0 term (1,0); the first budget
     covers that, and each later one doubles it.
     """
-    advance = max(math.ceil((min_order - offset) / u), _tail(u, depth) - post_sep)
+    advance = _tail(u, depth) - post_sep
+    if offset < min_order:
+        advance = max(advance, math.ceil((min_order - offset) / u))
     first = max(_BUDGET0, advance + 2)
-    return [first << k for k in range(_DOUBLINGS + 1)]
+    return (first << k for k in range(_DOUBLINGS + 1))
 
 
 def _conjugate_terms(terms, n: int, k: int):

@@ -11,24 +11,28 @@ its `coeff_vars`, with its `class_var` (if any) nonzero.
 Determinism: each trial draws from a Mersenne-Twister generator seeded with
 "<seed>:<trial>" (CPython `random.Random`); the algorithm name is pinned in
 the report header, so identical configurations reproduce byte-identical
-reports.  A drawn value is num/den with num and den taken by `rng.choice`
-over a range, which reads the generator exactly as `randint` over the same
-bounds; the value and its digest text come from one bounded memo on the
-integer pair, so a trial builds no `Fraction` and formats no value that an
-earlier draw already made.
+reports.  A drawn value is num/den, with num and den read from the
+generator's bits as `rng.choice` over a range (and `randint` over the same
+bounds) reads them.  A family draw is made over integers once, as an
+`algebra.IntegerPoint` in `coeff_vars` order, which the member's evaluation,
+the locus test and the pencil check read as it is; each value's digest text
+comes from one bounded memo on the integer pair, so a trial builds no
+`Fraction` of the family values and formats no value that an earlier draw
+already made.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MPoly, UPoly, Var, Z
+from .algebra import IntegerPoint, MPoly, UPoly, Z
 from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
@@ -65,25 +69,42 @@ def _drawn(num: int, den: int) -> tuple[Fraction, str]:
     return value, str(value)
 
 
+def _rand_pairs(rng: random.Random, bound: int, nonzero) -> list[tuple[int, int]]:
+    """Per flag of `nonzero`, a numerator in [-bound, bound], not 0 where the
+    flag is set, and a denominator in [1, bound], read from the generator's
+    bits as `rng.choice(range(...))` reads them: a k-bit word, k the bit
+    length of the range's size, redrawn while out of range (or 0)."""
+    getrandbits, n = rng.getrandbits, 2 * bound + 1
+    k, k_den = n.bit_length(), bound.bit_length()
+    pairs = []
+    for flag in nonzero:
+        r = getrandbits(k)
+        while r >= n or flag and r == bound:
+            r = getrandbits(k)
+        d = getrandbits(k_den)
+        while d >= bound:
+            d = getrandbits(k_den)
+        pairs.append((r - bound, d + 1))
+    return pairs
+
+
 def _rand_fraction(rng: random.Random, bound: int, nonzero: bool = False) -> tuple[Fraction, str]:
-    """num/den with |num| <= bound and 1 <= den <= bound, and its text; each
-    `choice` reads the generator as `randint` over the same range does."""
-    while True:
-        num = rng.choice(range(-bound, bound + 1))
-        if nonzero and num == 0:
-            continue
-        return _drawn(num, rng.choice(range(1, bound + 1)))
+    """num/den with |num| <= bound and 1 <= den <= bound, and its text."""
+    return _drawn(*_rand_pairs(rng, bound, (nonzero,))[0])
 
 
-def _draw_assignment(family: Family, rng: random.Random, bound: int) -> tuple[dict[Var, Fraction], list[str]]:
-    """A value for every family variable and their texts, in `coeff_vars`
-    order; the class coefficient stays nonzero."""
-    draws = [_rand_fraction(rng, bound, nonzero=v == family.class_var) for v in family.coeff_vars]
-    return dict(zip(family.coeff_vars, [value for value, _ in draws])), [text for _, text in draws]
+def _draw_assignment(family: Family, rng: random.Random, bound: int) -> tuple[IntegerPoint, list[str]]:
+    """A value for every family variable, kept over integers in `coeff_vars`
+    order (the numerators scaled to the lcm of the denominators), and their
+    texts; the class coefficient stays nonzero."""
+    pairs = _rand_pairs(rng, bound, family.class_flags)
+    m = math.lcm(*[den for _, den in pairs])
+    point = IntegerPoint(family.coeff_vars, [num * (m // den) for num, den in pairs], m)
+    return point, [_drawn(num, den)[1] for num, den in pairs]
 
 
 def sample_off_locus(family: Family, model, rng: random.Random,
-                     bound: int) -> tuple[dict[Var, Fraction], list[str]]:
+                     bound: int) -> tuple[IntegerPoint, list[str]]:
     """Draw family coefficients and their texts, rejecting while any locus
     condition vanishes."""
     if not family.coeff_vars:
@@ -99,7 +120,7 @@ def sample_off_locus(family: Family, model, rng: random.Random,
 def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[tuple[Fraction, str], ...]:
     """Random (a, b), each with its text, avoiding the zero set of every raw condition."""
     for _ in range(REJECT_LIMIT):
-        a, b = _rand_fraction(rng, bound), _rand_fraction(rng, bound)
+        a, b = [_drawn(*pair) for pair in _rand_pairs(rng, bound, (False, False))]
         if (a[0] or b[0]) and model.locus.nonzero_at(assignment, a[0], b[0]):
             return a, b
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "

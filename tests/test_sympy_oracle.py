@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 
 from polarnewton import algebra  # noqa: E402
+from polarnewton.curves import PlaneSeries, _IntegerTerms  # noqa: E402
+from polarnewton.newton import is_nondegenerate  # noqa: E402
 from polarnewton.algebra import (  # noqa: E402
     A,
     B,
@@ -318,10 +320,10 @@ class TestModularSquarefreeCertificate:
             seen.add(want[0])
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("text,squarefree", [
+    ADVERSARIAL = [
         ("P*z**2 + 1", True),  # P divides lc(F)
         ("2*P*z**3 + 1", True),
-        ("z**2/P + 1", True),  # P divides lc of the integer scaling z^2 + P
+        ("z**2/P + 1", True),  # the integer scaling z^2 + P is z^2 mod P: a double root at 0
         ("z*(z - P)", True),  # squarefree, but P divides disc F
         ("(z - 1)*(z - 1 - P)", True),
         ("(z - 1)*(z - 1 - P)*(z - P)*(z + 3)", True),
@@ -329,13 +331,36 @@ class TestModularSquarefreeCertificate:
         ("(z**2 + P)**2", False),
         ("(z - 1)**2*(z - 2)*(3*z + 5)", False),
         ("z**2*(P*z + 1)", False),  # P divides lc(F) too
-    ])
-    def test_adversarial_cases_fall_through_to_the_exact_route(self, gcd_calls, text, squarefree):
+    ]
+
+    @staticmethod
+    def coefficients(text: str) -> list[Fraction]:
         expr = sympy.expand(sympy.sympify(text, locals={"z": SZ, "P": P}))
-        F = concrete([Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, SZ).all_coeffs())])
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, SZ).all_coeffs())]
+
+    @pytest.mark.parametrize("text,squarefree", ADVERSARIAL)
+    def test_adversarial_cases_fall_through_to_the_exact_route(self, gcd_calls, text, squarefree):
+        F = concrete(self.coefficients(text))
         assert sympy_concrete_squarefree(F) is squarefree
         assert squarefree_info(F) == exact_route(F) == (squarefree, "concrete")
         assert len(gcd_calls) == 2  # the exact route decided, once in each call
+
+    @pytest.mark.parametrize("text,squarefree", ADVERSARIAL)
+    def test_adversarial_side_of_an_integer_polar_takes_the_exact_route(self, gcd_calls, text, squarefree):
+        # A side's associated polynomial has nonzero end coefficients, so an
+        # input with a root at 0 is shifted by z -> z - 1 first; the shift
+        # keeps the squarefree verdict.
+        c = self.coefficients(text)
+        if c[0] == 0:
+            c = self.coefficients(f"({text}).subs(z, z - 1)")
+        # the single side (0, n)-(n, 0): the point (n - k, k) carries c[k]
+        den = math.lcm(*[v.denominator for v in c])
+        n = len(c) - 1
+        series = PlaneSeries(_IntegerTerms({(n - k, k): int(v * den) for k, v in enumerate(c) if v}, den))
+        report = is_nondegenerate(series)
+        assert [(v.squarefree, v.path) for v in report.sides] == [(squarefree, "concrete")]
+        assert len(gcd_calls) == 1  # the certificate declined the numerators; the exact gcd decided
+        assert report.sides[0].associated == concrete(c)
 
     def test_certified_case_takes_no_exact_gcd(self, gcd_calls):
         F = concrete([Fraction(c) for c in (-2, 1, 0, 1)])  # z^3 + z - 2 = (z - 1)(z^2 + z + 2)

@@ -57,8 +57,8 @@ class TestSampling:
     def test_forced_on_locus_draw_breaks_the_polygon(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(4)
-        assignment, _ = _draw_assignment(fam, rng, 10)
-        assignment[avar(17, 1)] = Fraction(0)
+        drawn, _ = _draw_assignment(fam, rng, 10)
+        assignment = {**drawn, avar(17, 1): Fraction(0)}  # the drawn point is read-only
         series = substitute(fam.generic, assignment)
         pol = polar(series, PolarParams.concrete(1, 1))
         poly = newton_polygon(pol)
@@ -106,6 +106,16 @@ def randint_fraction(rng, bound, nonzero=False) -> Fraction:
         return Fraction(num, rng.randint(1, bound))
 
 
+def choice_fraction(rng, bound, nonzero=False) -> Fraction:
+    """The draw as `choice` over a range makes it: numerator, redrawn while
+    it must not be 0, then denominator."""
+    while True:
+        num = rng.choice(range(-bound, bound + 1))
+        if nonzero and num == 0:
+            continue
+        return Fraction(num, rng.choice(range(1, bound + 1)))
+
+
 class TestDrawStream:
     # The pinned reports fix every draw; `choice` over a range must read the
     # generator exactly as `randint` over the same bounds.
@@ -140,6 +150,22 @@ class TestDrawStream:
         # a zero class numerator comes about once in 2*bound+1 draws
         assert redraws > 0 or bound == 10**12
 
+    @pytest.mark.parametrize("bound", range(2, 13))
+    def test_bit_draws_match_choice_over_a_range(self, bound):
+        # the draws read the generator's bits as `choice` does
+        fam = generic_member_g2(2, 3, 1)  # b[i0,j0] is drawn nonzero
+        for seed in range(300):
+            old, new = random.Random(seed), random.Random(seed)
+            point, texts = _draw_assignment(fam, new, bound)
+            want = [choice_fraction(old, bound, nonzero=v == fam.class_var) for v in fam.coeff_vars]
+            assert [point[v] for v in fam.coeff_vars] == want
+            assert [Fraction(s, point.m) for s in point.scaled] == want
+            assert texts == [str(value) for value in want]
+            for nonzero in (False, True):
+                value, text = verify._rand_fraction(new, bound, nonzero)
+                assert value == choice_fraction(old, bound, nonzero) and text == str(value)
+            assert new.getstate() == old.getstate()
+
     def test_draw_memo_is_bounded_for_wide_ranges(self):
         verify._drawn.cache_clear()
         rep = run_verification(SampleConfig(family=(7, 19), seed=1, trials=2, coeff_range=10**12))
@@ -172,6 +198,35 @@ class TestSquarefreeCertificateInTrials:
             assert rep["summary"]["all_sides_squarefree"] == 50
         assert calls == []
 
+    def test_passing_trials_build_no_upoly(self, monkeypatch):
+        for family in self.BENCH_FAMILIES:
+            polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+            verify._generic_verdict(family)
+        built = []
+        real_init = algebra.UPoly.__init__
+        monkeypatch.setattr(algebra.UPoly, "__init__", lambda self, *args: built.append(1) or real_init(self, *args))
+        for family in self.BENCH_FAMILIES:
+            s = run_verification(SampleConfig(family=family, seed=42, trials=50))["summary"]
+            assert s["polygon_match"] == s["points_present"] == s["all_sides_squarefree"] == \
+                s["topology_match"] == 50
+        assert built == []
+
+    def test_integer_side_test_matches_squarefree_info(self):
+        # every side of the 150 bench trials, drawn as run_verification draws them
+        sides = 0
+        for family in self.BENCH_FAMILIES:
+            fam = _family_of(family)
+            model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+            for trial in range(50):
+                rng = random.Random(f"42:{trial}")
+                assignment, _ = sample_off_locus(fam, model, rng, 10)
+                (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
+                pol = polar(fam.generic, PolarParams.concrete(a, b), assignment)
+                for v in is_nondegenerate(pol).sides:
+                    assert (v.squarefree, v.path) == algebra.squarefree_info(v.associated)
+                    sides += 1
+        assert sides >= 300
+
     def test_degenerate_sides_are_decided_by_the_exact_route(self, monkeypatch):
         calls = count_exact_gcd(monkeypatch)
         rep = run_power_degeneracy(2, 3, 1, e1=3)
@@ -180,8 +235,9 @@ class TestSquarefreeCertificateInTrials:
 
 
 class TestReadTimePolar:
-    """The trial polar builds a coefficient only when a check reads it.  No
-    timing is involved."""
+    """The trial polar builds a coefficient only when a check reads it, and
+    the nondegeneracy test reads the side numerators without building one.
+    No timing is involved."""
 
     @pytest.mark.parametrize("family", TestSquarefreeCertificateInTrials.BENCH_FAMILIES)
     def test_side_points_only_then_the_substituted_polar(self, family):
@@ -193,12 +249,15 @@ class TestReadTimePolar:
             (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
             params = PolarParams.concrete(a, b)
             pol = polar(fam.generic, params, assignment)
-            report = is_nondegenerate(pol)
-            on_sides = {pt for side in report.polygon.sides for pt in side.lattice_points} & pol.support()
+            verdicts = [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides]
+            assert verdicts and all(ok for ok, _path in verdicts)
             built = [pt for pt, c in pol.terms._terms.items() if type(c) is not int]
-            assert 0 < len(built) <= len(on_sides)
+            assert len(built) == 0
             ref = polar(substitute(fam.generic, assignment), params)
             assert pol == ref and ref == pol
+            # every key is built now, and its numerator reads back from it
+            assert [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides] == verdicts
+            assert all(pol.terms.numerator(pt) == pol.terms._terms[pt] * pol.terms._den for pt in pol.support())
             assert pol.render() == ref.render() and repr(pol) == repr(ref)
             assert repr(puiseux_expand(pol, min_order=4)) == repr(puiseux_expand(ref, min_order=4))
 
@@ -294,8 +353,11 @@ class TestRunVerification:
         assert rep["generic_member_verdict"] == "generically_nondegenerate"
 
     def test_one_polygon_and_one_squarefree_test_per_side(self, monkeypatch):
+        # a side is decided by the modular certificate on its numerators or,
+        # when that declines, by squarefree_info on its associated polynomial
         counts = {"polygons": 0, "sides": 0, "squarefree": 0}
         real_polygon, real_squarefree = newton.newton_polygon, newton.squarefree_info
+        real_certificate = newton.certify_squarefree
 
         def polygon(f):
             poly = real_polygon(f)
@@ -307,8 +369,14 @@ class TestRunVerification:
             counts["squarefree"] += 1
             return real_squarefree(F)
 
+        def certificate(nums):
+            ok = real_certificate(nums)
+            counts["squarefree"] += ok  # a declined certificate decides nothing
+            return ok
+
         monkeypatch.setattr(newton, "newton_polygon", polygon)
         monkeypatch.setattr(newton, "squarefree_info", squarefree)
+        monkeypatch.setattr(newton, "certify_squarefree", certificate)
         verify._generic_verdict.cache_clear()
         run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
         # one polygon per trial, plus the generic member's once per family
