@@ -46,6 +46,7 @@ __all__ = [
     "resultant",
     "discriminant",
     "integer_discriminant",
+    "nonzero_discriminant",
     "deflate",
     "is_squarefree",
     "certify_squarefree",
@@ -544,12 +545,21 @@ class IntegerPoint(Mapping):
 class IntegerPlan:
     """Polynomials compiled once for exact evaluation at many points, over
     integers only: coefficients are scaled by `den`, the lcm of their
-    denominators, and every term is padded to the top total degree `degree`,
-    so at values with least common denominator m each polynomial is its
-    numerator over den * m^degree, and zero exactly when that numerator is.
+    denominators, and every term is read as padded to the top total degree
+    `degree`, so at values with least common denominator m each polynomial
+    is its numerator over den * m^degree, and zero exactly when that
+    numerator is.
+
+    The terms are kept flat and split by degree, each naming its polynomial
+    `poly` by position: `constant` holds every polynomial's constant term
+    (0 where it has none), `linear` holds (poly, c, k) for c * v[k],
+    `quadratic` (poly, c, k, l) for c * v[k] * v[l], and `higher` one list
+    per degree 3, ..., `degree` of (poly, c, indices), the variable indices
+    repeated by exponent.  `at` sums the degree layers by Horner's rule in m,
+    so no term multiplies by a power of m.
     """
 
-    __slots__ = ("variables", "den", "degree", "polys", "_reads")
+    __slots__ = ("variables", "den", "degree", "constant", "linear", "quadratic", "higher", "_reads")
 
     def __init__(self, polys: Iterable[MPoly]):
         maps = [p.terms for p in polys]
@@ -557,10 +567,19 @@ class IntegerPlan:
         index = {v: k for k, v in enumerate(self.variables)}
         self.den = math.lcm(*[c.denominator for terms in maps for c in terms.values()])
         self.degree = max([_mono_deg(m) for terms in maps for m in terms], default=0)
-        # per term: den * coefficient, its degree gap, its variable indices repeated by exponent
-        self.polys = tuple(tuple((c.numerator * (self.den // c.denominator), self.degree - _mono_deg(m),
-                                  tuple(index[v] for v, e in m for _ in range(e)))
-                                 for m, c in terms.items()) for terms in maps)
+        constant = [0] * len(maps)
+        layers: list[list] = [[] for _ in range(max(self.degree, 2) + 1)]
+        for poly, terms in enumerate(maps):
+            for m, c in terms.items():
+                c = c.numerator * (self.den // c.denominator)
+                idx = tuple(index[v] for v, e in m for _ in range(e))
+                if not idx:
+                    constant[poly] = c
+                else:
+                    layers[len(idx)].append((poly, c, *idx) if len(idx) <= 2 else (poly, c, idx))
+        self.constant = tuple(constant)
+        self.linear, self.quadratic = tuple(layers[1]), tuple(layers[2])
+        self.higher = tuple(tuple(layer) for layer in layers[3:])
         self._reads = (None, None)  # an `IntegerPoint` order and the plan's positions in it
 
     def at(self, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:
@@ -584,16 +603,24 @@ class IntegerPlan:
         except KeyError:
             missing = [v.name for v in self.variables if v not in assignment]
             raise AlgebraError("missing values for: " + ", ".join(missing)) from None
-        m_pow = [m**k for k in range(self.degree + 1)]
-        nums = []
-        for terms in self.polys:
-            num = 0
-            for c, gap, idx in terms:
+        # Horner in m over the degree layers: each layer's sum is added after
+        # the layers below it are multiplied by m
+        nums = list(self.constant)
+        if self.degree >= 1:
+            nums = [num * m for num in nums]
+            for poly, c, k in self.linear:
+                nums[poly] += c * scaled[k]
+        if self.degree >= 2:
+            nums = [num * m for num in nums]
+            for poly, c, k, l in self.quadratic:
+                nums[poly] += c * scaled[k] * scaled[l]
+        for layer in self.higher:
+            nums = [num * m for num in nums]
+            for poly, c, idx in layer:
                 for k in idx:
                     c *= scaled[k]
-                num += c * m_pow[gap]
-            nums.append(num)
-        return nums, self.den * m_pow[self.degree]
+                nums[poly] += c
+        return nums, self.den * m**self.degree
 
 
 class UPoly:
@@ -784,6 +811,20 @@ def integer_discriminant(g: Sequence[int]) -> int:
     return -det if (d * (d - 1) // 2) % 2 else det
 
 
+def nonzero_discriminant(g: Sequence[int]) -> bool:
+    """`integer_discriminant(g) != 0`, decided fast where it can be.
+
+    Formal degree d <= 2 takes the closed forms.  For d >= 3,
+    `certify_squarefree` first: when _P does not divide g[d] and gcd(g, g')
+    = 1 modulo _P, g has degree d and is squarefree over Q, so its
+    discriminant is nonzero.  Every other outcome, g[d] = 0 included, takes
+    the exact determinant.
+    """
+    if len(g) <= 3:
+        return integer_discriminant(g) != 0
+    return certify_squarefree(g) or integer_discriminant(g) != 0
+
+
 # -- univariate rational helpers ---------------------------------------------
 
 
@@ -922,17 +963,17 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
     G = deflate(F)
     if G.deg < F.deg and G.coeff(0).is_zero():
         return False, "symbolic"
-    return _nonzero_discriminant(G), "symbolic"
+    return _generic_discriminant_nonzero(G), "symbolic"
 
 
-def _nonzero_discriminant(G: UPoly) -> bool:
+def _generic_discriminant_nonzero(G: UPoly) -> bool:
     """disc G != 0 as a polynomial.  One nonzero integer value at a fixed
     point proves it; only when every fixed point gives 0 is disc G expanded."""
     plan = IntegerPlan(G.coeffs)
     for seed in range(2):
         rng = random.Random(seed)
         point = {v: rng.randrange(1, 1 << 20) for v in plan.variables}
-        if integer_discriminant(plan.at(point)[0]):
+        if nonzero_discriminant(plan.at(point)[0]):
             return True
     return not discriminant(G).is_zero()
 

@@ -25,18 +25,19 @@ The polar rule lives once, as `polar_coefficient`: the coefficient at
 `MPoly`s for symbolic input, and the model builders of genus1 and genus2
 read it at the symbolic pencil point.  At a constant pencil point, for a
 concrete series or a member with a draw of its variables, `polar` takes the
-integer route instead: `_member_at` evaluates each member coefficient at the
-draw (empty for a concrete series, as in the CLI) as an integer over one
+integer route instead: `_numerators` evaluates each member coefficient at
+the draw (empty for a concrete series, as in the CLI) as an integer over one
 shared denominator, from an `algebra.IntegerPlan` compiled once per series
-and kept on it, and skips those that are 0; each polar coefficient is then
-formed over integers and kept as a numerator over one denominator, in
-`_IntegerTerms`, which builds a key's constant `MPoly` only when a check
-reads it (the nondegeneracy test reads the numerators instead).  The same
-evaluator serves the verify trial's locus test and pencil check (see genus1
-and verify).  Each verify trial takes this route from the generic member and
-its draw, an `algebra.IntegerPoint` in the member's variable order, so no
-concrete member and no `Fraction` of the draw is built.  `substitute` reads
-the same `_member_at`.  Both routes
+and kept on it, and each nonzero numerator goes to the polar keys its two
+derivatives land on, read from `polar_targets`, also kept on the series, so
+a call forms no key; each polar coefficient is kept as a numerator over one
+denominator, in `_IntegerTerms`, which builds a key's constant `MPoly` only
+when a check reads it (the nondegeneracy test and the Puiseux expansion read
+the numerators instead).  The same evaluator serves the verify trial's locus
+test and pencil check (see genus1 and verify).  Each verify trial takes this
+route from the generic member and its draw, an `algebra.IntegerPoint` in the
+member's variable order, so no concrete member and no `Fraction` of the draw
+is built.  `substitute` reads the same `_numerators`.  Both routes
 give the keys in one order, the x-derivative keys in the member's order and
 then the y-derivative keys that are new, because the Puiseux expansion adds
 floats in that order.
@@ -103,8 +104,18 @@ class PlaneSeries:
 
     @cached_property
     def integer_plan(self) -> IntegerPlan:
-        """The coefficients compiled for `_member_at`, once per series."""
+        """The coefficients compiled for integer evaluation, once per series."""
         return IntegerPlan(self.terms.values())
+
+    @cached_property
+    def polar_targets(self) -> tuple[tuple[tuple[int, Point, int], ...], ...]:
+        """Where the derivatives of the terms land, in term order: for each
+        term x^i y^j with i > 0, its position k among the terms, the key
+        (i-1, j) and the factor i; then the same for each term with j > 0,
+        the key (i, j-1) and the factor j."""
+        keys = list(self.terms)
+        return (tuple((k, (i - 1, j), i) for k, (i, j) in enumerate(keys) if i),
+                tuple((k, (i, j - 1), j) for k, (i, j) in enumerate(keys) if j))
 
     def render(self) -> str:
         return self.poly.render()
@@ -114,7 +125,8 @@ class _IntegerTerms(Mapping):
     """Read-only terms of a concrete series: nonzero integer numerators over
     one denominator.  A key's constant `MPoly` is built, and kept, when the
     key is first read; `items()` and `values()` build every key in one pass,
-    in key order.  Keys, length, membership and `numerator` never build one.
+    in key order.  Keys, length, membership, `numerator` and `numerators`
+    never build one.
     """
 
     __slots__ = ("_terms", "_den")
@@ -137,6 +149,11 @@ class _IntegerTerms(Mapping):
         support; no `MPoly` is built."""
         c = self._terms.get(pt, 0)
         return c if type(c) is int else int(c.constant_value() * self._den)
+
+    def numerators(self) -> tuple[dict[Point, int], int]:
+        """Every key's integer numerator, in key order, and the one
+        denominator."""
+        return {pt: self.numerator(pt) for pt in self._terms}, self._den
 
     def __iter__(self):
         return iter(self._terms)
@@ -195,29 +212,31 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
     is dropped.  Keys come in a fixed order: the x-derivative keys in the
     member's order, then the y-derivative keys not already present.  At a
     constant pencil point, for a concrete series or one whose variables
-    `assignment` all fixes, the member is evaluated over integers by
-    `_member_at` and the polar's terms are `_IntegerTerms`: integer
-    numerators over one denominator, each normalised into a constant `MPoly`
-    when it is first read; the result equals
-    `polar(substitute(f, assignment), params)`.  Otherwise each key
+    `assignment` all fixes, the integer route takes the member's numerators
+    at `assignment` from its `integer_plan` and sends each nonzero one to
+    its `polar_targets`, with no key formed per call; the polar's terms are
+    `_IntegerTerms`, integer numerators over one denominator, each
+    normalised into a constant `MPoly` when it is first read, and the result
+    equals `polar(substitute(f, assignment), params)`.  Otherwise each key
     takes `polar_coefficient` over `MPoly`s.
     """
     if params is None:
         params = PolarParams.symbolic()
     if params.a.is_constant() and params.b.is_constant() and (assignment is not None or f.is_concrete()):
         a, b = params.a.constant_value(), params.b.constant_value()
-        member, den = _member_at(f, assignment or {})
+        nums, den = _numerators(f, assignment or {})
         ax, by = a.numerator * b.denominator, b.numerator * a.denominator
-        common = a.denominator * b.denominator * den
-        # every key is placed by its x-derivative term, zero or not, so a key
-        # keeps its position when the y-derivative term lands on it
+        x_targets, y_targets = f.polar_targets
+        # every x-derivative key of a nonzero term is placed, zero or not, so
+        # a key keeps its position when a y-derivative term lands on it
         out: dict[Point, int] = {}
-        for (i, j), num in member:
-            if i:
-                out[(i - 1, j)] = ax * i * num
-        for (i, j), num in member:
-            if j:
-                out[(i, j - 1)] = out.get((i, j - 1), 0) + by * j * num
+        for k, pt, i in x_targets:
+            if num := nums[k]:
+                out[pt] = ax * i * num
+        for k, pt, j in y_targets:
+            if num := nums[k]:
+                out[pt] = out.get(pt, 0) + by * j * num
+        common = a.denominator * b.denominator * den
         return PlaneSeries(_IntegerTerms({pt: num for pt, num in out.items() if num}, common))
     if assignment is not None:
         f = substitute(f, assignment)
@@ -226,20 +245,19 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
     return PlaneSeries({pt: c for pt, c in coeffs.items() if not c.is_zero()})
 
 
-def _member_at(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tuple[list, int]:
-    """f at `assignment` over integers, from its `integer_plan`: the nonzero
-    coefficient numerators in member order and their one denominator."""
+def _numerators(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:
+    """Every coefficient of f at `assignment` over integers, in member order,
+    and their one denominator, from its `integer_plan`."""
     try:
-        nums, den = f.integer_plan.at(assignment)
+        return f.integer_plan.at(assignment)
     except AlgebraError as exc:  # a missing value
         raise CurveError(str(exc)) from None
-    return [(pt, num) for pt, num in zip(f.terms, nums) if num], den
 
 
 def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
     """Instantiate every non-x,y variable; the result is a concrete series."""
-    member, den = _member_at(f, assignment)
-    return PlaneSeries({pt: MPoly.const(Fraction(num, den)) for pt, num in member})
+    nums, den = _numerators(f, assignment)
+    return PlaneSeries({pt: MPoly.const(Fraction(num, den)) for pt, num in zip(f.terms, nums) if num})
 
 
 # -- normal-form families -----------------------------------------------------

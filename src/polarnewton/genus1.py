@@ -21,11 +21,11 @@ enter the side polynomials with coefficient zero and impose no condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
 
-from .algebra import (A, B, IntegerPlan, MPoly, UPoly, Var, X, Y, deflate, discriminant, integer_discriminant,
-                      strip_content)
+from .algebra import (A, B, IntegerPlan, IntegerPoint, MPoly, UPoly, Var, X, Y, deflate, discriminant,
+                      nonzero_discriminant, strip_content)
 from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
 from .curves import CurveError, check_family, coefficient_g1, polar_coefficient
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
@@ -63,6 +63,7 @@ class DegeneracyLocus:
     lowest: tuple[MPoly, ...]
     sides: tuple[UPoly, ...]
     nonvanishing: frozenset[Var] = frozenset()
+    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     @cached_property
     def raw(self) -> tuple[MPoly, ...]:
@@ -113,9 +114,14 @@ class DegeneracyLocus:
     def _values(self, assignment) -> list[int]:
         """The parts at the family point over one positive denominator, then a
         0 that index -1 reads; a verify draw's `IntegerPoint` is read through
-        the plan's positions in the family order, fixed at the first read."""
+        the plan's positions in the family order, fixed at the first read.
+        The parts at the last `IntegerPoint` read are kept, so the pencil
+        checks of an accepted draw reuse those of its locus test."""
+        if isinstance(assignment, IntegerPoint) and self._last[0] is assignment:
+            return self._last[1]
         values = self._split[0].at(assignment)[0]
         values.append(0)
+        self._last[:] = assignment, values
         return values
 
     def vanishes_at(self, assignment) -> bool:
@@ -132,10 +138,10 @@ class DegeneracyLocus:
                 return True
         for side in sides:
             pa, pb = [v[i] for i, _ in side], [v[j] for _, j in side]
-            if integer_discriminant(pb):  # r = 0
+            if nonzero_discriminant(pb):  # r = 0
                 continue
             for r in range(1, 2 * len(side) - 3):
-                if integer_discriminant([r * x + y for x, y in zip(pa, pb)]):
+                if nonzero_discriminant([r * x + y for x, y in zip(pa, pb)]):
                     break
             else:
                 return True
@@ -151,7 +157,7 @@ class DegeneracyLocus:
             if not v[i] * x + v[j] * y:
                 return False
         for side in sides:
-            if not integer_discriminant([v[i] * x + v[j] * y for i, j in side]):
+            if not nonzero_discriminant([v[i] * x + v[j] * y for i, j in side]):
                 return False
         return True
 

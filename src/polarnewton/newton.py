@@ -59,39 +59,38 @@ class NewtonPolygon:
 
 
 def newton_polygon_from_points(points) -> NewtonPolygon:
-    pts = sorted(set(points))
-    if not pts:
+    """The polygon of a support, given as any iterable of points (read once).
+
+    One pass keeps the lowest j of each column i; only the distinct i are
+    sorted.  The staircase of dominance-minimal points (j falling as i rises)
+    then gives the lower hull: a clockwise or straight turn means the middle
+    point is on or above the chord, so it is not a vertex.
+    """
+    low: dict[int, int] = {}
+    for i, j in points:
+        if j < low.get(i, j + 1):
+            low[i] = j
+    if not low:
         raise PolygonError("empty support")
-    # staircase of dominance-minimal points (lowest j at each i, j decreasing)
-    stair: list[Point] = []
-    best_j = None
-    for p in pts:  # ascending i, ascending j at equal i
-        if stair and stair[-1][0] == p[0]:
-            continue
-        if best_j is None or p[1] < best_j:
-            stair.append(p)
-            best_j = p[1]
-    # convex chain along the staircase; a clockwise or straight turn means the
-    # middle point is on or above the chord, so it is not a vertex
     hull: list[Point] = []
-    for p in stair:
+    for i in sorted(low):
+        j = low[i]
+        if hull and j >= hull[-1][1]:  # dominated by a point to its left
+            continue
         while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross <= 0:
-                hull.pop()
-            else:
+            (i0, j0), (i1, j1) = hull[-2], hull[-1]
+            if (i1 - i0) * (j - j0) - (j1 - j0) * (i - i0) > 0:
                 break
-        hull.append(p)
-    top, bottom = hull[0], hull[-1]
+            hull.pop()
+        hull.append((i, j))
     sides = tuple(_make_side(hull[k], hull[k + 1]) for k in range(len(hull) - 1))
-    return NewtonPolygon(sides=sides, top=top, bottom=bottom)
+    return NewtonPolygon(sides=sides, top=hull[0], bottom=hull[-1])
 
 
 def newton_polygon(f: PlaneSeries) -> NewtonPolygon:
     if f.is_zero():
         raise PolygonError("Newton polygon of the zero series")
-    return newton_polygon_from_points(f.support())
+    return newton_polygon_from_points(f.terms)
 
 
 def associated_from(points, coeff_at) -> UPoly:

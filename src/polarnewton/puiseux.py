@@ -2,11 +2,12 @@
 
 Branches through the origin are developed side by side on successive Newton
 polygons.  Exponent bookkeeping is exact (Fractions produced by polygon
-slopes); coefficients start as exact rationals, become complex floats once
-per expansion, and a shift's x-powers and coefficients are laid out once per
-side for all its roots.  Root multiplicities at the first, still-exact level
-are read off a rational squarefree decomposition; deeper levels fall back to
-clustering with a relative tolerance.
+slopes); coefficients start as integer numerators over one denominator,
+are read as exact rationals only at the first level's side points, become
+complex floats once per expansion, and a shift's x-powers and coefficients
+are laid out once per side for all its roots.  Root multiplicities at the
+first, still-exact level are read off a rational squarefree decomposition;
+deeper levels fall back to clustering with a relative tolerance.
 
 One loop walks every node.  A simple edge root separates its branch: the
 substituted node holds the term y, and the rest of the branch is a chain of
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import qpoly_yun
-from .curves import PlaneSeries
+from .curves import PlaneSeries, _IntegerTerms
 
 DROP_ACC = 1e-9  # cancellation cutoff relative to accumulated contributions
 # Root clustering must merge the numeric splitting of an exact multiple root,
@@ -88,10 +89,17 @@ class _Raw:
     reached: Fraction | None
 
 
-def _poly_dict(f: PlaneSeries) -> dict[tuple[int, int], Fraction]:
+def _series_numerators(f: PlaneSeries) -> tuple[dict[tuple[int, int], int], int]:
+    """A concrete series as integer numerators over one positive denominator;
+    an integer-route polar (`curves._IntegerTerms`) gives its own, with no
+    `Fraction` and no `MPoly`."""
+    if isinstance(f.terms, _IntegerTerms):
+        return f.terms.numerators()
     if not f.is_concrete():
         raise PuiseuxError("expansion needs a concrete series over the rationals")
-    return {pt: c.constant_value() for pt, c in f.terms.items()}
+    values = {pt: c.constant_value() for pt, c in f.terms.items()}
+    den = math.lcm(*[c.denominator for c in values.values()])
+    return {pt: c.numerator * (den // c.denominator) for pt, c in values.items()}, den
 
 
 def _compact_sides(p: dict):
@@ -142,16 +150,19 @@ def _linear_root(c0: complex, c1: complex) -> complex:
     return 0j + q
 
 
-def _edge_roots(p: dict, pts, exact: bool):
+def _edge_roots(p: dict, pts, den: int | None):
     """Roots (value, multiplicity) of the associated polynomial of a side,
-    given by its support points from the high-j end down."""
+    given by its support points from the high-j end down.  With `den`, p
+    holds the root's integer numerators over den and the roots are found
+    exactly; with None, p holds floats."""
     import numpy as np  # only roots of degree >= 2 need it; importing the package does not
 
     j0 = pts[-1][1]
     deg = pts[0][1] - j0
+    exact = den is not None
     coeffs = [Fraction(0) if exact else 0j] * (deg + 1)
     for (i, j) in pts:
-        coeffs[j - j0] = p[(i, j)]
+        coeffs[j - j0] = Fraction(p[(i, j)], den) if exact else p[(i, j)]
     if exact:
         out = []
         for fac, mult in qpoly_yun(coeffs):
@@ -248,7 +259,7 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     """
     if f.is_zero():
         raise PuiseuxError("cannot expand the zero series")
-    p0 = _poly_dict(f)
+    p0, den = _series_numerators(f)
     xval = min(i for (i, _j) in p0)
     if xval > 0:  # divide out the x-axis component; it carries no y-branch
         p0 = {(i - xval, j): c for (i, j), c in p0.items()}
@@ -314,9 +325,11 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
             istar = min(i for (i, j) in p if j == 0)
             sides = [(1, istar, [(_linear_root(p[(istar, 0)], p[(0, 1)]), 1)])]
         else:
-            sides = ((nbar, mbar, _edge_roots(p, pts, not terms))
+            sides = ((nbar, mbar, _edge_roots(p, pts, None if terms else den))
                      for pts, nbar, mbar in _compact_sides(p))
-        cp = p if terms else {pt: complex(v) for pt, v in p.items()}
+        # the root's numerators become floats once; int true division rounds
+        # correctly, so each is the float of its Fraction
+        cp = p if terms else {pt: complex(num / den) for pt, num in p.items()}
         for nbar, mbar, roots in sides:
             layout = _shift_layout(cp, nbar, mbar)
             for c, mult in roots:
@@ -508,7 +521,7 @@ def intersection_numeric(b1: PuiseuxBranch, b2: PuiseuxBranch, tol: float = COEF
 def reconstruction_residual(f: PlaneSeries, branch: PuiseuxBranch) -> float:
     """Largest relative residual coefficient of f(t^n, y(t)) below the
     guaranteed order; small values certify the expansion."""
-    p = _poly_dict(f)
+    p, den = _series_numerators(f)
     n = branch.n
     if branch.reached is None:
         # exact parametrization: evaluate without truncation
@@ -538,7 +551,7 @@ def reconstruction_residual(f: PlaneSeries, branch: PuiseuxBranch) -> float:
             te = i * n + e
             if te >= t_limit:
                 continue
-            val = complex(c) * cv
+            val = complex(c / den) * cv
             total[te] = total.get(te, 0j) + val
             scale = max(scale, abs(val))
     if scale == 0.0:

@@ -15,10 +15,11 @@ reports.  A drawn value is num/den, with num and den read from the
 generator's bits as `rng.choice` over a range (and `randint` over the same
 bounds) reads them.  A family draw is made over integers once, as an
 `algebra.IntegerPoint` in `coeff_vars` order, which the member's evaluation,
-the locus test and the pencil check read as it is; each value's digest text
-comes from one bounded memo on the integer pair, so a trial builds no
-`Fraction` of the family values and formats no value that an earlier draw
-already made.
+the locus test and the pencil check read as it is; the locus parts are
+evaluated once per draw, and the pencil checks of the accepted draw reuse
+them.  Each value's digest text comes from one bounded memo on the integer
+pair, so a trial builds no `Fraction` of the family values and formats no
+value that an earlier draw already made.
 """
 
 from __future__ import annotations
@@ -182,14 +183,26 @@ def _generic_verdict(key: tuple[int, ...]) -> str:
     return is_nondegenerate(polar(_family(key).generic)).verdict
 
 
+def _topology_matches(polygon, topology) -> bool:
+    """The branch classes read off `polygon` are `topology`."""
+    try:
+        return oka_decomposition(polygon) == topology
+    except PolygonError:  # the polygon misses an axis
+        return False
+
+
 def run_verification(cfg: SampleConfig) -> dict:
-    """Per-trial polygon/lattice/squarefree/topology comparison report."""
+    """Per-trial polygon/lattice/squarefree/topology comparison report.
+
+    The topology check is a function of the polygon alone, so it runs once
+    per distinct polygon of the run."""
     family = _family(cfg.family)
     model = polar_model_g1(*cfg.family) if len(cfg.family) == 2 else polar_model_g2(*cfg.family)
-    predicted_polygon = model.predicted_polygon()
+    predicted_vertices = model.predicted_polygon().vertices()
     predicted_points = model.predicted_points()
     generic_verdict = _generic_verdict(tuple(cfg.family))
     labels = [f"{v.name}=" for v in family.coeff_vars]
+    topology_matches: dict[tuple, bool] = {}  # per polygon vertex tuple of the run
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
@@ -197,16 +210,15 @@ def run_verification(cfg: SampleConfig) -> dict:
         (a, a_text), (b, b_text) = _draw_general_pencil(family, model, rng, cfg.coeff_range, assignment)
         pol = polar(family.generic, PolarParams.concrete(a, b), assignment)
         report = is_nondegenerate(pol)
-        polygon_match = report.polygon.vertices() == predicted_polygon.vertices()
-        support = pol.support()
-        points_present = all(pt in support for pt in predicted_points)
+        vertices = report.polygon.vertices()
+        polygon_match = vertices == predicted_vertices
+        points_present = all(pt in pol.terms for pt in predicted_points)
         sides_sf = [bool(v.squarefree) and v.path == "concrete" for v in report.sides]
         topology_match = False
         if report.nondegenerate:
-            try:
-                topology_match = oka_decomposition(report.polygon) == model.topology
-            except PolygonError:  # the polygon misses an axis
-                pass
+            if vertices not in topology_matches:
+                topology_matches[vertices] = _topology_matches(report.polygon, model.topology)
+            topology_match = topology_matches[vertices]
         rec = {
             "trial": trial,
             "digest": _assignment_digest(labels, texts, a_text, b_text),

@@ -20,14 +20,19 @@ from polarnewton.algebra import (
     Z,
     avar,
     bvar,
+    IntegerPoint,
     discriminant,
+    integer_discriminant,
     is_squarefree,
+    nonzero_discriminant,
     qpoly_gcd,
     qpoly_yun,
     resultant,
     squarefree_info,
     strip_content,
 )
+
+from polarnewton.curves import generic_member_g2
 
 from _oracles import det_fraction, sylvester_matrix
 
@@ -154,6 +159,23 @@ class TestIntegerPlan:
         assert IntegerPlan([]).at({}) == ([], 1)
         assert IntegerPlan([MPoly.const(Fraction(-7, 3)), MPoly.zero()]).at({A: 5}) == ([-7, 0], 3)
 
+    def test_terms_of_degree_three_and_up_match_evaluate(self):
+        # the cube f1^3 of an e1 = 3 member gives its coefficients terms of
+        # degree 3 and more, the layers that the bench members never fill
+        fam = generic_member_g2(2, 3, 1, e1=3)
+        plan = fam.generic.integer_plan
+        assert plan.degree >= 3 and all(plan.higher)
+        rng = random.Random(25)
+        for _ in range(20):
+            pairs = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in fam.coeff_vars]
+            point = {v: Fraction(num, den) for v, (num, den) in zip(fam.coeff_vars, pairs)}
+            m = 2520
+            scaled = IntegerPoint(fam.coeff_vars, [num * (m // den) for num, den in pairs], m)
+            want = [c.evaluate(point) for c in fam.generic.terms.values()]
+            for at in (point, scaled):
+                nums, den = plan.at(at)
+                assert [Fraction(num, den) for num in nums] == want
+
 
 class TestDerivative:
     def test_power_rule(self):
@@ -252,6 +274,54 @@ class TestDiscriminant:
     def test_constant_input_rejected(self):
         with pytest.raises(AlgebraError):
             discriminant(upoly(MPoly.const(5)))
+
+
+class TestNonzeroDiscriminant:
+    """The fast predicate against `integer_discriminant(g) != 0`."""
+
+    @staticmethod
+    def _cases(rng: random.Random, d: int) -> list[list[int]]:
+        def vector(k):
+            return [rng.randint(-20, 20) for _ in range(k)]
+
+        def times(f, g):
+            out = [0] * (len(f) + len(g) - 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    out[i + j] += x * y
+            return out
+
+        r = rng.randint(-5, 5)
+        repeated = times(times([-r, 1], [-r, 1]), vector(d - 1))  # (z - r)^2 * h
+        return [
+            vector(d + 1),
+            vector(d) + [rng.choice([-3, -1, 1, 2, 7])],
+            vector(d) + [0],  # formal degree d, leading coefficient 0
+            vector(d - 1) + [0, 0],  # two roots at infinity
+            repeated,
+            [x * rng.choice([-2, 3]) for x in repeated],
+            vector(d) + [rng.randint(1, 3) * (2**61 - 1)],  # the modulus divides the leading coefficient
+        ]
+
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_matches_the_exact_discriminant(self, d):
+        rng = random.Random(f"nonzero:{d}")
+        seen = set()
+        for _ in range(6):
+            for g in self._cases(rng, d):
+                assert len(g) == d + 1
+                want = integer_discriminant(g) != 0
+                assert nonzero_discriminant(g) is want
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_low_degrees_take_the_closed_forms(self):
+        assert nonzero_discriminant([0, 0]) and nonzero_discriminant([5, 3])
+        assert not nonzero_discriminant([4, -4, 1]) and nonzero_discriminant([1, 0, -1])
+        # formal degree 2: a simple root at infinity, then a double one
+        assert nonzero_discriminant([1, 2, 0]) and not nonzero_discriminant([1, 0, 0])
+        with pytest.raises(AlgebraError):
+            nonzero_discriminant([7])
 
 
 class TestSquarefree:

@@ -54,6 +54,18 @@ class TestPolygon:
             pts = {(rng.randint(0, 14), rng.randint(0, 14)) for _ in range(rng.randint(1, 30))}
             assert list(newton_polygon_from_points(pts).vertices()) == hull_oracle(pts)
 
+    def test_reads_a_one_shot_iterable_with_repeated_columns(self):
+        # several points per column, some repeated, in shuffled order, read
+        # from a generator that can be walked only once
+        rng = random.Random(2525)
+        for _ in range(100):
+            columns = [rng.randint(0, 12) for _ in range(rng.randint(1, 6))]
+            pts = [(i, rng.randint(0, 14)) for i in columns for _ in range(rng.randint(1, 4))]
+            pts += rng.sample(pts, len(pts) // 2)
+            rng.shuffle(pts)
+            got = newton_polygon_from_points(pt for pt in pts)
+            assert list(got.vertices()) == hull_oracle(pts)
+
     def test_height_additivity(self):
         rng = random.Random(99)
         for _ in range(20):

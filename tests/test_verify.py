@@ -388,6 +388,43 @@ class TestRunVerification:
         assert counts["polygons"] == 3 + 0
         assert counts["squarefree"] == counts["sides"]
 
+    def test_topology_is_read_once_per_polygon(self, monkeypatch):
+        # the three trials share one polygon, so its branch classes are read once
+        calls = []
+        oka = verify.oka_decomposition
+        monkeypatch.setattr(verify, "oka_decomposition", lambda polygon: calls.append(polygon) or oka(polygon))
+        report = run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
+        assert report["summary"]["topology_match"] == 3
+        assert len(calls) == 1
+
+    def test_the_locus_is_evaluated_once_per_draw(self, monkeypatch):
+        # every family draw, rejected or accepted, evaluates the locus parts
+        # once; the pencil checks, rejected ones included, reuse the parts of
+        # the accepted draw.  Every other draw and pencil is rejected on top
+        # of the locus's own verdict.
+        plan = polar_model_g2(5, 12, 1).locus._split[0]
+        counts = {"at": 0, "draws": 0, "pencils": 0}
+        at, vanishes_at, nonzero_at = algebra.IntegerPlan.at, DegeneracyLocus.vanishes_at, DegeneracyLocus.nonzero_at
+
+        def counting_at(self, assignment):
+            counts["at"] += self is plan
+            return at(self, assignment)
+
+        def rejecting_draws(self, assignment):
+            counts["draws"] += 1
+            return vanishes_at(self, assignment) or counts["draws"] % 2 == 1
+
+        def rejecting_pencils(self, assignment, a, b):
+            counts["pencils"] += 1
+            return nonzero_at(self, assignment, a, b) and counts["pencils"] % 2 == 0
+
+        monkeypatch.setattr(algebra.IntegerPlan, "at", counting_at)
+        monkeypatch.setattr(DegeneracyLocus, "vanishes_at", rejecting_draws)
+        monkeypatch.setattr(DegeneracyLocus, "nonzero_at", rejecting_pencils)
+        run_verification(SampleConfig(family=(5, 12, 1), seed=42, trials=4))
+        assert counts["draws"] >= 8 and counts["pencils"] >= 8
+        assert counts["at"] == counts["draws"]
+
     def test_unexpected_topology_errors_propagate(self, monkeypatch):
         def broken(polygon):
             raise RuntimeError("broken decomposition")
