@@ -42,6 +42,7 @@ __all__ = [
     "MPoly",
     "IntegerPoint",
     "IntegerPlan",
+    "common_denominator",
     "UPoly",
     "resultant",
     "discriminant",
@@ -522,6 +523,14 @@ class MPoly:
         return f"MPoly({self.render()})"
 
 
+def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of `values` over their least common denominator,
+    in order, and that denominator."""
+    values = list(values)
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class IntegerPoint(Mapping):
     """A rational point over integers: `variables[k]` takes `scaled[k] / m`,
     m > 0.  `IntegerPlan.at` reads the integers; as a mapping the point gives
@@ -597,9 +606,7 @@ class IntegerPlan:
                         self._reads = assignment.variables, [index[v] for v in self.variables]
                     scaled = [scaled[k] for k in self._reads[1]]
             else:
-                values = [assignment[v] for v in self.variables]
-                m = math.lcm(*[v.denominator for v in values])
-                scaled = [v.numerator * (m // v.denominator) for v in values]
+                scaled, m = common_denominator([assignment[v] for v in self.variables])
         except KeyError:
             missing = [v.name for v in self.variables if v not in assignment]
             raise AlgebraError("missing values for: " + ", ".join(missing)) from None
@@ -880,7 +887,7 @@ def _qsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 def qpoly_yun(c: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
     """Yun squarefree decomposition: list of (monic factor, multiplicity).
 
-    The modular certificate of `squarefree_info` settles a squarefree input
+    The modular certificate `certify_squarefree` settles a squarefree input
     without the exact gcd; any other outcome takes the exact path.
     """
     f = _qtrim(list(c))
@@ -923,41 +930,39 @@ def _coprime_mod_p(f: list[int], g: list[int]) -> bool:
 
 def certify_squarefree(nums: Sequence[int]) -> bool:
     """True proves sum nums[k] z^k (integers, low degree first, degree >= 1)
-    squarefree over Q; see `squarefree_info`.  False decides nothing."""
+    squarefree over Q; False decides nothing.  If _P does not divide the
+    leading entry and gcd(N mod _P, N' mod _P) = 1, N is squarefree, since a
+    repeated factor G^2 of N over Z keeps its degree mod _P (lc(G) divides
+    lc(N)) and divides both N and N' there."""
     f = [x % _P for x in nums]
     return bool(f[-1]) and _coprime_mod_p(f, [k * f[k] % _P for k in range(1, len(f))])
 
 
 def _squarefree_mod_p(c: Sequence[Fraction]) -> bool:
     """`certify_squarefree` on c (nonzero last entry) scaled to integers."""
-    den = math.lcm(*[x.denominator for x in c])
-    return certify_squarefree([x.numerator * (den // x.denominator) for x in c])
+    return certify_squarefree(common_denominator(c)[0])
 
 
 def squarefree_info(F: UPoly) -> tuple[bool, str]:
     """Squarefree verdict plus which route decided it.
 
-    Constant coefficients ("concrete"): first `certify_squarefree` on any
-    integer multiple N of F; if _P does not divide lc(N) and gcd(N mod _P,
-    N' mod _P) = 1, F is squarefree, since a repeated factor G^2 of N over Z
-    keeps its degree mod _P (lc(G) divides lc(N)) and divides both N and N'
-    there.  Any other outcome falls through to the exact test, gcd(F, F')
-    constant over Q, which is the only one that can answer "not squarefree".
-    Otherwise ("symbolic"), a statement about the generic member only: with
-    F(z) = G(z^s) and G = deflate(F), the discriminant of G must be nonzero as
-    a polynomial and, when s >= 2, so must G(0), since z = 0 is then a root
-    of F of multiplicity at least s.  One nonzero `integer_discriminant` of
-    G's coefficients at a fixed integer point proves disc G != 0; disc G is
-    expanded only when every fixed point gives 0.
+    Constant coefficients ("concrete"): F scaled to integers goes to
+    `nonzero_discriminant`, the one exact test of a concrete side (closed
+    forms to degree 2, then the modular certificate, then the determinant);
+    lc(F) is nonzero, so F is squarefree exactly when its discriminant is
+    nonzero.  Otherwise ("symbolic"), a statement about the generic member
+    only: with F(z) = G(z^s) and G = deflate(F), the discriminant of G must
+    be nonzero as a polynomial and, when s >= 2, so must G(0), since z = 0 is
+    then a root of F of multiplicity at least s.  One nonzero
+    `integer_discriminant` of G's coefficients at a fixed integer point
+    proves disc G != 0; disc G is expanded only when every fixed point
+    gives 0.
     """
     if F.is_zero():
         raise AlgebraError("squarefree test on the zero polynomial")
     if F.has_constant_coeffs():
         c = F.as_fractions()
-        if len(c) == 1 or _squarefree_mod_p(c):
-            return True, "concrete"
-        g = qpoly_gcd(c, _qderiv(list(c)))
-        return len(g) == 1, "concrete"
+        return len(c) == 1 or nonzero_discriminant(common_denominator(c)[0]), "concrete"
     if F.deg < 1:
         return True, "symbolic"
     G = deflate(F)

@@ -5,10 +5,11 @@ through a fixed envelope {tool_version, command, inputs, result, warnings};
 `--format json` prints it as JSON with stable key order, `--format text`
 renders a short human-readable view of the result payload.
 
-Exit codes: 0 success, 1 computation error, 2 usage error.  A computation
-error is one of the package's errors (a `ValueError` subclass, an
-`ArithmeticError` or a `VerifyError`) or an `OSError` reading `--input`; any
-other exception is a fault and propagates with its traceback.
+Exit codes: 0 success, 1 computation error, 2 usage error, 3 a `verify`
+run whose report, printed in full, has a summary count below the trial
+count.  A computation error is one of the package's errors (a `ValueError`
+subclass, an `ArithmeticError` or a `VerifyError`) or an `OSError` reading
+`--input`; any other exception is a fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -360,6 +361,8 @@ def main(argv=None) -> int:
         print("\n".join(_render_text(result)))
         for w in warnings:
             print(f"warning: {w}")
+    if args.command == "verify" and min(result["summary"].values()) < result["summary"]["trials"]:
+        return 3
     return 0
 
 

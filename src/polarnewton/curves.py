@@ -25,22 +25,21 @@ The polar rule lives once, as `polar_coefficient`: the coefficient at
 `MPoly`s for symbolic input, and the model builders of genus1 and genus2
 read it at the symbolic pencil point.  At a constant pencil point, for a
 concrete series or a member with a draw of its variables, `polar` takes the
-integer route instead: `_numerators` evaluates each member coefficient at
-the draw (empty for a concrete series, as in the CLI) as an integer over one
-shared denominator, from an `algebra.IntegerPlan` compiled once per series
+integer route instead: `_numerators` gives each coefficient as an integer
+over one shared denominator, a concrete series's own or, for a member, its
+value at the draw from an `algebra.IntegerPlan` compiled once per series
 and kept on it, and each nonzero numerator goes to the polar keys its two
 derivatives land on, read from `polar_targets`, also kept on the series, so
-a call forms no key; each polar coefficient is kept as a numerator over one
-denominator, in `_IntegerTerms`, which builds a key's constant `MPoly` only
-when a check reads it (the nondegeneracy test and the Puiseux expansion read
-the numerators instead).  The same evaluator serves the verify trial's locus
+a call forms no key.  The same evaluator serves the verify trial's locus
 test and pencil check (see genus1 and verify).  Each verify trial takes this
 route from the generic member and its draw, an `algebra.IntegerPoint` in the
 member's variable order, so no concrete member and no `Fraction` of the draw
-is built.  `substitute` reads the same `_numerators`.  Both routes
-give the keys in one order, the x-derivative keys in the member's order and
-then the y-derivative keys that are new, because the Puiseux expansion adds
-floats in that order.
+is built.  `substitute` reads the same `_numerators`.  Both routes give the
+keys in one order, the x-derivative keys in the member's order and then the
+y-derivative keys that are new, because the Puiseux expansion adds floats in
+that order.  Every concrete series, parsed, substituted or a polar, holds
+one form, `_IntegerTerms`, whose numerators the nondegeneracy test and the
+Puiseux expansion read.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebra import A, B, AlgebraError, IntegerPlan, MPoly, Var, X, Y, avar, bvar
+from .algebra import A, B, AlgebraError, IntegerPlan, MPoly, Var, X, Y, avar, bvar, common_denominator
 
 
 class CurveError(ValueError):
@@ -72,11 +71,18 @@ class PlaneSeries:
     """Polynomial in x, y as the map {(i, j): coefficient of x^i y^j}.
 
     Every stored coefficient is a nonzero polynomial in the variables other
-    than x and y; a concrete series has constant coefficients only.  The
-    integer route of `polar` stores them as `_IntegerTerms`.
+    than x and y.  A concrete series, one with constant coefficients only,
+    always holds them as `_IntegerTerms`: a map of constant `MPoly`s is
+    turned into one when the series is made.
     """
 
     terms: Mapping[Point, MPoly]
+
+    def __post_init__(self):
+        terms = self.terms
+        if not isinstance(terms, _IntegerTerms) and all(c.is_constant() for c in terms.values()):
+            nums, den = common_denominator(c.constant_value() for c in terms.values())
+            object.__setattr__(self, "terms", _IntegerTerms(dict(zip(terms, nums)), den))
 
     @classmethod
     def from_poly(cls, poly: MPoly) -> "PlaneSeries":
@@ -100,7 +106,7 @@ class PlaneSeries:
         return not self.terms
 
     def is_concrete(self) -> bool:
-        return isinstance(self.terms, _IntegerTerms) or all(c.is_constant() for c in self.terms.values())
+        return isinstance(self.terms, _IntegerTerms)
 
     @cached_property
     def integer_plan(self) -> IntegerPlan:
@@ -122,60 +128,42 @@ class PlaneSeries:
 
 
 class _IntegerTerms(Mapping):
-    """Read-only terms of a concrete series: nonzero integer numerators over
-    one denominator.  A key's constant `MPoly` is built, and kept, when the
-    key is first read; `items()` and `values()` build every key in one pass,
-    in key order.  Keys, length, membership, `numerator` and `numerators`
-    never build one.
+    """Read-only terms of a concrete series: integer numerators over one
+    positive denominator, in key order.  Reading a key builds its constant
+    `MPoly` afresh; keys, length, membership, `numerator` and `numerators`
+    build none, and the checks read only those.
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, nums: dict[Point, int], den: int):
-        self._terms: dict[Point, int | MPoly] = nums
+        self._nums = nums
         self._den = den
 
     def __getitem__(self, pt: Point) -> MPoly:
-        c = self._terms[pt]
-        if type(c) is int:
-            c = self._terms[pt] = MPoly._wrap({(): Fraction(c, self._den)})
-        return c
+        return MPoly.const(Fraction(self._nums[pt], self._den))
 
     def __contains__(self, pt) -> bool:
-        return pt in self._terms
+        return pt in self._nums
 
     def numerator(self, pt: Point) -> int:
         """The integer numerator at `pt` over the one denominator, 0 off the
-        support; no `MPoly` is built."""
-        c = self._terms.get(pt, 0)
-        return c if type(c) is int else int(c.constant_value() * self._den)
+        support."""
+        return self._nums.get(pt, 0)
 
     def numerators(self) -> tuple[dict[Point, int], int]:
         """Every key's integer numerator, in key order, and the one
         denominator."""
-        return {pt: self.numerator(pt) for pt in self._terms}, self._den
+        return dict(self._nums), self._den
 
     def __iter__(self):
-        return iter(self._terms)
+        return iter(self._nums)
 
     def __len__(self) -> int:
-        return len(self._terms)
-
-    def _built(self) -> dict[Point, MPoly]:
-        terms, den, wrap = self._terms, self._den, MPoly._wrap
-        for pt, c in terms.items():
-            if type(c) is int:  # a new value for a present key keeps the order
-                terms[pt] = wrap({(): Fraction(c, den)})
-        return terms
-
-    def items(self):
-        return self._built().items()
-
-    def values(self):
-        return self._built().values()
+        return len(self._nums)
 
     def __repr__(self) -> str:
-        return repr(self._built())
+        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
@@ -212,13 +200,12 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
     is dropped.  Keys come in a fixed order: the x-derivative keys in the
     member's order, then the y-derivative keys not already present.  At a
     constant pencil point, for a concrete series or one whose variables
-    `assignment` all fixes, the integer route takes the member's numerators
-    at `assignment` from its `integer_plan` and sends each nonzero one to
-    its `polar_targets`, with no key formed per call; the polar's terms are
-    `_IntegerTerms`, integer numerators over one denominator, each
-    normalised into a constant `MPoly` when it is first read, and the result
-    equals `polar(substitute(f, assignment), params)`.  Otherwise each key
-    takes `polar_coefficient` over `MPoly`s.
+    `assignment` all fixes, the integer route takes the series's own
+    numerators, or the member's at `assignment` from its `integer_plan`, and
+    sends each nonzero one to its `polar_targets`, with no key formed per
+    call; the polar's terms are `_IntegerTerms`, and the result equals
+    `polar(substitute(f, assignment), params)`.  Otherwise each key takes
+    `polar_coefficient` over `MPoly`s.
     """
     if params is None:
         params = PolarParams.symbolic()
@@ -247,7 +234,10 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
 
 def _numerators(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:
     """Every coefficient of f at `assignment` over integers, in member order,
-    and their one denominator, from its `integer_plan`."""
+    and their one denominator: a concrete series's own numerators, else from
+    its `integer_plan`."""
+    if f.is_concrete():
+        return list(f.terms._nums.values()), f.terms._den
     try:
         return f.integer_plan.at(assignment)
     except AlgebraError as exc:  # a missing value
@@ -257,7 +247,7 @@ def _numerators(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tup
 def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
     """Instantiate every non-x,y variable; the result is a concrete series."""
     nums, den = _numerators(f, assignment)
-    return PlaneSeries({pt: MPoly.const(Fraction(num, den)) for pt, num in zip(f.terms, nums) if num})
+    return PlaneSeries(_IntegerTerms({pt: num for pt, num in zip(f.terms, nums) if num}, den))
 
 
 # -- normal-form families -----------------------------------------------------

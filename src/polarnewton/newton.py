@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import MPoly, UPoly, Z, certify_squarefree, squarefree_info
-from .curves import PlaneSeries, Point, _IntegerTerms
+from .algebra import MPoly, UPoly, Z, nonzero_discriminant, squarefree_info
+from .curves import PlaneSeries, Point
 
 
 class PolygonError(ValueError):
@@ -134,25 +134,25 @@ class NondegReport:
 def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     """Squarefree test of every associated polynomial.
 
-    A side of an integer-route polar (`curves._IntegerTerms`) first goes to
-    `certify_squarefree` as its integer numerators, with no `UPoly`; any side
-    it leaves open takes `squarefree_info`.  A side checked through the
-    symbolic route only certifies the generic member, so the overall verdict
-    is downgraded accordingly.
+    A side of a concrete series goes to `algebra.nonzero_discriminant` as its
+    integer numerators, with no `UPoly`; its end coefficients are nonzero, so
+    a nonzero discriminant is the squarefree verdict.  A side of a symbolic
+    series takes `squarefree_info`; one with symbolic coefficients only
+    certifies the generic member, so the overall verdict is downgraded
+    accordingly.
     """
     poly = newton_polygon(f)
-    numerator = f.terms.numerator if isinstance(f.terms, _IntegerTerms) else None
+    numerator = f.terms.numerator if f.is_concrete() else None
     verdicts = []
     any_symbolic = False
     all_ok = True
     for side in poly.sides:
-        ok, path = False, "concrete"
         if numerator is not None:
             nums = [0] * (side.n + 1)
             for (i, j) in side.lattice_points:
                 nums[j - side.to_pt[1]] = numerator((i, j))
-            ok = certify_squarefree(nums)
-        if not ok:
+            ok, path = nonzero_discriminant(nums), "concrete"
+        else:
             ok, path = squarefree_info(associated_from(side.lattice_points, f.coeff))
         any_symbolic |= path == "symbolic"
         all_ok &= ok

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import qpoly_yun
-from .curves import PlaneSeries, _IntegerTerms
+from .curves import PlaneSeries
 
 DROP_ACC = 1e-9  # cancellation cutoff relative to accumulated contributions
 # Root clustering must merge the numeric splitting of an exact multiple root,
@@ -90,16 +90,12 @@ class _Raw:
 
 
 def _series_numerators(f: PlaneSeries) -> tuple[dict[tuple[int, int], int], int]:
-    """A concrete series as integer numerators over one positive denominator;
-    an integer-route polar (`curves._IntegerTerms`) gives its own, with no
-    `Fraction` and no `MPoly`."""
-    if isinstance(f.terms, _IntegerTerms):
-        return f.terms.numerators()
+    """A concrete series's integer numerators over its one positive
+    denominator, read from its `curves._IntegerTerms` with no `Fraction` and
+    no `MPoly`."""
     if not f.is_concrete():
         raise PuiseuxError("expansion needs a concrete series over the rationals")
-    values = {pt: c.constant_value() for pt, c in f.terms.items()}
-    den = math.lcm(*[c.denominator for c in values.values()])
-    return {pt: c.numerator * (den // c.denominator) for pt, c in values.items()}, den
+    return f.terms.numerators()
 
 
 def _compact_sides(p: dict):

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import IntegerPoint, MPoly, UPoly, Z
-from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
+from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
 from .newton import PolygonError, is_nondegenerate, oka_decomposition
@@ -87,11 +87,6 @@ def _rand_pairs(rng: random.Random, bound: int, nonzero) -> list[tuple[int, int]
             d = getrandbits(k_den)
         pairs.append((r - bound, d + 1))
     return pairs
-
-
-def _rand_fraction(rng: random.Random, bound: int, nonzero: bool = False) -> tuple[Fraction, str]:
-    """num/den with |num| <= bound and 1 <= den <= bound, and its text."""
-    return _drawn(*_rand_pairs(rng, bound, (nonzero,))[0])
 
 
 def _draw_assignment(family: Family, rng: random.Random, bound: int) -> tuple[IntegerPoint, list[str]]:
@@ -268,10 +263,8 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         assignment, _ = _draw_assignment(fam, rng, coeff_range)
-        series = substitute(fam.generic, assignment)
-        a, _ = _rand_fraction(rng, coeff_range)
-        b, _ = _rand_fraction(rng, coeff_range, nonzero=True)
-        pol = polar(series, PolarParams.concrete(a, b))
+        a, b = [Fraction(*pair) for pair in _rand_pairs(rng, coeff_range, (False, True))]
+        pol = polar(fam.generic, PolarParams.concrete(a, b), assignment)
         report = is_nondegenerate(pol)
         failing = [v for v in report.sides if not v.squarefree]
         target = [v for v in report.sides

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from polarnewton.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +156,32 @@ def test_verify_subcommand_runs(capsys):
                            "--p", "2", "--q", "3", "--trials", "2", "--seed", "1")
     payload = json.loads(out)
     assert payload["result"]["summary"]["polygon_match"] == 2
+    assert code == 0
+
+
+def test_verify_mismatch_exits_3_after_the_report(monkeypatch, capsys):
+    import polarnewton.verify as verify
+
+    monkeypatch.setattr(verify, "_topology_matches", lambda polygon, topology: False)
+    code, out, err = run_cli(capsys, "--format", "json", "verify", "g1",
+                             "--p", "2", "--q", "3", "--trials", "2", "--seed", "1")
+    assert code == 3
+    assert err == ""
+    summary = json.loads(out)["result"]["summary"]
+    assert summary["topology_match"] == 0
+    assert summary["polygon_match"] == summary["all_sides_squarefree"] == summary["trials"] == 2
+
+
+def _readme_command_lines():
+    """The `polarnewton` lines of README's "Command line" block."""
+    block = README.read_text().split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("polarnewton ")]
+
+
+@pytest.mark.parametrize("line", [line for line in _readme_command_lines() if "--input" not in line])
+def test_readme_command_lines_exit_0(capsys, line):
+    code, _out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
 
 
 def test_computation_error_exit_code(capsys):

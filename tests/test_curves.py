@@ -10,13 +10,15 @@ from polarnewton.curves import (
     ParseError,
     PlaneSeries,
     PolarParams,
+    _IntegerTerms,
     generic_member_g1,
     generic_member_g2,
     parse_series,
     polar,
     substitute,
 )
-from polarnewton.newton import newton_polygon
+from polarnewton.newton import is_nondegenerate, newton_polygon
+from polarnewton.puiseux import puiseux_expand
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -315,3 +317,54 @@ class TestSeriesMapOracles:
         assert f.coeff(4, 1) == MPoly.var(avar(4, 1)) + b
         assert f.coeff(1, 1).is_zero()
         assert not f.is_concrete()
+
+
+class TestOneConcreteRepresentation:
+    """Every concrete series holds `_IntegerTerms`, however it is built, and
+    reads as the same curve built another way does."""
+
+    # a[0,0] is the member's only variable, and its derivatives vanish
+    MEMBER = "a[0,0] + y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"
+    PARAMS = PolarParams.concrete(3, Fraction(-2, 5))
+
+    @staticmethod
+    def _reads(f):
+        report = is_nondegenerate(f)
+        sides = [(v.side, v.squarefree, v.path, v.associated.render()) for v in report.sides]
+        return f.render(), report.verdict, sides
+
+    def test_every_concrete_build_holds_integer_terms(self):
+        f = parse_series(self.MEMBER)
+        s = {avar(0, 0): Fraction(7, 3)}
+        member = substitute(f, s)
+        polars = {
+            "constant MPoly route": polar(f, self.PARAMS),
+            "integer route from a draw": polar(f, self.PARAMS, s),
+            "integer route from a concrete series": polar(member, self.PARAMS),
+        }
+        curve = polars["constant MPoly route"]
+        built = {
+            **polars,
+            "substitute": member,
+            "parse_series": parse_series(curve.render()),
+            "from_poly": PlaneSeries.from_poly(curve.poly),
+            "map of constant MPolys": PlaneSeries(dict(curve.terms.items())),
+        }
+        for name, g in built.items():
+            assert type(g.terms) is _IntegerTerms and g.is_concrete(), name
+        assert not f.is_concrete()
+        want = self._reads(curve)
+        for name, g in built.items():
+            if name != "substitute":
+                assert self._reads(g) == want, name
+        assert self._reads(member) == self._reads(parse_series(member.render()))
+        # the Puiseux expansion adds floats in key order, which these share
+        expansion = repr(puiseux_expand(curve, min_order=4))
+        for name in (*polars, "map of constant MPolys"):
+            assert list(built[name].terms) == list(curve.terms), name
+            assert repr(puiseux_expand(built[name], min_order=4)) == expansion, name
+
+    def test_empty_and_symbolic_series(self):
+        assert PlaneSeries({}).is_concrete() and PlaneSeries({}).is_zero()
+        symbolic = parse_series("y^2 - x^3 + a*x*y")
+        assert not symbolic.is_concrete() and type(symbolic.terms) is dict

@@ -300,8 +300,24 @@ def gcd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Records each exact determinant: an `integer_discriminant` of formal
+    degree 3 or more (degrees 1 and 2 take closed forms)."""
+    calls = []
+    real = algebra.integer_discriminant
+
+    def counting(g):
+        if len(g) > 3:
+            calls.append(1)
+        return real(g)
+
+    monkeypatch.setattr(algebra, "integer_discriminant", counting)
+    return calls
+
+
 class TestModularSquarefreeCertificate:
-    def test_random_concrete_polynomials(self, gcd_calls):
+    def test_random_concrete_polynomials(self, gcd_calls, det_calls):
         rng = random.Random(17)
         z = MPoly.var(Z)
         seen = set()
@@ -313,10 +329,12 @@ class TestModularSquarefreeCertificate:
                 F = UPoly.from_mpoly(F.to_mpoly() * (z - rng.randint(-3, 3)) ** 2, Z)
             want = exact_route(F)
             assert want[0] is sympy_concrete_squarefree(F)
-            before = len(gcd_calls)
+            before, gcds = len(det_calls), len(gcd_calls)
             assert squarefree_info(F) == want
-            # small coefficients: the certificate decides every squarefree case
-            assert len(gcd_calls) - before == (0 if want[0] else 1)
+            # small coefficients: the certificate decides every squarefree
+            # case of degree 3 or more, and the determinant every other one
+            assert len(det_calls) - before == (0 if want[0] or F.deg <= 2 else 1)
+            assert len(gcd_calls) == gcds  # no Euclid over Q
             seen.add(want[0])
         assert seen == {True, False}
 
@@ -339,14 +357,17 @@ class TestModularSquarefreeCertificate:
         return [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, SZ).all_coeffs())]
 
     @pytest.mark.parametrize("text,squarefree", ADVERSARIAL)
-    def test_adversarial_cases_fall_through_to_the_exact_route(self, gcd_calls, text, squarefree):
+    def test_adversarial_cases_fall_through_to_the_exact_route(self, gcd_calls, det_calls, text, squarefree):
         F = concrete(self.coefficients(text))
         assert sympy_concrete_squarefree(F) is squarefree
         assert squarefree_info(F) == exact_route(F) == (squarefree, "concrete")
-        assert len(gcd_calls) == 2  # the exact route decided, once in each call
+        # the certificate declined; the determinant decided, or the closed form at degree 2
+        assert len(det_calls) == (1 if F.deg >= 3 else 0)
+        assert len(gcd_calls) == 1  # the oracle's own
 
     @pytest.mark.parametrize("text,squarefree", ADVERSARIAL)
-    def test_adversarial_side_of_an_integer_polar_takes_the_exact_route(self, gcd_calls, text, squarefree):
+    def test_adversarial_side_of_an_integer_polar_takes_the_exact_route(self, gcd_calls, det_calls,
+                                                                         text, squarefree):
         # A side's associated polynomial has nonzero end coefficients, so an
         # input with a root at 0 is shifted by z -> z - 1 first; the shift
         # keeps the squarefree verdict.
@@ -359,13 +380,15 @@ class TestModularSquarefreeCertificate:
         series = PlaneSeries(_IntegerTerms({(n - k, k): int(v * den) for k, v in enumerate(c) if v}, den))
         report = is_nondegenerate(series)
         assert [(v.squarefree, v.path) for v in report.sides] == [(squarefree, "concrete")]
-        assert len(gcd_calls) == 1  # the certificate declined the numerators; the exact gcd decided
+        # the certificate declined the numerators; the determinant decided, or the closed form
+        assert len(det_calls) == (1 if n >= 3 else 0)
+        assert gcd_calls == []
         assert report.sides[0].associated == concrete(c)
 
-    def test_certified_case_takes_no_exact_gcd(self, gcd_calls):
+    def test_certified_case_takes_no_exact_gcd(self, gcd_calls, det_calls):
         F = concrete([Fraction(c) for c in (-2, 1, 0, 1)])  # z^3 + z - 2 = (z - 1)(z^2 + z + 2)
         assert squarefree_info(F) == (True, "concrete")
-        assert gcd_calls == []
+        assert gcd_calls == det_calls == []
 
 
 def sparse_poly(rng) -> MPoly:

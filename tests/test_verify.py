@@ -9,7 +9,8 @@ import pytest
 
 from polarnewton import algebra, newton, puiseux, verify
 from polarnewton.algebra import MPoly, avar
-from polarnewton.curves import PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar, substitute
+from polarnewton.curves import (PlaneSeries, PolarParams, _IntegerTerms, generic_member_g1, generic_member_g2, polar,
+                               substitute)
 from polarnewton.genus1 import DegeneracyLocus, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import PolygonError, is_nondegenerate, newton_polygon
@@ -144,7 +145,7 @@ class TestDrawStream:
                 assert assignment[v] == randint_fraction(old, bound, nonzero=v == fam.class_var)
             assert texts == [str(assignment[v]) for v in fam.coeff_vars]
             for nonzero in (False, True):
-                value, text = verify._rand_fraction(new, bound, nonzero)
+                value, text = verify._drawn(*verify._rand_pairs(new, bound, (nonzero,))[0])
                 assert value == randint_fraction(old, bound, nonzero) and text == str(value)
             assert new.getstate() == old.getstate()
         # a zero class numerator comes about once in 2*bound+1 draws
@@ -162,7 +163,7 @@ class TestDrawStream:
             assert [Fraction(s, point.m) for s in point.scaled] == want
             assert texts == [str(value) for value in want]
             for nonzero in (False, True):
-                value, text = verify._rand_fraction(new, bound, nonzero)
+                value, text = verify._drawn(*verify._rand_pairs(new, bound, (nonzero,))[0])
                 assert value == choice_fraction(old, bound, nonzero) and text == str(value)
             assert new.getstate() == old.getstate()
 
@@ -175,11 +176,12 @@ class TestDrawStream:
         assert info.misses > 0
 
 
-def count_exact_gcd(monkeypatch) -> list:
-    """Records each `algebra.qpoly_gcd` call, the exact squarefree route."""
+def count_exact_determinant(monkeypatch) -> list:
+    """Records each exact squarefree determinant: an
+    `algebra.integer_discriminant` of formal degree 3 or more."""
     calls = []
-    real = algebra.qpoly_gcd
-    monkeypatch.setattr(algebra, "qpoly_gcd", lambda f, g: calls.append(1) or real(f, g))
+    real = algebra.integer_discriminant
+    monkeypatch.setattr(algebra, "integer_discriminant", lambda g: (len(g) > 3 and calls.append(1)) or real(g))
     return calls
 
 
@@ -192,7 +194,7 @@ class TestSquarefreeCertificateInTrials:
         for family in self.BENCH_FAMILIES:
             polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
             verify._generic_verdict(family)
-        calls = count_exact_gcd(monkeypatch)
+        calls = count_exact_determinant(monkeypatch)
         for family in self.BENCH_FAMILIES:
             rep = run_verification(SampleConfig(family=family, seed=42, trials=50))
             assert rep["summary"]["all_sides_squarefree"] == 50
@@ -228,19 +230,22 @@ class TestSquarefreeCertificateInTrials:
         assert sides >= 300
 
     def test_degenerate_sides_are_decided_by_the_exact_route(self, monkeypatch):
-        calls = count_exact_gcd(monkeypatch)
+        calls = count_exact_determinant(monkeypatch)
         rep = run_power_degeneracy(2, 3, 1, e1=3)
         assert rep["summary"]["degenerate"] == rep["summary"]["steep_side_fails"] == rep["summary"]["trials"]
         assert len(calls) >= 1
 
 
 class TestReadTimePolar:
-    """The trial polar builds a coefficient only when a check reads it, and
-    the nondegeneracy test reads the side numerators without building one.
+    """The nondegeneracy test reads a trial polar's side numerators and
+    builds no coefficient; the polar is that of the substituted member.
     No timing is involved."""
 
     @pytest.mark.parametrize("family", TestSquarefreeCertificateInTrials.BENCH_FAMILIES)
-    def test_side_points_only_then_the_substituted_polar(self, family):
+    def test_side_points_only_then_the_substituted_polar(self, family, monkeypatch):
+        read = []
+        getitem = _IntegerTerms.__getitem__
+        monkeypatch.setattr(_IntegerTerms, "__getitem__", lambda self, pt: read.append(pt) or getitem(self, pt))
         fam = _family_of(family)
         model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
         for trial in range(5):
@@ -249,15 +254,16 @@ class TestReadTimePolar:
             (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
             params = PolarParams.concrete(a, b)
             pol = polar(fam.generic, params, assignment)
+            read.clear()
             verdicts = [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides]
             assert verdicts and all(ok for ok, _path in verdicts)
-            built = [pt for pt, c in pol.terms._terms.items() if type(c) is not int]
-            assert len(built) == 0
+            assert read == []  # is_nondegenerate read numerators only
             ref = polar(substitute(fam.generic, assignment), params)
             assert pol == ref and ref == pol
-            # every key is built now, and its numerator reads back from it
+            # each key's constant reads back as its numerator
             assert [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides] == verdicts
-            assert all(pol.terms.numerator(pt) == pol.terms._terms[pt] * pol.terms._den for pt in pol.support())
+            assert all(pol.terms.numerator(pt) == pol.coeff(*pt).constant_value() * pol.terms._den
+                       for pt in pol.support())
             assert pol.render() == ref.render() and repr(pol) == repr(ref)
             assert repr(puiseux_expand(pol, min_order=4)) == repr(puiseux_expand(ref, min_order=4))
 
@@ -353,11 +359,12 @@ class TestRunVerification:
         assert rep["generic_member_verdict"] == "generically_nondegenerate"
 
     def test_one_polygon_and_one_squarefree_test_per_side(self, monkeypatch):
-        # a side is decided by the modular certificate on its numerators or,
-        # when that declines, by squarefree_info on its associated polynomial
+        # a concrete side is decided by nonzero_discriminant on its
+        # numerators, a symbolic one by squarefree_info on its associated
+        # polynomial
         counts = {"polygons": 0, "sides": 0, "squarefree": 0}
         real_polygon, real_squarefree = newton.newton_polygon, newton.squarefree_info
-        real_certificate = newton.certify_squarefree
+        real_discriminant = newton.nonzero_discriminant
 
         def polygon(f):
             poly = real_polygon(f)
@@ -369,14 +376,13 @@ class TestRunVerification:
             counts["squarefree"] += 1
             return real_squarefree(F)
 
-        def certificate(nums):
-            ok = real_certificate(nums)
-            counts["squarefree"] += ok  # a declined certificate decides nothing
-            return ok
+        def discriminant(nums):
+            counts["squarefree"] += 1
+            return real_discriminant(nums)
 
         monkeypatch.setattr(newton, "newton_polygon", polygon)
         monkeypatch.setattr(newton, "squarefree_info", squarefree)
-        monkeypatch.setattr(newton, "certify_squarefree", certificate)
+        monkeypatch.setattr(newton, "nonzero_discriminant", discriminant)
         verify._generic_verdict.cache_clear()
         run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
         # one polygon per trial, plus the generic member's once per family
