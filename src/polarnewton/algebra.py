@@ -9,8 +9,8 @@ and normalises once, and a product with a constant scales the coefficients
 without the monomial merge.  `IntegerPlan` compiles a sequence of
 polynomials once for the many points of a sampling run and evaluates them
 over integers only, at a point kept over integers (`IntegerPoint`) without
-a `Fraction`, and `integer_discriminant` takes the discriminant of an
-integer coefficient vector by one division-free determinant.  There is no
+a `Fraction`.  `discriminant` over `MPoly` and `integer_discriminant` over
+int take one division-free determinant of the same matrix.  There is no
 multivariate gcd: the locus listing only strips monomial factors and the
 rational content of a condition (`strip_content`).
 
@@ -781,27 +781,44 @@ def deflate(F: UPoly) -> UPoly:
     return UPoly(F.main, F.coeffs[::s])
 
 
+def _discriminant_det(c: list, zero, exact_div):
+    """The discriminant of the polynomial with descending coefficients c, of
+    formal degree d = len(c) - 1 >= 2, in its coefficients; it holds also
+    where c[0] = 0.
+
+    Subtracting d times the first row of F from the first row of F' in the
+    Sylvester matrix of (F, F') leaves c[0] alone in the first column, so
+    disc F = (-1)^(d(d-1)/2) * det M with M that matrix less its first row
+    and column, of size 2d - 2: no division by c[0].  M's rows are stacked
+    as the other rows of F, the other rows of F', then that combined row,
+    which costs the sign (-1)^(d-1) and keeps the first pivots of the
+    elimination at c[0]; over `MPoly` that takes about half the time of the
+    Sylvester row order on the locus sides of degree 5 to 7.
+    """
+    d = len(c) - 1
+    dc = [(d - k) * c[k] for k in range(d)]
+    rows = [[zero] * (r - 1) + c + [zero] * (d - 2 - r) for r in range(1, d - 1)]
+    rows += [[zero] * (r - 1) + dc + [zero] * (d - 1 - r) for r in range(1, d)]
+    rows.append([-k * c[k] for k in range(1, d + 1)] + [zero] * (d - 2))
+    det = _bareiss_det(rows, exact_div)
+    return -det if ((d - 1) * (d + 2) // 2) % 2 else det
+
+
 def discriminant(F: UPoly) -> MPoly:
-    """(-1)^(n(n-1)/2) * Res(F, F') / lc(F); the division is exact."""
+    """The discriminant of F in its main variable, as `integer_discriminant`
+    forms it: one division-free determinant over the coefficients of F."""
     n = F.deg
     if n < 1:
         raise AlgebraError("discriminant needs degree >= 1")
-    r = resultant(F, F.derivative())
-    if (n * (n - 1) // 2) % 2:
-        r = -r
-    return r.divexact(F.lc)
+    if n == 1:
+        return MPoly.const(1)
+    return _discriminant_det(list(reversed(F.coeffs)), MPoly.zero(), MPoly.divexact)
 
 
 def integer_discriminant(g: Sequence[int]) -> int:
     """The discriminant of sum g[k] z^k as a polynomial of formal degree
     d = len(g) - 1 in its coefficients, evaluated at the integers g; it holds
-    also where g[d] = 0.
-
-    Subtracting d times the first row of F from the first row of F' in the
-    Sylvester matrix of (F, F') leaves g[d] alone in the first column, so
-    disc F = (-1)^(d(d-1)/2) * det M with M that matrix less its first row
-    and column: no division by g[d].
-    """
+    also where g[d] = 0 (`_discriminant_det`)."""
     d = len(g) - 1
     if d < 1:
         raise AlgebraError("discriminant needs degree >= 1")
@@ -809,13 +826,7 @@ def integer_discriminant(g: Sequence[int]) -> int:
         return 1
     if d == 2:
         return g[1] * g[1] - 4 * g[0] * g[2]
-    c = list(reversed(g))  # descending
-    dc = [(d - k) * c[k] for k in range(d)]
-    rows = [[0] * (r - 1) + c + [0] * (d - 2 - r) for r in range(1, d - 1)]
-    rows.append([-k * c[k] for k in range(1, d + 1)] + [0] * (d - 2))
-    rows += [[0] * (r - 1) + dc + [0] * (d - 1 - r) for r in range(1, d)]
-    det = _bareiss_det(rows, operator.floordiv)
-    return -det if (d * (d - 1) // 2) % 2 else det
+    return _discriminant_det(list(reversed(g)), 0, operator.floordiv)
 
 
 def nonzero_discriminant(g: Sequence[int]) -> bool:

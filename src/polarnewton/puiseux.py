@@ -20,12 +20,8 @@ last truncated node forms only its keys y^0 and y^1, all that its decision
 reads.  A decision the kept terms cannot settle (no y^0 term or no y term
 left, as when the budget is spent) restarts the chain from its first node
 with the budget doubled; after three doublings the chain runs untruncated.
-
-A separated node past the root needs no polygon: its one compact side is
-(0,1)-(i*,0), i* the least x-exponent of its y^0 terms, and its one root is
-the quotient -p[i*,0]/p[0,1], formed with numpy's complex-division formula so
-that it has the bits np.roots gives.  The module's own lower-hull walk serves
-the other nodes, and numpy only finds roots of degree 2 or more.
+Every node, a chain step included, reads its sides from the module's own
+lower-hull walk, and np.roots finds the roots of every float side.
 
 From a finished expansion the module recovers the characteristic exponents,
 the genus, the value semigroup and numeric pairwise intersection numbers.
@@ -127,31 +123,13 @@ def _compact_sides(p: dict):
     return out
 
 
-def _linear_root(c0: complex, c1: complex) -> complex:
-    """The root -c0/c1 of c1*z + c0, bit for bit as np.roots([c1, c0]) has it.
-
-    numpy divides complex scalars by Smith's formula, which Python's `/` does
-    not match to the last bit; `0j +` then turns a -0.0 part into 0.0, as the
-    mean of a one-root cluster does.  c1 must be nonzero.
-    """
-    ar, ai, br, bi = -c0.real, -c0.imag, c1.real, c1.imag
-    if abs(br) >= abs(bi):
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        q = complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    else:
-        rat = br / bi
-        scl = 1.0 / (bi + br * rat)
-        q = complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
-    return 0j + q
-
-
 def _edge_roots(p: dict, pts, den: int | None):
     """Roots (value, multiplicity) of the associated polynomial of a side,
     given by its support points from the high-j end down.  With `den`, p
-    holds the root's integer numerators over den and the roots are found
-    exactly; with None, p holds floats."""
-    import numpy as np  # only roots of degree >= 2 need it; importing the package does not
+    holds the root's integer numerators over den and the multiplicities are
+    exact; with None, p holds floats, np.roots finds the roots of any degree,
+    one included, and roots within CLUSTER_REL merge into their mean."""
+    import numpy as np  # here, so that importing the package does not load numpy
 
     j0 = pts[-1][1]
     deg = pts[0][1] - j0
@@ -168,8 +146,6 @@ def _edge_roots(p: dict, pts, den: int | None):
                 roots = np.roots([complex(c) for c in reversed(fac)]).tolist()
             out.extend((r, mult) for r in roots)
         return out
-    if deg == 1:  # both ends of a side are support points, so c1 is nonzero
-        return [(_linear_root(coeffs[0], coeffs[1]), 1)]
     roots = np.roots([complex(c) for c in reversed(coeffs)]).tolist()
     roots.sort(key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []
@@ -317,12 +293,8 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
         if separated and done:
             raws.append(_Raw(terms=list(terms), mult=1, reached=offset + u))
             continue
-        if separated and terms:  # the one compact side (0,1)-(i*,0) and its simple root
-            istar = min(i for (i, j) in p if j == 0)
-            sides = [(1, istar, [(_linear_root(p[(istar, 0)], p[(0, 1)]), 1)])]
-        else:
-            sides = ((nbar, mbar, _edge_roots(p, pts, None if terms else den))
-                     for pts, nbar, mbar in _compact_sides(p))
+        sides = ((nbar, mbar, _edge_roots(p, pts, None if terms else den))
+                 for pts, nbar, mbar in _compact_sides(p))
         # the root's numerators become floats once; int true division rounds
         # correctly, so each is the float of its Fraction
         cp = p if terms else {pt: complex(num / den) for pt, num in p.items()}

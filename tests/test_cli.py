@@ -31,6 +31,11 @@ def run_cli(capsys, *argv):
      ["--format", "json", "verify", "g2", "--p", "5", "--q", "12", "--d", "1", "--trials", "3", "--seed", "42"]),
     ("puiseux_pinned_member",
      ["--format", "json", "puiseux", "--expr", "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"]),
+    ("puiseux_pinned_member_min_order_8",
+     ["--format", "json", "puiseux", "--expr", "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y",
+      "--min-order", "8"]),
+    ("puiseux_cusp_pair_min_order_8",
+     ["--format", "json", "puiseux", "--expr", "(y^2 - x^3)*(y^2 - x^3 - x^4)", "--min-order", "8"]),
     ("nondeg_symbolic_member",
      ["--format", "json", "nondeg", "--expr", "y^5 - x^12 + a[5,3]*x^5*y^3 + x^8*y^2"]),
     ("family_g1_7_19", ["--format", "json", "family", "g1", "--p", "7", "--q", "19"]),

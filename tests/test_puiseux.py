@@ -311,30 +311,6 @@ class TestEdgeRoots:
             assert mult == 1
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
-    def test_linear_root_is_the_np_roots_root_bit_for_bit(self):
-        import numpy as np
-        rng = random.Random(16)
-
-        def part():
-            return rng.uniform(-1, 1) * 10 ** rng.uniform(-30, 30)
-
-        cases = [(complex(part(), part()), complex(part(), part())) for _ in range(3000)]
-        for _ in range(500):  # purely real and purely imaginary, with either signed zero
-            a, b, c, d = part(), part(), part(), part()
-            z0, z1 = rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0))
-            cases += [(c0, c1) for c0 in (complex(a, z0), complex(z0, b))
-                      for c1 in (complex(c, z1), complex(z1, d))]
-        cases += [(complex(a, b), complex(s, s * t)) for a, b in ((1.0, -2.0), (-0.0, 3.0))
-                  for s in (1.0, -2.5) for t in (1.0, -1.0)]  # |Re c1| == |Im c1|
-        for c0, c1 in cases:
-            raw, = np.roots([c1, c0]).tolist()
-            assert _bits(puiseux._linear_root(c0, c1)) == _bits(0j + raw), (c0, c1)
-        # the raw quotient of 1 by 1 has a -0.0 imaginary part; the mean of a
-        # one-root cluster turned it into 0.0, and so must the helper
-        raw, = np.roots([1 + 0j, -1 + 0j]).tolist()
-        assert _bits(raw) == _bits(complex(1.0, -0.0))
-        assert _bits(puiseux._linear_root(-1 + 0j, 1 + 0j)) == _bits(sum([raw]) / 1) == _bits(1 + 0j)
-
 
 class TestTruncatedChains:
     """Separated branches run on truncated substitutions (see `puiseux_expand`);
@@ -422,36 +398,6 @@ class TestTruncatedChains:
                     assert (intersection_numeric(short[r], short[c])
                             == intersection_numeric(full[r], full[c])), key
 
-    def test_separated_nodes_have_the_known_side(self, polars, monkeypatch):
-        # every separated node past the root: the hull gives the one side
-        # (0,1)-(i*,0), and np.roots (with the one-root cluster mean) gives
-        # the root bits of the direct quotient
-        import numpy as np
-        made = []  # (node before its own y^jmin division, budget)
-        substituted = puiseux._substituted
-
-        def recording(layout, c, budget=None, decide=False):
-            made.append((substituted(layout, c, budget, decide), budget))
-            return made[-1][0]
-
-        monkeypatch.setattr(puiseux, "_substituted", recording)
-        for key, f, m in self._pinned(polars):
-            made.clear()
-            puiseux_expand(f, min_order=m)
-            nodes = 0
-            for q, budget in made:
-                if budget is None:  # untruncated nodes first divide out y^jmin
-                    jmin = min(j for (_i, j) in q)
-                    q = {(i, j - jmin): c for (i, j), c in q.items()}
-                if (0, 1) not in q or (0, 0) in q or all(j > 0 for (_i, j) in q):
-                    continue  # not separated, a unit, or a truncated attempt that restarts
-                istar = min(i for (i, j) in q if j == 0)
-                assert puiseux._compact_sides(q) == [([(0, 1), (istar, 0)], 1, istar)], key
-                raw, = np.roots([q[(0, 1)], q[(istar, 0)]]).tolist()
-                assert _bits(puiseux._linear_root(q[(istar, 0)], q[(0, 1)])) == _bits(sum([raw]) / 1)
-                nodes += 1
-            assert nodes > 0, key
-
     def test_decision_rows_are_the_rows_of_the_full_shift(self, polars, monkeypatch):
         # a truncated separating child whose chain is done forms only its keys
         # with k <= 1; each holds the float the full shift at that budget gives
@@ -510,8 +456,9 @@ class TestTruncatedChains:
         assert len(built) == sides == 35
 
     def test_hull_runs_only_on_unseparated_nodes(self, polars, monkeypatch):
-        # a call-count guard: chain steps take their known side, so on the
-        # bench polars the hull runs once per expansion, on the root
+        # a call-count guard: at depth=None every branch of the bench polars
+        # ends at its separating term, so no chain step runs and the hull
+        # runs once per expansion, on the root
         separated = []
         compact = puiseux._compact_sides
 
@@ -521,7 +468,7 @@ class TestTruncatedChains:
 
         monkeypatch.setattr(puiseux, "_compact_sides", recording)
         for f in polars.values():
-            puiseux_expand(f, min_order=4)
+            puiseux_expand(f, depth=None)
         assert len(polars) == 15 and separated == [False] * 15
 
     @pytest.fixture
