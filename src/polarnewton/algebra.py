@@ -647,26 +647,9 @@ class UPoly:
 
     @classmethod
     def from_mpoly(cls, p: MPoly, main: Var) -> "UPoly":
-        buckets: dict[int, dict[Mono, Fraction]] = {}
-        for m, c in p.terms.items():
-            e = 0
-            rest = []
-            for v, ee in m:
-                if v == main:
-                    e = ee
-                else:
-                    rest.append((v, ee))
-            bucket = buckets.setdefault(e, {})
-            key = tuple(rest)
-            bucket[key] = bucket.get(key, Fraction(0)) + c
-        deg = max(buckets, default=-1)
-        return cls(main, [MPoly(buckets.get(k, {})) for k in range(deg + 1)])
-
-    def to_mpoly(self) -> MPoly:
-        out = MPoly.zero()
-        for e, c in enumerate(self.coeffs):
-            out = out + c * MPoly.var(self.main, e)
-        return out
+        split = p.coefficients_in([main])
+        deg = max((e for (e,) in split), default=-1)
+        return cls(main, [split.get((e,), MPoly.zero()) for e in range(deg + 1)])
 
     @property
     def deg(self) -> int:
@@ -686,14 +669,6 @@ class UPoly:
 
     def derivative(self) -> "UPoly":
         return UPoly(self.main, [self.coeffs[k] * k for k in range(1, len(self.coeffs))])
-
-    def has_constant_coeffs(self) -> bool:
-        return all(c.is_constant() for c in self.coeffs)
-
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        if not self.has_constant_coeffs():
-            raise AlgebraError("coefficients are not constants")
-        return tuple(c.constant_value() for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, UPoly):
@@ -904,7 +879,7 @@ def qpoly_yun(c: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
     f = _qtrim(list(c))
     if len(f) <= 1:
         return []
-    g = [1] if _squarefree_mod_p(f) else qpoly_gcd(f, _qderiv(f))
+    g = [1] if certify_squarefree(common_denominator(f)[0]) else qpoly_gcd(f, _qderiv(f))
     if len(g) == 1:
         lead = f[-1]
         return [([x / lead for x in f], 1)]
@@ -949,11 +924,6 @@ def certify_squarefree(nums: Sequence[int]) -> bool:
     return bool(f[-1]) and _coprime_mod_p(f, [k * f[k] % _P for k in range(1, len(f))])
 
 
-def _squarefree_mod_p(c: Sequence[Fraction]) -> bool:
-    """`certify_squarefree` on c (nonzero last entry) scaled to integers."""
-    return certify_squarefree(common_denominator(c)[0])
-
-
 def squarefree_info(F: UPoly) -> tuple[bool, str]:
     """Squarefree verdict plus which route decided it.
 
@@ -971,9 +941,9 @@ def squarefree_info(F: UPoly) -> tuple[bool, str]:
     """
     if F.is_zero():
         raise AlgebraError("squarefree test on the zero polynomial")
-    if F.has_constant_coeffs():
-        c = F.as_fractions()
-        return len(c) == 1 or nonzero_discriminant(common_denominator(c)[0]), "concrete"
+    if all(c.is_constant() for c in F.coeffs):
+        nums = common_denominator(c.constant_value() for c in F.coeffs)[0]
+        return len(nums) == 1 or nonzero_discriminant(nums), "concrete"
     if F.deg < 1:
         return True, "symbolic"
     G = deflate(F)

@@ -3,10 +3,10 @@ text parser for curve expressions.
 
 A `PlaneSeries` is a polynomial in x, y stored as its coefficient at each
 lattice point (i, j); the coefficients may involve the pencil parameters a, b
-and the family coefficients a[i,j], b[i,j].  The
-normal-form families carry only the finitely many coefficient variables below
-a weight bound; the polygon predictions are insensitive to the omitted
-higher-weight terms.
+and the family coefficients a[i,j], b[i,j].  Every concrete series (constant
+coefficients), parsed, substituted or a polar, holds one form,
+`_IntegerTerms`, whose numerators the nondegeneracy test and the Puiseux
+expansion read.
 
 Both families are in Tschirnhausen normal form: a monic polynomial of degree
 n in y with no y^(n-1) term.  The shift y -> y - c(x)/n removes that term and
@@ -14,32 +14,19 @@ keeps the equisingularity class, so a coefficient there describes the
 coordinates, not the class.  The genus-one family y^p - x^q + sum a[i,j] x^i y^j
 runs over j <= p-2; the genus-two family f1^e1 + f2 takes f1 from it and a tail
 f2 with y-exponents up to e1*p-2, so f and f1 are Tschirnhausen together.
-Both builders return a `Family`: the generic member with every variable a
-draw assigns and, in genus two, the class coefficient b[i0,j0] that a draw
-keeps nonzero.  Like the polar models, each member is built once per
-argument list and shared, so callers must not mutate it.  `check_family`
-is the one test of (p, q[, d, e1]).
+The families carry only the coefficient variables below a weight bound; the
+polygon predictions are insensitive to the omitted higher-weight terms.
+Each `Family` is built once per argument list and shared, so callers must
+not mutate it.  `check_family` is the one test of (p, q[, d, e1]).
 
 The polar rule lives once, as `polar_coefficient`: the coefficient at
 (i, j) is a*(i+1)*c(i+1,j) + b*(j+1)*c(i,j+1).  `polar` reads it over
 `MPoly`s for symbolic input, and the model builders of genus1 and genus2
-read it at the symbolic pencil point.  At a constant pencil point, for a
-concrete series or a member with a draw of its variables, `polar` takes the
-integer route instead: `_numerators` gives each coefficient as an integer
-over one shared denominator, a concrete series's own or, for a member, its
-value at the draw from an `algebra.IntegerPlan` compiled once per series
-and kept on it, and each nonzero numerator goes to the polar keys its two
-derivatives land on, read from `polar_targets`, also kept on the series, so
-a call forms no key.  The same evaluator serves the verify trial's locus
-test and pencil check (see genus1 and verify).  Each verify trial takes this
-route from the generic member and its draw, an `algebra.IntegerPoint` in the
-member's variable order, so no concrete member and no `Fraction` of the draw
-is built.  `substitute` reads the same `_numerators`.  Both routes give the
-keys in one order, the x-derivative keys in the member's order and then the
-y-derivative keys that are new, because the Puiseux expansion adds floats in
-that order.  Every concrete series, parsed, substituted or a polar, holds
-one form, `_IntegerTerms`, whose numerators the nondegeneracy test and the
-Puiseux expansion read.
+read it at the symbolic pencil point; at a constant pencil point `polar`
+forms a concrete series's or a drawn member's polar over integers instead.
+Both routes give the keys in one order, the x-derivative keys in the
+member's order and then the y-derivative keys that are new, because the
+Puiseux expansion adds floats in that order.
 """
 
 from __future__ import annotations
@@ -128,39 +115,29 @@ class PlaneSeries:
 
 
 class _IntegerTerms(Mapping):
-    """Read-only terms of a concrete series: integer numerators over one
-    positive denominator, in key order.  Reading a key builds its constant
-    `MPoly` afresh; keys, length, membership, `numerator` and `numerators`
-    build none, and the checks read only those.
+    """Read-only terms of a concrete series: integer numerators `nums` over
+    one positive denominator `den`, in key order.  Reading a key builds its
+    constant `MPoly` afresh; keys, length, membership, `nums` and `den`
+    build none, and the checks read only those.  Nothing mutates `nums`.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("nums", "den")
 
     def __init__(self, nums: dict[Point, int], den: int):
-        self._nums = nums
-        self._den = den
+        self.nums = nums
+        self.den = den
 
     def __getitem__(self, pt: Point) -> MPoly:
-        return MPoly.const(Fraction(self._nums[pt], self._den))
+        return MPoly.const(Fraction(self.nums[pt], self.den))
 
     def __contains__(self, pt) -> bool:
-        return pt in self._nums
-
-    def numerator(self, pt: Point) -> int:
-        """The integer numerator at `pt` over the one denominator, 0 off the
-        support."""
-        return self._nums.get(pt, 0)
-
-    def numerators(self) -> tuple[dict[Point, int], int]:
-        """Every key's integer numerator, in key order, and the one
-        denominator."""
-        return dict(self._nums), self._den
+        return pt in self.nums
 
     def __iter__(self):
-        return iter(self._nums)
+        return iter(self.nums)
 
     def __len__(self) -> int:
-        return len(self._nums)
+        return len(self.nums)
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -237,7 +214,7 @@ def _numerators(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tup
     and their one denominator: a concrete series's own numerators, else from
     its `integer_plan`."""
     if f.is_concrete():
-        return list(f.terms._nums.values()), f.terms._den
+        return list(f.terms.nums.values()), f.terms.den
     try:
         return f.integer_plan.at(assignment)
     except AlgebraError as exc:  # a missing value

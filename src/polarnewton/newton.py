@@ -142,7 +142,7 @@ def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     accordingly.
     """
     poly = newton_polygon(f)
-    numerator = f.terms.numerator if f.is_concrete() else None
+    numerator = f.terms.nums.get if f.is_concrete() else None
     verdicts = []
     any_symbolic = False
     all_ok = True
@@ -150,7 +150,7 @@ def is_nondegenerate(f: PlaneSeries) -> NondegReport:
         if numerator is not None:
             nums = [0] * (side.n + 1)
             for (i, j) in side.lattice_points:
-                nums[j - side.to_pt[1]] = numerator((i, j))
+                nums[j - side.to_pt[1]] = numerator((i, j), 0)
             ok, path = nonzero_discriminant(nums), "concrete"
         else:
             ok, path = squarefree_info(associated_from(side.lattice_points, f.coeff))

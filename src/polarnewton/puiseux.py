@@ -87,11 +87,11 @@ class _Raw:
 
 def _series_numerators(f: PlaneSeries) -> tuple[dict[tuple[int, int], int], int]:
     """A concrete series's integer numerators over its one positive
-    denominator, read from its `curves._IntegerTerms` with no `Fraction` and
-    no `MPoly`."""
+    denominator, its `curves._IntegerTerms` itself, with no copy, no
+    `Fraction` and no `MPoly`; the expansion only reads them."""
     if not f.is_concrete():
         raise PuiseuxError("expansion needs a concrete series over the rationals")
-    return f.terms.numerators()
+    return f.terms.nums, f.terms.den
 
 
 def _compact_sides(p: dict):

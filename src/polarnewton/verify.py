@@ -1,8 +1,7 @@
 """Seeded sampling harness: draw family coefficients off the degeneracy
 locus, take the polar of the generic member at that draw and at a random
-pencil point in general position (one integer pass, `curves.polar` with the
-assignment), and check every polygon/squarefree/topology prediction against a
-from-scratch computation on the concrete polar.
+pencil point in general position, and check every polygon/squarefree/topology
+prediction against a from-scratch computation on the concrete polar.
 
 Every draw of family coefficients, here and in the degenerate-power check,
 follows one rule read from the `curves.Family` record: a value for each of
@@ -11,15 +10,14 @@ its `coeff_vars`, with its `class_var` (if any) nonzero.
 Determinism: each trial draws from a Mersenne-Twister generator seeded with
 "<seed>:<trial>" (CPython `random.Random`); the algorithm name is pinned in
 the report header, so identical configurations reproduce byte-identical
-reports.  A drawn value is num/den, with num and den read from the
-generator's bits as `rng.choice` over a range (and `randint` over the same
-bounds) reads them.  A family draw is made over integers once, as an
-`algebra.IntegerPoint` in `coeff_vars` order, which the member's evaluation,
-the locus test and the pencil check read as it is; the locus parts are
-evaluated once per draw, and the pencil checks of the accepted draw reuse
-them.  Each value's digest text comes from one bounded memo on the integer
-pair, so a trial builds no `Fraction` of the family values and formats no
-value that an earlier draw already made.
+reports.  A drawn value is num/den, read from the generator's bits as
+`rng.choice` over a range (and `randint` over the same bounds) reads them.
+A draw is kept over integers once, as an `algebra.IntegerPoint`, which the
+polar, the locus test and the pencil check read as it is; its locus parts
+are evaluated once, and the accepted draw's pencil checks reuse them.  Each
+value's digest text comes from one bounded memo on the integer pair, so a
+trial builds no `Fraction` of the family values and formats no value that
+an earlier draw already made.
 """
 
 from __future__ import annotations
@@ -76,15 +74,15 @@ def _rand_pairs(rng: random.Random, bound: int, nonzero) -> list[tuple[int, int]
     bits as `rng.choice(range(...))` reads them: a k-bit word, k the bit
     length of the range's size, redrawn while out of range (or 0)."""
     getrandbits, n = rng.getrandbits, 2 * bound + 1
-    k, k_den = n.bit_length(), bound.bit_length()
+    k, kd = n.bit_length(), bound.bit_length()
     pairs = []
     for flag in nonzero:
         r = getrandbits(k)
         while r >= n or flag and r == bound:
             r = getrandbits(k)
-        d = getrandbits(k_den)
+        d = getrandbits(kd)
         while d >= bound:
-            d = getrandbits(k_den)
+            d = getrandbits(kd)
         pairs.append((r - bound, d + 1))
     return pairs
 

@@ -189,6 +189,24 @@ def test_readme_command_lines_exit_0(capsys, line):
     assert code == 0, err
 
 
+def test_readme_example_prints_its_comments():
+    """README's "Example" block: each expression followed by a `# ...` line
+    has that line as its repr."""
+    block = README.read_text().split("## Example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    namespace: dict = {}
+    checked = 0
+    for line, after in zip(lines, lines[1:] + [""]):
+        if line.startswith("#"):
+            continue
+        if after.startswith("# "):
+            assert repr(eval(line, namespace)) == after[2:], line
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 3
+
+
 def test_computation_error_exit_code(capsys):
     code, _out, err = run_cli(capsys, "polygon", "--expr", "y^2 -")
     assert code == 1

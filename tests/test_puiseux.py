@@ -310,6 +310,12 @@ class TestEdgeRoots:
             want, = np.roots([c1, c0]).tolist()
             assert mult == 1
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+            # independent of numpy: the exact quotient -c0/c1 of the floats' values
+            a, b, c, d = (Fraction(v) for v in (c0.real, c0.imag, c1.real, c1.imag))
+            norm = c * c + d * d
+            re, im = -(a * c + b * d) / norm, -(b * c - a * d) / norm
+            gap = (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
+            assert gap <= Fraction(1, 10**26) * (re * re + im * im)  # relative 1e-13
 
 
 class TestTruncatedChains:

@@ -269,9 +269,10 @@ class TestSymbolicSquarefreeVerdict:
         for _ in range(8):
             G0 = random_upoly(rng, rng.randint(1, 2))
             if rng.random() < 0.3:  # a repeated factor in G
-                G0 = UPoly.from_mpoly(G0.to_mpoly() * (z - MPoly.var(A)) ** 2, Z)
+                G0 = sum((c * z**e for e, c in enumerate(G0.coeffs)), MPoly.zero())
+                G0 = UPoly.from_mpoly(G0 * (z - MPoly.var(A)) ** 2, Z)
             F = inflate(G0, s)
-            route = "concrete" if F.has_constant_coeffs() else "symbolic"
+            route = "concrete" if all(c.is_constant() for c in F.coeffs) else "symbolic"
             assert squarefree_info(F) == (sympy_squarefree(F), route)
 
 
@@ -284,7 +285,7 @@ def concrete(coeffs) -> UPoly:
 
 def exact_route(F: UPoly) -> tuple[bool, str]:
     """The exact test the certificate falls through to: gcd(F, F') over Q."""
-    c = list(F.as_fractions())
+    c = [k.constant_value() for k in F.coeffs]
     return len(algebra.qpoly_gcd(c, [k * c[k] for k in range(1, len(c))])) == 1, "concrete"
 
 
@@ -326,7 +327,8 @@ class TestModularSquarefreeCertificate:
             lead = rng.choice([-3, 1, Fraction(5, 2)])
             F = concrete([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)] + [lead])
             if rng.random() < 0.3 and deg <= 6:  # a true repeated factor
-                F = UPoly.from_mpoly(F.to_mpoly() * (z - rng.randint(-3, 3)) ** 2, Z)
+                F = sum((c * z**e for e, c in enumerate(F.coeffs)), MPoly.zero())
+                F = UPoly.from_mpoly(F * (z - rng.randint(-3, 3)) ** 2, Z)
             want = exact_route(F)
             assert want[0] is sympy_concrete_squarefree(F)
             before, gcds = len(det_calls), len(gcd_calls)
@@ -432,7 +434,7 @@ def assert_yun_matches_sympy(ours, f):
 def exact_yun(monkeypatch, f):
     """qpoly_yun(f) with the modular certificate declining every input."""
     with monkeypatch.context() as m:
-        m.setattr(algebra, "_squarefree_mod_p", lambda c: False)
+        m.setattr(algebra, "certify_squarefree", lambda nums: False)
         return qpoly_yun(f)
 
 
@@ -467,7 +469,7 @@ class TestYunCertificate:
     def test_fall_back_cases_take_the_exact_path(self, monkeypatch, gcd_calls, text):
         expr = sympy.expand(sympy.sympify(text, locals={"z": SZ, "P": P}))
         f = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, SZ).all_coeffs())]
-        assert not algebra._squarefree_mod_p(f)
+        assert not algebra.certify_squarefree(algebra.common_denominator(f)[0])
         ours = qpoly_yun(f)
         assert len(gcd_calls) == 1  # the exact gcd decided
         assert ours == exact_yun(monkeypatch, f) == [([c / f[-1] for c in f], 1)]
