@@ -138,9 +138,7 @@ class DegeneracyLocus:
                 return True
         for side in sides:
             pa, pb = [v[i] for i, _ in side], [v[j] for _, j in side]
-            if nonzero_discriminant(pb):  # r = 0
-                continue
-            for r in range(1, 2 * len(side) - 3):
+            for r in range(2 * len(side) - 3):
                 if nonzero_discriminant([r * x + y for x, y in zip(pa, pb)]):
                     break
             else:

@@ -187,10 +187,6 @@ class BranchClass:
         return (self.a0, self.a1)
 
 
-def pair_intersection(c1: tuple[int, int], c2: tuple[int, int]) -> int:
-    return min(c1[0] * c2[1], c2[0] * c1[1])
-
-
 @dataclass(frozen=True)
 class TopologyReport:
     """Branch class multiset plus the intersection table over the individual
@@ -204,18 +200,6 @@ class TopologyReport:
         for cls in self.branches:
             out.extend([cls.key()] * cls.count)
         return out
-
-
-def topology_from_classes(keys) -> TopologyReport:
-    counted = Counter(keys)
-    classes = tuple(BranchClass(a0=k[0], a1=k[1], count=c) for k, c in sorted(counted.items()))
-    individual = sorted(keys)
-    n = len(individual)
-    table = tuple(
-        tuple(0 if r == c else pair_intersection(individual[r], individual[c]) for c in range(n))
-        for r in range(n)
-    )
-    return TopologyReport(branches=classes, intersections=table)
 
 
 def oka_decomposition(polygon: NewtonPolygon) -> TopologyReport:
@@ -235,7 +219,11 @@ def oka_decomposition(polygon: NewtonPolygon) -> TopologyReport:
     for side in polygon.sides:
         pair = tuple(sorted((side.n // side.d, side.m // side.d)))
         keys.extend([pair] * side.d)
-    return topology_from_classes(keys)
+    keys.sort()
+    classes = tuple(BranchClass(a0=k[0], a1=k[1], count=c) for k, c in Counter(keys).items())
+    table = tuple(tuple(0 if r == c else min(k1[0] * k2[1], k2[0] * k1[1]) for c, k2 in enumerate(keys))
+                  for r, k1 in enumerate(keys))
+    return TopologyReport(branches=classes, intersections=table)
 
 
 def minkowski_sum(p1: NewtonPolygon, p2: NewtonPolygon) -> NewtonPolygon:

@@ -351,11 +351,8 @@ def _conjugate_terms(terms, n: int, k: int):
 
 
 def _terms_close(t1, t2) -> bool:
-    if len(t1) != len(t2):
-        return False
-    for (e1, c1), (e2, c2) in zip(t1, t2):
-        if e1 != e2:
-            return False
+    """The coefficients agree; the caller has already matched the exponents."""
+    for (_e1, c1), (_e2, c2) in zip(t1, t2):
         if abs(c1 - c2) > COEFF_REL * max(1.0, abs(c1), abs(c2)):
             return False
     return True

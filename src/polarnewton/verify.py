@@ -112,10 +112,11 @@ def sample_off_locus(family: Family, model, rng: random.Random,
 
 
 def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[tuple[Fraction, str], ...]:
-    """Random (a, b), each with its text, avoiding the zero set of every raw condition."""
+    """Random (a, b), each with its text, avoiding the zero set of every raw
+    condition; (0, 0) lies on every lowest term, so `nonzero_at` rejects it."""
     for _ in range(REJECT_LIMIT):
         a, b = [_drawn(*pair) for pair in _rand_pairs(rng, bound, (False, False))]
-        if (a[0] or b[0]) and model.locus.nonzero_at(assignment, a[0], b[0]):
+        if model.locus.nonzero_at(assignment, a[0], b[0]):
             return a, b
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")
@@ -138,17 +139,15 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
     step has nbar = 1), and two distinct branches differ at or before either
     one's separating term, below the `reached` order one x-unit past it, so
     every contact resolves.  A contact left unresolved comes from a repeated
-    branch, which no deeper expansion separates, so it fails the check.
+    branch, which no deeper expansion separates, so it fails the check.  A
+    branch of genus >= 2 fails the key comparison: its key (v0, v1) has
+    gcd e1 >= 2, and every predicted key is (1,) or a coprime pair.
     """
     keys = [(1,) if k[0] == 1 else k for k in predicted.expanded_keys()]
     want_keys = sorted(keys)
     want_triples = Counter((tuple(sorted((keys[r], keys[c]))), predicted.intersections[r][c])
                            for r in range(len(keys)) for c in range(r + 1, len(keys)))
-    got = []
-    for br, mult in puiseux_expand(polar_series, depth=None):
-        if br.genus > 1:
-            return False
-        got.extend([br] * mult)
+    got = [br for br, mult in puiseux_expand(polar_series, depth=None) for _ in range(mult)]
     got_keys = sorted(br.class_key() for br in got)
     if got_keys != want_keys:
         return False

@@ -132,6 +132,21 @@ def test_puiseux_tolerance_keeps_the_intersection(capsys):
         assert [p["value"] for p in json.loads(out)["result"]["intersections"]] == [8]
 
 
+def test_puiseux_unresolved_intersection_is_a_warning(capsys):
+    # a tolerance this wide counts every computed coefficient as equal, so
+    # no term separates the two cusps and their contact is left unresolved
+    argv = ["puiseux", "--expr", "(y^2 - x^3)*(y^2 - x^3 - x^4)", "--tol", "1e9"]
+    warning = "intersection of branches 0 and 1 needs more terms; rerun with --min-order"
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["result"]["intersections"] == [{"pair": [0, 1], "value": None}]
+    assert payload["warnings"] == [warning]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == f"warning: {warning}"
+
+
 @pytest.mark.parametrize("option,value", [("--depth", "-3"), ("--min-order", "-1"), ("--depth", "two")])
 def test_puiseux_rejects_negative_or_non_integer_orders(capsys, option, value):
     # without the check a negative --depth runs as --depth 0

@@ -310,6 +310,43 @@ class TestCrosscheckExpansion:
         assert calls["expand"] == [(None, None)]
 
 
+class TestCrosscheckExits:
+    """Each way the crosscheck says False, on a concrete polar."""
+
+    def test_a_wrong_prediction_fails_the_key_comparison(self):
+        # the polar of trial 0 at seed 42, drawn as run_verification draws it
+        fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
+        rng = random.Random("42:0")
+        assignment, _ = sample_off_locus(fam, model, rng, 10)
+        (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
+        pol = polar(fam.generic, PolarParams.concrete(a, b), assignment)
+        assert verify._puiseux_crosscheck(pol, model.topology) is True
+        assert verify._puiseux_crosscheck(pol, polar_model_g2(5, 12, 1).topology) is False
+
+    def test_a_genus_two_branch_fails_the_key_comparison(self):
+        x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
+        series = PlaneSeries.from_poly((y**2 - x**3) ** 2 - x**5 * y)
+        assert [br.genus for br, _mult in puiseux_expand(series, depth=None)] == [2]
+        assert verify._puiseux_crosscheck(series, polar_model_g1(7, 19).topology) is False
+
+    def test_an_unresolved_contact_fails_the_check(self, monkeypatch):
+        x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
+        predicted = newton.oka_decomposition(newton_polygon(PlaneSeries.from_poly((y - x**2) * (y + x**2))))
+        raised = []
+        intersection = verify.intersection_numeric
+
+        def recording(b1, b2):
+            try:
+                return intersection(b1, b2)
+            except puiseux.InsufficientDepthError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(verify, "intersection_numeric", recording)
+        assert verify._puiseux_crosscheck(PlaneSeries.from_poly((y - x**2) ** 2), predicted) is False
+        assert len(raised) == 1
+
+
 class TestRunVerification:
     def test_reports_are_deterministic(self):
         cfg = SampleConfig(family=(5, 12, 1), seed=7, trials=3)
