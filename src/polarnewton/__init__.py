@@ -16,7 +16,6 @@ from .algebra import (  # noqa: F401
     avar,
     bvar,
     discriminant,
-    is_squarefree,
     resultant,
     strip_content,
 )
@@ -32,7 +31,7 @@ from .curves import (  # noqa: F401
     polar,
     substitute,
 )
-from .genus1 import DegeneracyLocus, PolarModel, edge_term, min_x_exponent, polar_model_g1  # noqa: F401
+from .genus1 import DegeneracyLocus, PolarModel, min_x_exponent, polar_model_g1  # noqa: F401
 from .genus2 import (  # noqa: F401
     Classification,
     InvalidSemigroupError,
@@ -46,7 +45,6 @@ from .newton import (  # noqa: F401
     Side,
     TopologyReport,
     is_nondegenerate,
-    minkowski_sum,
     newton_polygon,
     oka_decomposition,
 )
@@ -55,7 +53,6 @@ from .puiseux import (  # noqa: F401
     PuiseuxBranch,
     intersection_numeric,
     puiseux_expand,
-    reconstruction_residual,
     semigroup_from_char,
 )
 from .verify import SampleConfig, run_power_degeneracy, run_verification  # noqa: F401

@@ -49,7 +49,6 @@ __all__ = [
     "integer_discriminant",
     "nonzero_discriminant",
     "deflate",
-    "is_squarefree",
     "certify_squarefree",
     "squarefree_info",
     "strip_content",
@@ -369,49 +368,7 @@ class MPoly:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    # -- calculus and substitution -------------------------------------------
-
-    def deriv(self, v: Var) -> "MPoly":
-        out: dict[Mono, Fraction] = {}
-        for m, c in self._terms.items():
-            e = 0
-            for w, ee in m:
-                if w == v:
-                    e = ee
-            if e == 0:
-                continue
-            rest = tuple((w, ee) for w, ee in m if w != v)
-            if e > 1:
-                rest = _mono_mul(rest, ((v, e - 1),))
-            s = out.get(rest, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-        return MPoly._wrap(out)
-
-    def evaluate(self, assignment: Mapping[Var, int | Fraction]) -> Fraction:
-        """Evaluate fully; every variable present must be assigned an int or
-        a Fraction.
-
-        Each term accumulates as an integer numerator over an integer
-        denominator, and the terms are summed over their least common
-        denominator, so the one Fraction built at the end is the only
-        normalisation.
-        """
-        parts = []
-        try:
-            for m, c in self._terms.items():
-                num, den = c.numerator, c.denominator
-                for v, e in m:
-                    val = assignment[v]
-                    num *= val.numerator ** e
-                    den *= val.denominator ** e
-                parts.append((num, den))
-        except KeyError:
-            raise AlgebraError(f"no value for {v.name}") from None
-        common = math.lcm(*[den for _, den in parts])
-        return Fraction(sum(num * (common // den) for num, den in parts), common)
+    # -- collection ------------------------------------------------------------
 
     def coefficients_in(self, vars: Sequence[Var]) -> dict[tuple[int, ...], "MPoly"]:
         """Collect by the exponents of `vars`: {exponent-tuple: coefficient}."""
@@ -666,9 +623,6 @@ class UPoly:
 
     def coeff(self, k: int) -> MPoly:
         return self.coeffs[k] if 0 <= k <= self.deg else MPoly.zero()
-
-    def derivative(self) -> "UPoly":
-        return UPoly(self.main, [self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
     def __eq__(self, other):
         if not isinstance(other, UPoly):
@@ -962,10 +916,6 @@ def _generic_discriminant_nonzero(G: UPoly) -> bool:
         if nonzero_discriminant(plan.at(point)[0]):
             return True
     return not discriminant(G).is_zero()
-
-
-def is_squarefree(F: UPoly) -> bool:
-    return squarefree_info(F)[0]
 
 
 # -- content ---------------------------------------------------------------

@@ -22,13 +22,6 @@ class ContinuedFraction:
     def s(self) -> int:
         return len(self.h) - 1
 
-    def value(self) -> tuple[int, int]:
-        """Evaluate [h0, ..., hs] back to (q, p)."""
-        num, den = self.h[-1], 1
-        for a in reversed(self.h[:-1]):
-            num, den = a * num + den, num
-        return num, den
-
 
 @dataclass(frozen=True)
 class ConvergentSeq:

@@ -82,9 +82,6 @@ class PlaneSeries:
             out = out + c * MPoly.monomial(1, {X: i, Y: j})
         return out
 
-    def support(self) -> set[Point]:
-        return set(self.terms)
-
     def coeff(self, i: int, j: int) -> MPoly:
         """Coefficient of x^i y^j as a polynomial in the remaining variables."""
         return self.terms.get((i, j), MPoly.zero())

@@ -36,7 +36,6 @@ __all__ = [
     "DegeneracyLocus",
     "build_locus",
     "min_x_exponent",
-    "edge_term",
     "PolarModel",
     "build_model",
     "polar_model_g1",
@@ -88,9 +87,6 @@ class DegeneracyLocus:
                     "use .groups for the full description"
                 )
         return tuple(g[0] for g in self.groups)
-
-    def is_empty(self) -> bool:
-        return not self.groups
 
     @cached_property
     def _split(self):
@@ -201,17 +197,6 @@ def min_x_exponent(p: int, q: int, j: int) -> int:
     if j == p - 2:
         return q - (j * q) // p - 1
     return q - ((j + 1) * q) // p
-
-
-def edge_term(p: int, q: int, j: int) -> MPoly:
-    """The polar term sitting at the lowest point of height j.
-
-    Outside height p-2 the y-derivative always contributes and the
-    x-derivative joins it exactly when the two routes meet; at height p-2
-    only the x-derivative is left.
-    """
-    alpha = min_x_exponent(p, q, j)
-    return polar_coefficient(partial(coefficient_g1, p, q), alpha, j) * MPoly.monomial(1, {X: alpha, Y: j})
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .algebra import MPoly, UPoly, Z, nonzero_discriminant, squarefree_info
@@ -224,24 +223,3 @@ def oka_decomposition(polygon: NewtonPolygon) -> TopologyReport:
     table = tuple(tuple(0 if r == c else min(k1[0] * k2[1], k2[0] * k1[1]) for c, k2 in enumerate(keys))
                   for r, k1 in enumerate(keys))
     return TopologyReport(branches=classes, intersections=table)
-
-
-def minkowski_sum(p1: NewtonPolygon, p2: NewtonPolygon) -> NewtonPolygon:
-    """Polygon whose side multiset is the slope-sorted merge of both."""
-    top = (p1.top[0] + p2.top[0], p1.top[1] + p2.top[1])
-    vectors = [(s.m, s.n) for s in p1.sides] + [(s.m, s.n) for s in p2.sides]
-    vectors.sort(key=lambda mn: Fraction(mn[1], mn[0]), reverse=True)
-    merged: list[tuple[int, int]] = []
-    for m, n in vectors:
-        if merged and Fraction(merged[-1][1], merged[-1][0]) == Fraction(n, m):
-            merged[-1] = (merged[-1][0] + m, merged[-1][1] + n)
-        else:
-            merged.append((m, n))
-    sides = []
-    cur = top
-    for m, n in merged:
-        nxt = (cur[0] + m, cur[1] - n)
-        sides.append(_make_side(cur, nxt))
-        cur = nxt
-    assert cur == (p1.bottom[0] + p2.bottom[0], p1.bottom[1] + p2.bottom[1])
-    return NewtonPolygon(sides=tuple(sides), top=top, bottom=cur)

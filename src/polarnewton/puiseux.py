@@ -481,45 +481,3 @@ def intersection_numeric(b1: PuiseuxBranch, b2: PuiseuxBranch, tol: float = COEF
     if value.denominator != 1:
         raise PuiseuxError(f"intersection number came out fractional: {value}")
     return int(value)
-
-
-def reconstruction_residual(f: PlaneSeries, branch: PuiseuxBranch) -> float:
-    """Largest relative residual coefficient of f(t^n, y(t)) below the
-    guaranteed order; small values certify the expansion."""
-    p, den = _series_numerators(f)
-    n = branch.n
-    if branch.reached is None:
-        # exact parametrization: evaluate without truncation
-        ymax = max((int(e * n) for e, _ in branch.terms), default=1)
-        t_limit = 1 + max(i * n + j * ymax for (i, j) in p)
-    else:
-        t_limit = int(branch.reached * n)
-    yt = {int(e * n): c for e, c in branch.terms}
-
-    def mul_trunc(s1: dict, s2: dict) -> dict:
-        out: dict[int, complex] = {}
-        for e1, c1 in s1.items():
-            for e2, c2 in s2.items():
-                if e1 + e2 >= t_limit:
-                    continue
-                out[e1 + e2] = out.get(e1 + e2, 0j) + c1 * c2
-        return out
-
-    ypow: dict[int, dict[int, complex]] = {0: {0: 1.0 + 0j}}
-    maxj = max(j for (_i, j) in p)
-    for j in range(1, maxj + 1):
-        ypow[j] = mul_trunc(ypow[j - 1], yt)
-    total: dict[int, complex] = {}
-    scale = 0.0
-    for (i, j), c in p.items():
-        for e, cv in ypow[j].items():
-            te = i * n + e
-            if te >= t_limit:
-                continue
-            val = complex(c / den) * cv
-            total[te] = total.get(te, 0j) + val
-            scale = max(scale, abs(val))
-    if scale == 0.0:
-        return 0.0
-    worst = max((abs(v) for v in total.values()), default=0.0)
-    return worst / scale

@@ -1,7 +1,11 @@
 """Seeded sampling harness: draw family coefficients off the degeneracy
 locus, take the polar of the generic member at that draw and at a random
-pencil point in general position, and check every polygon/squarefree/topology
-prediction against a from-scratch computation on the concrete polar.
+pencil point in general position, and check the polygon and squarefree
+predictions against a from-scratch computation on the concrete polar.  The
+topology column is `oka_decomposition` of the trial's polygon, the function
+that made the prediction, so it adds only two cases: a `PolygonError`, and a
+different polygon whose sides have the same shapes.  The optional Puiseux
+crosscheck is the one topology check that shares no code with the prediction.
 
 Every draw of family coefficients, here and in the degenerate-power check,
 follows one rule read from the `curves.Family` record: a value for each of

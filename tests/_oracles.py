@@ -1,9 +1,11 @@
 """Independent reference computations used to check the library from scratch.
 
-Nothing here shares code with the implementation paths it cross-checks: the
-hull oracle tests all support pairs for dominance, the determinant oracle is
-plain fraction Gaussian elimination, root counting goes through numpy, and
-the tail polar's lowest exponents come from listing the tail monomials.
+Nothing here shares code with the implementation paths it cross-checks, and
+nothing here imports `polarnewton`: the hull oracle tests all support pairs
+for dominance, the determinant oracle is plain fraction Gaussian elimination,
+root counting goes through numpy, the tail polar's lowest exponents come from
+listing the tail monomials, and derivatives, evaluations and the Puiseux
+residual read a polynomial's `.terms` (or a `UPoly`'s `.coeffs`) directly.
 """
 
 from __future__ import annotations
@@ -154,3 +156,71 @@ def tail_polar_min_x(p, q, d):
                 if x >= 0 and j >= 0:
                     low[j] = min(x, low.get(j, x))
     return [low[j] for j in range(2 * p - 1)]
+
+
+def deriv(poly, v):
+    """d poly / d v, term by term on `poly.terms`, as a polynomial of the same
+    type.  A monomial is a tuple of (variable, exponent) pairs, so lowering
+    one exponent keeps its order."""
+    out = {}
+    for m, c in poly.terms.items():
+        e = dict(m).get(v, 0)
+        if e:
+            rest = tuple((w, ee - 1 if w == v else ee) for w, ee in m if not (w == v and ee == 1))
+            out[rest] = out.get(rest, 0) + c * e
+    return type(poly)(out)
+
+
+def derivative(F):
+    """dF/dz of a univariate polynomial with polynomial coefficients."""
+    return type(F)(F.main, [c * k for k, c in enumerate(F.coeffs)][1:])
+
+
+def evaluate(poly, assignment):
+    """The value of `poly` at `assignment` (variable -> int or Fraction), as a
+    Fraction summed term by term; a missing variable raises KeyError."""
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        for v, e in m:
+            c = c * Fraction(assignment[v]) ** e
+        total += c
+    return total
+
+
+def reconstruction_residual(f, branch):
+    """Largest relative coefficient of f(t^n, y(t)) below the branch's
+    guaranteed order, with y(t) the branch's terms in complex floats; an
+    exact parametrization (`reached` None) is substituted untruncated."""
+    p = {pt: complex(evaluate(c, {})) for pt, c in f.terms.items()}
+    n = branch.n
+    if branch.reached is None:
+        ymax = max((int(e * n) for e, _ in branch.terms), default=1)
+        t_limit = 1 + max(i * n + j * ymax for (i, j) in p)
+    else:
+        t_limit = int(branch.reached * n)
+    yt = {int(e * n): c for e, c in branch.terms}
+    ypow = [{0: 1.0 + 0j}]
+    for _ in range(max(j for (_i, j) in p)):
+        ypow.append(_mul_trunc(ypow[-1], yt, t_limit))
+    total = {}
+    scale = 0.0
+    for (i, j), c in p.items():
+        for e, cv in ypow[j].items():
+            te = i * n + e
+            if te < t_limit:
+                val = c * cv
+                total[te] = total.get(te, 0j) + val
+                scale = max(scale, abs(val))
+    if scale == 0.0:
+        return 0.0
+    return max(abs(v) for v in total.values()) / scale
+
+
+def _mul_trunc(s1, s2, limit):
+    """Product of two {t-exponent: coefficient} series, dropping t^limit and up."""
+    out = {}
+    for e1, c1 in s1.items():
+        for e2, c2 in s2.items():
+            if e1 + e2 < limit:
+                out[e1 + e2] = out.get(e1 + e2, 0j) + c1 * c2
+    return out

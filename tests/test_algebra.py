@@ -23,7 +23,6 @@ from polarnewton.algebra import (
     IntegerPoint,
     discriminant,
     integer_discriminant,
-    is_squarefree,
     nonzero_discriminant,
     qpoly_gcd,
     qpoly_yun,
@@ -34,7 +33,7 @@ from polarnewton.algebra import (
 
 from polarnewton.curves import generic_member_g2
 
-from _oracles import det_fraction, sylvester_matrix
+from _oracles import deriv, derivative, det_fraction, evaluate, sylvester_matrix
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -145,7 +144,7 @@ class TestIntegerPlan:
         nums, den = IntegerPlan(polys).at(point)
         assert den > 0 and len(nums) == len(polys)
         for poly, num in zip(polys, nums):
-            assert Fraction(num, den) == poly.evaluate(point)
+            assert Fraction(num, den) == evaluate(poly, point)
 
     def test_variables_are_sorted_and_missing_ones_named(self):
         plan = IntegerPlan([MPoly.var(bvar(5, 2)) * a + 1, MPoly.var(avar(3, 1)) ** 2, MPoly.zero()])
@@ -171,7 +170,7 @@ class TestIntegerPlan:
             point = {v: Fraction(num, den) for v, (num, den) in zip(fam.coeff_vars, pairs)}
             m = 2520
             scaled = IntegerPoint(fam.coeff_vars, [num * (m // den) for num, den in pairs], m)
-            want = [c.evaluate(point) for c in fam.generic.terms.values()]
+            want = [evaluate(c, point) for c in fam.generic.terms.values()]
             for at in (point, scaled):
                 nums, den = plan.at(at)
                 assert [Fraction(num, den) for num in nums] == want
@@ -179,15 +178,15 @@ class TestIntegerPlan:
 
 class TestDerivative:
     def test_power_rule(self):
-        assert (y**5 - x**12).deriv(X) == -12 * x**11
+        assert deriv(y**5 - x**12, X) == -12 * x**11
 
     def test_pinned_family_member_y_derivative(self):
         f = y**5 - x**12 + x**5 * y**3 + x**8 * y**2 + Fraction(9, 20) * x**10 * y
         expected = 5 * y**4 + 3 * x**5 * y**2 + 2 * x**8 * y + Fraction(9, 20) * x**10
-        assert f.deriv(Y) == expected
+        assert deriv(f, Y) == expected
 
     def test_constant_derivative_vanishes(self):
-        assert MPoly.const(7).deriv(X).is_zero()
+        assert deriv(MPoly.const(7), X).is_zero()
 
 
 class TestResultant:
@@ -253,7 +252,7 @@ class TestDiscriminant:
         ours = discriminant(F)
         assert ours == -4 * b**2 * (3 * a11 * a17 - a14**2)
         assert ours * (-3 * b * a11) == displayed
-        assert resultant(F, F.derivative()) == displayed
+        assert resultant(F, derivative(F)) == displayed
 
     def test_displayed_quartic_exact(self):
         a11 = MPoly.var(avar(11, 3))
@@ -326,10 +325,10 @@ class TestNonzeroDiscriminant:
 
 class TestSquarefree:
     def test_separable_quadratic(self):
-        assert is_squarefree(upoly(z**2 - 1)) is True
+        assert squarefree_info(upoly(z**2 - 1))[0] is True
 
     def test_repeated_root(self):
-        assert is_squarefree(upoly((z - 1) ** 2)) is False
+        assert squarefree_info(upoly((z - 1) ** 2))[0] is False
 
     def test_power_side_polynomial_is_degenerate(self):
         F = upoly((z**2 - 1) ** 2)  # e1 = 3, p = 2 shape
@@ -343,7 +342,7 @@ class TestSquarefree:
 
     def test_zero_rejected(self):
         with pytest.raises(AlgebraError):
-            is_squarefree(upoly(MPoly.zero()))
+            squarefree_info(upoly(MPoly.zero()))
 
     def test_symbolic_route_expands_only_a_vanishing_discriminant(self, monkeypatch):
         calls = []

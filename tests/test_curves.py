@@ -20,6 +20,8 @@ from polarnewton.curves import (
 from polarnewton.newton import is_nondegenerate, newton_polygon
 from polarnewton.puiseux import puiseux_expand
 
+from _oracles import deriv, evaluate
+
 x = MPoly.var(X)
 y = MPoly.var(Y)
 a = MPoly.var(A)
@@ -267,7 +269,7 @@ class TestSeriesMapOracles:
         members = _verify_family_members() + [parse_series(t) for t in _PARSED] + _concrete_members()
         assert sum(f.is_concrete() for f in members) == 9
         for f in members:
-            want = params.a * f.poly.deriv(X) + params.b * f.poly.deriv(Y)
+            want = params.a * deriv(f.poly, X) + params.b * deriv(f.poly, Y)
             got = polar(f, params)
             assert got.poly == want
             assert list(got.terms) == _polar_key_order(f, got)
@@ -296,13 +298,13 @@ class TestSeriesMapOracles:
             for _ in range(3):
                 s = _random_point(rng, variables)
                 x0, y0 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
-                got = substitute(f, s).poly.evaluate({X: x0, Y: y0})
-                assert got == f.poly.evaluate({**s, X: x0, Y: y0})
+                got = evaluate(substitute(f, s).poly, {X: x0, Y: y0})
+                assert got == evaluate(f.poly, {**s, X: x0, Y: y0})
 
     def test_substitute_drops_vanishing_coefficients(self):
         f = parse_series("y^2 - x^3 + a[4,1]*x^4*y + (a[4,1] - b[4,1])*x^5")
         got = substitute(f, {avar(4, 1): Fraction(1), bvar(4, 1): Fraction(1)})
-        assert got.support() == {(0, 2), (3, 0), (4, 1)}
+        assert set(got.terms) == {(0, 2), (3, 0), (4, 1)}
         assert got.is_concrete()
 
     def test_from_poly_round_trips(self):
@@ -313,7 +315,7 @@ class TestSeriesMapOracles:
 
     def test_map_keys_are_the_support(self):
         f = parse_series("y^2 - x^3 + a[4,1]*x^4*y + b*x^4*y")
-        assert f.support() == {(0, 2), (3, 0), (4, 1)}
+        assert set(f.terms) == {(0, 2), (3, 0), (4, 1)}
         assert f.coeff(4, 1) == MPoly.var(avar(4, 1)) + b
         assert f.coeff(1, 1).is_zero()
         assert not f.is_concrete()

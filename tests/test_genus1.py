@@ -7,9 +7,11 @@ import pytest
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
 from polarnewton.curves import (CurveError, PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
                                 substitute)
-from polarnewton.genus1 import DegeneracyLocus, build_locus, edge_term, min_x_exponent, polar_model_g1
+from polarnewton.genus1 import DegeneracyLocus, build_locus, min_x_exponent, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
+
+from _oracles import evaluate
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -45,35 +47,44 @@ class TestLowestExponents:
             min_x_exponent(7, 19, -1)
 
 
+def lowest_polar_term(p: int, q: int, j: int) -> MPoly:
+    """The generic polar's term at the lowest point of height j, read off the
+    polar of the generic member."""
+    alpha = min_x_exponent(p, q, j)
+    return polar(generic_member_g1(p, q).generic).coeff(alpha, j) * MPoly.monomial(1, {X: alpha, Y: j})
+
+
 class TestEdgeTerms:
+    """Outside height p-2 the y-derivative always reaches the lowest point and
+    the x-derivative joins it exactly when the two routes meet; at height p-2
+    only the x-derivative is left."""
+
     def test_single_route_term(self):
-        assert edge_term(7, 19, 1) == 2 * b * MPoly.var(avar(14, 2)) * x**14 * y
+        assert lowest_polar_term(7, 19, 1) == 2 * b * MPoly.var(avar(14, 2)) * x**14 * y
 
     def test_top_term_uses_the_unit_coefficient(self):
-        assert edge_term(7, 19, 6) == 7 * b * y**6
+        assert lowest_polar_term(7, 19, 6) == 7 * b * y**6
 
     def test_double_route_term(self):
         # at height 1 of (5, 7) both routes reach x^5 and both monomials
         # sit below y^(p-1), so the normal form keeps them
-        got = edge_term(5, 7, 1)
+        got = lowest_polar_term(5, 7, 1)
         expected = (2 * b * MPoly.var(avar(5, 2)) + 6 * a * MPoly.var(avar(6, 1))) * x**5 * y
         assert got == expected
 
     def test_double_route_at_height_zero_uses_minus_one(self):
         # for p = 2 height 0 is height p-2: the normal form has no y^(p-1)
         # coefficient a[2,1], so only the x-derivative of -x^q is left
-        got = edge_term(2, 3, 0)
+        got = lowest_polar_term(2, 3, 0)
         expected = -3 * a * x**2
         assert got == expected
 
     def test_terms_agree_with_the_direct_polar(self):
         for (p, q) in [(2, 3), (3, 4), (5, 12), (7, 19), (4, 7)]:
-            fam = generic_member_g1(p, q)
-            pol = polar(fam.generic)
-            for j in range(p):
-                alpha = min_x_exponent(p, q, j)
-                got = edge_term(p, q, j)
-                assert got == pol.coeff(alpha, j) * MPoly.monomial(1, {X: alpha, Y: j})
+            model = polar_model_g1(p, q)
+            assert sorted(model.edge_terms) == list(model.side_heights)
+            for j in model.side_heights:
+                assert model.edge_terms[j] == lowest_polar_term(p, q, j)
 
 
 class TestPredictedPolygon:
@@ -137,13 +148,13 @@ class TestLocus:
             assert any(rational_multiple(g, e) for g in got)
 
     def test_2_3_is_empty(self):
-        assert polar_model_g1(2, 3).locus.is_empty()
+        assert not polar_model_g1(2, 3).locus.groups
 
     def test_2_5_and_3_7(self):
         # (2, 5): the old generator a[3,1] was a y^(p-1) coefficient, which
         # the shift y -> y - a[3,1]*x^3/2 removes; the only polar term below
         # the top is -5*a*x^4.  (3, 7) keeps its bottom-vertex coefficient
-        assert polar_model_g1(2, 5).locus.is_empty()
+        assert not polar_model_g1(2, 5).locus.groups
         assert [g.render() for g in polar_model_g1(3, 7).locus.generators] == ["a[5,1]"]
 
     def test_zero_lattice_points_impose_no_condition(self):
@@ -214,7 +225,7 @@ class TestLocus:
 
 
 def vanishes_by_generator(groups, point) -> bool:
-    return any(all(p.evaluate(point) == 0 for p in group) for group in groups)
+    return any(all(evaluate(p, point) == 0 for p in group) for group in groups)
 
 
 class TestLocusPlan:
@@ -263,7 +274,7 @@ def _solve_for_first_variable(form: MPoly, target, point, keep=None) -> dict | N
         return None
     split = form.coefficients_in([free[0]])
     assert set(split) <= {(0,), (1,)}
-    rest = split[(0,)].evaluate(point) if (0,) in split else 0
+    rest = evaluate(split[(0,)], point) if (0,) in split else 0
     return {**point, free[0]: (target - rest) / split[(1,)].constant_value()}
 
 
@@ -341,7 +352,7 @@ class TestLocusByEvaluation:
                 if not any(ab):
                     continue
                 full = {**point, A: ab[0], B: ab[1]}
-                pencil = all(c.evaluate(full) != 0 for c in model.locus.raw)
+                pencil = all(evaluate(c, full) != 0 for c in model.locus.raw)
                 assert model.locus.nonzero_at(point, *ab) is pencil
                 pencil_seen.add(pencil)
         assert seen == {True, False}
@@ -364,7 +375,7 @@ class TestLocusByEvaluation:
         point = {v: Fraction(0 if v == fam.class_var else 1) for v in fam.coeff_vars}
         assert 2 * b * MPoly.var(fam.class_var) in model.locus.lowest
         assert model.locus.vanishes_at(point)
-        assert model.locus.is_empty()
+        assert not model.locus.groups
 
 
 class TestPredictedTopology:
@@ -401,13 +412,13 @@ class TestSampledAgreement:
             ab = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))
             full[A] = ab[0]
             full[B] = ab[1]
-            if any(c.evaluate(full) == 0 for c in model.locus.raw):
+            if any(evaluate(c, full) == 0 for c in model.locus.raw):
                 continue
             trials += 1
             pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(*ab))
             poly = newton_polygon(pol)
             assert poly.vertices() == model.predicted_polygon().vertices()
-            support = pol.support()
+            support = set(pol.terms)
             assert all(pt in support for pt in model.predicted_points())
             nondeg = is_nondegenerate(pol)
             assert nondeg.verdict == "nondegenerate"

@@ -10,7 +10,6 @@ from polarnewton.newton import (
     PolygonError,
     associated_from,
     is_nondegenerate,
-    minkowski_sum,
     newton_polygon,
     newton_polygon_from_points,
     oka_decomposition,
@@ -168,45 +167,3 @@ class TestOka:
             report = oka_decomposition(nondeg.polygon)
             height = nondeg.polygon.top[1] - nondeg.polygon.bottom[1]
             assert sum(c.a0 * c.count for c in report.branches) == height
-
-
-class TestMinkowski:
-    def test_doubling_a_single_side(self):
-        p1 = newton_polygon(PlaneSeries.from_poly(y**2 - x**5))
-        got = minkowski_sum(p1, p1)
-        assert got.vertices() == ((0, 4), (10, 0))
-        assert got.sides[0].d == 2
-        assert got.sides[0].lattice_points == ((0, 4), (5, 2), (10, 0))
-
-    def test_matches_product_polygon_on_sampled_member(self):
-        fam = generic_member_g1(5, 12)
-        rng = random.Random(31)
-        for _ in range(3):
-            assignment = {v: Fraction(rng.randint(1, 7), rng.randint(1, 7)) for v in fam.coeff_vars}
-            f1 = substitute(fam.generic, assignment)
-            pol = polar(f1, PolarParams.concrete(2, 5))
-            product = PlaneSeries.from_poly(f1.poly * pol.poly)
-            lhs = minkowski_sum(newton_polygon(f1), newton_polygon(pol))
-            assert lhs.vertices() == newton_polygon(product).vertices()
-
-    def test_point_polygon_is_the_identity(self):
-        origin = newton_polygon(PlaneSeries.from_poly(MPoly.const(1)))
-        p1 = newton_polygon(PlaneSeries.from_poly(y**3 - x**7))
-        got = minkowski_sum(p1, origin)
-        assert got.vertices() == p1.vertices()
-
-    def test_product_polygon_identity_for_many_samples(self):
-        rng = random.Random(77)
-        count = 0
-        for (p, q) in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]:
-            for _ in range(4):
-                fam = generic_member_g1(p, q)
-                assignment = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                              for v in fam.coeff_vars}
-                f1 = substitute(fam.generic, assignment)
-                pol = polar(f1, PolarParams.concrete(1, 1))
-                lhs = minkowski_sum(newton_polygon(f1), newton_polygon(pol))
-                rhs = newton_polygon(PlaneSeries.from_poly(f1.poly * pol.poly))
-                assert lhs.vertices() == rhs.vertices()
-                count += 1
-        assert count == 20
