@@ -16,10 +16,9 @@ from .algebra import (  # noqa: F401
     avar,
     bvar,
     discriminant,
-    resultant,
     strip_content,
 )
-from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents  # noqa: F401
+from .cfrac import ContinuedFraction, continued_fraction, convergents  # noqa: F401
 from .curves import (  # noqa: F401
     Family,
     ParseError,

@@ -2,11 +2,11 @@
 
 Coefficients are `fractions.Fraction` throughout and nothing in this module
 rounds.  Multivariate polynomials are sparse maps from monomials to nonzero
-rationals; univariate polynomials over that ring get a dense layout, which is
-what the Sylvester/discriminant machinery wants.  Evaluation at a rational
-point is exact too: it sums an integer numerator over one common denominator
-and normalises once, and a product with a constant scales the coefficients
-without the monomial merge.  `IntegerPlan` compiles a sequence of
+rationals; univariate polynomials in z over that ring (`UPoly`) get a dense
+layout, which is what the discriminant's determinant wants.  Evaluation at a
+rational point is exact too: it sums an integer numerator over one common
+denominator and normalises once, and a product with a constant scales the
+coefficients without the monomial merge.  `IntegerPlan` compiles a sequence of
 polynomials once for the many points of a sampling run and evaluates them
 over integers only, at a point kept over integers (`IntegerPoint`) without
 a `Fraction`.  `discriminant` over `MPoly` and `integer_discriminant` over
@@ -44,7 +44,6 @@ __all__ = [
     "IntegerPlan",
     "common_denominator",
     "UPoly",
-    "resultant",
     "discriminant",
     "integer_discriminant",
     "nonzero_discriminant",
@@ -588,25 +587,24 @@ class IntegerPlan:
 
 
 class UPoly:
-    """Dense univariate polynomial in `main` over the multivariate ring."""
+    """Dense univariate polynomial in z over the multivariate ring."""
 
-    __slots__ = ("main", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, main: Var, coeffs: Iterable[MPoly]):
+    def __init__(self, coeffs: Iterable[MPoly]):
         cs = list(coeffs)
         while cs and cs[-1].is_zero():
             cs.pop()
         for c in cs:
-            if main in c.variables():
-                raise AlgebraError("coefficient contains the main variable")
-        self.main = main
+            if Z in c.variables():
+                raise AlgebraError("coefficient contains z")
         self.coeffs = tuple(cs)
 
     @classmethod
-    def from_mpoly(cls, p: MPoly, main: Var) -> "UPoly":
-        split = p.coefficients_in([main])
+    def from_mpoly(cls, p: MPoly) -> "UPoly":
+        split = p.coefficients_in([Z])
         deg = max((e for (e,) in split), default=-1)
-        return cls(main, [split.get((e,), MPoly.zero()) for e in range(deg + 1)])
+        return cls([split.get((e,), MPoly.zero()) for e in range(deg + 1)])
 
     @property
     def deg(self) -> int:
@@ -627,10 +625,10 @@ class UPoly:
     def __eq__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
-        return self.main == other.main and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.main, self.coeffs))
+        return hash(self.coeffs)
 
     def render(self) -> str:
         if self.is_zero():
@@ -640,7 +638,7 @@ class UPoly:
             c = self.coeffs[e]
             if c.is_zero():
                 continue
-            zpow = "" if e == 0 else (self.main.name if e == 1 else f"{self.main.name}^{e}")
+            zpow = "" if e == 0 else ("z" if e == 1 else f"z^{e}")
             if c.is_constant() and not zpow:
                 parts.append(str(c.constant_value()))
             elif c == MPoly.const(1):
@@ -655,12 +653,13 @@ class UPoly:
         return f"UPoly({self.render()})"
 
 
-# -- resultants -----------------------------------------------------------
+# -- discriminants --------------------------------------------------------
 
 
-def _bareiss_det(mat: list[list], exact_div=MPoly.divexact):
-    """Fraction-free determinant over `MPoly` or, with `exact_div` floor
-    division, over int; every intermediate division is exact."""
+def _bareiss_det(mat: list[list], exact_div):
+    """Fraction-free determinant over `MPoly` with `exact_div` its exact
+    division or over int with floor division; every intermediate division
+    is exact."""
     n = len(mat)
     m = [row[:] for row in mat]
     sign = 1
@@ -679,23 +678,6 @@ def _bareiss_det(mat: list[list], exact_div=MPoly.divexact):
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
-def resultant(F: UPoly, G: UPoly) -> MPoly:
-    """Determinant of the Sylvester matrix of F and G in their main variable."""
-    if F.is_zero() or G.is_zero():
-        raise AlgebraError("resultant of the zero polynomial")
-    if F.main != G.main:
-        raise AlgebraError("main variables differ")
-    n, m = F.deg, G.deg
-    if n + m == 0:
-        return MPoly.const(1)
-    zero = MPoly.zero()
-    fc = [F.coeff(n - k) for k in range(n + 1)]  # descending
-    gc = [G.coeff(m - k) for k in range(m + 1)]
-    rows = ([[zero] * r + fc + [zero] * (m - 1 - r) for r in range(m)]
-            + [[zero] * r + gc + [zero] * (n - 1 - r) for r in range(n)])
-    return _bareiss_det(rows)
-
-
 def deflate(F: UPoly) -> UPoly:
     """G with F(z) = G(z^s), where s is the gcd of the exponents that carry a
     nonzero coefficient; F itself when s <= 1.
@@ -707,7 +689,7 @@ def deflate(F: UPoly) -> UPoly:
     s = reduce(math.gcd, (k for k, c in enumerate(F.coeffs) if not c.is_zero()), 0)
     if s <= 1:
         return F
-    return UPoly(F.main, F.coeffs[::s])
+    return UPoly(F.coeffs[::s])
 
 
 def _discriminant_det(c: list, zero, exact_div):
@@ -734,8 +716,8 @@ def _discriminant_det(c: list, zero, exact_div):
 
 
 def discriminant(F: UPoly) -> MPoly:
-    """The discriminant of F in its main variable, as `integer_discriminant`
-    forms it: one division-free determinant over the coefficients of F."""
+    """The discriminant of F in z, as `integer_discriminant` forms it: one
+    division-free determinant over the coefficients of F."""
     n = F.deg
     if n < 1:
         raise AlgebraError("discriminant needs degree >= 1")

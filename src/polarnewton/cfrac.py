@@ -23,13 +23,6 @@ class ContinuedFraction:
         return len(self.h) - 1
 
 
-@dataclass(frozen=True)
-class ConvergentSeq:
-    """Coprime pairs (p_i, q_i) with q_i/p_i = [h0, ..., hi]."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-
 def continued_fraction(q: int, p: int) -> ContinuedFraction:
     if p < 1 or q <= p:
         raise CFracError(f"need 0 < p < q, got p={p}, q={q}")
@@ -44,7 +37,8 @@ def continued_fraction(q: int, p: int) -> ContinuedFraction:
     return ContinuedFraction(p=p, q=q, h=tuple(h))
 
 
-def convergents(cf: ContinuedFraction) -> ConvergentSeq:
+def convergents(cf: ContinuedFraction) -> tuple[tuple[int, int], ...]:
+    """Coprime pairs (p_i, q_i) with q_i/p_i = [h0, ..., hi]."""
     pairs = []
     p_prev2, q_prev2 = 1, 0
     p_prev, q_prev = 0, 1
@@ -55,4 +49,4 @@ def convergents(cf: ContinuedFraction) -> ConvergentSeq:
         p_prev2, q_prev2 = p_prev, q_prev
         p_prev, q_prev = pi, qi
     assert pairs[-1] == (cf.p, cf.q)
-    return ConvergentSeq(pairs=tuple(pairs))
+    return tuple(pairs)

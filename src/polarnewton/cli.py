@@ -102,11 +102,10 @@ def _read_series(args):
 
 def _cmd_cf(args):
     cf = continued_fraction(args.q, args.p)
-    conv = convergents(cf)
     return {
         "h": list(cf.h),
         "s": cf.s,
-        "convergents": [[p, q] for (p, q) in conv.pairs],
+        "convergents": [[p, q] for (p, q) in convergents(cf)],
     }, []
 
 

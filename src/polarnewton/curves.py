@@ -77,10 +77,13 @@ class PlaneSeries:
 
     @property
     def poly(self) -> MPoly:
-        out = MPoly.zero()
+        # x and y sort after every coefficient variable, so x^i y^j extends
+        # each monomial of a coefficient, and distinct (i, j) never merge
+        out = {}
         for (i, j), c in self.terms.items():
-            out = out + c * MPoly.monomial(1, {X: i, Y: j})
-        return out
+            xy = ((X, i),) * (i > 0) + ((Y, j),) * (j > 0)
+            out.update((m + xy, v) for m, v in c.terms.items())
+        return MPoly(out)
 
     def coeff(self, i: int, j: int) -> MPoly:
         """Coefficient of x^i y^j as a polynomial in the remaining variables."""
@@ -308,11 +311,12 @@ class Family:
         return tuple(v == self.class_var for v in self.coeff_vars)
 
 
-def _bounded_terms(p: int, q: int, bound: int, coeff) -> PlaneSeries:
-    """Sum of coeff(i, j) x^i y^j over the weights i*p + j*q <= bound."""
+def _bounded_terms(p: int, q: int, bound: int, coeff, max_j: int) -> PlaneSeries:
+    """Sum of coeff(i, j) x^i y^j over the weights i*p + j*q <= bound; coeff
+    must vanish on the rows j > max_j, which are not visited."""
     terms = {}
     for i in range(0, bound // p + 1):
-        for j in range(0, (bound - i * p) // q + 1):
+        for j in range(0, min(max_j, (bound - i * p) // q) + 1):
             c = coeff(i, j)
             if not c.is_zero():
                 terms[(i, j)] = c
@@ -325,7 +329,7 @@ def generic_member_g1(p: int, q: int, weight_bound: int | None = None) -> Family
     bound = weight_bound if weight_bound is not None else p * q + p + q
     if bound < p * q:
         raise CurveError(f"weight bound {bound} is below p*q = {p * q}, which drops y^{p} and x^{q}")
-    generic = _bounded_terms(p, q, bound, lambda i, j: coefficient_g1(p, q, i, j))
+    generic = _bounded_terms(p, q, bound, lambda i, j: coefficient_g1(p, q, i, j), p)
     return Family(key=(p, q), e1=1, weight_bound=bound, generic=generic)
 
 
@@ -337,7 +341,8 @@ def generic_member_g2(p: int, q: int, d: int, e1: int = 2,
     threshold = e1 * p * q + d
     bound = weight_bound if weight_bound is not None else threshold + 2 * p
     # the class-defining monomial stays even below a smaller bound
-    f2 = _bounded_terms(p, q, max(bound, threshold), lambda i, j: coefficient_tail(p, q, d, i, j, e1))
+    f2 = _bounded_terms(p, q, max(bound, threshold), lambda i, j: coefficient_tail(p, q, d, i, j, e1),
+                        e1 * p - 2)
     generic = PlaneSeries.from_poly(generic_member_g1(p, q).generic.poly ** e1 + f2.poly)
     return Family(key=(p, q, d), e1=e1, weight_bound=bound, generic=generic,
                   class_var=bvar(*tail_start(p, q, d, e1)))
@@ -453,7 +458,10 @@ def parse_series(text: str) -> PlaneSeries:
     parser.skip_ws()
     if parser.pos >= len(text):
         raise ParseError("empty expression", 0)
-    poly = parser.expr()
+    try:
+        poly = parser.expr()
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input")

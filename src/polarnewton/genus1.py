@@ -26,7 +26,7 @@ from functools import cache, cached_property, lru_cache, partial
 
 from .algebra import (A, B, IntegerPlan, IntegerPoint, MPoly, UPoly, Var, X, Y, deflate, discriminant,
                       nonzero_discriminant, strip_content)
-from .cfrac import ContinuedFraction, ConvergentSeq, continued_fraction, convergents
+from .cfrac import ContinuedFraction, continued_fraction, convergents
 from .curves import CurveError, check_family, coefficient_g1, polar_coefficient
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
                      oka_decomposition)
@@ -259,10 +259,10 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     )
 
 
-def _convergent_vertices(cf: ContinuedFraction, conv: ConvergentSeq) -> tuple[Point, ...]:
+def _convergent_vertices(cf: ContinuedFraction, conv: tuple[tuple[int, int], ...]) -> tuple[Point, ...]:
     """Polygon vertices from the convergents of q/p, bottom first (p >= 3)."""
-    pc = [pair[0] for pair in conv.pairs]
-    qc = [pair[1] for pair in conv.pairs]
+    pc = [pair[0] for pair in conv]
+    qc = [pair[1] for pair in conv]
     out = [(cf.q - qc[2 * k], pc[2 * k] - 1) for k in range(cf.s // 2 + 1) if 2 * k < cf.s]
     return tuple(out + [(0, cf.p - 1)])
 

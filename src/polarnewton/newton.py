@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import MPoly, UPoly, Z, nonzero_discriminant, squarefree_info
+from .algebra import MPoly, UPoly, nonzero_discriminant, squarefree_info
 from .curves import PlaneSeries, Point
 
 
@@ -99,7 +99,7 @@ def associated_from(points, coeff_at) -> UPoly:
     coeffs = [MPoly.zero()] * (max(j for (_i, j) in points) - j0 + 1)
     for (i, j) in points:
         coeffs[j - j0] = coeff_at(i, j)
-    F = UPoly(Z, coeffs)
+    F = UPoly(coeffs)
     assert F.deg == len(coeffs) - 1, "associated polynomial must have the side height as degree"
     return F
 

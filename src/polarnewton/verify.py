@@ -274,7 +274,7 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
         if target:
             F = target[0].associated
             lead = F.lc.constant_value()
-            proportional = UPoly.from_mpoly(reference * lead, Z) == F
+            proportional = UPoly.from_mpoly(reference * lead) == F
         records.append({
             "trial": trial,
             "degenerate": report.verdict == "degenerate",

@@ -171,11 +171,6 @@ def deriv(poly, v):
     return type(poly)(out)
 
 
-def derivative(F):
-    """dF/dz of a univariate polynomial with polynomial coefficients."""
-    return type(F)(F.main, [c * k for k, c in enumerate(F.coeffs)][1:])
-
-
 def evaluate(poly, assignment):
     """The value of `poly` at `assignment` (variable -> int or Fraction), as a
     Fraction summed term by term; a missing variable raises KeyError."""

@@ -26,14 +26,13 @@ from polarnewton.algebra import (
     nonzero_discriminant,
     qpoly_gcd,
     qpoly_yun,
-    resultant,
     squarefree_info,
     strip_content,
 )
 
 from polarnewton.curves import generic_member_g2
 
-from _oracles import deriv, derivative, det_fraction, evaluate, sylvester_matrix
+from _oracles import deriv, det_fraction, evaluate, sylvester_matrix
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -43,7 +42,7 @@ b = MPoly.var(B)
 
 
 def upoly(p: MPoly) -> UPoly:
-    return UPoly.from_mpoly(p, Z)
+    return UPoly.from_mpoly(p)
 
 
 class TestVar:
@@ -189,53 +188,6 @@ class TestDerivative:
         assert deriv(MPoly.const(7), X).is_zero()
 
 
-class TestResultant:
-    def test_small_hand_determinant(self):
-        c = MPoly.var(avar(1, 1))
-        F = upoly(z**2 - c)
-        G = upoly(z)
-        assert resultant(F, G) == -c
-
-    def test_equal_inputs_share_a_root(self):
-        F = upoly(z**2 - MPoly.const(1))
-        assert resultant(F, F).is_zero()
-
-    def test_linear_pair(self):
-        u = MPoly.var(avar(0, 1))
-        v = MPoly.var(avar(1, 0))
-        assert resultant(upoly(z - u), upoly(z - v)) == u - v
-
-    def test_zero_input_rejected(self):
-        with pytest.raises(AlgebraError):
-            resultant(upoly(MPoly.zero()), upoly(z))
-
-    def test_matches_fraction_elimination_on_random_concrete(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            fc = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(2, 5))]
-            gc = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(2, 5))]
-            if fc[0] == 0 or gc[0] == 0:
-                continue
-            F = upoly(sum((MPoly.const(c) * z**k for k, c in enumerate(reversed(fc))), MPoly.zero()))
-            G = upoly(sum((MPoly.const(c) * z**k for k, c in enumerate(reversed(gc))), MPoly.zero()))
-            expected = det_fraction(sylvester_matrix(fc, gc))
-            assert resultant(F, G) == MPoly.const(expected)
-
-    def test_zero_resultant_iff_common_factor(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            r1 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            r2 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            r3 = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            shared = upoly(z - MPoly.const(r1))
-            F = upoly((z - MPoly.const(r1)) * (z - MPoly.const(r2)))
-            G = upoly((z - MPoly.const(r1)) * (z - MPoly.const(r3)))
-            assert resultant(F, G).is_zero()
-            H = upoly(z - MPoly.const(r2 + 1))
-            got = resultant(shared, H)
-            assert got.is_zero() == (r1 == r2 + 1)
-
-
 class TestDiscriminant:
     def test_quadratic_formula(self):
         P = MPoly.var(avar(1, 0))
@@ -245,14 +197,13 @@ class TestDiscriminant:
 
     def test_displayed_quadratic_up_to_leading_factor(self):
         # convention here divides by the leading coefficient; the displayed
-        # value equals the raw Sylvester determinant, i.e. -lc times ours
+        # value is the raw Sylvester determinant Res(F, F'), i.e. -lc times ours
         a11, a14, a17 = (MPoly.var(avar(11, 3)), MPoly.var(avar(14, 2)), MPoly.var(avar(17, 1)))
         F = upoly(3 * b * a11 * z**2 + 2 * b * a14 * z + b * a17)
         displayed = 12 * b**3 * a11 * (3 * a11 * a17 - a14**2)
         ours = discriminant(F)
         assert ours == -4 * b**2 * (3 * a11 * a17 - a14**2)
         assert ours * (-3 * b * a11) == displayed
-        assert resultant(F, derivative(F)) == displayed
 
     def test_displayed_quartic_exact(self):
         a11 = MPoly.var(avar(11, 3))
@@ -263,11 +214,14 @@ class TestDiscriminant:
     def test_product_rule_on_concrete_monic(self):
         rng = random.Random(3)
         for _ in range(15):
-            f = z**2 + MPoly.const(rng.randint(-4, 4)) * z + MPoly.const(rng.randint(-4, 4))
-            g = z**3 + MPoly.const(rng.randint(-4, 4)) * z + MPoly.const(rng.randint(-4, 4))
+            fc = [1, rng.randint(-4, 4), rng.randint(-4, 4)]  # descending
+            gc = [1, 0, rng.randint(-4, 4), rng.randint(-4, 4)]
+            f = sum((c * z**k for k, c in enumerate(reversed(fc))), MPoly.zero())
+            g = sum((c * z**k for k, c in enumerate(reversed(gc))), MPoly.zero())
             F, G, FG = upoly(f), upoly(g), upoly(f * g)
             lhs = discriminant(FG)
-            rhs = discriminant(F) * discriminant(G) * resultant(F, G) ** 2
+            res = det_fraction(sylvester_matrix(fc, gc))
+            rhs = discriminant(F) * discriminant(G) * MPoly.const(res**2)
             assert lhs == rhs
 
     def test_constant_input_rejected(self):

@@ -21,16 +21,16 @@ def test_hand_run_euclid():
 
 def test_pinned_convergents():
     cf = continued_fraction(19, 7)
-    assert convergents(cf).pairs == ((1, 2), (1, 3), (3, 8), (7, 19))
+    assert convergents(cf) == ((1, 2), (1, 3), (3, 8), (7, 19))
     assert cf.s == 3
 
 
 def test_single_entry_convergent():
-    assert convergents(continued_fraction(3, 1)).pairs == ((1, 3),)
+    assert convergents(continued_fraction(3, 1)) == ((1, 3),)
 
 
 def test_recurrence_by_hand():
-    assert convergents(continued_fraction(12, 5)).pairs == ((1, 2), (2, 5), (5, 12))
+    assert convergents(continued_fraction(12, 5)) == ((1, 2), (2, 5), (5, 12))
 
 
 @pytest.mark.parametrize("q,p", [(6, 3), (7, 7), (3, 5), (5, 0)])
@@ -56,10 +56,10 @@ def test_round_trip_and_determinant_identity_on_sample():
             val = h + 1 / val
         assert val == Fraction(q, p)
         conv = convergents(cf)
-        pairs = [(0, 1)] + list(conv.pairs)
+        pairs = [(0, 1)] + list(conv)
         for i in range(1, len(pairs)):
             p_prev, q_prev = pairs[i - 1]
             p_i, q_i = pairs[i]
             assert abs(p_prev * q_i - p_i * q_prev) == 1
             assert math.gcd(p_i, q_i) == 1
-        assert conv.pairs[-1] == (p, q)
+        assert conv[-1] == (p, q)

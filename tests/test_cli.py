@@ -254,10 +254,18 @@ def test_series_command_without_input_is_a_usage_error(capsys, command):
     assert "one of the arguments --input --expr is required" in capsys.readouterr().err
 
 
-def test_empty_expression_is_a_computation_error(capsys):
-    code, _out, err = run_cli(capsys, "polygon", "--expr", "")
+@pytest.mark.parametrize("expr,message", [
+    ("", "empty expression"),
+    # the parser recurses per parenthesis; running out of stack is a
+    # ParseError, not a RecursionError traceback
+    ("(" * 3000 + "x" + ")" * 3000, "expression nested too deeply"),
+], ids=["empty", "nested"])
+def test_unparsable_expression_is_a_computation_error(capsys, expr, message):
+    code, out, err = run_cli(capsys, "polygon", "--expr", expr)
     assert code == 1
-    assert "empty expression" in err
+    assert out == ""
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_verify_error_exit_code(capsys):

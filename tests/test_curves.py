@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarnewton import curves
 from polarnewton.algebra import A, B, MPoly, X, Y, avar, bvar
 from polarnewton.curves import (
     CurveError,
@@ -59,6 +60,24 @@ class TestFamilies:
         with pytest.raises(CurveError, match="weight bound 0"):
             generic_member_g1(7, 19, 0)
         assert generic_member_g1(7, 19, 133).generic.poly == y**7 - x**19
+
+    @pytest.mark.parametrize("build,rule", [
+        (lambda: generic_member_g1.__wrapped__(2, 3, 4000), "coefficient_g1"),
+        (lambda: generic_member_g2.__wrapped__(2, 3, 1, weight_bound=4000), "coefficient_tail"),
+    ], ids=["g1", "tail"])
+    def test_large_bound_visits_only_the_filled_rows(self, monkeypatch, build, rule):
+        # the rules fill rows j <= p (genus one) and j <= e1*p - 2 (the tail),
+        # here 3 rows of at most 4000 // 2 + 1 columns each
+        calls = []
+        original = getattr(curves, rule)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(curves, rule, counted)
+        build()
+        assert 0 < len(calls) <= 3 * 2001
 
     @pytest.mark.parametrize("p,q,d,i0,j0", [(5, 12, 1, 17, 3), (2, 3, 1, 5, 1), (2, 5, 7, 11, 1)])
     def test_g2_distinguished_monomial(self, p, q, d, i0, j0):
