@@ -88,21 +88,22 @@ def det_fraction(matrix):
     return det
 
 
-def sylvester_matrix(fc, gc):
-    """Sylvester matrix from descending coefficient lists."""
+def sylvester_matrix(fc, gc, zero=Fraction(0)):
+    """Sylvester matrix from descending coefficient lists, its entries the
+    coefficients themselves and `zero` elsewhere."""
     n = len(fc) - 1
     m = len(gc) - 1
     size = n + m
     rows = []
     for r in range(m):
-        row = [Fraction(0)] * size
+        row = [zero] * size
         for k, c in enumerate(fc):
-            row[r + k] = Fraction(c)
+            row[r + k] = c
         rows.append(row)
     for r in range(n):
-        row = [Fraction(0)] * size
+        row = [zero] * size
         for k, c in enumerate(gc):
-            row[r + k] = Fraction(c)
+            row[r + k] = c
         rows.append(row)
     return rows
 

@@ -188,6 +188,64 @@ class TestDerivative:
         assert deriv(MPoly.const(7), X).is_zero()
 
 
+class TestBareissDet:
+    """`_bareiss_det`, the determinant under every discriminant, on Sylvester
+    matrices of two different polynomials: shapes that the discriminant's own
+    matrices seldom take, with zero pivots, row swaps and singular matrices."""
+
+    @staticmethod
+    def det(fc, gc) -> MPoly:
+        return algebra._bareiss_det(sylvester_matrix(fc, gc, MPoly.zero()), MPoly.divexact)
+
+    def test_small_hand_determinant(self):
+        # Res(z^2 - c, z); the second pivot is zero and takes a row swap
+        c = MPoly.var(avar(1, 1))
+        one, zero = MPoly.const(1), MPoly.zero()
+        assert self.det([one, zero, -c], [one, zero]) == -c
+
+    def test_equal_inputs_share_a_root(self):
+        F = [MPoly.const(1), MPoly.zero(), MPoly.const(-1)]
+        assert self.det(F, F).is_zero()
+
+    def test_linear_pair(self):
+        u = MPoly.var(avar(0, 1))
+        v = MPoly.var(avar(1, 0))
+        assert self.det([MPoly.const(1), -u], [MPoly.const(1), -v]) == u - v
+
+    def test_permutations_carry_their_sign(self):
+        swap = [[0, 1], [1, 0]]
+        cycle = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        zero_column = [[0, 1, 2], [0, 3, 4], [0, 5, 6]]
+        for mat, want in [(swap, -1), (cycle, 1), (zero_column, 0)]:
+            assert algebra._bareiss_det(mat, int.__floordiv__) == want
+            lifted = [[MPoly.const(e) for e in row] for row in mat]
+            assert algebra._bareiss_det(lifted, MPoly.divexact) == MPoly.const(want)
+
+    def test_matches_fraction_elimination_on_random_concrete(self):
+        # the integer route with floor division and the MPoly route agree with the oracle
+        rng = random.Random(7)
+        for _ in range(25):
+            fc = [rng.randint(-5, 5) for _ in range(rng.randint(2, 5))]
+            gc = [rng.randint(-5, 5) for _ in range(rng.randint(2, 5))]
+            if fc[0] == 0 or gc[0] == 0:
+                continue
+            expected = det_fraction(sylvester_matrix(fc, gc))
+            assert algebra._bareiss_det(sylvester_matrix(fc, gc, 0), int.__floordiv__) == expected
+            lifted = self.det([MPoly.const(c) for c in fc], [MPoly.const(c) for c in gc])
+            assert lifted == MPoly.const(expected)
+
+    def test_zero_determinant_iff_common_factor(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            r1, r2, r3 = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+            F = upoly((z - MPoly.const(r1)) * (z - MPoly.const(r2)))
+            G = upoly((z - MPoly.const(r1)) * (z - MPoly.const(r3)))
+            assert self.det(F.coeffs[::-1], G.coeffs[::-1]).is_zero()
+            shared = [MPoly.const(1), MPoly.const(-r1)]
+            H = [MPoly.const(1), MPoly.const(-(r2 + 1))]
+            assert self.det(shared, H).is_zero() == (r1 == r2 + 1)
+
+
 class TestDiscriminant:
     def test_quadratic_formula(self):
         P = MPoly.var(avar(1, 0))

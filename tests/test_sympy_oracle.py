@@ -1,4 +1,4 @@
-"""Discriminants (also of integer vectors), deflation, the symbolic squarefree
+"""Sylvester determinants, discriminants (also of integer vectors), deflation, the symbolic squarefree
 verdict, the modular squarefree certificate, exact division, univariate gcds and Yun
 decompositions, checked against sympy, which shares no code with polarnewton.algebra; and the
 evaluation oracle of `_oracles`, which the other tests read, checked against sympy as well.
@@ -38,7 +38,7 @@ from polarnewton.algebra import (  # noqa: E402
     squarefree_info,
 )
 
-from _oracles import evaluate  # noqa: E402
+from _oracles import evaluate, sylvester_matrix  # noqa: E402
 
 PARAMS = (A, B, avar(3, 1), bvar(5, 2))
 SZ = sympy.Symbol("z")
@@ -120,6 +120,17 @@ class TestEvaluateAgainstSympy:
 
 
 class TestAgainstSympy:
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (3, 3), (4, 2), (5, 3), (7, 2)])
+    def test_sylvester_determinant(self, n, m):
+        # `_bareiss_det`, which every discriminant reduces to, on the Sylvester
+        # matrix of two different symbolic polynomials against sympy's resultant
+        rng = random.Random(100 * n + m)
+        for _ in range(2):
+            F, G = random_upoly(rng, n), random_upoly(rng, m)
+            mat = sylvester_matrix(F.coeffs[::-1], G.coeffs[::-1], MPoly.zero())
+            theirs = sympy.resultant(upoly_to_sympy(F), upoly_to_sympy(G), SZ)
+            assert same(algebra._bareiss_det(mat, MPoly.divexact), theirs)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_discriminant(self, n):
         rng = random.Random(n)
