@@ -182,10 +182,6 @@ def _MONO_KEY(m: Mono) -> tuple:
     return tuple(key)
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
-
-
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -258,18 +254,6 @@ class MPoly:
             for v, _ in m:
                 out.add(v)
         return frozenset(out)
-
-    def min_degree_in(self, v: Var) -> int:
-        if not self._terms:
-            return 0
-        best = None
-        for m in self._terms:
-            e = 0
-            for w, ee in m:
-                if w == v:
-                    e = ee
-            best = e if best is None else min(best, e)
-        return best or 0
 
     def total_degree(self) -> int:
         return max((_mono_deg(m) for m in self._terms), default=0)
@@ -389,23 +373,7 @@ class MPoly:
                 result[k] = p
         return result
 
-    # -- normalization ---------------------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of the coefficients)."""
-        if not self._terms:
-            return Fraction(0)
-        return reduce(_frac_gcd, (abs(c) for c in self._terms.values()))
-
-    def primitive_normalized(self) -> "MPoly":
-        """Divide by the content and make the leading coefficient positive."""
-        if self.is_zero():
-            return self
-        c = self.content()
-        _, lead = self.leading()
-        if lead < 0:
-            c = -c
-        return MPoly._wrap({m: v / c for m, v in self._terms.items()})
+    # -- division --------------------------------------------------------------
 
     def divexact(self, other: "MPoly | Fraction | int") -> "MPoly":
         """Exact division; raises AlgebraError when the quotient is not exact.
@@ -908,12 +876,12 @@ def strip_content(g: MPoly, keep: Iterable[Var]) -> MPoly:
     content, then normalize the leading sign."""
     if g.is_zero():
         raise AlgebraError("strip_content of zero")
-    keep_set = set(keep)
-    out = g
-    for v in sorted(g.variables()):
-        if v in keep_set:
-            continue
-        e = out.min_degree_in(v)
-        if e > 0:
-            out = out.divexact(MPoly.var(v, e))
-    return out.primitive_normalized()
+    # the monomial factor: each variable outside `keep` to its least exponent
+    least = {v: min(dict(m).get(v, 0) for m in g.terms) for v in g.variables() - set(keep)}
+    terms = {tuple((v, e - least.get(v, 0)) for v, e in m if e > least.get(v, 0)): c
+             for m, c in g.terms.items()}
+    content = Fraction(math.gcd(*(c.numerator for c in terms.values())),
+                       math.lcm(*(c.denominator for c in terms.values())))
+    if terms[max(terms, key=_MONO_KEY)] < 0:
+        content = -content
+    return MPoly._wrap({m: c / content for m, c in terms.items()})

@@ -343,7 +343,11 @@ def generic_member_g2(p: int, q: int, d: int, e1: int = 2,
     # the class-defining monomial stays even below a smaller bound
     f2 = _bounded_terms(p, q, max(bound, threshold), lambda i, j: coefficient_tail(p, q, d, i, j, e1),
                         e1 * p - 2)
-    generic = PlaneSeries.from_poly(generic_member_g1(p, q).generic.poly ** e1 + f2.poly)
+    # tail monomials carry a b variable: they merge with none of f1^e1 and come last, as in a sum
+    terms = (generic_member_g1(p, q).generic.poly ** e1).coefficients_in([X, Y])
+    for pt, c in f2.terms.items():
+        terms[pt] = terms[pt] + c if pt in terms else c
+    generic = PlaneSeries(terms)
     return Family(key=(p, q, d), e1=e1, weight_bound=bound, generic=generic,
                   class_var=bvar(*tail_start(p, q, d, e1)))
 
@@ -356,12 +360,17 @@ def generic_member_g2(p: int, q: int, d: int, e1: int = 2,
 # base    := rational | var | '(' expr ')'
 # var     := 'x' | 'y' | 'a' | 'b' | ('a'|'b') '[' natural ',' natural ']'
 # rational:= natural ('/' natural)?
+# '(' nests at most _MAX_NESTING deep (four frames a level), so an input
+# fails at the same '(' whatever the caller's stack depth.
+
+_MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -423,9 +432,13 @@ class _Parser:
     def base(self) -> MPoly:
         c = self.peek()
         if c == "(":
+            if self.depth == _MAX_NESTING:
+                raise self.error("expression nested too deeply")
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return inner
         if c.isdigit():
             num = self.natural()
@@ -458,10 +471,7 @@ def parse_series(text: str) -> PlaneSeries:
     parser.skip_ws()
     if parser.pos >= len(text):
         raise ParseError("empty expression", 0)
-    try:
-        poly = parser.expr()
-    except RecursionError:
-        raise parser.error("expression nested too deeply") from None
+    poly = parser.expr()
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing input")

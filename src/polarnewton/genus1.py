@@ -166,8 +166,7 @@ def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...
     on the whole class (its defining coefficient), so monomial factors in them
     are stripped as well, and a coefficient left constant kills the condition.
     """
-    groups: list[tuple[MPoly, ...]] = []
-    seen: set[tuple[MPoly, ...]] = set()
+    groups: set[tuple[MPoly, ...]] = set()
     for raw in raw_conditions:
         if raw.is_zero():
             raise LocusError("identically zero raw condition")
@@ -176,12 +175,8 @@ def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...
         coeffs = [strip_content(c, keep) for c in coeffs]
         if any(c.is_constant() for c in coeffs):
             continue
-        group = tuple(sorted(coeffs, key=lambda p: (p.total_degree(), p.render())))
-        if group not in seen:
-            seen.add(group)
-            groups.append(group)
-    groups.sort(key=lambda g: (len(g), [(p.total_degree(), p.render()) for p in g]))
-    return tuple(groups)
+        groups.add(tuple(sorted(coeffs, key=lambda p: (p.total_degree(), p.render()))))
+    return tuple(sorted(groups, key=lambda g: (len(g), [(p.total_degree(), p.render()) for p in g])))
 
 
 def min_x_exponent(p: int, q: int, j: int) -> int:
@@ -202,15 +197,25 @@ def min_x_exponent(p: int, q: int, j: int) -> int:
 @dataclass(frozen=True)
 class PolarModel:
     """Predicted general polar of one family: its Newton polygon, side
-    polynomials, degeneracy locus and topology."""
+    polynomials, degeneracy locus and topology.  The side heights and edge
+    terms are computed when first read; no build reads them."""
 
     low_points: tuple[Point, ...]  # lowest (x, j) at each height j, indexed by j
     sides: tuple[tuple[Point, ...], ...]  # bottom side first; ascending j within a side
     side_polys: tuple[UPoly, ...]
-    side_heights: tuple[int, ...]  # heights j whose lowest term must not vanish
-    edge_terms: dict[int, MPoly]  # the lowest polar term at each side height
     locus: DegeneracyLocus
     topology: TopologyReport
+
+    @cached_property
+    def side_heights(self) -> tuple[int, ...]:
+        """The heights j whose lowest term must not vanish, ascending."""
+        return tuple(sorted(j for (_x, j) in self.predicted_points()))
+
+    @cached_property
+    def edge_terms(self) -> dict[int, MPoly]:
+        """The lowest polar term at each side height: the locus's lowest term."""
+        return {j: c * MPoly.monomial(1, {X: self.low_points[j][0], Y: j})
+                for j, c in zip(self.side_heights, self.locus.lowest)}
 
     def predicted_polygon(self) -> NewtonPolygon:
         return newton_polygon_from_points([pt for pts in self.sides for pt in pts])
@@ -246,13 +251,10 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     side_polys = tuple(associated_from(pts, coeff_at) for pts in sides)
     heights = sorted(j for (_x, j) in _points_on_profile(sides, low_points))
     lowest = tuple(coeff_at(*low_points[j]) for j in heights)
-    edge_terms = {j: c * MPoly.monomial(1, {X: low_points[j][0], Y: j}) for j, c in zip(heights, lowest)}
     return PolarModel(
         low_points=tuple(low_points),
         sides=sides,
         side_polys=side_polys,
-        side_heights=tuple(heights),
-        edge_terms=edge_terms,
         locus=DegeneracyLocus(lowest, tuple(deflate(F) for F in side_polys if F.deg >= 1),
                               frozenset(nonvanishing)),
         topology=oka_decomposition(polygon),

@@ -382,6 +382,13 @@ class TestContentAndSquarefreeOps:
     def test_strip_monomial_with_empty_keep(self):
         assert strip_content(-4 * x**2 * y, set()) == MPoly.const(1)
 
+    def test_strip_uneven_outside_factor_fractional_content_negative_lead(self):
+        # b has exponents 2 and 3, the content is 1/4 and the leading term,
+        # -3*b*a[14,2] after stripping b^2, is negative
+        a11, a14 = MPoly.var(avar(11, 3)), MPoly.var(avar(14, 2))
+        g = b**2 * a11 - Fraction(3, 4) * b**3 * a14
+        assert strip_content(g, {avar(11, 3), avar(14, 2)}) == 3 * b * a14 - 4 * a11
+
     def test_strip_zero_rejected(self):
         with pytest.raises(AlgebraError):
             strip_content(MPoly.zero(), set())

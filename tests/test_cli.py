@@ -256,8 +256,7 @@ def test_series_command_without_input_is_a_usage_error(capsys, command):
 
 @pytest.mark.parametrize("expr,message", [
     ("", "empty expression"),
-    # the parser recurses per parenthesis; running out of stack is a
-    # ParseError, not a RecursionError traceback
+    # past the parser's nesting limit: a ParseError, not a RecursionError
     ("(" * 3000 + "x" + ")" * 3000, "expression nested too deeply"),
 ], ids=["empty", "nested"])
 def test_unparsable_expression_is_a_computation_error(capsys, expr, message):
@@ -266,6 +265,15 @@ def test_unparsable_expression_is_a_computation_error(capsys, expr, message):
     assert out == ""
     assert f"error: {message}" in err
     assert "Traceback" not in err
+
+
+def test_nesting_limit_reports_one_position_in_process_and_subprocess(capsys):
+    expr = "(" * 101 + "x" + ")" * 101
+    code, out, err = run_cli(capsys, "polygon", "--expr", expr)
+    proc = subprocess.run([sys.executable, "-m", "polarnewton.cli", "polygon", "--expr", expr],
+                          capture_output=True, text=True)
+    assert (code, out) == (proc.returncode, proc.stdout) == (1, "")
+    assert err == proc.stderr == "error: expression nested too deeply (at position 100)\n"
 
 
 def test_verify_error_exit_code(capsys):

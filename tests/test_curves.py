@@ -1,6 +1,11 @@
+import hashlib
+import json
+import pathlib
 import random
 import re
+import traceback
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -22,6 +27,8 @@ from polarnewton.newton import is_nondegenerate, newton_polygon
 from polarnewton.puiseux import puiseux_expand
 
 from _oracles import deriv, evaluate
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -90,6 +97,44 @@ class TestFamilies:
             generic_member_g2(2, 3, 2)  # gcd(e1, d) != 1
         with pytest.raises(CurveError):
             generic_member_g2(2, 4, 1)
+
+
+# Families whose generic members' key order and per-coefficient term order
+# are pinned, each at its default weight bound and at three times it: the
+# verify and Puiseux pins hash data in that order.
+ORDER_FAMILIES = [(2, 3), (3, 5), (5, 12), (7, 19), (2, 3, 1, 2), (2, 3, 1, 3), (3, 5, 1, 2),
+                  (3, 5, 2, 3), (5, 12, 1, 2), (2, 5, 7, 2), (4, 9, 1, 3)]
+
+
+def _ordered_members():
+    for fam in ORDER_FAMILIES:
+        if len(fam) == 2:
+            p, q = fam
+            default, build = p * q + p + q, generic_member_g1
+        else:
+            p, q, d, e1 = fam
+            default, build = e1 * p * q + d + 2 * p, partial(generic_member_g2, e1=e1)
+        for bound in (default, 3 * default):
+            name = ("g1_" if len(fam) == 2 else "g2_") + "_".join(map(str, fam)) + f"/{bound}"
+            yield name, build(*fam[:3], weight_bound=bound).generic
+
+
+def member_order_digests() -> dict[str, str]:
+    """sha256 per member of its keys in order, each followed by its
+    coefficient's terms in order."""
+    out = {}
+    for name, member in _ordered_members():
+        lines = [f"{pt} " + " ".join(f"{c}:" + "*".join(f"{v.name}^{e}" for v, e in m)
+                                     for m, c in coeff.terms.items())
+                 for pt, coeff in member.terms.items()]
+        out[name] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return out
+
+
+def test_generic_members_keep_their_key_and_term_order():
+    pinned = json.loads((GOLDEN / "member_order_sha256.json").read_text())
+    assert len(pinned) == 22
+    assert member_order_digests() == pinned
 
 
 class TestPolar:
@@ -231,6 +276,24 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_series("x + qq")
         assert "position" in str(err.value)
+
+    def test_nesting_limit_holds_at_any_stack_depth(self):
+        # 100 levels parse even 550 frames down; the 101st '(' (at index 100)
+        # fails at the same place as 3,000 levels do
+        def nested(n):
+            return "(" * n + "y^2 - x^3" + ")" * n
+
+        def from_frame(depth, text):
+            if depth < 550:
+                return from_frame(depth + 1, text)
+            return parse_series(text)
+
+        depth = len(traceback.extract_stack())
+        assert depth < 550
+        assert from_frame(depth, nested(100)).poly == y**2 - x**3
+        for n in (101, 3000):
+            with pytest.raises(ParseError, match=re.escape("nested too deeply (at position 100)")):
+                parse_series(nested(n))
 
 
 def _verify_family_members():

@@ -86,6 +86,21 @@ class TestEdgeTerms:
             for j in model.side_heights:
                 assert model.edge_terms[j] == lowest_polar_term(p, q, j)
 
+    def test_a_build_forms_no_edge_term(self, monkeypatch):
+        # the edge terms are formed when first read, never by a build
+        calls = []
+        monomial = MPoly.monomial.__func__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return monomial(cls, *args)
+
+        monkeypatch.setattr(MPoly, "monomial", classmethod(counted))
+        models = [polar_model_g1.__wrapped__(7, 19), polar_model_g2.__wrapped__(5, 12, 1)]
+        assert calls == []
+        read = sum(len(m.edge_terms) for m in models)
+        assert len(calls) == read == 8
+
 
 class TestPredictedPolygon:
     def test_7_19(self):
