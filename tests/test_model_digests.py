@@ -6,20 +6,25 @@ d <= 2q + 1 (541 models).  A model renders as its low points, sides, side
 polynomials, side heights, edge terms, topology and raw conditions; the raw
 conditions are rendered as the data a build keeps (the lowest terms, the
 deflated sides and the nonvanishing variables), which expands no
-discriminant.  `tests/golden/model_digests_sha256.json` is read, never
-written, here; `python3 tests/test_model_digests.py` prints the digests of
-the code on the path as that JSON.
+discriminant.  A second digest hashes each render without its first line,
+the low points, so that a change to that field alone shows as such.  The
+goldens `tests/golden/model_digests_sha256.json` and
+`model_body_digests_sha256.json` are read, never written, here;
+`python3 tests/test_model_digests.py [--body]` prints the digests of the
+code on the path as that JSON.
 """
 
 import hashlib
 import json
 import math
 import pathlib
+import sys
 
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "model_digests_sha256.json"
+BODY_GOLDEN = GOLDEN.with_name("model_body_digests_sha256.json")
 
 G1_BOX = [(p, q) for p in range(2, 14) for q in range(p + 1, 4 * p + 3) if math.gcd(p, q) == 1]
 G2_BOX = [(p, q, d) for p in range(2, 8) for q in range(p + 1, 3 * p + 3) if math.gcd(p, q) == 1
@@ -46,10 +51,12 @@ def render(model) -> str:
     return "\n".join(lines)
 
 
-def digests() -> dict[str, str]:
+def digests(body: bool = False) -> dict[str, str]:
+    """The sha256 of each render, or with `body` of the render past its
+    `low_points` line."""
     models = [polar_model_g1(*fam) for fam in G1_BOX] + [polar_model_g2(*fam) for fam in G2_BOX]
-    return {name(fam): hashlib.sha256(render(m).encode()).hexdigest()
-            for fam, m in zip(G1_BOX + G2_BOX, models)}
+    texts = [render(m).split("\n", 1)[1] if body else render(m) for m in models]
+    return {name(fam): hashlib.sha256(text.encode()).hexdigest() for fam, text in zip(G1_BOX + G2_BOX, texts)}
 
 
 def test_the_boxes_have_their_sizes():
@@ -63,5 +70,12 @@ def test_every_model_renders_to_its_pinned_digest():
     assert [k for k in pinned if got[k] != pinned[k]] == []
 
 
+def test_every_model_body_renders_to_its_pinned_digest():
+    pinned = json.loads(BODY_GOLDEN.read_text())
+    assert set(pinned) == {name(fam) for fam in G1_BOX + G2_BOX}
+    got = digests(body=True)
+    assert [k for k in pinned if got[k] != pinned[k]] == []
+
+
 if __name__ == "__main__":
-    print(json.dumps(digests(), indent=2, sort_keys=True))
+    print(json.dumps(digests(body="--body" in sys.argv[1:]), indent=2, sort_keys=True))
