@@ -30,13 +30,12 @@ from .curves import (  # noqa: F401
     polar,
     substitute,
 )
-from .genus1 import DegeneracyLocus, PolarModel, min_x_exponent, polar_model_g1  # noqa: F401
+from .genus1 import DegeneracyLocus, PolarModel, polar_model_g1  # noqa: F401
 from .genus2 import (  # noqa: F401
     Classification,
     InvalidSemigroupError,
     classify_nondegenerate,
     polar_model_g2,
-    tail_min_x_exponent,
 )
 from .newton import (  # noqa: F401
     BranchClass,

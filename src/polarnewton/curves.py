@@ -169,6 +169,22 @@ def polar_coefficient(coeff, i: int, j: int, a: MPoly = MPoly.var(A), b: MPoly =
     return (i + 1) * a * coeff(i + 1, j) + (j + 1) * b * coeff(i, j + 1)
 
 
+def polar_low_points(starts) -> tuple[Point, ...]:
+    """The generic polar's lowest point (x, j) at each height j below the
+    top row, where `starts[j]` is the least x-exponent in row y^j of a
+    generic member (None if empty): the lesser of row j's start - 1, for a
+    start >= 1, and row j+1's start; a and b are free, so none cancels."""
+    low = []
+    for j in range(len(starts) - 1):
+        routes = []
+        if starts[j]:
+            routes.append(starts[j] - 1)
+        if starts[j + 1] is not None:
+            routes.append(starts[j + 1])
+        low.append((min(routes), j))
+    return tuple(low)
+
+
 def polar(f: PlaneSeries, params: PolarParams | None = None,
           assignment: Mapping[Var, int | Fraction] | None = None) -> PlaneSeries:
     """a*df/dx + b*df/dy for the pencil point (a : b), at `assignment` if given.
@@ -248,6 +264,13 @@ def coefficient_g1(p: int, q: int, i: int, j: int) -> MPoly:
     return MPoly.zero()
 
 
+def row_starts_g1(p: int, q: int) -> list[int | None]:
+    """Least x-exponent in each row y^j, j = 0..p, of the member of
+    `coefficient_g1`: x^q in row 0, the least weight above p*q in rows
+    1..p-2, none in the empty row p-1, and y^p in row p."""
+    return [q] + [q * (p - j) // p + 1 for j in range(1, p - 1)] + [None, 0]
+
+
 def tail_start(p: int, q: int, d: int, e1: int = 2) -> tuple[int, int]:
     """The class-defining tail monomial (i0, j0): the unique point with
     i0*p + j0*q = e1*p*q + d and 0 <= j0 < p.  Its coefficient b[i0,j0] is
@@ -271,6 +294,23 @@ def coefficient_tail(p: int, q: int, d: int, i: int, j: int, e1: int = 2) -> MPo
     if i >= 0 and 0 <= j <= e1 * p - 2 and i * p + j * q > e1 * p * q + d:
         return MPoly.var(bvar(i, j))
     return MPoly.zero()
+
+
+def row_starts_g2(p: int, q: int, d: int) -> list[int | None]:
+    """Least x-exponent in each row y^j, j = 0..2p, of the genus-two member
+    f1^2 + f2: in f1^2 the least sum of two f1 row starts whose rows add up
+    to j, as distinct products of family variables never cancel; the tail
+    reaches further left only at its class monomial (i0, j0)."""
+    f1 = row_starts_g1(p, q)
+    starts = []
+    for j in range(2 * p + 1):
+        sums = [f1[k] + f1[j - k] for k in range(max(0, j - p), min(j, p) + 1)
+                if f1[k] is not None and f1[j - k] is not None]
+        starts.append(min(sums, default=None))
+    i0, j0 = tail_start(p, q, d)
+    if starts[j0] is None or i0 < starts[j0]:
+        starts[j0] = i0
+    return starts
 
 
 def check_family(p: int, q: int, d: int | None = None, e1: int = 2) -> None:

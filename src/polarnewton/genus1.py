@@ -1,17 +1,18 @@
 """Predicted polar geometry for branches with a two-generator semigroup <p, q>.
 
 For the generic normal-form member y^p - x^q + sum a[i,j] x^i y^j (j <= p-2)
-the general polar has, at each height j < p, a lowest possible x-exponent;
-the lower hull of those points is the predicted Newton polygon.  For p >= 3
-it is governed by the continued fraction of q/p; for p = 2 it is the single
-side (q-1, 0)-(0, 1).  This module builds that polygon, the associated
-polynomial of each side, the coefficient locus outside which the prediction
-holds with every side squarefree, and the resulting branch topology.  The
-locus is one `DegeneracyLocus`, kept as data, the lowest terms and the
-deflated side polynomials: a point is tested by exact integer evaluation,
-and the side discriminants are expanded only when the locus is listed.  The
-model and its builder serve genus two as well (see genus2), which supplies
-its own lowest points and coefficients.
+the general polar has, at each height j < p, a lowest point, read off the
+member's row starts (`curves.row_starts_g1`, `curves.polar_low_points`);
+the lower hull of those points is the predicted Newton polygon, whose
+vertices the tests check against the convergents of q/p.  This module
+builds that polygon, the associated polynomial of each side, the
+coefficient locus outside which the prediction holds with every side
+squarefree, and the resulting branch topology.  The locus is one
+`DegeneracyLocus`, kept as data, the lowest terms and the deflated side
+polynomials: a point is tested by exact integer evaluation, and the side
+discriminants are expanded only when the locus is listed.  The model and
+its builder serve genus two as well (see genus2), which supplies its own
+row starts and coefficients.
 
 A lattice point of a side need not carry a polar term: at height p-2 the
 normal form leaves only the x-derivative route, which lands strictly right of
@@ -26,8 +27,7 @@ from functools import cache, cached_property, lru_cache, partial
 
 from .algebra import (A, B, IntegerPlan, IntegerPoint, MPoly, UPoly, Var, X, Y, deflate, discriminant,
                       nonzero_discriminant, strip_content)
-from .cfrac import ContinuedFraction, continued_fraction, convergents
-from .curves import CurveError, check_family, coefficient_g1, polar_coefficient
+from .curves import check_family, coefficient_g1, polar_coefficient, polar_low_points, row_starts_g1
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
                      oka_decomposition)
 
@@ -35,7 +35,6 @@ __all__ = [
     "LocusError",
     "DegeneracyLocus",
     "build_locus",
-    "min_x_exponent",
     "PolarModel",
     "build_model",
     "polar_model_g1",
@@ -179,28 +178,13 @@ def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...
     return tuple(sorted(groups, key=lambda g: (len(g), [(p.total_degree(), p.render()) for p in g])))
 
 
-def min_x_exponent(p: int, q: int, j: int) -> int:
-    """Least x-exponent that can occur with y^j in the generic polar.
-
-    The y-derivative route (from x^i y^(j+1)) gives the least exponent at
-    every height except j = p-2, whose y-route would need the y^(p-1) row
-    that the normal form leaves empty; there the x-derivative of the lowest
-    x^i y^(p-2) sets it (of -x^q itself when p = 2).
-    """
-    if not 0 <= j <= p - 1:
-        raise CurveError(f"need 0 <= j <= {p - 1}, got {j}")
-    if j == p - 2:
-        return q - (j * q) // p - 1
-    return q - ((j + 1) * q) // p
-
-
 @dataclass(frozen=True)
 class PolarModel:
     """Predicted general polar of one family: its Newton polygon, side
     polynomials, degeneracy locus and topology.  The side heights and edge
     terms are computed when first read; no build reads them."""
 
-    low_points: tuple[Point, ...]  # lowest (x, j) at each height j, indexed by j
+    low_points: tuple[Point, ...]  # the generic polar's lowest (x, j) at each height j, indexed by j
     sides: tuple[tuple[Point, ...], ...]  # bottom side first; ascending j within a side
     side_polys: tuple[UPoly, ...]
     locus: DegeneracyLocus
@@ -261,14 +245,6 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
     )
 
 
-def _convergent_vertices(cf: ContinuedFraction, conv: tuple[tuple[int, int], ...]) -> tuple[Point, ...]:
-    """Polygon vertices from the convergents of q/p, bottom first (p >= 3)."""
-    pc = [pair[0] for pair in conv]
-    qc = [pair[1] for pair in conv]
-    out = [(cf.q - qc[2 * k], pc[2 * k] - 1) for k in range(cf.s // 2 + 1) if 2 * k < cf.s]
-    return tuple(out + [(0, cf.p - 1)])
-
-
 @lru_cache(maxsize=32)
 def polar_model_g1(p: int, q: int) -> PolarModel:
     check_family(p, q)
@@ -281,12 +257,4 @@ def polar_model_g1(p: int, q: int) -> PolarModel:
                 assert p * q < w < p * q + p, "edge term coefficient outside the safe weight window"
         return c
 
-    model = build_model(tuple((min_x_exponent(p, q, j), j) for j in range(p)), coeff_at)
-    if p >= 3:
-        cf = continued_fraction(q, p)
-        vertices = tuple(pts[0] for pts in model.sides) + (model.sides[-1][-1],)
-        assert vertices == _convergent_vertices(cf, convergents(cf)), \
-            "polygon vertices must follow the convergents of q/p"
-    assert sum(side.n for side in model.predicted_polygon().sides) == p - 1, \
-        "side heights must add up to the polar multiplicity"
-    return model
+    return build_model(polar_low_points(row_starts_g1(p, q)), coeff_at)

@@ -3,19 +3,19 @@
 A generic member is f1^2 + f2 with f1 in the two-generator normal form and
 f2 a tail starting at weight 2pq+d; both are Tschirnhausen (no y^(p-1) in
 f1, no y^(2p-1) in f2).  The general polar splits as 2*f1*P(f1) + P(f2).
-The product part contributes the genus-one profile shifted by (q, 0) and the
-steep side joining (0, 2p-1) to (q, p-1); the tail contributes its own
-lowest exponent at each height, in closed form from the first tail monomial
-of each row (`tail_min_x_exponent`).  The predicted Newton polygon is the
-lower hull of the per-height minimum of the two profiles.  The tail lies
-strictly above the steep side's line, but it can reach the shifted genus-one
-sides: for p = 2 and d = 1 the class-defining tail term b[i0,j0] undercuts
-the product part at height 0, and on (3,5,1) it fills the side lattice point
-(7,1), where the product part has no term.  This module supplies that
-profile and the polar coefficients on its sides to the shared builder of
-genus1, which derives the side polynomials, the degeneracy locus (without
-the class condition b[i0,j0] != 0) and the predicted topology.  It also
-holds the semigroup classifier for nondegenerate general polars.
+Its lowest point at each height is read off the least x-exponent in each
+row of the member (`curves.row_starts_g2`, `curves.polar_low_points`), and
+the predicted Newton polygon is the lower hull of those points.  Its top
+side is the steep side joining (0, 2p-1) to (q, p-1), from the product part;
+the sides below it are the genus-one sides shifted by (q, 0), which the
+tail can reach: for p = 2 and d = 1 the class-defining tail term b[i0,j0]
+undercuts the product part at height 0, and on (3,5,1) it fills the side
+lattice point (7,1), where the product part has no term.  The paper's
+closed forms for these points are the tests' oracle.  This module supplies
+the points and the polar coefficients on their sides to the shared builder
+of genus1, which derives the side polynomials, the degeneracy locus
+(without the class condition b[i0,j0] != 0) and the predicted topology.  It
+also holds the semigroup classifier for nondegenerate general polars.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .algebra import B, MPoly, bvar
-from .curves import CurveError, check_family, coefficient_g1, coefficient_tail, polar_coefficient, tail_start
-from .genus1 import PolarModel, build_model, min_x_exponent
+from .curves import (check_family, coefficient_g1, coefficient_tail, polar_coefficient, polar_low_points,
+                     row_starts_g2, tail_start)
+from .genus1 import PolarModel, build_model
 from .newton import Point
 
 __all__ = [
-    "tail_min_x_exponent",
     "polar_model_g2",
     "lpq_side_points",
     "classify_nondegenerate",
@@ -53,27 +53,6 @@ def _product_polar_coeff(p: int, q: int, i: int, j: int) -> MPoly:
     return MPoly.zero()
 
 
-def tail_min_x_exponent(p: int, q: int, d: int, j: int) -> int:
-    """Least x-exponent occurring with y^j in the polar of the weight->=2pq+d tail.
-
-    The tail at height h holds every x^i y^h from i = first(h) upward, where
-    first(h) is the least i with i*p + h*q > 2pq + d, or the class point's i0
-    at its height j0 (see `curves.tail_start`); first(h) >= 1, since
-    h*q < 2pq at every tail height.  The x-derivative lands at first(j) - 1,
-    and the y-derivative at first(j + 1) when j + 1 <= 2p - 2; the least of
-    the two is the answer.
-    """
-    if not 0 <= j <= 2 * p - 2:
-        raise CurveError(f"need 0 <= j <= {2 * p - 2}, got {j}")
-    threshold = 2 * p * q + d
-    i0, j0 = tail_start(p, q, d)
-
-    def first(h):
-        return i0 if h == j0 else (threshold - h * q) // p + 1
-
-    return min(first(j) - 1, first(j + 1)) if j + 1 <= 2 * p - 2 else first(j) - 1
-
-
 def lpq_side_points(p: int, q: int, e1: int = 2) -> tuple[Point, ...]:
     """Lattice points of the steep side contributed by f1^(e1-1) * P(f1)."""
     return tuple((i * q, (e1 - i) * p - 1) for i in range(e1))
@@ -84,13 +63,6 @@ def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
     check_family(p, q, d)
     threshold = 2 * p * q + d
 
-    # heights p..2p-2 keep the tail minimum alone: they lie above the steep
-    # side, which has no lattice points there
-    low = {j: tail_min_x_exponent(p, q, d, j) for j in range(2 * p - 1)}
-    steep = lpq_side_points(p, q, 2)
-    for (x, j) in steep + tuple((min_x_exponent(p, q, j) + q, j) for j in range(p)):
-        low[j] = min(x, low.get(j, x))
-
     def coeff_at(x, j):
         h = polar_coefficient(partial(coefficient_tail, p, q, d), x, j)
         for v in h.variables():
@@ -99,12 +71,8 @@ def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
                 assert threshold <= w < threshold + p, "tail coefficient outside the safe weight window"
         return _product_polar_coeff(p, q, x, j) + h
 
-    model = build_model(tuple((low[j], j) for j in range(2 * p)), coeff_at,
-                        nonvanishing={bvar(*tail_start(p, q, d))})
-    assert model.sides[-1] == tuple(sorted(steep, key=lambda pt: pt[1])), \
-        "the tail must stay above the steep side"
-    assert model.predicted_polygon().top == (0, 2 * p - 1)
-    return model
+    return build_model(polar_low_points(row_starts_g2(p, q, d)), coeff_at,
+                       nonvanishing={bvar(*tail_start(p, q, d))})
 
 
 # -- classifier ------------------------------------------------------------

@@ -232,13 +232,15 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     if f.is_zero():
         raise PuiseuxError("cannot expand the zero series")
     p0, den = _series_numerators(f)
+    if (0, 0) in p0:
+        raise PuiseuxError("series does not vanish at the origin")
     xval = min(i for (i, _j) in p0)
     if xval > 0:  # divide out the x-axis component; it carries no y-branch
         p0 = {(i - xval, j): c for (i, j), c in p0.items()}
-    if (0, 0) in p0:
-        raise PuiseuxError("series does not vanish at the origin")
     if all(j == 0 for (_i, j) in p0):
         raise PuiseuxError("series has no y-dependence")
+    if (0, 0) in p0:
+        raise PuiseuxError("no branch other than x = 0 passes through the origin")
     weier_deg = min(j for (i, j) in p0 if i == 0)
     min_order = Fraction(min_order) if min_order is not None else Fraction(0)
 

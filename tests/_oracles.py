@@ -4,8 +4,9 @@ Nothing here shares code with the implementation paths it cross-checks, and
 nothing here imports `polarnewton`: the hull oracle tests all support pairs
 for dominance, the determinant oracle is plain fraction Gaussian elimination,
 root counting goes through numpy, the tail polar's lowest exponents come from
-listing the tail monomials, and derivatives, evaluations and the Puiseux
-residual read a polynomial's `.terms` (or a `UPoly`'s `.coeffs`) directly.
+listing the tail monomials and from the paper's closed forms, as do the
+genus-one polar's, and derivatives, evaluations and the Puiseux residual
+read a polynomial's `.terms` (or a `UPoly`'s `.coeffs`) directly.
 """
 
 from __future__ import annotations
@@ -157,6 +158,45 @@ def tail_polar_min_x(p, q, d):
                 if x >= 0 and j >= 0:
                     low[j] = min(x, low.get(j, x))
     return [low[j] for j in range(2 * p - 1)]
+
+
+def min_x_exponent(p, q, j):
+    """Least x-exponent that can occur with y^j in the generic polar of
+    <p, q>, in closed form.
+
+    The y-derivative route (from x^i y^(j+1)) gives the least exponent at
+    every height except j = p-2, whose y-route would need the y^(p-1) row
+    that the normal form leaves empty; there the x-derivative of the lowest
+    x^i y^(p-2) sets it (of -x^q itself when p = 2).
+    """
+    if not 0 <= j <= p - 1:
+        raise ValueError(f"need 0 <= j <= {p - 1}, got {j}")
+    if j == p - 2:
+        return q - (j * q) // p - 1
+    return q - ((j + 1) * q) // p
+
+
+def tail_min_x_exponent(p, q, d, j):
+    """Least x-exponent occurring with y^j in the polar of the weight->=2pq+d
+    tail of <2p, 2q, 2pq+d>, in closed form.
+
+    The tail at height h holds every x^i y^h from i = first(h) upward, where
+    first(h) is the least i with i*p + h*q > 2pq + d, or i0 at the height j0
+    < p of the one monomial of weight exactly 2pq + d; first(h) >= 1, since
+    h*q < 2pq at every tail height.  The x-derivative lands at first(j) - 1,
+    and the y-derivative at first(j + 1) when j + 1 <= 2p - 2; the least of
+    the two is the answer.
+    """
+    if not 0 <= j <= 2 * p - 2:
+        raise ValueError(f"need 0 <= j <= {2 * p - 2}, got {j}")
+    threshold = 2 * p * q + d
+    j0 = next(h for h in range(p) if (threshold - h * q) % p == 0)
+
+    def first(h):
+        i = (threshold - h * q) // p
+        return i if h == j0 else i + 1
+
+    return min(first(j) - 1, first(j + 1)) if j + 1 <= 2 * p - 2 else first(j) - 1
 
 
 def deriv(poly, v):

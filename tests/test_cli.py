@@ -267,6 +267,17 @@ def test_unparsable_expression_is_a_computation_error(capsys, expr, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr,message", [
+    ("x^2 + x^2*y", "no branch other than x = 0 passes through the origin"),
+    ("x^2", "series has no y-dependence"),
+    ("1 + y", "series does not vanish at the origin"),
+], ids=["only-the-x-axis", "no-y", "not-at-origin"])
+def test_puiseux_names_why_a_series_has_no_branch(capsys, expr, message):
+    # x^2*(1 + y) vanishes at the origin; only its x-axis component does
+    code, out, err = run_cli(capsys, "puiseux", "--expr", expr)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_nesting_limit_reports_one_position_in_process_and_subprocess(capsys):
     expr = "(" * 101 + "x" + ")" * 101
     code, out, err = run_cli(capsys, "polygon", "--expr", expr)

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
-from polarnewton.curves import (CurveError, PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
-                                substitute)
-from polarnewton.genus1 import DegeneracyLocus, build_locus, min_x_exponent, polar_model_g1
+from polarnewton.curves import PolarParams, generic_member_g1, generic_member_g2, parse_series, polar, substitute
+from polarnewton.genus1 import DegeneracyLocus, build_locus, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
-from _oracles import evaluate
+from _oracles import evaluate, min_x_exponent
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -41,16 +40,16 @@ class TestLowestExponents:
             assert vals[-1] == 0
 
     def test_range_errors(self):
-        with pytest.raises(CurveError):
+        with pytest.raises(ValueError):
             min_x_exponent(7, 19, 7)
-        with pytest.raises(CurveError):
+        with pytest.raises(ValueError):
             min_x_exponent(7, 19, -1)
 
 
 def lowest_polar_term(p: int, q: int, j: int) -> MPoly:
-    """The generic polar's term at the lowest point of height j, read off the
-    polar of the generic member."""
-    alpha = min_x_exponent(p, q, j)
+    """The generic polar's term at the model's lowest point of height j, read
+    off the polar of the generic member."""
+    alpha = polar_model_g1(p, q).low_points[j][0]
     return polar(generic_member_g1(p, q).generic).coeff(alpha, j) * MPoly.monomial(1, {X: alpha, Y: j})
 
 
