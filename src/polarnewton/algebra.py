@@ -26,8 +26,8 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from functools import cache, reduce
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "AlgebraError",
@@ -489,10 +489,11 @@ class IntegerPlan:
     `quadratic` (poly, c, k, l) for c * v[k] * v[l], and `higher` one list
     per degree 3, ..., `degree` of (poly, c, indices), the variable indices
     repeated by exponent.  `at` sums the degree layers by Horner's rule in m,
-    so no term multiplies by a power of m.
+    so no term multiplies by a power of m.  `by_poly` holds each polynomial's
+    terms as (c, indices, degree - len(indices)), which `lazy_at` reads.
     """
 
-    __slots__ = ("variables", "den", "degree", "constant", "linear", "quadratic", "higher", "_reads")
+    __slots__ = ("variables", "den", "degree", "constant", "linear", "quadratic", "higher", "by_poly", "_reads")
 
     def __init__(self, polys: Iterable[MPoly]):
         maps = [p.terms for p in polys]
@@ -502,10 +503,12 @@ class IntegerPlan:
         self.degree = max([_mono_deg(m) for terms in maps for m in terms], default=0)
         constant = [0] * len(maps)
         layers: list[list] = [[] for _ in range(max(self.degree, 2) + 1)]
+        self.by_poly = tuple([] for _ in maps)
         for poly, terms in enumerate(maps):
             for m, c in terms.items():
                 c = c.numerator * (self.den // c.denominator)
                 idx = tuple(index[v] for v, e in m for _ in range(e))
+                self.by_poly[poly].append((c, idx, self.degree - len(idx)))
                 if not idx:
                     constant[poly] = c
                 else:
@@ -552,6 +555,24 @@ class IntegerPlan:
                     c *= scaled[k]
                 nums[poly] += c
         return nums, self.den * m**self.degree
+
+    def lazy_at(self, point: IntegerPoint) -> tuple[Callable[[int], int], int]:
+        """`at` at a point over the plan's variables, but with the numerators
+        as a function of position (-1 reads 0), each computed when first read."""
+        if point.variables != self.variables:
+            raise AlgebraError("the point's variables are not the plan's")
+        scaled, powers = point.scaled, [point.m**e for e in range(self.degree + 1)]
+
+        @cache
+        def numerator(poly: int) -> int:
+            num = 0
+            for c, idx, pad in self.by_poly[poly] if poly >= 0 else ():
+                for k in idx:
+                    c *= scaled[k]
+                num += c * powers[pad]
+            return num
+
+        return numerator, self.den * powers[-1]
 
 
 class UPoly:

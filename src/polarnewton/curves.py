@@ -26,7 +26,8 @@ read it at the symbolic pencil point; at a constant pencil point `polar`
 forms a concrete series's or a drawn member's polar over integers instead.
 Both routes give the keys in one order, the x-derivative keys in the
 member's order and then the y-derivative keys that are new, because the
-Puiseux expansion adds floats in that order.
+Puiseux expansion adds floats in that order.  `lowest_polar_terms` forms
+only the least term in each row of a drawn member's polar, all a trial reads.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebra import A, B, AlgebraError, IntegerPlan, MPoly, Var, X, Y, avar, bvar, common_denominator
+from .algebra import A, B, AlgebraError, IntegerPlan, IntegerPoint, MPoly, Var, X, Y, avar, bvar, common_denominator
 
 
 class CurveError(ValueError):
@@ -109,6 +110,17 @@ class PlaneSeries:
         keys = list(self.terms)
         return (tuple((k, (i - 1, j), i) for k, (i, j) in enumerate(keys) if i),
                 tuple((k, (i, j - 1), j) for k, (i, j) in enumerate(keys) if j))
+
+    @cached_property
+    def polar_rows(self) -> dict[int, list[tuple[int, int, int]]]:
+        """The polar's keys by row, rows ascending: row j lists (i, k, l) per
+        key (i, j) in increasing i, k and l the positions of the terms
+        x^(i+1) y^j and x^i y^(j+1), -1 where absent."""
+        pos = {pt: k for k, pt in enumerate(self.terms)}
+        rows: dict[int, list[tuple[int, int, int]]] = {}
+        for j, i in sorted({(j, i - 1) for i, j in pos if i} | {(j - 1, i) for i, j in pos if j}):
+            rows.setdefault(j, []).append((i, pos.get((i + 1, j), -1), pos.get((i, j + 1), -1)))
+        return rows
 
     def render(self) -> str:
         return self.poly.render()
@@ -223,6 +235,21 @@ def polar(f: PlaneSeries, params: PolarParams | None = None,
     keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])
     coeffs = {pt: polar_coefficient(f.coeff, *pt, params.a, params.b) for pt in keys}
     return PlaneSeries({pt: c for pt, c in coeffs.items() if not c.is_zero()})
+
+
+def lowest_polar_terms(f: PlaneSeries, a: Fraction, b: Fraction, assignment: IntegerPoint) -> PlaneSeries:
+    """The least term in each row of polar(f, (a : b), assignment), over
+    `polar`'s denominator: a row's keys are tried in increasing i until one
+    is nonzero, each member coefficient evaluated when first read."""
+    numerator, den = f.integer_plan.lazy_at(assignment)
+    ax, by = a.numerator * b.denominator, b.numerator * a.denominator
+    out: dict[Point, int] = {}
+    for j, row in f.polar_rows.items():
+        for i, k, l in row:
+            if num := ax * (i + 1) * numerator(k) + by * (j + 1) * numerator(l):
+                out[(i, j)] = num
+                break
+    return PlaneSeries(_IntegerTerms(out, a.denominator * b.denominator * den))
 
 
 def _numerators(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:

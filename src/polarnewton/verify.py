@@ -1,11 +1,16 @@
 """Seeded sampling harness: draw family coefficients off the degeneracy
 locus, take the polar of the generic member at that draw and at a random
 pencil point in general position, and check the polygon and squarefree
-predictions against a from-scratch computation on the concrete polar.  The
-topology column is `oka_decomposition` of the trial's polygon, the function
-that made the prediction, so it adds only two cases: a `PolygonError`, and a
-different polygon whose sides have the same shapes.  The optional Puiseux
-crosscheck is the one topology check that shares no code with the prediction.
+predictions against a from-scratch computation on the concrete polar, of
+which a trial forms only the least term in each row: the rest of a row lies
+inside the polygon, so the row minima fix the hull, the sides and their
+numerators, and a predicted point, the generic polar's lowest in its row,
+is present exactly when it is its row's least.  The topology column is
+`oka_decomposition` of the trial's polygon, the function that made the
+prediction, so it adds only two cases: a `PolygonError`, and a different
+polygon whose sides have the same shapes.  The optional Puiseux crosscheck,
+which forms the whole polar, is the one topology check that shares no code
+with the prediction.
 
 Every draw of family coefficients, here and in the degenerate-power check,
 follows one rule read from the `curves.Family` record: a value for each of
@@ -17,10 +22,10 @@ the report header, so identical configurations reproduce byte-identical
 reports.  A drawn value is num/den, read from the generator's bits as
 `rng.choice` over a range (and `randint` over the same bounds) reads them.
 A draw is kept over integers once, as an `algebra.IntegerPoint`, which the
-polar, the locus test and the pencil check read as it is; its locus parts
-are evaluated once, and the accepted draw's pencil checks reuse them.  Each
-value's digest text comes from one bounded memo on the integer pair, so a
-trial builds no `Fraction` of the family values and formats no value that
+lowest terms, the locus test and the pencil check read as it is; its locus
+parts are evaluated once, and the accepted draw's pencil checks reuse them.
+Each value's digest text comes from one bounded memo on the integer pair, so
+a trial builds no `Fraction` of the family values and formats no value that
 an earlier draw already made.
 """
 
@@ -36,7 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import IntegerPoint, MPoly, UPoly, Z
-from .curves import Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar
+from .curves import (Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, lowest_polar_terms,
+                     polar)
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
 from .newton import PolygonError, is_nondegenerate, oka_decomposition
@@ -204,11 +210,11 @@ def run_verification(cfg: SampleConfig) -> dict:
         rng = random.Random(f"{cfg.seed}:{trial}")
         assignment, texts = sample_off_locus(family, model, rng, cfg.coeff_range)
         (a, a_text), (b, b_text) = _draw_general_pencil(family, model, rng, cfg.coeff_range, assignment)
-        pol = polar(family.generic, PolarParams.concrete(a, b), assignment)
-        report = is_nondegenerate(pol)
+        lowest = lowest_polar_terms(family.generic, a, b, assignment)
+        report = is_nondegenerate(lowest)
         vertices = report.polygon.vertices()
         polygon_match = vertices == predicted_vertices
-        points_present = all(pt in pol.terms for pt in predicted_points)
+        points_present = all(pt in lowest.terms for pt in predicted_points)
         sides_sf = [bool(v.squarefree) and v.path == "concrete" for v in report.sides]
         topology_match = False
         if report.nondegenerate:
@@ -224,6 +230,7 @@ def run_verification(cfg: SampleConfig) -> dict:
             "topology_match": bool(topology_match),
         }
         if cfg.puiseux_crosscheck:
+            pol = polar(family.generic, PolarParams.concrete(a, b), assignment)
             try:
                 rec["puiseux_match"] = bool(_puiseux_crosscheck(pol, model.topology))
             except PuiseuxError as exc:  # an expander failure, not a mismatch
@@ -265,22 +272,16 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
         rng = random.Random(f"{seed}:{trial}")
         assignment, _ = _draw_assignment(fam, rng, coeff_range)
         a, b = [Fraction(*pair) for pair in _rand_pairs(rng, coeff_range, (False, True))]
-        pol = polar(fam.generic, PolarParams.concrete(a, b), assignment)
-        report = is_nondegenerate(pol)
-        failing = [v for v in report.sides if not v.squarefree]
-        target = [v for v in report.sides
-                  if v.side.from_pt == steep[0] and v.side.to_pt == steep[-1]]
-        proportional = False
-        if target:
-            F = target[0].associated
-            lead = F.lc.constant_value()
-            proportional = UPoly.from_mpoly(reference * lead) == F
+        report = is_nondegenerate(lowest_polar_terms(fam.generic, a, b, assignment))
+        target = [v for v in report.sides if (v.side.from_pt, v.side.to_pt) == (steep[0], steep[-1])]
+        F = target[0].associated if target else None
+        proportional = bool(target) and UPoly.from_mpoly(reference * F.lc.constant_value()) == F
         records.append({
             "trial": trial,
             "degenerate": report.verdict == "degenerate",
             "steep_side_fails": bool(target) and not target[0].squarefree,
             "steep_side_power_shape": bool(proportional),
-            "other_failing_sides": max(0, len(failing) - 1),
+            "other_failing_sides": max(0, sum(not v.squarefree for v in report.sides) - 1),
         })
     return {
         "family": [p, q, d, e1],

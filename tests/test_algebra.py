@@ -174,6 +174,20 @@ class TestIntegerPlan:
                 nums, den = plan.at(at)
                 assert [Fraction(num, den) for num in nums] == want
 
+    def test_lazy_numerators_are_those_of_at(self):
+        # read in reverse, each twice, with -1 for an absent polynomial
+        fam = generic_member_g2(2, 3, 1, e1=3)
+        plan = fam.generic.integer_plan
+        rng = random.Random(26)
+        for _ in range(20):
+            point = IntegerPoint(fam.coeff_vars, [rng.randint(-9, 9) for _ in fam.coeff_vars], rng.randint(1, 9))
+            numerator, den = plan.lazy_at(point)
+            order = list(range(len(plan.by_poly)))[::-1] * 2
+            assert ([numerator(k) for k in order], den) == (plan.at(point)[0][::-1] * 2, plan.at(point)[1])
+            assert numerator(-1) == 0
+        with pytest.raises(AlgebraError, match="not the plan's"):
+            plan.lazy_at(IntegerPoint(fam.coeff_vars[1:], [1] * (len(fam.coeff_vars) - 1), 1))
+
 
 class TestDerivative:
     def test_power_rule(self):

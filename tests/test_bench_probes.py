@@ -48,11 +48,12 @@ def test_every_probe_target_resolves(monkeypatch):
 
 def test_each_trial_opens_with_one_draw_and_takes_one_polar(monkeypatch):
     # bench/run.py splits trials at the verify.sample_off_locus spans and
-    # times each trial's polar under the verify.polar probe
-    cfg = verify.SampleConfig(family=(5, 12, 1), seed=42, trials=3)
-    verify._generic_verdict(cfg.family)  # cached, so the run takes no generic polar
-    calls = {"sample_off_locus": 0, "polar": 0}
-    for name in calls:
+    # times a trial's polar under the verify.polar probe; a trial's checks
+    # read only each row's lowest polar term, so the full polar is taken
+    # only for the Puiseux crosscheck, once per trial
+    verify._generic_verdict((5, 12, 1))  # cached, so the run takes no generic polar
+    calls = {}
+    for name in ("sample_off_locus", "lowest_polar_terms", "polar"):
         real = getattr(verify, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -60,5 +61,8 @@ def test_each_trial_opens_with_one_draw_and_takes_one_polar(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counted)
-    verify.run_verification(cfg)
-    assert calls == {"sample_off_locus": 3, "polar": 3}
+    for crosscheck, polars in ((False, 0), (True, 3)):
+        calls.update(sample_off_locus=0, lowest_polar_terms=0, polar=0)
+        verify.run_verification(verify.SampleConfig(family=(5, 12, 1), seed=42, trials=3,
+                                                     puiseux_crosscheck=crosscheck))
+        assert calls == {"sample_off_locus": 3, "lowest_polar_terms": 3, "polar": polars}

@@ -8,9 +8,9 @@ from types import SimpleNamespace
 import pytest
 
 from polarnewton import algebra, newton, puiseux, verify
-from polarnewton.algebra import MPoly, avar
-from polarnewton.curves import (PlaneSeries, PolarParams, _IntegerTerms, generic_member_g1, generic_member_g2, polar,
-                               substitute)
+from polarnewton.algebra import A, B, MPoly, avar
+from polarnewton.curves import (PlaneSeries, PolarParams, _IntegerTerms, generic_member_g1,
+                               generic_member_g2, lowest_polar_terms, polar, substitute)
 from polarnewton.genus1 import DegeneracyLocus, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import PolygonError, is_nondegenerate, newton_polygon
@@ -26,6 +26,9 @@ from polarnewton.verify import (
     run_verification,
     sample_off_locus,
 )
+
+from _oracles import evaluate
+from test_model_digests import G1_BOX, G2_BOX
 
 
 class TestConfig:
@@ -268,6 +271,89 @@ class TestReadTimePolar:
             assert repr(puiseux_expand(pol, min_order=4)) == repr(puiseux_expand(ref, min_order=4))
 
 
+def _row_minima(pol):
+    """The term of least i in each row of a concrete series, by key."""
+    low = {}
+    for i, j in pol.terms:
+        low[j] = min(i, low.get(j, i))
+    return {(i, j) for j, i in low.items()}
+
+
+class TestLowestPolarTerms:
+    """`lowest_polar_terms` against the full polar of the substituted
+    member, over the model-digest families with p <= 5, at draws from a
+    range of 2, at pencil points with a = 0 and with b = 0, at pencil points
+    that cancel the first candidate of each row, and at on-locus points
+    where each lowest term of the locus vanishes in turn."""
+
+    FAMILIES = [fam for fam in G1_BOX + G2_BOX if fam[0] <= 5]
+
+    @staticmethod
+    def first_candidates(member, concrete):
+        """Per row j of the generic polar, its least key's two member
+        coefficients (x-derivative source, y-derivative source) at the draw,
+        read off the member's support."""
+        keys = {(i - 1, j) for i, j in member.terms if i} | {(i, j - 1) for i, j in member.terms if j}
+        nums = concrete.terms.nums
+        for j in sorted({j for _, j in keys}):
+            i = min(i for i, h in keys if h == j)
+            yield j, i, nums.get((i + 1, j), 0), nums.get((i, j + 1), 0)
+
+    @staticmethod
+    def checks(series, model):
+        report = is_nondegenerate(series)
+        return (report.polygon.vertices() == model.predicted_polygon().vertices(),
+                all(pt in series.terms for pt in model.predicted_points()),
+                [(v.side, v.squarefree, v.path) for v in report.sides])
+
+    def test_route_reads_the_full_polar_row_minima(self):
+        failing = cancelled = 0
+        for fam_key in self.FAMILIES:
+            fam = _family_of(fam_key)
+            model = polar_model_g1(*fam_key) if len(fam_key) == 2 else polar_model_g2(*fam_key)
+            rng = random.Random(f"lowest:{fam_key}")
+            assignment, _ = _draw_assignment(fam, rng, 2)
+            concrete = substitute(fam.generic, assignment)
+            a, b = [Fraction(*pair) for pair in verify._rand_pairs(rng, 2, (True, True))]
+            pencils = [(a, b), (Fraction(0), b), (a, Fraction(0))]
+            # (a : b) that cancels a row's first candidate
+            pencils += [(Fraction((j + 1) * cy), Fraction(-(i + 1) * cx))
+                        for j, i, cx, cy in self.first_candidates(fam.generic, concrete) if cx or cy]
+            # (a : b) that zeroes a lowest term of the locus, linear in a and b
+            on_locus = []
+            for term in model.locus.lowest:
+                parts = term.coefficients_in([A, B])
+                ca, cb = (evaluate(parts.get(e, MPoly.zero()), assignment) for e in ((1, 0), (0, 1)))
+                if ca or cb:
+                    on_locus.append((cb, -ca))
+            for k, (pa, pb) in enumerate(pencils + on_locus):
+                got = lowest_polar_terms(fam.generic, pa, pb, assignment)
+                want = polar(concrete, PolarParams.concrete(pa, pb))
+                assert set(got.terms) == _row_minima(want)
+                assert got.terms.den == want.terms.den
+                assert all(got.terms.nums[pt] == want.terms.nums[pt] for pt in got.terms)
+                if k >= 3:
+                    cancelled += 1
+                if k >= len(pencils):
+                    got_checks, want_checks = self.checks(got, model), self.checks(want, model)
+                    assert got_checks == want_checks
+                    failing += not all(got_checks[:2])
+        assert cancelled > 2000 and failing > 500
+
+    def test_a_point_right_of_its_row_minimum_is_a_miss(self, monkeypatch):
+        # (12, 2) is a term of the generic polar, one step right of the
+        # predicted (11, 2): a trial polar may hold it, but never as its
+        # row's least term, so a model predicting it fails the points check
+        model = polar_model_g1(7, 19)
+        points = model.predicted_points()
+        assert (11, 2) in points and (12, 2) in polar(generic_member_g1(7, 19).generic).terms
+        wrong = SimpleNamespace(predicted_polygon=model.predicted_polygon, locus=model.locus, topology=model.topology,
+                                predicted_points=lambda: tuple((12, 2) if pt == (11, 2) else pt for pt in points))
+        monkeypatch.setattr(verify, "polar_model_g1", lambda p, q: wrong)
+        summary = run_verification(SampleConfig(family=(7, 19), seed=42, trials=5))["summary"]
+        assert summary["polygon_match"] == 5 and summary["points_present"] == 0
+
+
 class TestCrosscheckExpansion:
     """The crosscheck expands each branch once, to its separating term.  No
     timing is involved."""
@@ -501,6 +587,22 @@ class TestPinnedReportBytes:
                            trials=int(trials), puiseux_crosscheck=bool(crosscheck))
         text = report_to_json(run_verification(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[key]
+
+
+# the same digests under "<family>/<seed>/<trials>/range<coeff_range>": at
+# ranges 2 and 3 a drawn member often loses a row's first polar candidate
+PINNED_SMALL_RANGE = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "verify_small_range_sha256.json").read_text())
+
+
+class TestPinnedSmallRangeReports:
+    @pytest.mark.parametrize("key", sorted(PINNED_SMALL_RANGE))
+    def test_report_bytes_are_unchanged(self, key):
+        family, seed, trials, coeff_range = key.split("/")
+        cfg = SampleConfig(family=tuple(map(int, family.split("_"))), seed=int(seed), trials=int(trials),
+                           coeff_range=int(coeff_range.removeprefix("range")))
+        text = report_to_json(run_verification(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SMALL_RANGE[key]
 
 
 class TestPowerDegeneracy:
