@@ -23,9 +23,9 @@ The polar rule lives once, as `polar_coefficient`: the coefficient at
 (i, j) is a*(i+1)*c(i+1,j) + b*(j+1)*c(i,j+1).  `polar` reads it over
 `MPoly`s for symbolic input, and the model builders of genus1 and genus2
 read it at the symbolic pencil point; at a constant pencil point `polar`
-forms a concrete series's or a drawn member's polar over integers instead.
-Both routes give the keys in one order, the x-derivative keys in the
-member's order and then the y-derivative keys that are new, because the
+forms a concrete series's polar, a drawn member's after `substitute`, over
+integers.  Both routes give the keys in one order, the x-derivative keys in
+the member's order and then the y-derivative keys that are new, because the
 Puiseux expansion adds floats in that order.  `lowest_polar_terms` forms
 only the least term in each row of a drawn member's polar, all a trial reads.
 """
@@ -197,49 +197,39 @@ def polar_low_points(starts) -> tuple[Point, ...]:
     return tuple(low)
 
 
-def polar(f: PlaneSeries, params: PolarParams | None = None,
-          assignment: Mapping[Var, int | Fraction] | None = None) -> PlaneSeries:
-    """a*df/dx + b*df/dy for the pencil point (a : b), at `assignment` if given.
+def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
+    """a*df/dx + b*df/dy for the pencil point (a : b).
 
     The coefficient at (i-1, j) is a*i*c(i,j) + b*(j+1)*c(i-1,j+1); a zero sum
     is dropped.  Keys come in a fixed order: the x-derivative keys in the
     member's order, then the y-derivative keys not already present.  At a
-    constant pencil point, for a concrete series or one whose variables
-    `assignment` all fixes, the integer route takes the series's own
-    numerators, or the member's at `assignment` from its `integer_plan`, and
-    sends each nonzero one to its `polar_targets`, with no key formed per
-    call; the polar's terms are `_IntegerTerms`, and the result equals
-    `polar(substitute(f, assignment), params)`.  Otherwise each key takes
-    `polar_coefficient` over `MPoly`s.
+    constant pencil point, for a concrete series, the integer route sends
+    each of its numerators, all nonzero, to its `polar_targets`, with no key
+    formed per call; the polar's terms are `_IntegerTerms`.  Otherwise each
+    key takes `polar_coefficient` over `MPoly`s.
     """
     if params is None:
         params = PolarParams.symbolic()
-    if params.a.is_constant() and params.b.is_constant() and (assignment is not None or f.is_concrete()):
+    if params.a.is_constant() and params.b.is_constant() and f.is_concrete():
         a, b = params.a.constant_value(), params.b.constant_value()
-        nums, den = _numerators(f, assignment or {})
+        nums, den = list(f.terms.nums.values()), f.terms.den
         ax, by = a.numerator * b.denominator, b.numerator * a.denominator
         x_targets, y_targets = f.polar_targets
-        # every x-derivative key of a nonzero term is placed, zero or not, so
-        # a key keeps its position when a y-derivative term lands on it
-        out: dict[Point, int] = {}
-        for k, pt, i in x_targets:
-            if num := nums[k]:
-                out[pt] = ax * i * num
+        # every x-derivative key is placed, zero or not, so a key keeps its
+        # position when a y-derivative term lands on it
+        out: dict[Point, int] = {pt: ax * i * nums[k] for k, pt, i in x_targets}
         for k, pt, j in y_targets:
-            if num := nums[k]:
-                out[pt] = out.get(pt, 0) + by * j * num
+            out[pt] = out.get(pt, 0) + by * j * nums[k]
         common = a.denominator * b.denominator * den
         return PlaneSeries(_IntegerTerms({pt: num for pt, num in out.items() if num}, common))
-    if assignment is not None:
-        f = substitute(f, assignment)
     keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])
     coeffs = {pt: polar_coefficient(f.coeff, *pt, params.a, params.b) for pt in keys}
     return PlaneSeries({pt: c for pt, c in coeffs.items() if not c.is_zero()})
 
 
 def lowest_polar_terms(f: PlaneSeries, a: Fraction, b: Fraction, assignment: IntegerPoint) -> PlaneSeries:
-    """The least term in each row of polar(f, (a : b), assignment), over
-    `polar`'s denominator: a row's keys are tried in increasing i until one
+    """The least term in each row of polar(substitute(f, assignment), (a : b)),
+    over `polar`'s denominator: a row's keys are tried in increasing i until one
     is nonzero, each member coefficient evaluated when first read."""
     numerator, den = f.integer_plan.lazy_at(assignment)
     ax, by = a.numerator * b.denominator, b.numerator * a.denominator
@@ -252,21 +242,13 @@ def lowest_polar_terms(f: PlaneSeries, a: Fraction, b: Fraction, assignment: Int
     return PlaneSeries(_IntegerTerms(out, a.denominator * b.denominator * den))
 
 
-def _numerators(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:
-    """Every coefficient of f at `assignment` over integers, in member order,
-    and their one denominator: a concrete series's own numerators, else from
-    its `integer_plan`."""
-    if f.is_concrete():
-        return list(f.terms.nums.values()), f.terms.den
+def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
+    """Instantiate every non-x,y variable, over integers through f's
+    `integer_plan`; the result is a concrete series in f's key order."""
     try:
-        return f.integer_plan.at(assignment)
+        nums, den = f.integer_plan.at(assignment)
     except AlgebraError as exc:  # a missing value
         raise CurveError(str(exc)) from None
-
-
-def substitute(f: PlaneSeries, assignment: Mapping[Var, int | Fraction]) -> PlaneSeries:
-    """Instantiate every non-x,y variable; the result is a concrete series."""
-    nums, den = _numerators(f, assignment)
     return PlaneSeries(_IntegerTerms({pt: num for pt, num in zip(f.terms, nums) if num}, den))
 
 

@@ -27,9 +27,9 @@ from functools import cache, cached_property, lru_cache, partial
 
 from .algebra import (A, B, IntegerPlan, IntegerPoint, MPoly, UPoly, Var, X, Y, deflate, discriminant,
                       nonzero_discriminant, strip_content)
-from .curves import check_family, coefficient_g1, polar_coefficient, polar_low_points, row_starts_g1
-from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, newton_polygon_from_points,
-                     oka_decomposition)
+from .curves import PlaneSeries, check_family, coefficient_g1, polar_coefficient, polar_low_points, row_starts_g1
+from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, is_nondegenerate,
+                     newton_polygon_from_points, oka_decomposition)
 
 __all__ = [
     "LocusError",
@@ -181,8 +181,8 @@ def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...
 @dataclass(frozen=True)
 class PolarModel:
     """Predicted general polar of one family: its Newton polygon, side
-    polynomials, degeneracy locus and topology.  The side heights and edge
-    terms are computed when first read; no build reads them."""
+    polynomials, degeneracy locus and topology.  The side heights, edge
+    terms and generic verdict are computed when first read; no build does."""
 
     low_points: tuple[Point, ...]  # the generic polar's lowest (x, j) at each height j, indexed by j
     sides: tuple[tuple[Point, ...], ...]  # bottom side first; ascending j within a side
@@ -200,6 +200,14 @@ class PolarModel:
         """The lowest polar term at each side height: the locus's lowest term."""
         return {j: c * MPoly.monomial(1, {X: self.low_points[j][0], Y: j})
                 for j, c in zip(self.side_heights, self.locus.lowest)}
+
+    @cached_property
+    def generic_verdict(self) -> str:
+        """`is_nondegenerate`'s verdict on the generic polar, read off the side
+        lattice points with their side-polynomial coefficients: the polygon
+        is the predicted one and the side polynomials are `side_polys`."""
+        terms = {(i, j): F.coeffs[j - pts[0][1]] for pts, F in zip(self.sides, self.side_polys) for i, j in pts}
+        return is_nondegenerate(PlaneSeries({pt: c for pt, c in terms.items() if not c.is_zero()})).verdict
 
     def predicted_polygon(self) -> NewtonPolygon:
         return newton_polygon_from_points([pt for pts in self.sides for pt in pts])

@@ -9,8 +9,11 @@ is present exactly when it is its row's least.  The topology column is
 `oka_decomposition` of the trial's polygon, the function that made the
 prediction, so it adds only two cases: a `PolygonError`, and a different
 polygon whose sides have the same shapes.  The optional Puiseux crosscheck,
-which forms the whole polar, is the one topology check that shares no code
-with the prediction.
+which forms the whole polar of the member substituted at the draw, is the
+one topology check that shares no code with the prediction.  The header's
+`generic_member_verdict` is the model's `generic_verdict`; each passing
+trial, a specialisation of the member's own generic polar on the same
+polygon with every side squarefree, witnesses it.
 
 Every draw of family coefficients, here and in the degenerate-power check,
 follows one rule read from the `curves.Family` record: a value for each of
@@ -42,7 +45,7 @@ from functools import lru_cache
 
 from .algebra import IntegerPoint, MPoly, UPoly, Z
 from .curves import (Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, lowest_polar_terms,
-                     polar)
+                     polar, substitute)
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
 from .newton import PolygonError, is_nondegenerate, oka_decomposition
@@ -56,6 +59,12 @@ class VerifyError(RuntimeError):
     pass
 
 
+def _check_sampling(trials: int, coeff_range: int) -> None:
+    """A run draws at least once, from a range whose denominators can be drawn."""
+    if trials < 1 or coeff_range < 2:
+        raise VerifyError("need trials >= 1 and coeff_range >= 2")
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     family: tuple[int, ...]  # (p, q) or (p, q, d)
@@ -65,8 +74,7 @@ class SampleConfig:
     puiseux_crosscheck: bool = False
 
     def __post_init__(self):
-        if self.trials < 1 or self.coeff_range < 2:
-            raise VerifyError("need trials >= 1 and coeff_range >= 2")
+        _check_sampling(self.trials, self.coeff_range)
         if len(self.family) not in (2, 3):
             raise VerifyError("family must be (p, q) or (p, q, d)")
 
@@ -177,14 +185,6 @@ def _family(key: tuple[int, ...]) -> Family:
     return generic_member_g1(*key) if len(key) == 2 else generic_member_g2(*key)
 
 
-@lru_cache(maxsize=32)
-def _generic_verdict(key: tuple[int, ...]) -> str:
-    """The generic member's polar is nondegenerate as a polynomial statement
-    (every side discriminant is nonzero symbolically, which one nonzero
-    integer value proves without expanding it); once per family."""
-    return is_nondegenerate(polar(_family(key).generic)).verdict
-
-
 def _topology_matches(polygon, topology) -> bool:
     """The branch classes read off `polygon` are `topology`."""
     try:
@@ -202,7 +202,6 @@ def run_verification(cfg: SampleConfig) -> dict:
     model = polar_model_g1(*cfg.family) if len(cfg.family) == 2 else polar_model_g2(*cfg.family)
     predicted_vertices = model.predicted_polygon().vertices()
     predicted_points = model.predicted_points()
-    generic_verdict = _generic_verdict(tuple(cfg.family))
     labels = [f"{v.name}=" for v in family.coeff_vars]
     topology_matches: dict[tuple, bool] = {}  # per polygon vertex tuple of the run
     records = []
@@ -230,7 +229,7 @@ def run_verification(cfg: SampleConfig) -> dict:
             "topology_match": bool(topology_match),
         }
         if cfg.puiseux_crosscheck:
-            pol = polar(family.generic, PolarParams.concrete(a, b), assignment)
+            pol = polar(substitute(family.generic, assignment), PolarParams.concrete(a, b))
             try:
                 rec["puiseux_match"] = bool(_puiseux_crosscheck(pol, model.topology))
             except PuiseuxError as exc:  # an expander failure, not a mismatch
@@ -251,7 +250,7 @@ def run_verification(cfg: SampleConfig) -> dict:
         "seed": cfg.seed,
         "coeff_range": cfg.coeff_range,
         "prng": PRNG_NAME,
-        "generic_member_verdict": generic_verdict,
+        "generic_member_verdict": model.generic_verdict,
         "records": records,
         "summary": summary,
     }
@@ -264,6 +263,7 @@ def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
     constant multiple of (z^p - 1)^(e1 - 1)."""
     if e1 <= 2:
         raise VerifyError("this check is for e1 > 2")
+    _check_sampling(trials, coeff_range)
     fam = generic_member_g2(p, q, d, e1=e1)
     reference = (MPoly.var(Z, p) - 1) ** (e1 - 1)
     steep = lpq_side_points(p, q, e1)

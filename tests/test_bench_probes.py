@@ -11,11 +11,12 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 # Call sites removed from the source: the first six before this check existed
 # (the FOUND line of CHANGES.md about bench/tracing.py PROBES names them), the
-# next two with the multivariate gcd and the nested genus-one build, the next
-# when the degenerate-power check took its polar from the generic member, the
-# last when the genus-one model took its low points from the member's row
-# starts instead of the continued fraction.  A name joins only in the change
-# that deletes the call it wrapped, and CHANGES.md names it there.
+# next two with the multivariate gcd and the nested genus-one build, the last
+# when the genus-one model took its low points from the member's row starts
+# instead of the continued fraction.  A name joins only in the change that
+# deletes the call it wrapped, and CHANGES.md names it there, and leaves when
+# the call comes back: `verify.substitute`, gone while the degenerate-power
+# check took its polar from the generic member, is the crosscheck's again.
 KNOWN_MISSING = {
     "verify.newton_polygon",
     "verify.associated_polynomial",
@@ -25,7 +26,6 @@ KNOWN_MISSING = {
     "genus2.build_locus",
     "genus1.squarefree_split",
     "genus2.polar_model_g1",
-    "verify.substitute",
     "genus1.continued_fraction",
 }
 
@@ -50,8 +50,8 @@ def test_each_trial_opens_with_one_draw_and_takes_one_polar(monkeypatch):
     # bench/run.py splits trials at the verify.sample_off_locus spans and
     # times a trial's polar under the verify.polar probe; a trial's checks
     # read only each row's lowest polar term, so the full polar is taken
-    # only for the Puiseux crosscheck, once per trial
-    verify._generic_verdict((5, 12, 1))  # cached, so the run takes no generic polar
+    # only for the Puiseux crosscheck, once per trial; the generic verdict is
+    # the model's, so no run takes a generic polar
     calls = {}
     for name in ("sample_off_locus", "lowest_polar_terms", "polar"):
         real = getattr(verify, name)

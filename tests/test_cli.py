@@ -221,7 +221,7 @@ def test_readme_example_prints_its_comments():
             checked += 1
         else:
             exec(line, namespace)
-    assert checked == 3
+    assert checked == 4
 
 
 def test_computation_error_exit_code(capsys):

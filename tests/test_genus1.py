@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from polarnewton import genus1
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
-from polarnewton.curves import PolarParams, generic_member_g1, generic_member_g2, parse_series, polar, substitute
-from polarnewton.genus1 import DegeneracyLocus, build_locus, polar_model_g1
+from polarnewton.curves import (PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
+                                polar_coefficient, polar_low_points, substitute)
+from polarnewton.genus1 import DegeneracyLocus, build_locus, build_model, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
 from _oracles import evaluate, min_x_exponent
+from test_low_points import member_row_starts
+from test_model_digests import G1_BOX, G2_BOX
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -99,6 +103,43 @@ class TestEdgeTerms:
         assert calls == []
         read = sum(len(m.edge_terms) for m in models)
         assert len(calls) == read == 8
+
+
+class TestGenericVerdict:
+    """The model's verdict against the nondegeneracy test of the generic
+    member's whole symbolic polar, the route it replaced."""
+
+    @staticmethod
+    def reference(member):
+        return is_nondegenerate(polar(member)).verdict
+
+    def test_matches_the_whole_generic_polar_on_the_digest_box(self):
+        # genus one p <= 9 and genus two p <= 5: 335 of the box's 730 families
+        fams = [fam for fam in G1_BOX if fam[0] <= 9] + [fam for fam in G2_BOX if fam[0] <= 5]
+        assert len(fams) == 335
+        for fam in fams:
+            model = polar_model_g1(*fam) if len(fam) == 2 else polar_model_g2(*fam)
+            member = generic_member_g1(*fam) if len(fam) == 2 else generic_member_g2(*fam)
+            assert model.generic_verdict == self.reference(member.generic) == "generically_nondegenerate", fam
+
+    @pytest.mark.parametrize("p,q,d,e1", [(2, 3, 1, 3), (3, 4, 1, 3), (3, 5, 1, 4), (2, 5, 1, 5)])
+    def test_a_power_member_is_degenerate(self, p, q, d, e1):
+        # the shared builder on an f1^e1 + f2 member, e1 > 2, read off its
+        # row starts and its polar coefficients: the steep side is a power
+        member = generic_member_g2(p, q, d, e1=e1).generic
+        starts = member_row_starts(member, e1 * p)
+        model = build_model(polar_low_points(starts), lambda x, j: polar_coefficient(member.coeff, x, j))
+        assert model.generic_verdict == self.reference(member) == "degenerate"
+
+    def test_a_build_reads_no_verdict(self, monkeypatch):
+        # the verdict is read when first asked for, never by a build
+        calls = []
+        monkeypatch.setattr(genus1, "is_nondegenerate", lambda f: calls.append(f) or is_nondegenerate(f))
+        models = [polar_model_g1.__wrapped__(7, 19), polar_model_g2.__wrapped__(5, 12, 1)]
+        assert calls == []
+        for _ in range(2):  # the second read is the kept value
+            assert [m.generic_verdict for m in models] == ["generically_nondegenerate"] * 2
+        assert len(calls) == 2
 
 
 class TestPredictedPolygon:

@@ -15,7 +15,7 @@ import pathlib
 
 import pytest
 
-from polarnewton import algebra, genus1, genus2, verify
+from polarnewton import algebra, genus1, genus2
 from polarnewton.algebra import deflate
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import polar_model_g2
@@ -85,9 +85,9 @@ def test_no_side_discriminant_is_expanded_until_the_locus_is_listed(monkeypatch)
             return _real(F)
 
         monkeypatch.setattr(module, "discriminant", counted)
+    # fresh models, so each run reads its generic verdict afresh
     polar_model_g1.cache_clear()
     polar_model_g2.cache_clear()
-    verify._generic_verdict.cache_clear()
     models = [build(fam) for fam in RUNGS[:9]]
     for fam in BENCH_FAMILIES:
         run_verification(SampleConfig(family=fam, seed=42, trials=50))

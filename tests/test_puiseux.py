@@ -52,7 +52,7 @@ def crosscheck_polar(family, trial, seed=42):
     rng = random.Random(f"{seed}:{trial}")
     assignment, _ = sample_off_locus(fam, model, rng, 10)
     (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
-    return polar(fam.generic, PolarParams.concrete(a, b), assignment)
+    return polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
 
 
 class TestExpansion:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from polarnewton import algebra, newton, puiseux, verify
+from polarnewton import algebra, curves, newton, puiseux, verify
 from polarnewton.algebra import A, B, MPoly, avar
 from polarnewton.curves import (PlaneSeries, PolarParams, _IntegerTerms, generic_member_g1,
                                generic_member_g2, lowest_polar_terms, polar, substitute)
@@ -195,8 +195,7 @@ class TestSquarefreeCertificateInTrials:
 
     def test_bench_families_never_take_the_exact_route(self, monkeypatch):
         for family in self.BENCH_FAMILIES:
-            polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
-            verify._generic_verdict(family)
+            (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).generic_verdict
         calls = count_exact_determinant(monkeypatch)
         for family in self.BENCH_FAMILIES:
             rep = run_verification(SampleConfig(family=family, seed=42, trials=50))
@@ -205,8 +204,7 @@ class TestSquarefreeCertificateInTrials:
 
     def test_passing_trials_build_no_upoly(self, monkeypatch):
         for family in self.BENCH_FAMILIES:
-            polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
-            verify._generic_verdict(family)
+            (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).generic_verdict
         built = []
         real_init = algebra.UPoly.__init__
         monkeypatch.setattr(algebra.UPoly, "__init__", lambda self, *args: built.append(1) or real_init(self, *args))
@@ -226,7 +224,7 @@ class TestSquarefreeCertificateInTrials:
                 rng = random.Random(f"42:{trial}")
                 assignment, _ = sample_off_locus(fam, model, rng, 10)
                 (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
-                pol = polar(fam.generic, PolarParams.concrete(a, b), assignment)
+                pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
                 for v in is_nondegenerate(pol).sides:
                     assert (v.squarefree, v.path) == algebra.squarefree_info(v.associated)
                     sides += 1
@@ -241,8 +239,8 @@ class TestSquarefreeCertificateInTrials:
 
 class TestReadTimePolar:
     """The nondegeneracy test reads a trial polar's side numerators and
-    builds no coefficient; the polar is that of the substituted member.
-    No timing is involved."""
+    builds no coefficient; the polar of the substituted member is the
+    symbolic polar at the pencil point, substituted.  No timing is involved."""
 
     @pytest.mark.parametrize("family", TestSquarefreeCertificateInTrials.BENCH_FAMILIES)
     def test_side_points_only_then_the_substituted_polar(self, family, monkeypatch):
@@ -256,19 +254,21 @@ class TestReadTimePolar:
             assignment, _ = sample_off_locus(fam, model, rng, 10)
             (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
             params = PolarParams.concrete(a, b)
-            pol = polar(fam.generic, params, assignment)
+            pol = polar(substitute(fam.generic, assignment), params)
             read.clear()
             verdicts = [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides]
             assert verdicts and all(ok for ok, _path in verdicts)
             assert read == []  # is_nondegenerate read numerators only
-            ref = polar(substitute(fam.generic, assignment), params)
+            ref = substitute(polar(fam.generic, params), assignment)
             assert pol == ref and ref == pol
             # each key's constant reads back as its numerator
             assert [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides] == verdicts
             assert all(pol.terms.nums[pt] == pol.coeff(*pt).constant_value() * pol.terms.den
                        for pt in pol.terms)
-            assert pol.render() == ref.render() and repr(pol) == repr(ref)
-            assert repr(puiseux_expand(pol, min_order=4)) == repr(puiseux_expand(ref, min_order=4))
+            # the symbolic route keeps the generic member's key order, in
+            # which a key whose x-derivative source vanished at the draw sits
+            # earlier; the curve is the same
+            assert pol.render() == ref.render()
 
 
 def _row_minima(pol):
@@ -348,6 +348,7 @@ class TestLowestPolarTerms:
         points = model.predicted_points()
         assert (11, 2) in points and (12, 2) in polar(generic_member_g1(7, 19).generic).terms
         wrong = SimpleNamespace(predicted_polygon=model.predicted_polygon, locus=model.locus, topology=model.topology,
+                                generic_verdict=model.generic_verdict,
                                 predicted_points=lambda: tuple((12, 2) if pt == (11, 2) else pt for pt in points))
         monkeypatch.setattr(verify, "polar_model_g1", lambda p, q: wrong)
         summary = run_verification(SampleConfig(family=(7, 19), seed=42, trials=5))["summary"]
@@ -405,7 +406,7 @@ class TestCrosscheckExits:
         rng = random.Random("42:0")
         assignment, _ = sample_off_locus(fam, model, rng, 10)
         (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
-        pol = polar(fam.generic, PolarParams.concrete(a, b), assignment)
+        pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
         assert verify._puiseux_crosscheck(pol, model.topology) is True
         assert verify._puiseux_crosscheck(pol, polar_model_g2(5, 12, 1).topology) is False
 
@@ -506,16 +507,39 @@ class TestRunVerification:
         monkeypatch.setattr(newton, "newton_polygon", polygon)
         monkeypatch.setattr(newton, "squarefree_info", squarefree)
         monkeypatch.setattr(newton, "nonzero_discriminant", discriminant)
-        verify._generic_verdict.cache_clear()
+        polar_model_g2(5, 12, 1).__dict__.pop("generic_verdict", None)
         run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
-        # one polygon per trial, plus the generic member's once per family
+        # one polygon per trial, plus the generic member's once per model
         assert counts["polygons"] == 3 + 1
         assert counts["squarefree"] == counts["sides"]
         counts.update(polygons=0, sides=0, squarefree=0)
         run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
-        # the generic verdict is cached per family
+        # the generic verdict is kept on the model
         assert counts["polygons"] == 3 + 0
         assert counts["squarefree"] == counts["sides"]
+
+    def test_only_crosscheck_trials_take_a_polar(self, monkeypatch):
+        # the generic verdict is the model's, so even a family's first run,
+        # which builds the model, forms a polar only to crosscheck a trial,
+        # and that of a concrete member
+        polars, real = [], curves.polar
+
+        def counted(f, params=None):
+            polars.append(f)
+            return real(f, params)
+
+        monkeypatch.setattr(curves, "polar", counted)
+        monkeypatch.setattr(verify, "polar", counted)
+        for family in ((7, 19), (5, 12, 1)):
+            for crosscheck in (False, True):
+                polar_model_g1.cache_clear()
+                polar_model_g2.cache_clear()
+                polars.clear()
+                report = run_verification(SampleConfig(family=family, seed=42, trials=3,
+                                                       puiseux_crosscheck=crosscheck))
+                assert report["generic_member_verdict"] == "generically_nondegenerate"
+                assert len(polars) == 3 * crosscheck
+                assert all(f.is_concrete() for f in polars)
 
     def test_topology_is_read_once_per_polygon(self, monkeypatch):
         # the three trials share one polygon, so its branch classes are read once
@@ -621,6 +645,20 @@ class TestPowerDegeneracy:
     def test_requires_a_genuine_power(self):
         with pytest.raises(VerifyError):
             run_power_degeneracy(2, 3, e1=2)
+
+    @pytest.mark.parametrize("trials,coeff_range", [(10, 0), (10, -3), (10, 1), (0, 10)])
+    def test_rejects_an_empty_run_or_range_before_drawing(self, trials, coeff_range, monkeypatch):
+        # a range below 2 has no denominator to draw, so a draw would redraw
+        # it forever, and no trial makes an all-zero summary: both fail here,
+        # with SampleConfig's message, before any draw
+        def no_draw(*args):
+            raise AssertionError("drew before checking the run")
+
+        monkeypatch.setattr(verify, "_rand_pairs", no_draw)
+        with pytest.raises(VerifyError, match=r"^need trials >= 1 and coeff_range >= 2$"):
+            run_power_degeneracy(2, 3, 1, e1=3, trials=trials, coeff_range=coeff_range)
+        with pytest.raises(VerifyError, match=r"^need trials >= 1 and coeff_range >= 2$"):
+            SampleConfig(family=(2, 3), seed=42, trials=trials, coeff_range=coeff_range)
 
     def test_report_is_pinned(self):
         golden = pathlib.Path(__file__).parent / "golden" / "power_degeneracy_2_3_1_e1_3.json"
