@@ -1,18 +1,21 @@
 """Exact computer-algebra kernel.
 
-Coefficients are `fractions.Fraction` throughout and nothing in this module
-rounds.  Multivariate polynomials are sparse maps from monomials to nonzero
-rationals; univariate polynomials in z over that ring (`UPoly`) get a dense
-layout, which is what the discriminant's determinant wants.  Evaluation at a
-rational point is exact too: it sums an integer numerator over one common
-denominator and normalises once, and a product with a constant scales the
-coefficients without the monomial merge.  `IntegerPlan` compiles a sequence of
-polynomials once for the many points of a sampling run and evaluates them
-over integers only, at a point kept over integers (`IntegerPoint`) without
-a `Fraction`.  `discriminant` over `MPoly` and `integer_discriminant` over
-int take one division-free determinant of the same matrix.  There is no
-multivariate gcd: the locus listing only strips monomial factors and the
-rational content of a condition (`strip_content`).
+Coefficients are exact rationals in canonical form: a Python `int` when
+integral, a `fractions.Fraction` otherwise, so the integer coefficients of
+nearly every symbolic build take int arithmetic.  Every coefficient division
+goes through one exact helper, `_div`, and nothing in this module rounds.
+Multivariate polynomials are sparse maps from monomials to nonzero
+coefficients; univariate polynomials in z over that ring (`UPoly`) get a
+dense layout, which is what the discriminant's determinant wants.
+Evaluation at a rational point is exact too: it sums an integer numerator
+over one common denominator and normalises once, and a product with a
+constant scales the coefficients without the monomial merge.  `IntegerPlan`
+compiles a sequence of polynomials once for the many points of a sampling
+run and evaluates them over integers only, at a point kept over integers
+(`IntegerPoint`) without a `Fraction`.  `discriminant` over `MPoly` and
+`integer_discriminant` over int take one division-free determinant of the
+same matrix.  There is no multivariate gcd: the locus listing only strips
+monomial factors and the rational content of a condition (`strip_content`).
 
 The variable alphabet is closed: x, y, z, the two pencil parameters a, b, and
 the doubly indexed family coefficients a[i,j], b[i,j].
@@ -26,7 +29,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -112,12 +115,39 @@ A = Var("a")
 B = Var("b")
 
 
+@lru_cache(maxsize=4096)
 def avar(i: int, j: int) -> Var:
     return Var("aij", i, j)
 
 
+@lru_cache(maxsize=4096)
 def bvar(i: int, j: int) -> Var:
     return Var("bij", i, j)
+
+
+def _coeff(c) -> int | Fraction:
+    """c as a coefficient is stored: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(n: int | Fraction, d: int | Fraction) -> int | Fraction:
+    """n / d exactly, as stored; the kernel's one coefficient division."""
+    if type(n) is int and type(d) is int:
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
+    q = n / d  # a Fraction, as n or d is one
+    return q.numerator if q.denominator == 1 else q
+
+
+def _ints(terms: dict) -> dict:
+    """`terms` with each integral Fraction value made an int, in place."""
+    for m, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[m] = c.numerator
+    return terms
 
 
 # A monomial is a tuple of (Var, exponent) pairs, sorted by variable, with
@@ -183,23 +213,29 @@ def _MONO_KEY(m: Mono) -> tuple:
 
 
 class MPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    `terms` maps each monomial to its nonzero coefficient in canonical form,
+    an int when integral and a Fraction otherwise; `constant_value` and
+    `leading` return a coefficient as a Fraction.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        self._terms: dict[Mono, Fraction] = {}
+    def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None):
+        self._terms: dict[Mono, int | Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = _coeff(c)
+                if c:
                     self._terms[m] = c
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _wrap(cls, terms: dict[Mono, Fraction]) -> "MPoly":
-        """The polynomial on a map of nonzero Fractions, taken without a copy."""
+    def _wrap(cls, terms: dict[Mono, int | Fraction]) -> "MPoly":
+        """The polynomial on a map of nonzero canonical coefficients, taken
+        without a copy."""
         p = cls.__new__(cls)
         p._terms = terms
         return p
@@ -210,8 +246,7 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> "MPoly":
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
+        c = _coeff(c)
         return cls._wrap({(): c} if c else {})
 
     @classmethod
@@ -220,19 +255,19 @@ class MPoly:
             raise AlgebraError("negative exponent")
         if e == 0:
             return cls.const(1)
-        return cls({((v, e),): Fraction(1)})
+        return cls._wrap({((v, e),): 1})
 
     @classmethod
     def monomial(cls, coeff, powers: Mapping[Var, int]) -> "MPoly":
         mono = tuple(sorted(((v, e) for v, e in powers.items() if e), key=lambda ve: ve[0].sort_key))
         if any(e < 0 for _, e in mono):
             raise AlgebraError("negative exponent")
-        return cls({mono: Fraction(coeff)})
+        return cls({mono: coeff})
 
     # -- queries -----------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Mono, Fraction]:
+    def terms(self) -> dict[Mono, int | Fraction]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -246,7 +281,7 @@ class MPoly:
             return Fraction(0)
         if not self.is_constant():
             raise AlgebraError("not a constant polynomial")
-        return self._terms[()]
+        return Fraction(self._terms[()])
 
     def variables(self) -> frozenset[Var]:
         out = set()
@@ -262,7 +297,7 @@ class MPoly:
         if not self._terms:
             raise AlgebraError("zero polynomial has no leading term")
         m = max(self._terms, key=_MONO_KEY)
-        return m, self._terms[m]
+        return m, Fraction(self._terms[m])
 
     # -- ring operations ----------------------------------------------------
 
@@ -279,12 +314,12 @@ class MPoly:
             return NotImplemented
         out = dict(self._terms)
         for m, c in o._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
+            s = out.get(m, 0) + c
+            if s:
                 out[m] = s
-        return MPoly._wrap(out)
+            else:
+                out.pop(m, None)
+        return MPoly._wrap(_ints(out))
 
     __radd__ = __add__
 
@@ -305,7 +340,7 @@ class MPoly:
 
     def _scaled(self, c: int | Fraction) -> "MPoly":
         """self * c for a rational c: no monomial merge, no zero seeds."""
-        return MPoly._wrap({m: v * c for m, v in self._terms.items()} if c else {})
+        return MPoly._wrap(_ints({m: v * c for m, v in self._terms.items()}) if c else {})
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
@@ -317,16 +352,16 @@ class MPoly:
             return self._scaled(other)
         else:
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
+                s = out.get(m, 0) + c1 * c2
+                if s:
                     out[m] = s
-        return MPoly._wrap(out)
+                else:
+                    out.pop(m, None)
+        return MPoly._wrap(_ints(out))
 
     __rmul__ = __mul__
 
@@ -356,7 +391,7 @@ class MPoly:
     def coefficients_in(self, vars: Sequence[Var]) -> dict[tuple[int, ...], "MPoly"]:
         """Collect by the exponents of `vars`: {exponent-tuple: coefficient}."""
         vs = list(vars)
-        out: dict[tuple[int, ...], dict[Mono, Fraction]] = {}
+        out: dict[tuple[int, ...], dict[Mono, int | Fraction]] = {}
         for m, c in self._terms.items():
             exps = []
             rest = []
@@ -365,7 +400,7 @@ class MPoly:
                 exps.append(md.pop(v, 0))
             rest = tuple(sorted(md.items(), key=lambda ve: ve[0].sort_key))
             bucket = out.setdefault(tuple(exps), {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + c
+            bucket[rest] = bucket.get(rest, 0) + c
         result = {}
         for k, terms in out.items():
             p = MPoly(terms)
@@ -385,11 +420,12 @@ class MPoly:
         if o is None or o.is_zero():
             raise AlgebraError("division by zero polynomial")
         if o.is_constant():
-            c = o.constant_value()
-            return MPoly._wrap({m: v / c for m, v in self._terms.items()})
+            c = o._terms[()]
+            return MPoly._wrap({m: _div(v, c) for m, v in self._terms.items()})
         rem = dict(self._terms)
-        out: dict[Mono, Fraction] = {}
-        gm, gc = o.leading()
+        out: dict[Mono, int | Fraction] = {}
+        gm = max(o._terms, key=_MONO_KEY)
+        gc = o._terms[gm]
         rest = [(m2, c2) for m2, c2 in o._terms.items() if m2 != gm]
         def neg_key(m: Mono) -> tuple:
             return tuple([-k for k in _MONO_KEY(m)])
@@ -404,7 +440,7 @@ class MPoly:
             qm = _mono_div(rm, gm)
             if qm is None:
                 raise AlgebraError("not an exact multiple")
-            qc = c / gc
+            qc = _div(c, gc)
             out[qm] = qc
             for m2, c2 in rest:
                 m = _mono_mul(qm, m2)
@@ -584,9 +620,9 @@ class UPoly:
         cs = list(coeffs)
         while cs and cs[-1].is_zero():
             cs.pop()
-        for c in cs:
-            if Z in c.variables():
-                raise AlgebraError("coefficient contains z")
+        # z sorts last, so a monomial holding it ends with it
+        if any(m and m[-1][0].kind == "z" for c in cs for m in c.terms):
+            raise AlgebraError("coefficient contains z")
         self.coeffs = tuple(cs)
 
     @classmethod
@@ -760,7 +796,7 @@ def qpoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     r = _qtrim(a)
     while len(r) >= len(b):
-        f = r[-1] / b[-1]
+        f = _div(r[-1], b[-1])
         k = len(r) - len(b)
         q[k] = f
         for i, bc in enumerate(b):
@@ -777,7 +813,7 @@ def qpoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
         f, g = g, r
     if f:
         lead = f[-1]
-        f = [c / lead for c in f]
+        f = [_div(c, lead) for c in f]
     return f
 
 
@@ -807,7 +843,7 @@ def qpoly_yun(c: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
     g = [1] if certify_squarefree(common_denominator(f)[0]) else qpoly_gcd(f, _qderiv(f))
     if len(g) == 1:
         lead = f[-1]
-        return [([x / lead for x in f], 1)]
+        return [([_div(x, lead) for x in f], 1)]
     ci = _qtrim(qpoly_divmod(f, g)[0])
     di = _qsub(qpoly_divmod(_qderiv(f), g)[0], _qderiv(ci))
     out = []
@@ -901,8 +937,8 @@ def strip_content(g: MPoly, keep: Iterable[Var]) -> MPoly:
     least = {v: min(dict(m).get(v, 0) for m in g.terms) for v in g.variables() - set(keep)}
     terms = {tuple((v, e - least.get(v, 0)) for v, e in m if e > least.get(v, 0)): c
              for m, c in g.terms.items()}
-    content = Fraction(math.gcd(*(c.numerator for c in terms.values())),
-                       math.lcm(*(c.denominator for c in terms.values())))
+    content = _div(math.gcd(*(c.numerator for c in terms.values())),
+                   math.lcm(*(c.denominator for c in terms.values())))
     if terms[max(terms, key=_MONO_KEY)] < 0:
         content = -content
-    return MPoly._wrap({m: c / content for m, c in terms.items()})
+    return MPoly._wrap({m: _div(c, content) for m, c in terms.items()})

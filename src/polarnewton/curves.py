@@ -59,18 +59,22 @@ class PlaneSeries:
     """Polynomial in x, y as the map {(i, j): coefficient of x^i y^j}.
 
     Every stored coefficient is a nonzero polynomial in the variables other
-    than x and y.  A concrete series, one with constant coefficients only,
-    always holds them as `_IntegerTerms`: a map of constant `MPoly`s is
-    turned into one when the series is made.
+    than x and y: a zero one handed in is dropped.  A concrete series, one
+    with constant coefficients only, always holds them as `_IntegerTerms`: a
+    map of constant `MPoly`s is turned into one when the series is made.
     """
 
     terms: Mapping[Point, MPoly]
 
     def __post_init__(self):
         terms = self.terms
-        if not isinstance(terms, _IntegerTerms) and all(c.is_constant() for c in terms.values()):
+        if isinstance(terms, _IntegerTerms):
+            return
+        terms = {pt: c for pt, c in terms.items() if not c.is_zero()}
+        if all(c.is_constant() for c in terms.values()):
             nums, den = common_denominator(c.constant_value() for c in terms.values())
-            object.__setattr__(self, "terms", _IntegerTerms(dict(zip(terms, nums)), den))
+            terms = _IntegerTerms(dict(zip(terms, nums)), den)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_poly(cls, poly: MPoly) -> "PlaneSeries":
@@ -223,8 +227,7 @@ def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
         common = a.denominator * b.denominator * den
         return PlaneSeries(_IntegerTerms({pt: num for pt, num in out.items() if num}, common))
     keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])
-    coeffs = {pt: polar_coefficient(f.coeff, *pt, params.a, params.b) for pt in keys}
-    return PlaneSeries({pt: c for pt, c in coeffs.items() if not c.is_zero()})
+    return PlaneSeries({pt: polar_coefficient(f.coeff, *pt, params.a, params.b) for pt in keys})
 
 
 def lowest_polar_terms(f: PlaneSeries, a: Fraction, b: Fraction, assignment: IntegerPoint) -> PlaneSeries:

@@ -207,7 +207,7 @@ class PolarModel:
         lattice points with their side-polynomial coefficients: the polygon
         is the predicted one and the side polynomials are `side_polys`."""
         terms = {(i, j): F.coeffs[j - pts[0][1]] for pts, F in zip(self.sides, self.side_polys) for i, j in pts}
-        return is_nondegenerate(PlaneSeries({pt: c for pt, c in terms.items() if not c.is_zero()})).verdict
+        return is_nondegenerate(PlaneSeries(terms)).verdict
 
     def predicted_polygon(self) -> NewtonPolygon:
         return newton_polygon_from_points([pt for pts in self.sides for pt in pts])
@@ -256,13 +256,5 @@ def build_model(low_points, coeff_at, nonvanishing=()) -> PolarModel:
 @lru_cache(maxsize=32)
 def polar_model_g1(p: int, q: int) -> PolarModel:
     check_family(p, q)
-
-    def coeff_at(x, j):
-        c = polar_coefficient(partial(coefficient_g1, p, q), x, j)
-        for v in c.variables():
-            if v.kind == "aij":
-                w = v.i * p + v.j * q
-                assert p * q < w < p * q + p, "edge term coefficient outside the safe weight window"
-        return c
-
-    return build_model(polar_low_points(row_starts_g1(p, q)), coeff_at)
+    return build_model(polar_low_points(row_starts_g1(p, q)),
+                       partial(polar_coefficient, partial(coefficient_g1, p, q)))

@@ -61,15 +61,10 @@ def lpq_side_points(p: int, q: int, e1: int = 2) -> tuple[Point, ...]:
 @lru_cache(maxsize=32)
 def polar_model_g2(p: int, q: int, d: int) -> PolarModel:
     check_family(p, q, d)
-    threshold = 2 * p * q + d
+    tail = partial(coefficient_tail, p, q, d)
 
     def coeff_at(x, j):
-        h = polar_coefficient(partial(coefficient_tail, p, q, d), x, j)
-        for v in h.variables():
-            if v.kind == "bij":
-                w = v.i * p + v.j * q
-                assert threshold <= w < threshold + p, "tail coefficient outside the safe weight window"
-        return _product_polar_coeff(p, q, x, j) + h
+        return _product_polar_coeff(p, q, x, j) + polar_coefficient(tail, x, j)
 
     return build_model(polar_low_points(row_starts_g2(p, q, d)), coeff_at,
                        nonvanishing={bvar(*tail_start(p, q, d))})

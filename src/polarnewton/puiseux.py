@@ -141,7 +141,7 @@ def _edge_roots(p: dict, pts, den: int | None):
         out = []
         for fac, mult in qpoly_yun(coeffs):
             if len(fac) == 2:
-                roots = [complex(-fac[0] / fac[1])]
+                roots = [complex(-fac[0])]  # the factor is monic
             else:
                 roots = np.roots([complex(c) for c in reversed(fac)]).tolist()
             out.extend((r, mult) for r in roots)

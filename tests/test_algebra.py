@@ -120,7 +120,8 @@ class TestScalarPaths:
         for f in self.OPERANDS:
             for zero in (0, Fraction(0), MPoly.const(0), MPoly.zero()):
                 assert (f * zero).is_zero() and (zero * f).is_zero()
-        assert type(MPoly.const(3).terms[()]) is Fraction
+        assert (type(MPoly.const(3).terms[()]), type(MPoly.const(Fraction(1, 2)).terms[()])) == (int, Fraction)
+        assert type(MPoly.const(3).constant_value()) is Fraction
 
 
 PLAN_VARS = (A, B, avar(3, 1), bvar(5, 2))

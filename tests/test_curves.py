@@ -399,6 +399,14 @@ class TestSeriesMapOracles:
         assert f.coeff(1, 1).is_zero()
         assert not f.is_concrete()
 
+    @pytest.mark.parametrize("top", [MPoly.const(1), MPoly.var(A)])
+    def test_a_zero_coefficient_handed_in_is_dropped(self, top):
+        # the concrete map and the symbolic one: the zero at the origin is
+        # not a term, so it is no vertex
+        f = PlaneSeries({(0, 0): MPoly.zero(), (0, 2): top, (3, 0): MPoly.const(-1)})
+        assert list(f.terms) == [(0, 2), (3, 0)] and f.is_concrete() == top.is_constant()
+        assert newton_polygon(f).vertices() == ((0, 2), (3, 0))
+
 
 class TestOneConcreteRepresentation:
     """Every concrete series holds `_IntegerTerms`, however it is built, and

@@ -142,6 +142,34 @@ class TestGenericVerdict:
         assert len(calls) == 2
 
 
+class TestWeightWindow:
+    """Every family coefficient in a model's side-point coefficients has a
+    weight just above its class's threshold, below the member's default
+    weight bound (p*q + p + q in genus one, 2pq + d + 2p in genus two), so a
+    draw of the truncated member assigns every variable a model names."""
+
+    @staticmethod
+    def weights(model, kind: str, p: int, q: int) -> set[int]:
+        return {v.i * p + v.j * q for F in model.side_polys for c in F.coeffs
+                for v in c.variables() if v.kind == kind}
+
+    def test_genus_one_a_weights_lie_strictly_between_pq_and_pq_plus_p(self):
+        seen = 0
+        for p, q in G1_BOX:
+            weights = self.weights(polar_model_g1(p, q), "aij", p, q)
+            assert all(p * q < w < p * q + p for w in weights), ((p, q), sorted(weights))
+            seen += len(weights)
+        assert seen == 568  # distinct weights over the box: the check is not vacuous
+
+    def test_genus_two_tail_b_weights_lie_in_the_tails_first_p_weights(self):
+        seen = 0
+        for p, q, d in G2_BOX:
+            weights, t = self.weights(polar_model_g2(p, q, d), "bij", p, q), 2 * p * q + d
+            assert all(t <= w < t + p for w in weights), ((p, q, d), sorted(weights))
+            seen += len(weights)
+        assert seen == 133  # most tails land right of every side
+
+
 class TestPredictedPolygon:
     def test_7_19(self):
         assert polar_model_g1(7, 19).sides == (
