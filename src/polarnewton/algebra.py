@@ -11,11 +11,13 @@ Evaluation at a rational point is exact too: it sums an integer numerator
 over one common denominator and normalises once, and a product with a
 constant scales the coefficients without the monomial merge.  `IntegerPlan`
 compiles a sequence of polynomials once for the many points of a sampling
-run and evaluates them over integers only, at a point kept over integers
-(`IntegerPoint`) without a `Fraction`.  `discriminant` over `MPoly` and
-`integer_discriminant` over int take one division-free determinant of the
-same matrix.  There is no multivariate gcd: the locus listing only strips
-monomial factors and the rational content of a condition (`strip_content`).
+run, each as one list of integer terms padded to a common degree, and
+evaluates all of them, or each when first read, over integers only, at a
+point kept over integers (`IntegerPoint`) without a `Fraction`.
+`discriminant` over `MPoly` and `integer_discriminant` over int take one
+division-free determinant of the same matrix.  There is no multivariate gcd:
+the locus listing only strips monomial factors and the rational content of a
+condition (`strip_content`).
 
 The variable alphabet is closed: x, y, z, the two pencil parameters a, b, and
 the doubly indexed family coefficients a[i,j], b[i,j].
@@ -493,8 +495,9 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
 
 class IntegerPoint(Mapping):
     """A rational point over integers: `variables[k]` takes `scaled[k] / m`,
-    m > 0.  `IntegerPlan.at` reads the integers; as a mapping the point gives
-    each value as a `Fraction`."""
+    m > 0.  `IntegerPlan` reads the integers, in any variable order that
+    holds the plan's variables; as a mapping the point gives each value as a
+    `Fraction`."""
 
     def __init__(self, variables: tuple[Var, ...], scaled: list[int], m: int):
         self.variables, self.scaled, self.m = variables, scaled, m
@@ -519,17 +522,14 @@ class IntegerPlan:
     is its numerator over den * m^degree, and zero exactly when that
     numerator is.
 
-    The terms are kept flat and split by degree, each naming its polynomial
-    `poly` by position: `constant` holds every polynomial's constant term
-    (0 where it has none), `linear` holds (poly, c, k) for c * v[k],
-    `quadratic` (poly, c, k, l) for c * v[k] * v[l], and `higher` one list
-    per degree 3, ..., `degree` of (poly, c, indices), the variable indices
-    repeated by exponent.  `at` sums the degree layers by Horner's rule in m,
-    so no term multiplies by a power of m.  `by_poly` holds each polynomial's
-    terms as (c, indices, degree - len(indices)), which `lazy_at` reads.
+    `terms` holds each polynomial's terms, in order, as
+    (c, indices, degree - len(indices)): the scaled coefficient, the
+    positions in `variables` repeated by exponent, and the power of m that
+    pads the term.  `at` sums every polynomial and `lazy_at` each one when it
+    is first read; both read the point the same way.
     """
 
-    __slots__ = ("variables", "den", "degree", "constant", "linear", "quadratic", "higher", "by_poly", "_reads")
+    __slots__ = ("variables", "den", "degree", "terms", "_reads")
 
     def __init__(self, polys: Iterable[MPoly]):
         maps = [p.terms for p in polys]
@@ -537,72 +537,57 @@ class IntegerPlan:
         index = {v: k for k, v in enumerate(self.variables)}
         self.den = math.lcm(*[c.denominator for terms in maps for c in terms.values()])
         self.degree = max([_mono_deg(m) for terms in maps for m in terms], default=0)
-        constant = [0] * len(maps)
-        layers: list[list] = [[] for _ in range(max(self.degree, 2) + 1)]
-        self.by_poly = tuple([] for _ in maps)
+        self.terms = tuple([] for _ in maps)
         for poly, terms in enumerate(maps):
             for m, c in terms.items():
-                c = c.numerator * (self.den // c.denominator)
                 idx = tuple(index[v] for v, e in m for _ in range(e))
-                self.by_poly[poly].append((c, idx, self.degree - len(idx)))
-                if not idx:
-                    constant[poly] = c
-                else:
-                    layers[len(idx)].append((poly, c, *idx) if len(idx) <= 2 else (poly, c, idx))
-        self.constant = tuple(constant)
-        self.linear, self.quadratic = tuple(layers[1]), tuple(layers[2])
-        self.higher = tuple(tuple(layer) for layer in layers[3:])
+                self.terms[poly].append((c.numerator * (self.den // c.denominator), idx, self.degree - len(idx)))
         self._reads = (None, None)  # an `IntegerPoint` order and the plan's positions in it
+
+    def _read(self, point: Mapping[Var, int | Fraction]) -> tuple[list[int], list[int]]:
+        """The plan's variables at `point` as integers over one m > 0, in the
+        plan's order, and the powers m^0, ..., m^degree.  An `IntegerPoint`
+        builds no `Fraction`: it is read as it is when its variables are the
+        plan's, else through the positions of the plan's variables in its
+        order, fixed when the plan first reads that order."""
+        try:
+            if isinstance(point, IntegerPoint):
+                scaled, m = point.scaled, point.m
+                if point.variables != self.variables:
+                    if self._reads[0] is not point.variables:
+                        index = {v: k for k, v in enumerate(point.variables)}
+                        self._reads = point.variables, [index[v] for v in self.variables]
+                    scaled = [scaled[k] for k in self._reads[1]]
+            else:
+                scaled, m = common_denominator([point[v] for v in self.variables])
+        except KeyError:
+            missing = [v.name for v in self.variables if v not in point]
+            raise AlgebraError("missing values for: " + ", ".join(missing)) from None
+        return scaled, [m**e for e in range(self.degree + 1)]
 
     def at(self, assignment: Mapping[Var, int | Fraction]) -> tuple[list[int], int]:
         """Every polynomial's numerator at `assignment`, in order, and their
-        one positive denominator.  An `IntegerPoint` builds no `Fraction`: it
-        is read as it is when its variables are the plan's, else through the
-        positions of the plan's variables in its order, fixed when the plan
-        first reads that order."""
-        try:
-            if isinstance(assignment, IntegerPoint):
-                scaled, m = assignment.scaled, assignment.m
-                if assignment.variables != self.variables:
-                    if self._reads[0] is not assignment.variables:
-                        index = {v: k for k, v in enumerate(assignment.variables)}
-                        self._reads = assignment.variables, [index[v] for v in self.variables]
-                    scaled = [scaled[k] for k in self._reads[1]]
-            else:
-                scaled, m = common_denominator([assignment[v] for v in self.variables])
-        except KeyError:
-            missing = [v.name for v in self.variables if v not in assignment]
-            raise AlgebraError("missing values for: " + ", ".join(missing)) from None
-        # Horner in m over the degree layers: each layer's sum is added after
-        # the layers below it are multiplied by m
-        nums = list(self.constant)
-        if self.degree >= 1:
-            nums = [num * m for num in nums]
-            for poly, c, k in self.linear:
-                nums[poly] += c * scaled[k]
-        if self.degree >= 2:
-            nums = [num * m for num in nums]
-            for poly, c, k, l in self.quadratic:
-                nums[poly] += c * scaled[k] * scaled[l]
-        for layer in self.higher:
-            nums = [num * m for num in nums]
-            for poly, c, idx in layer:
+        one positive denominator."""
+        scaled, powers = self._read(assignment)
+        nums = []
+        for terms in self.terms:
+            num = 0
+            for c, idx, pad in terms:
                 for k in idx:
                     c *= scaled[k]
-                nums[poly] += c
-        return nums, self.den * m**self.degree
+                num += c * powers[pad]
+            nums.append(num)
+        return nums, self.den * powers[-1]
 
     def lazy_at(self, point: IntegerPoint) -> tuple[Callable[[int], int], int]:
-        """`at` at a point over the plan's variables, but with the numerators
-        as a function of position (-1 reads 0), each computed when first read."""
-        if point.variables != self.variables:
-            raise AlgebraError("the point's variables are not the plan's")
-        scaled, powers = point.scaled, [point.m**e for e in range(self.degree + 1)]
+        """`at`, but with the numerators as a function of position (-1 reads
+        0), each computed when first read."""
+        scaled, powers = self._read(point)
 
         @cache
         def numerator(poly: int) -> int:
             num = 0
-            for c, idx, pad in self.by_poly[poly] if poly >= 0 else ():
+            for c, idx, pad in self.terms[poly] if poly >= 0 else ():
                 for k in idx:
                     c *= scaled[k]
                 num += c * powers[pad]

@@ -20,7 +20,7 @@ last truncated node forms only its keys y^0 and y^1, all that its decision
 reads.  A decision the kept terms cannot settle (no y^0 term or no y term
 left, as when the budget is spent) restarts the chain from its first node
 with the budget doubled; after three doublings the chain runs untruncated.
-Every node, a chain step included, reads its sides from the module's own
+Every node, a chain step included, reads its sides from newton's one
 lower-hull walk, and np.roots finds the roots of every float side.
 
 From a finished expansion the module recovers the characteristic exponents,
@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from .algebra import qpoly_yun
 from .curves import PlaneSeries
+from .newton import newton_polygon_from_points
 
 DROP_ACC = 1e-9  # cancellation cutoff relative to accumulated contributions
 # Root clustering must merge the numeric splitting of an exact multiple root,
@@ -97,30 +98,8 @@ def _series_numerators(f: PlaneSeries) -> tuple[dict[tuple[int, int], int], int]
 def _compact_sides(p: dict):
     """Compact sides of the Newton polygon of the support, steepest first,
     each as (its support points from the high-j end down, nbar, mbar)."""
-    low: dict[int, int] = {}  # lowest j at each i
-    for (i, j) in p:
-        if j < low.get(i, j + 1):
-            low[i] = j
-    # lower hull along the staircase of dominance-minimal points; a middle
-    # point on or above the chord of its neighbours is not a vertex
-    hull: list[tuple[int, int]] = []
-    for i in sorted(low):
-        j = low[i]
-        if hull and j >= hull[-1][1]:
-            continue
-        while len(hull) >= 2:
-            (i0, j0), (i1, j1) = hull[-2], hull[-1]
-            if (i1 - i0) * (j - j0) > (j1 - j0) * (i - i0):
-                break
-            hull.pop()
-        hull.append((i, j))
-    out = []
-    for (i0, j0), (i1, j1) in zip(hull, hull[1:]):
-        d = math.gcd(j0 - j1, i1 - i0)
-        nbar, mbar = (j0 - j1) // d, (i1 - i0) // d
-        pts = [pt for pt in ((i0 + k * mbar, j0 - k * nbar) for k in range(d + 1)) if pt in p]
-        out.append((pts, nbar, mbar))
-    return out
+    return [([pt for pt in side.lattice_points if pt in p], side.n // side.d, side.m // side.d)
+            for side in newton_polygon_from_points(p).sides]
 
 
 def _edge_roots(p: dict, pts, den: int | None):

@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from polarnewton.algebra import (
     avar,
     bvar,
     IntegerPoint,
+    common_denominator,
     discriminant,
     integer_discriminant,
     nonzero_discriminant,
@@ -141,10 +143,15 @@ class TestIntegerPlan:
     @settings(max_examples=120, deadline=None)
     def test_numerators_over_one_denominator_match_evaluate(self, polys, values):
         point = dict(zip(PLAN_VARS, values))
-        nums, den = IntegerPlan(polys).at(point)
+        plan = IntegerPlan(polys)
+        nums, den = plan.at(point)
         assert den > 0 and len(nums) == len(polys)
         for poly, num in zip(polys, nums):
             assert Fraction(num, den) == evaluate(poly, point)
+        # at the same point over integers, lazy_at reads at's numerators
+        scaled = IntegerPoint(PLAN_VARS, *common_denominator(values))
+        numerator, den = plan.lazy_at(scaled)
+        assert ([numerator(k) for k in range(len(polys))], den) == plan.at(scaled)
 
     def test_variables_are_sorted_and_missing_ones_named(self):
         plan = IntegerPlan([MPoly.var(bvar(5, 2)) * a + 1, MPoly.var(avar(3, 1)) ** 2, MPoly.zero()])
@@ -160,10 +167,10 @@ class TestIntegerPlan:
 
     def test_terms_of_degree_three_and_up_match_evaluate(self):
         # the cube f1^3 of an e1 = 3 member gives its coefficients terms of
-        # degree 3 and more, the layers that the bench members never fill
+        # degree 3 and more, which the bench members never have
         fam = generic_member_g2(2, 3, 1, e1=3)
         plan = fam.generic.integer_plan
-        assert plan.degree >= 3 and all(plan.higher)
+        assert plan.degree >= 3 and any(len(idx) >= 3 for terms in plan.terms for _c, idx, _pad in terms)
         rng = random.Random(25)
         for _ in range(20):
             pairs = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in fam.coeff_vars]
@@ -183,11 +190,37 @@ class TestIntegerPlan:
         for _ in range(20):
             point = IntegerPoint(fam.coeff_vars, [rng.randint(-9, 9) for _ in fam.coeff_vars], rng.randint(1, 9))
             numerator, den = plan.lazy_at(point)
-            order = list(range(len(plan.by_poly)))[::-1] * 2
+            order = list(range(len(plan.terms)))[::-1] * 2
             assert ([numerator(k) for k in order], den) == (plan.at(point)[0][::-1] * 2, plan.at(point)[1])
             assert numerator(-1) == 0
-        with pytest.raises(AlgebraError, match="not the plan's"):
+            # the same point with its variables in reverse order
+            reverse = IntegerPoint(point.variables[::-1], point.scaled[::-1], point.m)
+            numerator, den = plan.lazy_at(reverse)
+            assert ([numerator(k) for k in range(len(plan.terms))], den) == plan.at(point)
+        first = fam.coeff_vars[0]
+        with pytest.raises(AlgebraError, match=rf"^missing values for: {re.escape(first.name)}$"):
             plan.lazy_at(IntegerPoint(fam.coeff_vars[1:], [1] * (len(fam.coeff_vars) - 1), 1))
+
+    def test_positions_follow_each_variable_order(self):
+        # one plan read alternately through a permutation of its variables and
+        # a superset with an extra variable, by at and by lazy_at: each read
+        # refills the cached positions for its order
+        polys = [a * b - 3 * MPoly.var(avar(3, 1)), MPoly.var(bvar(5, 2)) ** 2 * a + Fraction(1, 2),
+                 MPoly.var(avar(3, 1)) * b + 7]
+        plan = IntegerPlan(polys)
+        orders = (plan.variables[::-1], (avar(9, 9),) + plan.variables)
+        rng = random.Random(27)
+        for read in range(12):
+            order = orders[read % 2]
+            point = IntegerPoint(order, [rng.randint(-9, 9) for _ in order], rng.randint(1, 9))
+            values = {v: Fraction(s, point.m) for v, s in zip(order, point.scaled)}
+            if read % 4 < 2:
+                nums, den = plan.at(point)
+            else:
+                numerator, den = plan.lazy_at(point)
+                nums = [numerator(k) for k in range(len(plan.terms))]
+            assert plan._reads[0] is order
+            assert [Fraction(num, den) for num in nums] == [evaluate(f, values) for f in polys]
 
 
 class TestDerivative:

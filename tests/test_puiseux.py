@@ -260,9 +260,10 @@ class TestOkaAgreement:
 
 
 class TestCompactSides:
-    """`_compact_sides` has its own hull walk; these check it against the
-    all-pairs oracle, also on product supports, whose hull is the Minkowski
-    sum of the factors' hulls."""
+    """`_compact_sides` reads its sides off `newton_polygon_from_points`;
+    these check the sides the expander reads against the all-pairs oracle,
+    also on product supports, whose hull is the Minkowski sum of the
+    factors' hulls."""
 
     @staticmethod
     def check(pts, vertices):
