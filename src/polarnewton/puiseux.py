@@ -16,10 +16,12 @@ only reach coefficients the chain still reads if i + j is below a budget
 that each step lowers by i*, so every chain node carries its budget and its
 substitution, the separating one included, forms only those terms; each
 coefficient it keeps is the float the full substitution gives.  A chain's
-last truncated node forms only its keys y^0 and y^1, all that its decision
-reads.  A decision the kept terms cannot settle (no y^0 term or no y term
-left, as when the budget is spent) restarts the chain from its first node
-with the budget doubled; after three doublings the chain runs untruncated.
+last truncated node is decided, not formed: its constant term must vanish,
+then its term y and its y^0 terms in rising x-power up to the first that
+survives are summed as the full substitution sums them, so the decision is
+the full one's.  A decision the kept terms cannot settle (no y^0 term or no
+y term left, as when the budget is spent) restarts the chain from its first
+node with the budget doubled; after three doublings it runs untruncated.
 Every node, a chain step included, reads its sides from newton's one
 lower-hull walk, and np.roots finds the roots of every float side.
 
@@ -52,6 +54,8 @@ _MAX_STEPS = 4000
 # untruncated.
 _BUDGET0 = 8
 _DOUBLINGS = 3
+_OVERFLOWED = "coefficient magnitudes overflowed; request a smaller order"
+_NOT_A_ROOT = "substituted root does not vanish on the side; tolerance failure"
 
 
 class PuiseuxError(ValueError):
@@ -153,15 +157,13 @@ def _shift_layout(p: dict, nbar: int, mbar: int) -> list:
     return [(coeff, i * nbar + j * mbar - vmin, j) for (i, j), coeff in p.items()]
 
 
-def _substituted(layout: list, c: complex, budget: int | None = None, decide: bool = False) -> dict:
+def _substituted(layout: list, c: complex, budget: int | None = None) -> dict:
     """p(x^nbar, x^mbar * (c + y)) divided by the minimal x-power, from the
     `_shift_layout` of p on the side (nbar, mbar) of the root c.
 
     With a `budget`, only the keys (e, k) with e + k < budget are formed; a
     parent that is complete below its own budget gives each of them every
-    contribution, in the same order as the full shift.  With `decide`, only
-    those with k <= 1 are: all that decides whether a truncated child that
-    ends its chain is a plain separated step.
+    contribution, in the same order as the full shift.
 
     A coefficient that is tiny relative to the total magnitude that flowed
     into it is floating-point debris from an exact cancellation and is
@@ -172,7 +174,7 @@ def _substituted(layout: list, c: complex, budget: int | None = None, decide: bo
     for coeff, xpow, j in layout:
         top = j if budget is None or xpow + j < budget else budget - 1 - xpow
         if top >= 0:
-            kept.append((coeff, xpow, j, 1 if decide and top > 1 else top))
+            kept.append((coeff, xpow, j, top))
     jmax = max((j for _coeff, _xpow, j, _top in kept), default=0)
     rows = _binomial_rows(jmax)
     acc: dict[tuple[int, int], list] = {}  # key -> [sum, sum of magnitudes]
@@ -190,10 +192,51 @@ def _substituted(layout: list, c: complex, budget: int | None = None, decide: bo
                     s[1] += abs(val)
         out = {key: v for key, (v, mag) in acc.items() if v != 0 and abs(v) > DROP_ACC * mag}
     except OverflowError as exc:
-        raise PuiseuxError("coefficient magnitudes overflowed; request a smaller order") from exc
+        raise PuiseuxError(_OVERFLOWED) from exc
     if (0, 0) in out:
-        raise PuiseuxError("substituted root does not vanish on the side; tolerance failure")
+        raise PuiseuxError(_NOT_A_ROOT)
     return out
+
+
+def _separates(layout: list, c: complex, budget: int, low: dict) -> bool:
+    """Whether `_substituted(layout, c, budget)` holds (0, 1) and a y^0
+    term, a plain separated step.  It forms only (0, 0), which raises if it
+    survives, (0, 1) and (e, 0) for rising e < budget up to the first that
+    survives, each summed as the full shift sums it.  `low` keeps, for one
+    expansion, the layout's terms below each budget grouped by x-power; an
+    entry holds its layout, so that no other layout takes its id.
+    """
+    key = (id(layout), budget)
+    if key not in low:
+        by_xpow: dict[int, list] = {}
+        jmax = 0
+        for coeff, xpow, j in layout:
+            if xpow < budget:
+                by_xpow.setdefault(xpow, []).append((coeff, j))
+                jmax = max(jmax, j)
+        low[key] = layout, jmax, by_xpow.pop(0, []), sorted(by_xpow.items())
+    _layout, jmax, bottom, rest = low[key]
+    rows = _binomial_rows(jmax)
+
+    def survives(terms, k):
+        s = None
+        for coeff, j in terms:
+            if j >= k:
+                val = coeff * rows[j][k] * cpow[j - k]
+                if s is None:
+                    s, mag = 0j + val, abs(val)
+                else:
+                    s += val
+                    mag += abs(val)
+        return s is not None and s != 0 and abs(s) > DROP_ACC * mag
+
+    try:
+        cpow = [c ** e for e in range(jmax + 1)]
+        if survives(bottom, 0):
+            raise PuiseuxError(_NOT_A_ROOT)
+        return survives(bottom, 1) and any(survives(terms, 0) for _e, terms in rest)
+    except OverflowError as exc:
+        raise PuiseuxError(_OVERFLOWED) from exc
 
 
 def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
@@ -243,6 +286,7 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     # budget; only the attempt that goes on counts its steps.
     stack = [(p0, Fraction(1), Fraction(0), [], 0, None, None, None)]
     steps = 0
+    low: dict = {}  # `_separates`' grouped layouts
     while stack:
         node = stack.pop()
         p, u, offset, terms, post_sep, shift, budget, chain = node
@@ -251,8 +295,12 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
             if chain is None:
                 later = iter(_chain_budgets(u, offset, post_sep, depth, min_order))
                 budget, chain = next(later, None), (node, steps, later)
-            p = _substituted(p, shift, budget, done and budget is not None)
-            if (0, 1) not in p or all(j > 0 for (_i, j) in p):  # not a plain separated step
+            if done and budget is not None:  # the chain's last node: only its decision
+                plain = _separates(p, shift, budget, low)
+            else:
+                p = _substituted(p, shift, budget)
+                plain = (0, 1) in p and any(j == 0 for (_i, j) in p)
+            if not plain:  # not a plain separated step
                 if budget is not None:
                     first, steps, later = chain
                     stack.append(first[:6] + (next(later, None), chain))
@@ -270,7 +318,7 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
                 continue
             if (0, 0) in p:
                 continue  # unit times x-powers: no branch through the origin left
-        separated = (0, 1) in p
+        separated = chain is not None or (0, 1) in p
         if separated and done:
             raws.append(_Raw(terms=list(terms), mult=1, reached=offset + u))
             continue
@@ -281,14 +329,14 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
         cp = p if terms else {pt: complex(num / den) for pt, num in p.items()}
         for nbar, mbar, roots in sides:
             layout = _shift_layout(cp, nbar, mbar)
+            new_u = u if nbar == 1 else u / nbar
+            new_offset = offset + u * Fraction(mbar, nbar)
+            new_post_sep = post_sep + 1 if separated else 0
+            new_budget = None if budget is None else budget - mbar
             for c, mult in roots:
-                new_u = u if nbar == 1 else u / nbar
-                new_offset = offset + u * Fraction(mbar, nbar)
                 new_terms = terms + [(new_offset, complex(c))]
-                new_post_sep = post_sep + 1 if separated else 0
                 if mult == 1:  # separates; a plain separated step hands on its chain
-                    stack.append((layout, new_u, new_offset, new_terms, new_post_sep, c,
-                                  None if budget is None else budget - mbar, chain))
+                    stack.append((layout, new_u, new_offset, new_terms, new_post_sep, c, new_budget, chain))
                 else:
                     stack.append((_substituted(layout, c), new_u, new_offset, new_terms,
                                   new_post_sep, None, None, None))
@@ -346,6 +394,8 @@ def _group_conjugates(raws: list[_Raw]) -> list[tuple[PuiseuxBranch, int]]:
         if used[idx]:
             continue
         n = math.lcm(*[e.denominator for (e, _c) in raw.terms])
+        exps = [e for e, _ in raw.terms]
+        rotations = [_conjugate_terms(raw.terms, n, k) for k in range(n)]
         members = [idx]
         for jdx in range(idx + 1, len(raws)):
             if used[jdx]:
@@ -353,9 +403,9 @@ def _group_conjugates(raws: list[_Raw]) -> list[tuple[PuiseuxBranch, int]]:
             other = raws[jdx]
             if other.mult != raw.mult:
                 continue
-            if [e for e, _ in other.terms] != [e for e, _ in raw.terms]:
+            if [e for e, _ in other.terms] != exps:
                 continue
-            if any(_terms_close(other.terms, _conjugate_terms(raw.terms, n, k)) for k in range(n)):
+            if any(_terms_close(other.terms, rotation) for rotation in rotations):
                 members.append(jdx)
                 used[jdx] = True
         used[idx] = True

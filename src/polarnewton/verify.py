@@ -148,9 +148,11 @@ def _assignment_digest(labels, texts, a_text, b_text) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
+def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> dict | None:
     """Compare branch classes and the full intersection table against the
     expansion-based computation; smooth classes match on their table rows.
+    None when they match, else the record's `why` entry, whose stage names
+    the exit: `class_keys`, `contact` (with the error) or `table`.
 
     Each branch is expanded only to its separating term.  That suffices:
     every characteristic exponent appears at or before separation (each later
@@ -168,7 +170,7 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
     got = [br for br, mult in puiseux_expand(polar_series, depth=None) for _ in range(mult)]
     got_keys = sorted(br.class_key() for br in got)
     if got_keys != want_keys:
-        return False
+        return {"check": "puiseux_match", "stage": "class_keys"}
     got_triples = Counter()
     try:
         for r in range(len(got)):
@@ -176,9 +178,9 @@ def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> bool:
                 val = intersection_numeric(got[r], got[c])
                 pair = tuple(sorted((got[r].class_key(), got[c].class_key())))
                 got_triples[(pair, val)] += 1
-    except InsufficientDepthError:
-        return False
-    return got_triples == want_triples
+    except InsufficientDepthError as exc:
+        return {"check": "puiseux_match", "stage": "contact", "error": f"{type(exc).__name__}: {exc}"}
+    return None if got_triples == want_triples else {"check": "puiseux_match", "stage": "table"}
 
 
 def _family(key: tuple[int, ...]) -> Family:
@@ -231,10 +233,13 @@ def run_verification(cfg: SampleConfig) -> dict:
         if cfg.puiseux_crosscheck:
             pol = polar(substitute(family.generic, assignment), PolarParams.concrete(a, b))
             try:
-                rec["puiseux_match"] = bool(_puiseux_crosscheck(pol, model.topology))
+                why = _puiseux_crosscheck(pol, model.topology)
             except PuiseuxError as exc:  # an expander failure, not a mismatch
                 raise VerifyError(f"family {family.key} trial {trial}: puiseux crosscheck: "
                                   f"{type(exc).__name__}: {exc}") from exc
+            rec["puiseux_match"] = why is None
+            if why is not None:
+                rec["why"] = [why]
         records.append(rec)
     summary = {
         "trials": cfg.trials,

@@ -295,10 +295,6 @@ class TestCompactSides:
             assert list(newton_polygon_from_points(product).vertices()) == want
 
 
-def _bits(z: complex):
-    return (z.real.hex(), z.imag.hex())
-
-
 class TestEdgeRoots:
     def test_degree_one_root_is_the_np_roots_root(self):
         import numpy as np
@@ -368,7 +364,7 @@ class TestTruncatedChains:
             uncertified[0] = 0
             text = repr(puiseux_expand(crosscheck_polar(family, int(t)), min_order=int(m)))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
-            assert uncertified[0] > 0, key
+            assert uncertified[0] == (4 if name == "g1_2_5" else 3), key
 
     def test_deep_order_finishes_where_the_full_shift_overflowed(self, polars):
         # (7,19) trial 2 at min_order 16 overflowed without truncation
@@ -405,24 +401,28 @@ class TestTruncatedChains:
                             == intersection_numeric(full[r], full[c])), key
 
     def test_decision_rows_are_the_rows_of_the_full_shift(self, polars, monkeypatch):
-        # a truncated separating child whose chain is done forms only its keys
-        # with k <= 1; each holds the float the full shift at that budget gives
-        substituted = puiseux._substituted
-        checked = [0]
+        # a truncated separating child whose chain is done forms only the keys
+        # that decide it; its decision is the one read off the full shift at
+        # that budget, which at depth=None is never formed
+        separates, substituted = puiseux._separates, puiseux._substituted
+        checked, shifts = [0], [0]
 
-        def comparing(layout, c, budget=None, decide=False):
-            out = substituted(layout, c, budget, decide)
-            if decide:
-                full = substituted(layout, c, budget)
-                assert ({key: _bits(v) for key, v in out.items()}
-                        == {key: _bits(v) for key, v in full.items() if key[1] <= 1})
-                checked[0] += 1
-            return out
+        def comparing(layout, c, budget, low):
+            got = separates(layout, c, budget, low)
+            full = substituted(layout, c, budget)
+            assert got == ((0, 1) in full and any(j == 0 for (_i, j) in full))
+            checked[0] += 1
+            return got
 
-        monkeypatch.setattr(puiseux, "_substituted", comparing)
+        def counting(*args):
+            shifts[0] += 1
+            return substituted(*args)
+
+        monkeypatch.setattr(puiseux, "_separates", comparing)
+        monkeypatch.setattr(puiseux, "_substituted", counting)
         for f in polars.values():
             puiseux_expand(f, depth=None)
-        assert checked[0] == 140  # every substitution of the crosscheck
+        assert (checked[0], shifts[0]) == (140, 0)  # every substitution of the crosscheck
         undecided = set()
         for key, f, m in self._pinned(polars):
             checked[0] = 0
@@ -434,19 +434,51 @@ class TestTruncatedChains:
 
     def test_separation_forms_no_row_past_y(self, polars, monkeypatch):
         # a work guard: at depth=None every substitution of these polars is a
-        # separating child that ends its chain, so no key (e, k) has k >= 2
-        rows = []
-        substituted = puiseux._substituted
-
-        def recording(layout, c, budget=None, decide=False):
-            out = substituted(layout, c, budget, decide)
-            rows.extend(k for (_e, k) in out)
-            return out
-
-        monkeypatch.setattr(puiseux, "_substituted", recording)
+        # separating child that ends its chain, so each is only decided and
+        # no shift, with its rows y^2 and up, is formed
+        calls = []
+        separates, substituted = puiseux._separates, puiseux._substituted
+        monkeypatch.setattr(puiseux, "_separates", lambda *args: calls.append("decide") or separates(*args))
+        monkeypatch.setattr(puiseux, "_substituted", lambda *args: calls.append("shift") or substituted(*args))
         for f in [*polars.values(), *(f for _key, f, _m in self._pinned(polars))]:
             puiseux_expand(f, depth=None)
-        assert rows and max(rows) == 1
+        assert calls and set(calls) == {"decide"}
+
+    def test_decision_is_the_full_shift_at_every_budget(self, polars, monkeypatch):
+        # each (layout, root) that the crosscheck decides, at every budget
+        # from none at all up past the starting one, and last the root 1 of
+        # (y - x^2)(1 + x) + x^4, whose y^0 terms cancel at x^1 and first
+        # survive at x^2, so budgets up to 2 cannot decide it
+        decided, separates = [], puiseux._separates
+        monkeypatch.setattr(puiseux, "_separates",
+                            lambda layout, c, *args: decided.append((layout, c)) or separates(layout, c, *args))
+        for f in polars.values():
+            puiseux_expand(f, depth=None)
+        p = {(0, 1): 1 + 0j, (2, 0): -1 + 0j, (1, 1): 1 + 0j, (3, 0): -1 + 0j, (4, 0): 1 + 0j}
+        (_pts, nbar, mbar), = puiseux._compact_sides(p)
+        cancelling = (puiseux._shift_layout(p, nbar, mbar), 1 + 0j)
+        got = {}
+        for layout, c in [*decided, cancelling]:
+            for budget in range(12):
+                full = puiseux._substituted(layout, c, budget)
+                got[budget] = separates(layout, c, budget, {})
+                assert got[budget] == ((0, 1) in full and any(j == 0 for (_i, j) in full))
+        assert len(decided) == 140 and [got[b] for b in range(5)] == [False, False, False, True, True]
+
+    def test_decision_raises_where_the_full_shift_does(self):
+        # y - x^2 - x^3 + x y^2 on its side (0,1)-(2,0): the root 1 leaves
+        # y - x and higher terms, a plain separated step; 2 does not vanish
+        # on the side, and near 1e200 the square in the row y^2 overflows
+        p = {(0, 1): 1 + 0j, (2, 0): -1 + 0j, (3, 0): -1 + 0j, (1, 2): 1 + 0j}
+        (_pts, nbar, mbar), = puiseux._compact_sides(p)
+        layout = puiseux._shift_layout(p, nbar, mbar)
+        assert puiseux._separates(layout, 1 + 0j, 8, {}) is True
+        for c, message in [(2 + 0j, "does not vanish on the side; tolerance failure"),
+                           (1e200 + 0j, "coefficient magnitudes overflowed")]:
+            for route in (lambda: puiseux._separates(layout, c, 8, {}),
+                          lambda: puiseux._substituted(layout, c, 8)):
+                with pytest.raises(PuiseuxError, match=message):
+                    route()
 
     def test_each_side_lays_out_its_shift_once(self, polars, monkeypatch):
         # a work guard: every root on a side reuses that side's layout; at
@@ -481,20 +513,23 @@ class TestTruncatedChains:
     def uncertified(self, monkeypatch):
         """Counts truncated attempts that had to restart.
 
-        A restart substitutes its chain's first node again: the same parent
-        shift (its side layout and root), which no other substitution repeats.
+        A restart substitutes or decides its chain's first node again: the
+        same parent shift (its side layout and root), which no other
+        substitution or decision repeats.
         """
         count = [0]
         seen = {}  # keeps every layout alive, so no id is reused
-        substituted = puiseux._substituted
 
-        def counting(layout, c, budget=None, decide=False):
-            key = (id(layout), c)
-            count[0] += key in seen
-            seen[key] = layout
-            return substituted(layout, c, budget, decide)
+        def counting(route):
+            def counted(layout, c, *args):
+                key = (id(layout), c)
+                count[0] += key in seen
+                seen[key] = layout
+                return route(layout, c, *args)
+            return counted
 
-        monkeypatch.setattr(puiseux, "_substituted", counting)
+        monkeypatch.setattr(puiseux, "_substituted", counting(puiseux._substituted))
+        monkeypatch.setattr(puiseux, "_separates", counting(puiseux._separates))
         return count
 
     @pytest.mark.parametrize("case", ["pinned_member", "pinned_member_polar", "g2_7_19_1", "exact_branch"])
@@ -509,12 +544,25 @@ class TestTruncatedChains:
         monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [2, 4, 8, 16])
         uncertified[0] = 0
         assert repr(puiseux_expand(f, min_order=min_order)) == default
-        assert uncertified[0] > 0  # a starting budget of 2 cannot certify a step
+        # a starting budget of 2 cannot certify a step
+        assert uncertified[0] == {"pinned_member": 15, "pinned_member_polar": 16,
+                                  "g2_7_19_1": 35, "exact_branch": 12}[case]
         monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [])
         assert repr(puiseux_expand(f, min_order=min_order)) == default
         if case == "exact_branch":
             smooth = [br for br, _ in puiseux_expand(f, min_order=min_order) if br.n == 1]
             assert len(smooth) == 1 and smooth[0].reached is None
+
+    def test_a_restarted_decision_reads_its_own_budget(self, monkeypatch, uncertified):
+        # the branch y = x^2 of ((y - x^2)(1 + x) + x^4)(y - x + x^2) ends
+        # its chain at once at depth=None; its y^0 terms cancel at x^1 and
+        # first survive at x^2, which a budget of 2 cannot see and 4 can
+        f = PlaneSeries.from_poly(((y - x**2) * (1 + x) + x**4) * (y - x + x**2))
+        default = repr(puiseux_expand(f, depth=None))
+        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [2, 4])
+        uncertified[0] = 0
+        assert repr(puiseux_expand(f, depth=None)) == default
+        assert uncertified[0] == 1
 
     def test_step_budget_still_applies(self, monkeypatch):
         monkeypatch.setattr(puiseux, "_MAX_STEPS", 10)
@@ -530,7 +578,7 @@ class TestTruncatedChains:
         monkeypatch.setattr(puiseux, "_chain_budgets", budgets)
         uncertified[0] = 0
         assert not self._exceeds(monkeypatch, need, f)
-        assert uncertified[0] > 0  # the exact branch made every truncated attempt restart
+        assert uncertified[0] == 12  # the exact branch made every truncated attempt restart
         assert self._exceeds(monkeypatch, need - 1, f)
 
     @staticmethod

@@ -361,8 +361,8 @@ class TestCrosscheckExpansion:
 
     @staticmethod
     def _count(monkeypatch):
-        calls = {"expand": [], "substituted": 0}
-        expand, substituted = verify.puiseux_expand, puiseux._substituted
+        calls = {"expand": [], "substituted": 0, "separates": 0}
+        expand, substituted, separates = verify.puiseux_expand, puiseux._substituted, puiseux._separates
 
         def counting_expand(f, depth=0, min_order=None):
             calls["expand"].append((depth, min_order))
@@ -372,19 +372,25 @@ class TestCrosscheckExpansion:
             calls["substituted"] += 1
             return substituted(*args)
 
+        def counting_separates(*args):
+            calls["separates"] += 1
+            return separates(*args)
+
         monkeypatch.setattr(verify, "puiseux_expand", counting_expand)
         monkeypatch.setattr(puiseux, "_substituted", counting_substituted)
+        monkeypatch.setattr(puiseux, "_separates", counting_separates)
         return calls
 
     def test_bench_families_expand_once_per_trial_to_separation(self, monkeypatch):
         # the default tail (min_order 4, 2n steps past separation) made 1,320
-        # substitutions here; separation needs one per branch
+        # substitutions here; separation needs one decision per branch and
+        # no whole shift
         calls = self._count(monkeypatch)
         for family in TestSquarefreeCertificateInTrials.BENCH_FAMILIES:
             rep = run_verification(SampleConfig(family=family, seed=42, trials=5, puiseux_crosscheck=True))
             assert rep["summary"]["puiseux_match"] == 5
         assert calls["expand"] == [(None, None)] * 15
-        assert calls["substituted"] == 140
+        assert (calls["separates"], calls["substituted"]) == (140, 0)
 
     def test_a_repeated_branch_fails_after_one_expansion(self, monkeypatch):
         x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
@@ -393,12 +399,15 @@ class TestCrosscheckExpansion:
         predicted = SimpleNamespace(expanded_keys=lambda: [(1, 1)] * 3,
                                     intersections=((0, 2, 2), (2, 0, 2), (2, 2, 0)))
         calls = self._count(monkeypatch)
-        assert verify._puiseux_crosscheck(doubled, predicted) is False
+        assert verify._puiseux_crosscheck(doubled, predicted)["stage"] == "contact"
         assert calls["expand"] == [(None, None)]
 
 
 class TestCrosscheckExits:
-    """Each way the crosscheck says False, on a concrete polar."""
+    """Each way the crosscheck fails, on a concrete polar, and the `why`
+    entry that names it."""
+
+    KEYS = {"check": "puiseux_match", "stage": "class_keys"}
 
     def test_a_wrong_prediction_fails_the_key_comparison(self):
         # the polar of trial 0 at seed 42, drawn as run_verification draws it
@@ -407,14 +416,14 @@ class TestCrosscheckExits:
         assignment, _ = sample_off_locus(fam, model, rng, 10)
         (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
         pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
-        assert verify._puiseux_crosscheck(pol, model.topology) is True
-        assert verify._puiseux_crosscheck(pol, polar_model_g2(5, 12, 1).topology) is False
+        assert verify._puiseux_crosscheck(pol, model.topology) is None
+        assert verify._puiseux_crosscheck(pol, polar_model_g2(5, 12, 1).topology) == self.KEYS
 
     def test_a_genus_two_branch_fails_the_key_comparison(self):
         x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
         series = PlaneSeries.from_poly((y**2 - x**3) ** 2 - x**5 * y)
         assert [br.genus for br, _mult in puiseux_expand(series, depth=None)] == [2]
-        assert verify._puiseux_crosscheck(series, polar_model_g1(7, 19).topology) is False
+        assert verify._puiseux_crosscheck(series, polar_model_g1(7, 19).topology) == self.KEYS
 
     def test_an_unresolved_contact_fails_the_check(self, monkeypatch):
         x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
@@ -430,8 +439,33 @@ class TestCrosscheckExits:
                 raise
 
         monkeypatch.setattr(verify, "intersection_numeric", recording)
-        assert verify._puiseux_crosscheck(PlaneSeries.from_poly((y - x**2) ** 2), predicted) is False
+        why = verify._puiseux_crosscheck(PlaneSeries.from_poly((y - x**2) ** 2), predicted)
         assert len(raised) == 1
+        assert why == {"check": "puiseux_match", "stage": "contact",
+                       "error": f"InsufficientDepthError: {raised[0]}"}
+        assert "contact order not resolved" in why["error"]
+
+    def test_a_wrong_contact_fails_the_table(self):
+        # y = x^2 and y = -x^2 meet with multiplicity 2, not the predicted 1
+        x, y = MPoly.var(algebra.X), MPoly.var(algebra.Y)
+        series = PlaneSeries.from_poly((y - x**2) * (y + x**2))
+        predicted = SimpleNamespace(expanded_keys=lambda: [(1, 1)] * 2, intersections=((0, 1), (1, 0)))
+        assert verify._puiseux_crosscheck(series, predicted) == {"check": "puiseux_match", "stage": "table"}
+        right = SimpleNamespace(expanded_keys=lambda: [(1, 1)] * 2, intersections=((0, 2), (2, 0)))
+        assert verify._puiseux_crosscheck(series, right) is None
+
+    def test_a_failing_record_says_why_and_a_passing_one_keeps_its_keys(self, monkeypatch):
+        model = polar_model_g1(7, 19)
+        cfg = SampleConfig(family=(7, 19), seed=42, trials=2, puiseux_crosscheck=True)
+        passing = run_verification(cfg)["records"]
+        assert all(list(rec) == ["trial", "digest", "polygon_match", "points_present", "sides_squarefree",
+                                 "topology_match", "puiseux_match"] for rec in passing)
+        wrong = SimpleNamespace(predicted_polygon=model.predicted_polygon, locus=model.locus,
+                                generic_verdict=model.generic_verdict, predicted_points=model.predicted_points,
+                                topology=polar_model_g2(5, 12, 1).topology)
+        monkeypatch.setattr(verify, "polar_model_g1", lambda p, q: wrong)
+        for rec in run_verification(cfg)["records"]:
+            assert rec["puiseux_match"] is False and rec["why"] == [self.KEYS]
 
 
 class TestRunVerification:
