@@ -1,13 +1,14 @@
 """Numeric Newton-Puiseux expansion of concrete plane-curve polynomials.
 
 Branches through the origin are developed side by side on successive Newton
-polygons.  Exponent bookkeeping is exact (Fractions produced by polygon
-slopes); coefficients start as integer numerators over one denominator,
-are read as exact rationals only at the first level's side points, become
-complex floats once per expansion, and a shift's x-powers and coefficients
-are laid out once per side for all its roots.  Root multiplicities at the
-first, still-exact level are read off a rational squarefree decomposition;
-deeper levels fall back to clustering with a relative tolerance.
+polygons.  Every x-order is an exact integer over L = lcm(1..d), d the
+y-order, since each ramification divides some branch's, at most d; it
+becomes a Fraction only in the finished branches.  Coefficients start as
+integer numerators over one denominator, and the first level reads its side
+roots and their exact multiplicities from them (see `_edge_roots`); they
+become complex floats once per expansion, and a shift's x-powers and
+coefficients are laid out once per side for all its roots.  Deeper levels
+cluster roots with a relative tolerance.
 
 One loop walks every node.  A simple edge root separates its branch: the
 substituted node holds the term y, and the rest of the branch is a chain of
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import qpoly_yun
+from .algebra import certify_squarefree, qpoly_yun
 from .curves import PlaneSeries
 from .newton import newton_polygon_from_points
 
@@ -84,10 +85,10 @@ class PuiseuxBranch:
 
 
 @dataclass
-class _Raw:
-    terms: list[tuple[Fraction, complex]]
+class _Raw:  # x-orders are integers over the expansion's denominator L
+    terms: list[tuple[int, complex]]
     mult: int
-    reached: Fraction | None
+    reached: int | None
 
 
 def _series_numerators(f: PlaneSeries) -> tuple[dict[tuple[int, int], int], int]:
@@ -109,20 +110,31 @@ def _compact_sides(p: dict):
 def _edge_roots(p: dict, pts, den: int | None):
     """Roots (value, multiplicity) of the associated polynomial of a side,
     given by its support points from the high-j end down.  With `den`, p
-    holds the root's integer numerators over den and the multiplicities are
-    exact; with None, p holds floats, np.roots finds the roots of any degree,
-    one included, and roots within CLUSTER_REL merge into their mean."""
+    holds integer numerators (over den) and the multiplicities are exact: a
+    linear side's root is -c0/c1, a side `certify_squarefree` proves
+    squarefree has simple roots from np.roots of its numerators over the
+    leading one, each the float of its monic coefficient, and any other side
+    is decomposed by `qpoly_yun`.  With None, p holds floats, np.roots finds
+    the roots of any degree, one included, and roots within CLUSTER_REL
+    merge into their mean."""
     import numpy as np  # here, so that importing the package does not load numpy
 
     j0 = pts[-1][1]
     deg = pts[0][1] - j0
     exact = den is not None
-    coeffs = [Fraction(0) if exact else 0j] * (deg + 1)
+    coeffs = [0 if exact else 0j] * (deg + 1)
     for (i, j) in pts:
-        coeffs[j - j0] = Fraction(p[(i, j)], den) if exact else p[(i, j)]
+        coeffs[j - j0] = p[(i, j)]
     if exact:
+        if deg == 1:
+            return [(complex(-coeffs[0] / coeffs[1]), 1)]
+        if certify_squarefree(coeffs):
+            lead = coeffs[-1]
+            # a zero stays 0j: 0 / lead is -0.0 when lead < 0
+            monic = [complex(c / lead) if c else 0j for c in reversed(coeffs)]
+            return [(r, 1) for r in np.roots(monic).tolist()]
         out = []
-        for fac, mult in qpoly_yun(coeffs):
+        for fac, mult in qpoly_yun([Fraction(c, den) for c in coeffs]):
             if len(fac) == 2:
                 roots = [complex(-fac[0])]  # the factor is monic
             else:
@@ -264,7 +276,10 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     if (0, 0) in p0:
         raise PuiseuxError("no branch other than x = 0 passes through the origin")
     weier_deg = min(j for (i, j) in p0 if i == 0)
-    min_order = Fraction(min_order) if min_order is not None else Fraction(0)
+    # every node's ramification divides some branch's, at most weier_deg, so
+    # the x-unit u and every x-order are integers over L
+    L = math.lcm(*range(1, weier_deg + 1))
+    least = 0 if min_order is None else math.ceil(Fraction(min_order) * L)
 
     raws: list[_Raw] = []
     # A stack node is (p, u, offset, terms, post_sep, shift, budget, chain);
@@ -273,27 +288,30 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     # c, the node is the not yet computed shift, a child that c separates, and
     # `budget` bounds the keys that substitution forms (None: all of them).
     # `chain` is (first node, step count when it was popped, budgets left),
-    # or None outside a separated chain.  A chain node with budget L holds
-    # exactly the keys (i, j) with i + j < L that the full node holds, with
+    # or None outside a separated chain.  A chain node with budget B holds
+    # exactly the keys (i, j) with i + j < B that the full node holds, with
     # identical values.  The chain's first node has the starting budget; every
     # later one is the child of a plain separated step, whose single side
     # (0,1)-(i*,0) has nbar = 1, keeps the x-unit u and gives its child budget
-    # L - i*.  Keys at or past the budget never decide a step: with j >= 1 they
+    # B - i*.  Keys at or past the budget never decide a step: with j >= 1 they
     # are dominated by (0,1), with j = 0 they lie right of the known bottom
     # vertex.  A truncated node that is not a plain separated step ((0,1) or
     # every y^0 term missing from its known keys, as a budget of 1 or less
     # always makes it) restarts the chain from its first node with the next
     # budget; only the attempt that goes on counts its steps.
-    stack = [(p0, Fraction(1), Fraction(0), [], 0, None, None, None)]
+    stack = [(p0, L, 0, [], 0, None, None, None)]
     steps = 0
     low: dict = {}  # `_separates`' grouped layouts
     while stack:
         node = stack.pop()
         p, u, offset, terms, post_sep, shift, budget, chain = node
-        done = _chain_done(u, offset, post_sep, depth, min_order)
+        # steps left before a separated branch may end: none for depth None,
+        # else at least twice its ramification L // u
+        left = (0 if depth is None else max(2 * (L // u), depth)) - post_sep
+        done = left <= 0 and offset >= least
         if shift is not None:
             if chain is None:
-                later = iter(_chain_budgets(u, offset, post_sep, depth, min_order))
+                later = iter(_chain_budgets(u, offset, left, least))
                 budget, chain = next(later, None), (node, steps, later)
             if done and budget is not None:  # the chain's last node: only its decision
                 plain = _separates(p, shift, budget, low)
@@ -309,17 +327,19 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
         steps += 1
         if steps > _MAX_STEPS:
             raise PuiseuxError("expansion exceeded the step budget")
+        split = False  # an exact branch splits off here
         if chain is None:  # else a plain separated step: a y^0 term, y and no constant
             jmin = min(j for (_i, j) in p)
             if jmin > 0:
                 raws.append(_Raw(terms=list(terms), mult=jmin, reached=None))
                 p = {(i, j - jmin): c for (i, j), c in p.items()}
+                split = True
             if all(j == 0 for (_i, j) in p):
                 continue
             if (0, 0) in p:
                 continue  # unit times x-powers: no branch through the origin left
         separated = chain is not None or (0, 1) in p
-        if separated and done:
+        if separated and done and not split:  # else it still has the exact branch's terms
             raws.append(_Raw(terms=list(terms), mult=1, reached=offset + u))
             continue
         sides = ((nbar, mbar, _edge_roots(p, pts, None if terms else den))
@@ -329,8 +349,10 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
         cp = p if terms else {pt: complex(num / den) for pt, num in p.items()}
         for nbar, mbar, roots in sides:
             layout = _shift_layout(cp, nbar, mbar)
-            new_u = u if nbar == 1 else u / nbar
-            new_offset = offset + u * Fraction(mbar, nbar)
+            new_u, rest = divmod(u, nbar)
+            if rest:
+                raise PuiseuxError(f"ramification {L // u * nbar} does not divide {L}")
+            new_offset = offset + new_u * mbar
             new_post_sep = post_sep + 1 if separated else 0
             new_budget = None if budget is None else budget - mbar
             for c, mult in roots:
@@ -343,40 +365,27 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     total = sum(r.mult for r in raws)
     if total != weier_deg:
         raise PuiseuxError(f"expansion count {total} does not match the y-order {weier_deg}")
-    branches = _group_conjugates(raws)
-    return branches
+    return _group_conjugates(raws, L)
 
 
-def _tail(u: Fraction, depth: int | None) -> int:
-    """Steps a separated branch runs past separation: none for depth None,
-    else at least twice its ramification."""
-    return 0 if depth is None else max(2 * u.denominator, depth)
-
-
-def _chain_done(u: Fraction, offset: Fraction, post_sep: int, depth: int | None,
-                min_order: Fraction) -> bool:
-    return post_sep >= _tail(u, depth) and offset >= min_order
-
-
-def _chain_budgets(u: Fraction, offset: Fraction, post_sep: int, depth: int | None,
-                   min_order: Fraction):
+def _chain_budgets(u: int, offset: int, left: int, least: int):
     """Truncation budgets a chain tries in turn before it runs untruncated,
     each doubled only when the chain restarts.
 
-    Each step advances the chain by one x-unit or more, and the last node
+    Each step advances the chain by one x-unit u or more, so `left` steps
+    and ceil((least - offset) / u) steps reach its end, and the last node
     needs a budget of 2 to hold (0,1) and a y^0 term (1,0); the first budget
     covers that, and each later one doubles it.
     """
-    advance = _tail(u, depth) - post_sep
-    if offset < min_order:
-        advance = max(advance, math.ceil((min_order - offset) / u))
-    first = max(_BUDGET0, advance + 2)
+    first = max(_BUDGET0, left + 2, 2 - (offset - least) // u)
     return (first << k for k in range(_DOUBLINGS + 1))
 
 
-def _conjugate_terms(terms, n: int, k: int):
+def _conjugate_terms(terms, den: int, n: int, k: int):
+    """The k-th conjugate, t -> w^k t with w = exp(2 pi i / n), of terms
+    whose x-orders are integers over den and have denominators dividing n."""
     w = cmath.exp(2j * cmath.pi * k / n)
-    return [(e, c * w ** (e.numerator * (n // e.denominator))) for (e, c) in terms]
+    return [(e, c * w ** (e * n // den)) for (e, c) in terms]
 
 
 def _terms_close(t1, t2) -> bool:
@@ -387,15 +396,17 @@ def _terms_close(t1, t2) -> bool:
     return True
 
 
-def _group_conjugates(raws: list[_Raw]) -> list[tuple[PuiseuxBranch, int]]:
+def _group_conjugates(raws: list[_Raw], L: int) -> list[tuple[PuiseuxBranch, int]]:
+    """Conjugacy classes of the raws, whose x-orders are integers over L;
+    only here do the x-orders become Fractions."""
     used = [False] * len(raws)
     out: list[tuple[PuiseuxBranch, int]] = []
     for idx, raw in enumerate(raws):
         if used[idx]:
             continue
-        n = math.lcm(*[e.denominator for (e, _c) in raw.terms])
+        n = math.lcm(*[L // math.gcd(e, L) for (e, _c) in raw.terms])
         exps = [e for e, _ in raw.terms]
-        rotations = [_conjugate_terms(raw.terms, n, k) for k in range(n)]
+        rotations = [_conjugate_terms(raw.terms, L, n, k) for k in range(n)]
         members = [idx]
         for jdx in range(idx + 1, len(raws)):
             if used[jdx]:
@@ -413,26 +424,23 @@ def _group_conjugates(raws: list[_Raw]) -> list[tuple[PuiseuxBranch, int]]:
             raise PuiseuxError(
                 f"conjugacy class size {len(members)} does not match ramification {n}"
             )
-        rep = min((raws[m] for m in members),
-                  key=lambda r: [(float(e), round(cmath.phase(c), 9) % (2 * math.pi), abs(c))
-                                 for (e, c) in r.terms])
-        reached = None
-        for m in members:
-            r = raws[m].reached
-            if r is not None:
-                reached = r if reached is None else min(reached, r)
-        char = _char_exponents(rep.terms, n)
-        genus = len(char) - 1
-        semi = semigroup_from_char(char)
-        out.append((PuiseuxBranch(n=n, terms=tuple(rep.terms), char_exponents=char,
-                                  genus=genus, semigroup=semi, reached=reached), raw.mult))
+        # the members share their exponents, so their coefficients decide
+        rep = min((raws[m].terms for m in members),
+                  key=lambda terms: [(round(cmath.phase(c), 9) % (2 * math.pi), abs(c))
+                                     for (_e, c) in terms])
+        reached = min((r for m in members if (r := raws[m].reached) is not None), default=None)
+        char = _char_exponents(rep, n, L)
+        out.append((PuiseuxBranch(n=n, terms=tuple((Fraction(e, L), c) for e, c in rep),
+                                  char_exponents=char, genus=len(char) - 1,
+                                  semigroup=semigroup_from_char(char),
+                                  reached=None if reached is None else Fraction(reached, L)), raw.mult))
     out.sort(key=lambda bm: (bm[0].n, [float(e) for e, _ in bm[0].terms[:1]],
                              [round(cmath.phase(c), 6) for _, c in bm[0].terms[:1]]))
     return out
 
 
-def _char_exponents(terms, n: int) -> tuple[int, ...]:
-    lam = sorted({int(e * n) for (e, _c) in terms})
+def _char_exponents(terms, n: int, L: int) -> tuple[int, ...]:
+    lam = sorted({e * n // L for (e, _c) in terms})
     if lam and lam[0] < n:
         # branch tangent to the vertical axis: its y-order is below its
         # x-order, so the standard characteristic reading does not apply
@@ -485,17 +493,17 @@ def intersection_numeric(b1: PuiseuxBranch, b2: PuiseuxBranch, tol: float = COEF
     the first, and scales by the first ramification index.  Raises when the
     computed terms cannot separate a pair of conjugates.
     """
-    limit_candidates = [r for r in (b1.reached, b2.reached) if r is not None]
-    limit = min(limit_candidates) if limit_candidates else None
+    limit = min((r for r in (b1.reached, b2.reached) if r is not None), default=None)
     unit = math.lcm(b1.n, b2.n)  # exponents below are integers, in x-units / unit
 
-    def scaled(terms) -> dict[int, complex]:
-        return {e.numerator * (unit // e.denominator): c for (e, c) in terms}
+    def scaled(terms) -> list[tuple[int, complex]]:
+        return [(e.numerator * (unit // e.denominator), c) for (e, c) in terms]
 
     total = 0
-    t1 = scaled(b1.terms)
+    t1 = dict(scaled(b1.terms))
+    s2 = scaled(b2.terms)
     for k in range(b2.n):
-        t2 = scaled(_conjugate_terms(b2.terms, b2.n, k))
+        t2 = dict(_conjugate_terms(s2, unit, b2.n, k))
         contact = None
         for e in sorted(t1.keys() | t2.keys()):
             c1 = t1.get(e, 0j)
@@ -503,12 +511,13 @@ def intersection_numeric(b1: PuiseuxBranch, b2: PuiseuxBranch, tol: float = COEF
             if abs(c1 - c2) > tol * max(1.0, abs(c1), abs(c2)):
                 contact = e
                 break
-        if contact is None or (limit is not None and contact >= limit * unit):
+        if contact is None or (limit is not None
+                               and contact * limit.denominator >= limit.numerator * unit):
             raise InsufficientDepthError(
                 "contact order not resolved by the computed terms; expand deeper"
             )
         total += contact
-    value = Fraction(total * b1.n, unit)
-    if value.denominator != 1:
-        raise PuiseuxError(f"intersection number came out fractional: {value}")
-    return int(value)
+    value, rest = divmod(total * b1.n, unit)
+    if rest:
+        raise PuiseuxError(f"intersection number came out fractional: {Fraction(total * b1.n, unit)}")
+    return value

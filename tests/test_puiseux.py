@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from polarnewton import puiseux
-from polarnewton.algebra import MPoly, X, Y
+from polarnewton.algebra import MPoly, X, Y, qpoly_yun
 from polarnewton.curves import (
     PlaneSeries,
     PolarParams,
@@ -43,15 +43,15 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 PINNED_MEMBER = "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"
 
 
-def crosscheck_polar(family, trial, seed=42):
+def crosscheck_polar(family, trial, seed=42, coeff_range=10):
     """The polar that `run_verification` crosschecks in this trial."""
     if len(family) == 2:
         fam, model = generic_member_g1(*family), polar_model_g1(*family)
     else:
         fam, model = generic_member_g2(*family), polar_model_g2(*family)
     rng = random.Random(f"{seed}:{trial}")
-    assignment, _ = sample_off_locus(fam, model, rng, 10)
-    (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
+    assignment, _ = sample_off_locus(fam, model, rng, coeff_range)
+    (a, _), (b, _) = _draw_general_pencil(fam, model, rng, coeff_range, assignment)
     return polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
 
 
@@ -228,6 +228,66 @@ class TestIntersections:
         (br, mult), = out
         assert br.n == 4 and mult == 1  # four raw conjugates merged into one class
 
+    @pytest.mark.parametrize("expr,number", [
+        ("y*(y - x)", 1),
+        ("(y - x)*(y - x - x^2)", 2),
+        ("(y^2 - x^3)*(y^2 - x^3 - x^4)", 8),
+    ])
+    def test_exact_branch_split_below_ends_no_other_branch(self, expr, number):
+        # the node that divides out an exact branch leaves the other branch
+        # with the same terms, so that branch must go on to its next term
+        # even at depth=None, or the two merge into one conjugacy class
+        def read(depth):
+            flat = [br for br, mult in puiseux_expand(parse_series(expr), depth=depth)
+                    for _ in range(mult)]
+            return sorted(br.class_key() for br in flat), intersection_numeric(*flat)
+
+        keys, value = read(0)
+        assert value == number
+        assert read(None) == (keys, value)
+
+    def test_contact_at_the_reached_order_is_unresolved(self):
+        # the contact x^(5/2) of the cusp pair sits exactly at b1's reached
+        # order, where b1's terms are no longer complete
+        b2 = puiseux.PuiseuxBranch(n=2, terms=((Fraction(3, 2), 1 + 0j), (Fraction(5, 2), 0.5 + 0j)),
+                                   char_exponents=(2, 3), genus=1, semigroup=(2, 3), reached=None)
+        for reached, want in ((Fraction(5, 2), None), (Fraction(3), 8), (Fraction(11, 4), 8)):
+            b1 = puiseux.PuiseuxBranch(n=2, terms=((Fraction(3, 2), 1 + 0j),), char_exponents=(2, 3),
+                                       genus=1, semigroup=(2, 3), reached=reached)
+            for pair in ((b1, b2), (b2, b1)):
+                if want is None:
+                    with pytest.raises(InsufficientDepthError):
+                        intersection_numeric(*pair)
+                else:
+                    assert intersection_numeric(*pair) == want
+
+    @pytest.mark.parametrize("g1,g2", [
+        ("y^2 - x^3", "y^3 - x^4"),
+        ("y^2 - x^5", "y^3 - x^4"),
+        ("y^2 - x^3", "y^3 - x^7"),
+        ("y^2 - x^7", "y^3 - x^5 - x^4*y"),
+    ])
+    def test_ramification_two_meets_three(self, g1, g2):
+        # branches with distinct tangent data (a0, a1) and (b0, b1) meet with
+        # multiplicity min(a0*b1, b0*a1)
+        flat = [br for br, mult in puiseux_expand(parse_series(f"({g1})*({g2})"), depth=None)
+                for _ in range(mult)]
+        (a0, a1), (b0, b1) = sorted(br.semigroup[:2] for br in flat)
+        assert (a0, b0) == (2, 3)
+        assert intersection_numeric(flat[0], flat[1]) == intersection_numeric(flat[1], flat[0]) \
+            == min(a0 * b1, b0 * a1)
+
+    def test_fractional_intersection_keeps_its_message(self):
+        # an inconsistent pair: b1 claims ramification 1 but carries x^(3/2)
+        b1 = puiseux.PuiseuxBranch(n=1, terms=((Fraction(1), 1 + 0j), (Fraction(3, 2), 1 + 0j)),
+                                   char_exponents=(1,), genus=0, semigroup=(1,), reached=None)
+        b2 = puiseux.PuiseuxBranch(n=2, terms=((Fraction(1), 1 + 0j), (Fraction(3, 2), 1 + 0j),
+                                               (Fraction(2), 1 + 0j)),
+                                   char_exponents=(2, 3), genus=1, semigroup=(2, 3), reached=None)
+        with pytest.raises(PuiseuxError) as info:
+            intersection_numeric(b1, b2)
+        assert str(info.value) == "intersection number came out fractional: 7/2"
+
 
 class TestOkaAgreement:
     def test_branch_classes_and_table_match_the_combinatorial_route(self):
@@ -314,6 +374,67 @@ class TestEdgeRoots:
             assert gap <= Fraction(1, 10**26) * (re * re + im * im)  # relative 1e-13
 
 
+def rational_side_roots(p, pts, den):
+    """A first-level side's roots read over the rationals: the side's
+    `Fraction` coefficients go through `qpoly_yun`, a linear factor gives
+    its root as the float of its monic constant, and np.roots reads any
+    other factor's monic coefficients as floats."""
+    import numpy as np
+    j0 = pts[-1][1]
+    coeffs = [Fraction(0)] * (pts[0][1] - j0 + 1)
+    for (i, j) in pts:
+        coeffs[j - j0] = Fraction(p[(i, j)], den)
+    out = []
+    for fac, mult in qpoly_yun(coeffs):
+        if len(fac) == 2:
+            roots = [complex(-fac[0])]
+        else:
+            roots = np.roots([complex(c) for c in reversed(fac)]).tolist()
+        out.extend((r, mult) for r in roots)
+    return out
+
+
+class TestIntegerSideRoots:
+    """The first level reads its side roots from integer numerators; they
+    must be the rational route's floats, bit for bit (`repr`, so the sign of
+    a zero counts)."""
+
+    @pytest.fixture(scope="class")
+    def sides(self):
+        # no crosscheck polar here has a linear first-level side; the two
+        # products after them do
+        series = [crosscheck_polar(family, trial, seed, coeff_range)
+                  for family in ((7, 19), (5, 12, 1), (7, 19, 1))
+                  for seed in (7, 42) for coeff_range in (2, 10) for trial in range(10)]
+        series += [parse_series("(3*y - 2*x)*(y^2 - x^3)"),
+                   parse_series("(y + (5/3)*x^2)*(7*y - 5*x)*(y^2 + x^5)")]
+        out = []
+        for f in series:
+            p, den = puiseux._series_numerators(f)
+            out.extend((p, pts, den) for pts, _nbar, _mbar in puiseux._compact_sides(p))
+        return out
+
+    def test_crosscheck_sides_match_the_rational_route(self, sides):
+        for p, pts, den in sides:
+            assert repr(puiseux._edge_roots(p, pts, den)) == repr(rational_side_roots(p, pts, den)), pts
+        # not vacuous: linear sides, and sides with a negative leading
+        # numerator and a zero coefficient, whose monic coefficient there
+        # must stay +0
+        degrees = [pts[0][1] - pts[-1][1] for _p, pts, _den in sides]
+        gapped = [pts for p, pts, _den in sides if len(pts) <= pts[0][1] - pts[-1][1] and p[pts[0]] < 0]
+        assert degrees.count(1) >= 3 and max(degrees) >= 4 and len(gapped) >= 10
+
+    def test_a_repeated_factor_keeps_its_multiplicity(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(puiseux, "qpoly_yun", lambda c: calls.append(c) or qpoly_yun(c))
+        p, den = puiseux._series_numerators(PlaneSeries.from_poly((y - x) ** 2 * (y + 2 * x)))
+        (pts, _nbar, _mbar), = puiseux._compact_sides(p)
+        got = puiseux._edge_roots(p, pts, den)
+        assert len(calls) == 1
+        assert repr(got) == repr(rational_side_roots(p, pts, den))
+        assert sorted((r.real, mult) for r, mult in got) == [(-2.0, 1), (1.0, 2)]
+
+
 class TestTruncatedChains:
     """Separated branches run on truncated substitutions (see `puiseux_expand`);
     the results must be those of the untruncated expansion, float for float."""
@@ -365,6 +486,28 @@ class TestTruncatedChains:
             text = repr(puiseux_expand(crosscheck_polar(family, int(t)), min_order=int(m)))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
             assert uncertified[0] == (4 if name == "g1_2_5" else 3), key
+
+    def test_fractional_orders_are_pinned(self, polars):
+        # sha256 of repr(puiseux_expand(f, depth, min_order=m)) for m in
+        # {7/3, 5/2, 9/2}, at the default depth and at depth=None; the cusp
+        # pair's branches reach 5/2 exactly; the cusp's branches have terms
+        # at x^2 and x^(5/2), so 7/3 must not end them at x^2
+        pinned = json.loads((GOLDEN / "puiseux_fractional_min_order_sha256.json").read_text())
+        series = {
+            "readme_member": parse_series(PINNED_MEMBER),
+            "readme_polar": polar(parse_series(PINNED_MEMBER), PolarParams.concrete(1, 1)),
+            "cusp_pair": parse_series("(y^2 - x^3)*(y^2 - x^3 - x^4)"),
+            "cusp": parse_series("(y - x^2)^2 - x^3 - x^4"),
+            "g1_7_19/0": polars[("g1_7_19", 0)],
+            "g2_5_12_1/1": polars[("g2_5_12_1", 1)],
+            "g2_7_19_1/2": polars[("g2_7_19_1", 2)],
+        }
+        assert len(pinned) == len(series) * 3 * 2
+        for key, digest in sorted(pinned.items()):
+            name, m, *rest = key.split(" ")
+            depth = None if rest == ["depth=None"] else 0
+            text = repr(puiseux_expand(series[name], depth=depth, min_order=Fraction(m[2:])))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
     def test_deep_order_finishes_where_the_full_shift_overflowed(self, polars):
         # (7,19) trial 2 at min_order 16 overflowed without truncation
