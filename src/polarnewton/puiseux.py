@@ -21,8 +21,8 @@ last truncated node is decided, not formed: its constant term must vanish,
 then its term y and its y^0 terms in rising x-power up to the first that
 survives are summed as the full substitution sums them, so the decision is
 the full one's.  A decision the kept terms cannot settle (no y^0 term or no
-y term left, as when the budget is spent) restarts the chain from its first
-node with the budget doubled; after three doublings it runs untruncated.
+y term left, as when the budget is spent or the branch is exact) restarts
+the chain once, from its first node, untruncated.
 Every node, a chain step included, reads its sides from newton's one
 lower-hull walk, and np.roots finds the roots of every float side.
 
@@ -50,11 +50,9 @@ CLUSTER_REL = 1e-6
 COEFF_REL = 1e-8  # relative tolerance for coefficient comparisons
 
 _MAX_STEPS = 4000
-# Truncation of separated chains (see `puiseux_expand`): the least starting
-# budget, in x-units of the chain, and the doublings tried before a chain runs
-# untruncated.
+# Truncation of separated chains (see `puiseux_expand`): the least budget, in
+# x-units of the chain, of a chain's one truncated attempt.
 _BUDGET0 = 8
-_DOUBLINGS = 3
 _OVERFLOWED = "coefficient magnitudes overflowed; request a smaller order"
 _NOT_A_ROOT = "substituted root does not vanish on the side; tolerance failure"
 
@@ -287,18 +285,18 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     # shift c, p is its parent's `_shift_layout` on the side of the simple root
     # c, the node is the not yet computed shift, a child that c separates, and
     # `budget` bounds the keys that substitution forms (None: all of them).
-    # `chain` is (first node, step count when it was popped, budgets left),
-    # or None outside a separated chain.  A chain node with budget B holds
-    # exactly the keys (i, j) with i + j < B that the full node holds, with
-    # identical values.  The chain's first node has the starting budget; every
-    # later one is the child of a plain separated step, whose single side
-    # (0,1)-(i*,0) has nbar = 1, keeps the x-unit u and gives its child budget
-    # B - i*.  Keys at or past the budget never decide a step: with j >= 1 they
-    # are dominated by (0,1), with j = 0 they lie right of the known bottom
-    # vertex.  A truncated node that is not a plain separated step ((0,1) or
-    # every y^0 term missing from its known keys, as a budget of 1 or less
-    # always makes it) restarts the chain from its first node with the next
-    # budget; only the attempt that goes on counts its steps.
+    # `chain` is (first node, step count when it was popped), or None outside
+    # a separated chain.  A chain node with budget B holds exactly the keys
+    # (i, j) with i + j < B that the full node holds, with identical values.
+    # The chain's first node has the `_chain_budget`; every later one is the
+    # child of a plain separated step, whose single side (0,1)-(i*,0) has
+    # nbar = 1, keeps the x-unit u and gives its child budget B - i*.  Keys at
+    # or past the budget never decide a step: with j >= 1 they are dominated
+    # by (0,1), with j = 0 they lie right of the known bottom vertex.  A
+    # truncated node that is not a plain separated step ((0,1) or every y^0
+    # term missing from its known keys, as a budget of 1 or less always makes
+    # it) restarts the chain from its first node untruncated; only the
+    # attempt that goes on counts its steps.
     stack = [(p0, L, 0, [], 0, None, None, None)]
     steps = 0
     low: dict = {}  # `_separates`' grouped layouts
@@ -311,8 +309,7 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
         done = left <= 0 and offset >= least
         if shift is not None:
             if chain is None:
-                later = iter(_chain_budgets(u, offset, left, least))
-                budget, chain = next(later, None), (node, steps, later)
+                budget, chain = _chain_budget(u, offset, left, least), (node, steps)
             if done and budget is not None:  # the chain's last node: only its decision
                 plain = _separates(p, shift, budget, low)
             else:
@@ -320,8 +317,8 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
                 plain = (0, 1) in p and any(j == 0 for (_i, j) in p)
             if not plain:  # not a plain separated step
                 if budget is not None:
-                    first, steps, later = chain
-                    stack.append(first[:6] + (next(later, None), chain))
+                    first, steps = chain
+                    stack.append(first[:6] + (None, chain))
                     continue
                 chain = None
         steps += 1
@@ -368,17 +365,14 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     return _group_conjugates(raws, L)
 
 
-def _chain_budgets(u: int, offset: int, left: int, least: int):
-    """Truncation budgets a chain tries in turn before it runs untruncated,
-    each doubled only when the chain restarts.
+def _chain_budget(u: int, offset: int, left: int, least: int) -> int:
+    """The budget of a chain's one truncated attempt, at least _BUDGET0.
 
     Each step advances the chain by one x-unit u or more, so `left` steps
     and ceil((least - offset) / u) steps reach its end, and the last node
-    needs a budget of 2 to hold (0,1) and a y^0 term (1,0); the first budget
-    covers that, and each later one doubles it.
+    needs a budget of 2 to hold (0,1) and a y^0 term (1,0).
     """
-    first = max(_BUDGET0, left + 2, 2 - (offset - least) // u)
-    return (first << k for k in range(_DOUBLINGS + 1))
+    return max(_BUDGET0, left + 2, 2 - (offset - least) // u)
 
 
 def _conjugate_terms(terms, den: int, n: int, k: int):

@@ -473,9 +473,9 @@ class TestTruncatedChains:
 
     def test_expansions_that_restart_are_pinned(self, uncertified):
         # sha256 of repr(puiseux_expand(polar, min_order=m)) for crosscheck
-        # polars (seed 42) whose chains restart with the default budgets: on
-        # g1 (4,9) three chains restart once; on g1 (2,5) one chain fails all
-        # four budgets and goes back untruncated to the general steps
+        # polars (seed 42) whose chains restart with the default budget:
+        # on g1 (4,9) three chains restart, then run untruncated; on g1 (2,5)
+        # one chain restarts and goes back untruncated to the general steps
         pinned = json.loads((GOLDEN / "puiseux_restart_sha256.json").read_text())
         assert set(pinned) == ({f"g1_4_9/{t}/{m}" for t in range(3) for m in (4, 8, 16)}
                                | {f"g1_2_5/{t}/{m}" for t in range(3) for m in (8, 16)})
@@ -485,7 +485,7 @@ class TestTruncatedChains:
             uncertified[0] = 0
             text = repr(puiseux_expand(crosscheck_polar(family, int(t)), min_order=int(m)))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
-            assert uncertified[0] == (4 if name == "g1_2_5" else 3), key
+            assert uncertified[0] == (1 if name == "g1_2_5" else 3), key
 
     def test_fractional_orders_are_pinned(self, polars):
         # sha256 of repr(puiseux_expand(f, depth, min_order=m)) for m in
@@ -572,8 +572,11 @@ class TestTruncatedChains:
             puiseux_expand(f, min_order=m)
             if not checked[0]:
                 undecided.add(key)
-        # on g1 (2,5) the one chain fails every budget and runs untruncated
-        assert sorted(undecided) == [f"g1_2_5/{t}/{m}" for t in range(3) for m in (16, 8)]
+        # on g1 (2,5) the one chain restarts and runs untruncated; on g1 (4,9)
+        # trials 0 and 2 at m = 4 only the three chains that restart would end
+        # on a decision, and they rerun untruncated
+        assert sorted(undecided) == sorted([f"g1_2_5/{t}/{m}" for t in range(3) for m in (16, 8)]
+                                           + ["g1_4_9/0/4", "g1_4_9/2/4"])
 
     def test_separation_forms_no_row_past_y(self, polars, monkeypatch):
         # a work guard: at depth=None every substitution of these polars is a
@@ -658,7 +661,8 @@ class TestTruncatedChains:
 
         A restart substitutes or decides its chain's first node again: the
         same parent shift (its side layout and root), which no other
-        substitution or decision repeats.
+        substitution or decision repeats.  A chain restarts at most once,
+        untruncated, so no parent shift is taken a third time.
         """
         count = [0]
         seen = {}  # keeps every layout alive, so no id is reused
@@ -667,7 +671,9 @@ class TestTruncatedChains:
             def counted(layout, c, *args):
                 key = (id(layout), c)
                 count[0] += key in seen
-                seen[key] = layout
+                _layout, visits = seen.get(key, (layout, 0))
+                assert visits < 2, "a chain restarted more than once"
+                seen[key] = layout, visits + 1
                 return route(layout, c, *args)
             return counted
 
@@ -684,28 +690,94 @@ class TestTruncatedChains:
             "exact_branch": (PlaneSeries.from_poly((y - x - x**2) * (y**2 - x**3)), 6),
         }[case]
         default = repr(puiseux_expand(f, min_order=min_order))
-        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [2, 4, 8, 16])
+        monkeypatch.setattr(puiseux, "_chain_budget", lambda *args: 2)
         uncertified[0] = 0
         assert repr(puiseux_expand(f, min_order=min_order)) == default
-        # a starting budget of 2 cannot certify a step
-        assert uncertified[0] == {"pinned_member": 15, "pinned_member_polar": 16,
-                                  "g2_7_19_1": 35, "exact_branch": 12}[case]
-        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [])
+        # a budget of 2 cannot certify a step, so every chain restarts once
+        assert uncertified[0] == {"pinned_member": 5, "pinned_member_polar": 4,
+                                  "g2_7_19_1": 13, "exact_branch": 3}[case]
+        monkeypatch.setattr(puiseux, "_chain_budget", lambda *args: None)
         assert repr(puiseux_expand(f, min_order=min_order)) == default
         if case == "exact_branch":
             smooth = [br for br, _ in puiseux_expand(f, min_order=min_order) if br.n == 1]
             assert len(smooth) == 1 and smooth[0].reached is None
 
-    def test_a_restarted_decision_reads_its_own_budget(self, monkeypatch, uncertified):
+    def test_an_unsettled_decision_takes_one_whole_shift(self, monkeypatch, uncertified):
         # the branch y = x^2 of ((y - x^2)(1 + x) + x^4)(y - x + x^2) ends
         # its chain at once at depth=None; its y^0 terms cancel at x^1 and
-        # first survive at x^2, which a budget of 2 cannot see and 4 can
+        # first survive at x^2, which a budget of 2 cannot see, so its chain
+        # runs again untruncated: one whole shift, no second decision
         f = PlaneSeries.from_poly(((y - x**2) * (1 + x) + x**4) * (y - x + x**2))
         default = repr(puiseux_expand(f, depth=None))
-        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [2, 4])
+        calls = []
+        separates, substituted = puiseux._separates, puiseux._substituted
+        monkeypatch.setattr(puiseux, "_separates",
+                            lambda layout, c, budget, low: calls.append(("decide", budget))
+                            or separates(layout, c, budget, low))
+        monkeypatch.setattr(puiseux, "_substituted",
+                            lambda layout, c, budget=None: calls.append(("shift", budget))
+                            or substituted(layout, c, budget))
+        monkeypatch.setattr(puiseux, "_chain_budget", lambda *args: 2)
         uncertified[0] = 0
         assert repr(puiseux_expand(f, depth=None)) == default
         assert uncertified[0] == 1
+        assert sorted(calls, key=repr) == [("decide", 2), ("decide", 2), ("shift", None)]
+
+    # (decisions, shifts) of each expansion in puiseux_exact_branch_sha256.json:
+    # a chain that ends on an exact branch makes one truncated attempt
+    EXACT_BRANCH_CALLS = {
+        "(y - x)*(y - 2*x)": {"depth=None": (2, 2), "depth=0": (0, 4), "min_order=6": (0, 4)},
+        "y*(y - x)": {"depth=None": (1, 1), "depth=0": (0, 2), "min_order=6": (0, 2)},
+        "(y - x)*(y - x - x^2)": {"depth=None": (1, 2), "depth=0": (0, 3), "min_order=6": (0, 3)},
+        "(y^2 - x^3)*(y^2 - x^3 - x^4)": {"depth=None": (2, 2), "depth=0": (2, 16),
+                                          "min_order=6": (2, 20)},
+    }
+
+    def test_exact_branches_are_pinned(self, monkeypatch):
+        # sha256 of repr(puiseux_expand(f, ...)) for products with an exact
+        # branch, whose separating child holds y alone and so settles at no
+        # budget; recorded while a chain still tried the budgets 8, 16, 32 and
+        # 64 before it ran untruncated, so one attempt changes no output
+        pinned = json.loads((GOLDEN / "puiseux_exact_branch_sha256.json").read_text())
+        runs = {"depth=None": {"depth": None}, "depth=0": {"depth": 0}, "min_order=6": {"min_order": 6}}
+        assert set(pinned) == {f"{expr} {run}" for expr in self.EXACT_BRANCH_CALLS for run in runs}
+        calls = []
+        separates, substituted = puiseux._separates, puiseux._substituted
+        monkeypatch.setattr(puiseux, "_separates", lambda *args: calls.append("decide") or separates(*args))
+        monkeypatch.setattr(puiseux, "_substituted", lambda *args: calls.append("shift") or substituted(*args))
+        for key, digest in sorted(pinned.items()):
+            expr, run = key.rsplit(" ", 1)
+            calls.clear()
+            text = repr(puiseux_expand(parse_series(expr), **runs[run]))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+            assert (calls.count("decide"), calls.count("shift")) == self.EXACT_BRANCH_CALLS[expr][run], key
+
+    @pytest.mark.parametrize("case", ["least_budget", "steps_left", "below_min_order"])
+    def test_each_term_of_the_chain_budget_can_win(self, monkeypatch, polars, case):
+        # _chain_budget is the largest of _BUDGET0, left + 2 and
+        # 2 - (offset - least) // u; each case makes one of them the largest
+        # on every chain it starts; seen holds ((u, offset, left, least), budget)
+        budget, seen = puiseux._chain_budget, []
+        monkeypatch.setattr(puiseux, "_chain_budget",
+                            lambda *args: seen.append((args, budget(*args))) or seen[-1][1])
+        if case == "least_budget":
+            # at depth=None a chain ends where it starts, with no step left
+            for f in polars.values():
+                puiseux_expand(f, depth=None)
+            assert len(seen) == 140 and puiseux._BUDGET0 == 8
+            for (u, offset, left, least), got in seen:
+                assert got == 8 and left + 2 <= 2 and 2 - (offset - least) // u < 8
+        elif case == "steps_left":
+            # y^5 = x^12 has five conjugate branches of ramification 5 (L = 60,
+            # u = 12), which at the default depth run 2 * 5 steps past their
+            # separating term at x^(12/5)
+            puiseux_expand(parse_series("y^5 - x^12"))
+            assert seen == [((12, 144, 10, 0), 12)] * 5
+        else:
+            # y^2 = x^2 + x^3 has two smooth branches (L = 2, u = 2) that
+            # separate at x^1, 19 steps below min_order 20
+            puiseux_expand(parse_series("y^2 - x^2 - x^3"), min_order=20)
+            assert seen == [((2, 2, 2, 40), 21)] * 2
 
     def test_step_budget_still_applies(self, monkeypatch):
         monkeypatch.setattr(puiseux, "_MAX_STEPS", 10)
@@ -714,14 +786,14 @@ class TestTruncatedChains:
 
     def test_restarts_do_not_count_toward_the_step_budget(self, monkeypatch, uncertified):
         f = PlaneSeries.from_poly((y - x - x**2) * (y**2 - x**3))
-        budgets = puiseux._chain_budgets
-        monkeypatch.setattr(puiseux, "_chain_budgets", lambda *args: [])
+        budget = puiseux._chain_budget
+        monkeypatch.setattr(puiseux, "_chain_budget", lambda *args: None)
         need = next(n for n in range(1, 50)
                     if not self._exceeds(monkeypatch, n, f))  # steps of the untruncated run
-        monkeypatch.setattr(puiseux, "_chain_budgets", budgets)
+        monkeypatch.setattr(puiseux, "_chain_budget", budget)
         uncertified[0] = 0
         assert not self._exceeds(monkeypatch, need, f)
-        assert uncertified[0] == 12  # the exact branch made every truncated attempt restart
+        assert uncertified[0] == 3  # each of the three exact branches restarted once
         assert self._exceeds(monkeypatch, need - 1, f)
 
     @staticmethod
