@@ -23,7 +23,6 @@ from .curves import (  # noqa: F401
     Family,
     ParseError,
     PlaneSeries,
-    PolarParams,
     generic_member_g1,
     generic_member_g2,
     parse_series,

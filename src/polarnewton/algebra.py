@@ -817,15 +817,14 @@ def _qsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 
 def qpoly_yun(c: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun squarefree decomposition: list of (monic factor, multiplicity).
-
-    The modular certificate `certify_squarefree` settles a squarefree input
-    without the exact gcd; any other outcome takes the exact path.
+    """Yun squarefree decomposition: list of (monic factor, multiplicity),
+    by exact gcds over Q.  It takes no modular shortcut: a caller that can
+    use one, as `puiseux._edge_roots` does, tries `certify_squarefree` first.
     """
     f = _qtrim(list(c))
     if len(f) <= 1:
         return []
-    g = [1] if certify_squarefree(common_denominator(f)[0]) else qpoly_gcd(f, _qderiv(f))
+    g = qpoly_gcd(f, _qderiv(f))
     if len(g) == 1:
         lead = f[-1]
         return [([_div(x, lead) for x in f], 1)]

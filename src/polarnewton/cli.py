@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .cfrac import continued_fraction, convergents
-from .curves import PolarParams, generic_member_g1, generic_member_g2, parse_series, polar
+from .curves import generic_member_g1, generic_member_g2, parse_series, polar
 from .genus1 import polar_model_g1
 from .genus2 import classify_nondegenerate, polar_model_g2
 from .newton import is_nondegenerate, newton_polygon
@@ -134,12 +134,7 @@ def _cmd_family(args):
 
 
 def _cmd_polar(args):
-    series = _read_series(args)
-    if args.a is None and args.b is None:
-        params = PolarParams.symbolic()
-    else:
-        params = PolarParams.concrete(args.a or 0, args.b or 0)
-    return {"polar": polar(series, params).render()}, []
+    return {"polar": polar(_read_series(args), args.a, args.b).render()}, []
 
 
 def _cmd_polygon(args):

@@ -22,7 +22,7 @@ not mutate it.  `check_family` is the one test of (p, q[, d, e1]).
 The polar rule lives once, as `polar_coefficient`: the coefficient at
 (i, j) is a*(i+1)*c(i+1,j) + b*(j+1)*c(i,j+1).  `polar` reads it over
 `MPoly`s for symbolic input, and the model builders of genus1 and genus2
-read it at the symbolic pencil point; at a constant pencil point `polar`
+read it at the symbolic pencil point; at a rational pencil point `polar`
 forms a concrete series's polar, a drawn member's after `substitute`, over
 integers.  Both routes give the keys in one order, the x-derivative keys in
 the member's order and then the y-derivative keys that are new, because the
@@ -159,29 +159,11 @@ class _IntegerTerms(Mapping):
         return repr(dict(self.items()))
 
 
-@dataclass(frozen=True)
-class PolarParams:
-    """The pencil point (a : b); not both coordinates zero."""
-
-    a: MPoly
-    b: MPoly
-
-    def __post_init__(self):
-        if self.a.is_zero() and self.b.is_zero():
-            raise CurveError("(a, b) must not be (0, 0)")
-
-    @classmethod
-    def symbolic(cls) -> "PolarParams":
-        return cls(MPoly.var(A), MPoly.var(B))
-
-    @classmethod
-    def concrete(cls, a, b) -> "PolarParams":
-        return cls(MPoly.const(Fraction(a)), MPoly.const(Fraction(b)))
-
-
-def polar_coefficient(coeff, i: int, j: int, a: MPoly = MPoly.var(A), b: MPoly = MPoly.var(B)) -> MPoly:
+def polar_coefficient(coeff, i: int, j: int, a: MPoly | Fraction = MPoly.var(A),
+                      b: MPoly | Fraction = MPoly.var(B)) -> MPoly:
     """Coefficient of x^i y^j in a*f_x + b*f_y at the pencil point (a : b),
-    where coeff(i, j) is the coefficient of x^i y^j in f (untruncated)."""
+    where a and b are `MPoly`s or rationals and coeff(i, j) is the
+    coefficient of x^i y^j in f (untruncated)."""
     return (i + 1) * a * coeff(i + 1, j) + (j + 1) * b * coeff(i, j + 1)
 
 
@@ -201,33 +183,37 @@ def polar_low_points(starts) -> tuple[Point, ...]:
     return tuple(low)
 
 
-def polar(f: PlaneSeries, params: PolarParams | None = None) -> PlaneSeries:
-    """a*df/dx + b*df/dy for the pencil point (a : b).
+def polar(f: PlaneSeries, a: int | Fraction | None = None, b: int | Fraction | None = None) -> PlaneSeries:
+    """a*df/dx + b*df/dy for the pencil point (a : b): symbolic (A : B) when
+    neither is given, else rational with a missing coordinate 0, not (0 : 0).
 
     The coefficient at (i-1, j) is a*i*c(i,j) + b*(j+1)*c(i-1,j+1); a zero sum
     is dropped.  Keys come in a fixed order: the x-derivative keys in the
     member's order, then the y-derivative keys not already present.  At a
-    constant pencil point, for a concrete series, the integer route sends
+    rational pencil point, for a concrete series, the integer route sends
     each of its numerators, all nonzero, to its `polar_targets`, with no key
     formed per call; the polar's terms are `_IntegerTerms`.  Otherwise each
-    key takes `polar_coefficient` over `MPoly`s.
+    key takes `polar_coefficient`.
     """
-    if params is None:
-        params = PolarParams.symbolic()
-    if params.a.is_constant() and params.b.is_constant() and f.is_concrete():
-        a, b = params.a.constant_value(), params.b.constant_value()
-        nums, den = list(f.terms.nums.values()), f.terms.den
-        ax, by = a.numerator * b.denominator, b.numerator * a.denominator
-        x_targets, y_targets = f.polar_targets
-        # every x-derivative key is placed, zero or not, so a key keeps its
-        # position when a y-derivative term lands on it
-        out: dict[Point, int] = {pt: ax * i * nums[k] for k, pt, i in x_targets}
-        for k, pt, j in y_targets:
-            out[pt] = out.get(pt, 0) + by * j * nums[k]
-        common = a.denominator * b.denominator * den
-        return PlaneSeries(_IntegerTerms({pt: num for pt, num in out.items() if num}, common))
+    if a is None and b is None:
+        a, b = MPoly.var(A), MPoly.var(B)
+    else:
+        a, b = Fraction(a or 0), Fraction(b or 0)
+        if not (a or b):
+            raise CurveError("(a, b) must not be (0, 0)")
+        if f.is_concrete():
+            nums, den = list(f.terms.nums.values()), f.terms.den
+            ax, by = a.numerator * b.denominator, b.numerator * a.denominator
+            x_targets, y_targets = f.polar_targets
+            # every x-derivative key is placed, zero or not, so a key keeps its
+            # position when a y-derivative term lands on it
+            out: dict[Point, int] = {pt: ax * i * nums[k] for k, pt, i in x_targets}
+            for k, pt, j in y_targets:
+                out[pt] = out.get(pt, 0) + by * j * nums[k]
+            common = a.denominator * b.denominator * den
+            return PlaneSeries(_IntegerTerms({pt: num for pt, num in out.items() if num}, common))
     keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])
-    return PlaneSeries({pt: polar_coefficient(f.coeff, *pt, params.a, params.b) for pt in keys})
+    return PlaneSeries({pt: polar_coefficient(f.coeff, *pt, a, b) for pt in keys})
 
 
 def lowest_polar_terms(f: PlaneSeries, a: Fraction, b: Fraction, assignment: IntegerPoint) -> PlaneSeries:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import IntegerPoint, MPoly, UPoly, Z
-from .curves import (Family, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, lowest_polar_terms,
+from .curves import (Family, PlaneSeries, generic_member_g1, generic_member_g2, lowest_polar_terms,
                      polar, substitute)
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
@@ -231,7 +231,7 @@ def run_verification(cfg: SampleConfig) -> dict:
             "topology_match": bool(topology_match),
         }
         if cfg.puiseux_crosscheck:
-            pol = polar(substitute(family.generic, assignment), PolarParams.concrete(a, b))
+            pol = polar(substitute(family.generic, assignment), a, b)
             try:
                 why = _puiseux_crosscheck(pol, model.topology)
             except PuiseuxError as exc:  # an expander failure, not a mismatch

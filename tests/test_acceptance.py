@@ -23,7 +23,7 @@ from polarnewton.algebra import (
     squarefree_info,
 )
 from polarnewton.cfrac import continued_fraction, convergents
-from polarnewton.curves import PolarParams, parse_series, polar
+from polarnewton.curves import parse_series, polar
 from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import classify_nondegenerate, polar_model_g2
 from polarnewton.newton import newton_polygon_from_points
@@ -109,7 +109,7 @@ def test_criterion_2_second_worked_example():
                  - 12 * a * x**11 + Fraction(9, 20) * b * x**10)
     ok &= polar(f1).poly == displayed  # with 2*b*x^8, correcting the printed 2*x^8
 
-    pol = polar(f1, PolarParams.concrete(1, 1))
+    pol = polar(f1, 1, 1)
     branches = puiseux_expand(pol, min_order=12)
     ok &= len(branches) == 1
     br, mult = branches[0]

@@ -314,6 +314,34 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+PENCIL_MEMBER = "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"
+
+
+@pytest.mark.parametrize("alone,both", [
+    (["--a", "2"], ["--a", "2", "--b", "0"]),
+    (["--b", "1"], ["--a", "0", "--b", "1"]),
+], ids=["a-alone", "b-alone"])
+def test_polar_reads_a_missing_pencil_coordinate_as_zero(capsys, alone, both):
+    got = run_cli(capsys, "polar", "--expr", PENCIL_MEMBER, *alone)
+    assert got == run_cli(capsys, "polar", "--expr", PENCIL_MEMBER, *both)
+    assert got[0] == 0
+
+
+def test_polar_at_a_rational_pencil_point_prints_its_text(capsys):
+    code, out, err = run_cli(capsys, "polar", "--expr", PENCIL_MEMBER, "--a", "3", "--b=-2/5")
+    assert (code, err) == (0, "")
+    assert out == ("polar: -36*x^11 - 9/50*x^10 + 27/2*x^9*y - 4/5*x^8*y + 24*x^7*y^2"
+                   " - 6/5*x^5*y^2 + 15*x^4*y^3 - 2*y^4\n")
+
+
+@pytest.mark.parametrize("point", [["--a", "0", "--b", "0"], ["--a", "0"], ["--b", "0"]],
+                         ids=["both", "a-alone", "b-alone"])
+def test_polar_rejects_the_zero_pencil_point(capsys, point):
+    code, out, err = run_cli(capsys, "polar", "--expr", PENCIL_MEMBER, *point)
+    assert (code, out, err) == (1, "", "error: (a, b) must not be (0, 0)\n")
+    assert "Traceback" not in err
+
+
 def test_round_trip_of_expression_payload(capsys):
     from polarnewton.algebra import Y
     from polarnewton.curves import parse_series

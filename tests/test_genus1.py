@@ -6,7 +6,7 @@ import pytest
 
 from polarnewton import genus1
 from polarnewton.algebra import A, B, AlgebraError, MPoly, UPoly, X, Y, Z, avar
-from polarnewton.curves import (PolarParams, generic_member_g1, generic_member_g2, parse_series, polar,
+from polarnewton.curves import (generic_member_g1, generic_member_g2, parse_series, polar,
                                 polar_coefficient, polar_low_points, substitute)
 from polarnewton.genus1 import DegeneracyLocus, build_locus, build_model, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
@@ -498,7 +498,7 @@ class TestSampledAgreement:
             if any(evaluate(c, full) == 0 for c in model.locus.raw):
                 continue
             trials += 1
-            pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(*ab))
+            pol = polar(substitute(fam.generic, assignment), *ab)
             poly = newton_polygon(pol)
             assert poly.vertices() == model.predicted_polygon().vertices()
             support = set(pol.terms)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polarnewton.algebra import A, B, MPoly, UPoly, X, Y, Z, avar, bvar
-from polarnewton.curves import (CurveError, PlaneSeries, PolarParams, generic_member_g1, generic_member_g2, polar,
+from polarnewton.curves import (CurveError, PlaneSeries, generic_member_g1, generic_member_g2, polar,
                                 substitute)
 from polarnewton.genus2 import (
     InvalidSemigroupError,
@@ -245,8 +245,7 @@ class TestSampledAgreement:
             trials += 1
             f = substitute(fam.generic, assignment)
             f1 = substitute(generic_member_g1(p, q).generic, assignment)
-            params = PolarParams.concrete(*ab)
-            pol = polar(f, params)
+            pol = polar(f, *ab)
             poly = newton_polygon(pol)
             assert poly.vertices() == model.predicted_polygon().vertices()
             support = set(pol.terms)
@@ -258,7 +257,7 @@ class TestSampledAgreement:
             assert rep.intersections == model.topology.intersections
             # the polar polygon agrees with the one of f1 * P(f1), including
             # the support points on the sides
-            product = PlaneSeries.from_poly(f1.poly * polar(f1, params).poly)
+            product = PlaneSeries.from_poly(f1.poly * polar(f1, *ab).poly)
             assert newton_polygon(product).vertices() == poly.vertices()
             assert all(pt in product.terms for pt in model.predicted_points())
 

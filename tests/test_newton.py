@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polarnewton.algebra import B, MPoly, UPoly, X, Y, Z, avar
-from polarnewton.curves import PlaneSeries, PolarParams, generic_member_g1, polar, substitute
+from polarnewton.curves import PlaneSeries, generic_member_g1, polar, substitute
 from polarnewton.newton import (
     BranchClass,
     PolygonError,
@@ -111,7 +111,7 @@ class TestNondegeneracy:
         # f1^3 + tail: the steep side carries (z^2 - 1)^2 up to scale
         f1 = y**2 - x**3 + x**2 * y
         f = PlaneSeries.from_poly(f1**3 + x**10 * y)
-        rep = is_nondegenerate(polar(f, PolarParams.concrete(1, 1)))
+        rep = is_nondegenerate(polar(f, 1, 1))
         assert rep.verdict == "degenerate"
         failing = [v for v in rep.sides if not v.squarefree]
         assert any(v.side.from_pt == (0, 5) for v in failing)
@@ -161,7 +161,7 @@ class TestOka:
         fam = generic_member_g1(5, 12)
         for trial in range(5):
             assignment = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in fam.coeff_vars}
-            pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(3, 2))
+            pol = polar(substitute(fam.generic, assignment), 3, 2)
             nondeg = is_nondegenerate(pol)
             assert nondeg.verdict == "nondegenerate"
             report = oka_decomposition(nondeg.polygon)

@@ -11,7 +11,6 @@ from polarnewton import puiseux
 from polarnewton.algebra import MPoly, X, Y, qpoly_yun
 from polarnewton.curves import (
     PlaneSeries,
-    PolarParams,
     generic_member_g1,
     generic_member_g2,
     parse_series,
@@ -52,7 +51,7 @@ def crosscheck_polar(family, trial, seed=42, coeff_range=10):
     rng = random.Random(f"{seed}:{trial}")
     assignment, _ = sample_off_locus(fam, model, rng, coeff_range)
     (a, _), (b, _) = _draw_general_pencil(fam, model, rng, coeff_range, assignment)
-    return polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
+    return polar(substitute(fam.generic, assignment), a, b)
 
 
 class TestExpansion:
@@ -80,7 +79,7 @@ class TestExpansion:
 
     def test_pinned_degenerate_polar(self):
         f1 = parse_series("y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y")
-        pol = polar(f1, PolarParams.concrete(1, 1))
+        pol = polar(f1, 1, 1)
         out = puiseux_expand(pol, min_order=12)
         assert len(out) == 1
         br, mult = out[0]
@@ -98,7 +97,7 @@ class TestExpansion:
         fam = generic_member_g1(5, 12)
         rng = random.Random(12)
         assignment = {v: Fraction(rng.randint(1, 8), rng.randint(1, 8)) for v in fam.coeff_vars}
-        pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(3, 4))
+        pol = polar(substitute(fam.generic, assignment), 3, 4)
         out = puiseux_expand(pol)
         assert sum(br.n * mult for br, mult in out) == 4  # multiplicity of the polar
 
@@ -210,7 +209,7 @@ class TestIntersections:
             full[A], full[B] = Fraction(3), Fraction(2)
             if all(evaluate(c, full) != 0 for c in model.locus.raw):
                 break
-        pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(3, 2))
+        pol = polar(substitute(fam.generic, assignment), 3, 2)
         out = puiseux_expand(pol, min_order=4)
         flat = [br for br, mult in out for _ in range(mult)]
         smooth = [br for br in flat if br.genus == 0]
@@ -223,7 +222,7 @@ class TestIntersections:
 
     def test_conjugate_class_sizes(self):
         f1 = parse_series("y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y")
-        pol = polar(f1, PolarParams.concrete(1, 1))
+        pol = polar(f1, 1, 1)
         out = puiseux_expand(pol)
         (br, mult), = out
         assert br.n == 4 and mult == 1  # four raw conjugates merged into one class
@@ -306,7 +305,7 @@ class TestOkaAgreement:
             if any(evaluate(c, full) == 0 for c in model.locus.raw):
                 continue
             count += 1
-            pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(1, 2))
+            pol = polar(substitute(fam.generic, assignment), 1, 2)
             nondeg = is_nondegenerate(pol)
             assert nondeg.verdict == "nondegenerate"
             rep = oka_decomposition(nondeg.polygon)
@@ -495,7 +494,7 @@ class TestTruncatedChains:
         pinned = json.loads((GOLDEN / "puiseux_fractional_min_order_sha256.json").read_text())
         series = {
             "readme_member": parse_series(PINNED_MEMBER),
-            "readme_polar": polar(parse_series(PINNED_MEMBER), PolarParams.concrete(1, 1)),
+            "readme_polar": polar(parse_series(PINNED_MEMBER), 1, 1),
             "cusp_pair": parse_series("(y^2 - x^3)*(y^2 - x^3 - x^4)"),
             "cusp": parse_series("(y - x^2)^2 - x^3 - x^4"),
             "g1_7_19/0": polars[("g1_7_19", 0)],
@@ -527,6 +526,25 @@ class TestTruncatedChains:
         got = sorted(br.class_key() for br, mult in out for _ in range(mult))
         want = sorted((1,) if k[0] == 1 else k for k in polar_model_g2(5, 12, 1).topology.expanded_keys())
         assert got == want
+
+    @staticmethod
+    def _cubic_polar():
+        # (4,9) seed 7 trial 1: a y-cubic polar with one branch of ramification 3
+        return crosscheck_polar((4, 9), 1, seed=7)
+
+    @pytest.mark.parametrize("order", [None, 4], ids=["depth-None", "min-order-4"])
+    def test_cubic_polar_is_one_branch_of_the_model_class(self, order):
+        f = self._cubic_polar()
+        out = puiseux_expand(f, depth=None) if order is None else puiseux_expand(f, min_order=order)
+        assert [(br.n, mult, br.class_key()) for br, mult in out] == [(3, 1, (3, 7))]
+        assert list(polar_model_g1(4, 9).topology.expanded_keys()) == [(3, 7)]
+
+    @pytest.mark.xfail(strict=True, raises=PuiseuxError,
+                       reason="float expansion splits conjugates at a shallow order: "
+                              "conjugacy class size 1 does not match ramification 3")
+    def test_cubic_polar_keeps_conjugates_together_at_order_6(self):
+        out = puiseux_expand(self._cubic_polar(), min_order=6)
+        assert [(br.n, mult, br.class_key()) for br, mult in out] == [(3, 1, (3, 7))]
 
     def test_separating_terms_decide_what_the_pinned_expansions_decide(self, polars):
         # depth=None ends each branch at its separating term; on every pinned
@@ -685,7 +703,7 @@ class TestTruncatedChains:
     def test_escalation_reproduces_the_untruncated_expansion(self, monkeypatch, uncertified, case):
         f, min_order = {
             "pinned_member": (parse_series(PINNED_MEMBER), None),
-            "pinned_member_polar": (polar(parse_series(PINNED_MEMBER), PolarParams.concrete(1, 1)), 12),
+            "pinned_member_polar": (polar(parse_series(PINNED_MEMBER), 1, 1), 12),
             "g2_7_19_1": (crosscheck_polar((7, 19, 1), 0), 4),
             "exact_branch": (PlaneSeries.from_poly((y - x - x**2) * (y**2 - x**3)), 6),
         }[case]

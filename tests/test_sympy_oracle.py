@@ -431,18 +431,11 @@ def assert_yun_matches_sympy(ours, f):
         assert got and sympy.expand(got[0] - expected) == 0
 
 
-def exact_yun(monkeypatch, f):
-    """qpoly_yun(f) with the modular certificate declining every input."""
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "certify_squarefree", lambda nums: False)
-        return qpoly_yun(f)
-
-
 class TestYunCertificate:
-    """qpoly_yun returns [(monic f, 1)] on the modular certificate, without
-    an exact gcd; that is the exact path's output, and sympy's."""
+    """qpoly_yun, exact gcds only, against sympy: squarefree inputs give
+    [(monic f, 1)], and so do those the modular certificate cannot settle."""
 
-    def test_random_inputs(self, monkeypatch, gcd_calls):
+    def test_random_inputs(self):
         rng = random.Random(23)
         seen = set()
         for _ in range(150):
@@ -453,11 +446,9 @@ class TestYunCertificate:
                 r = [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 2))]
                 f = qpoly_mul(f, qpoly_mul(r, r))
             squarefree = all(m == 1 for _p, m in sympy.sqf_list(qpoly_to_sympy(f))[1])
-            before = len(gcd_calls)
             ours = qpoly_yun(f)
-            # small coefficients: the certificate decides every squarefree case
-            assert (len(gcd_calls) == before) is squarefree
-            assert ours == exact_yun(monkeypatch, f)
+            if squarefree:
+                assert ours == [([c / f[-1] for c in f], 1)]
             assert_yun_matches_sympy(ours, f)
             seen.add(squarefree)
         assert seen == {True, False}
@@ -466,13 +457,12 @@ class TestYunCertificate:
         "P*z**2 + 1",  # P divides the leading coefficient
         "(z - 1)*(z - 1 - P)",  # squarefree over Q, a double root mod P
     ])
-    def test_fall_back_cases_take_the_exact_path(self, monkeypatch, gcd_calls, text):
+    def test_fall_back_cases_take_the_exact_path(self, text):
         expr = sympy.expand(sympy.sympify(text, locals={"z": SZ, "P": P}))
         f = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, SZ).all_coeffs())]
         assert not algebra.certify_squarefree(algebra.common_denominator(f)[0])
         ours = qpoly_yun(f)
-        assert len(gcd_calls) == 1  # the exact gcd decided
-        assert ours == exact_yun(monkeypatch, f) == [([c / f[-1] for c in f], 1)]
+        assert ours == [([c / f[-1] for c in f], 1)]
         assert_yun_matches_sympy(ours, f)
 
 

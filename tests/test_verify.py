@@ -9,7 +9,7 @@ import pytest
 
 from polarnewton import algebra, curves, newton, puiseux, verify
 from polarnewton.algebra import A, B, MPoly, avar
-from polarnewton.curves import (PlaneSeries, PolarParams, _IntegerTerms, generic_member_g1,
+from polarnewton.curves import (PlaneSeries, _IntegerTerms, generic_member_g1,
                                generic_member_g2, lowest_polar_terms, polar, substitute)
 from polarnewton.genus1 import DegeneracyLocus, polar_model_g1
 from polarnewton.genus2 import polar_model_g2
@@ -64,7 +64,7 @@ class TestSampling:
         drawn, _ = _draw_assignment(fam, rng, 10)
         assignment = {**drawn, avar(17, 1): Fraction(0)}  # the drawn point is read-only
         series = substitute(fam.generic, assignment)
-        pol = polar(series, PolarParams.concrete(1, 1))
+        pol = polar(series, 1, 1)
         poly = newton_polygon(pol)
         assert (17, 0) not in pol.terms
         assert poly.vertices() != model.predicted_polygon().vertices()
@@ -224,7 +224,7 @@ class TestSquarefreeCertificateInTrials:
                 rng = random.Random(f"42:{trial}")
                 assignment, _ = sample_off_locus(fam, model, rng, 10)
                 (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
-                pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
+                pol = polar(substitute(fam.generic, assignment), a, b)
                 for v in is_nondegenerate(pol).sides:
                     assert (v.squarefree, v.path) == algebra.squarefree_info(v.associated)
                     sides += 1
@@ -253,13 +253,12 @@ class TestReadTimePolar:
             rng = random.Random(f"42:{trial}")
             assignment, _ = sample_off_locus(fam, model, rng, 10)
             (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
-            params = PolarParams.concrete(a, b)
-            pol = polar(substitute(fam.generic, assignment), params)
+            pol = polar(substitute(fam.generic, assignment), a, b)
             read.clear()
             verdicts = [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides]
             assert verdicts and all(ok for ok, _path in verdicts)
             assert read == []  # is_nondegenerate read numerators only
-            ref = substitute(polar(fam.generic, params), assignment)
+            ref = substitute(polar(fam.generic, a, b), assignment)
             assert pol == ref and ref == pol
             # each key's constant reads back as its numerator
             assert [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides] == verdicts
@@ -328,7 +327,7 @@ class TestLowestPolarTerms:
                     on_locus.append((cb, -ca))
             for k, (pa, pb) in enumerate(pencils + on_locus):
                 got = lowest_polar_terms(fam.generic, pa, pb, assignment)
-                want = polar(concrete, PolarParams.concrete(pa, pb))
+                want = polar(concrete, pa, pb)
                 assert set(got.terms) == _row_minima(want)
                 assert got.terms.den == want.terms.den
                 assert all(got.terms.nums[pt] == want.terms.nums[pt] for pt in got.terms)
@@ -415,7 +414,7 @@ class TestCrosscheckExits:
         rng = random.Random("42:0")
         assignment, _ = sample_off_locus(fam, model, rng, 10)
         (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
-        pol = polar(substitute(fam.generic, assignment), PolarParams.concrete(a, b))
+        pol = polar(substitute(fam.generic, assignment), a, b)
         assert verify._puiseux_crosscheck(pol, model.topology) is None
         assert verify._puiseux_crosscheck(pol, polar_model_g2(5, 12, 1).topology) == self.KEYS
 
@@ -558,9 +557,9 @@ class TestRunVerification:
         # and that of a concrete member
         polars, real = [], curves.polar
 
-        def counted(f, params=None):
+        def counted(f, a=None, b=None):
             polars.append(f)
-            return real(f, params)
+            return real(f, a, b)
 
         monkeypatch.setattr(curves, "polar", counted)
         monkeypatch.setattr(verify, "polar", counted)
