@@ -13,7 +13,9 @@ constant scales the coefficients without the monomial merge.  `IntegerPlan`
 compiles a sequence of polynomials once for the many points of a sampling
 run, each as one list of integer terms padded to a common degree, and
 evaluates all of them, or each when first read, over integers only, at a
-point kept over integers (`IntegerPoint`) without a `Fraction`.
+point kept over integers without a `Fraction`: an `IntegerPoint`, a
+read-only record of its variables, their scaled numerators and the one
+denominator.
 `discriminant` over `MPoly` and `integer_discriminant` over int take one
 division-free determinant of the same matrix.  There is no multivariate gcd:
 the locus listing only strips monomial factors and the rational content of a
@@ -493,25 +495,16 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-class IntegerPoint(Mapping):
-    """A rational point over integers: `variables[k]` takes `scaled[k] / m`,
-    m > 0.  `IntegerPlan` reads the integers, in any variable order that
-    holds the plan's variables; as a mapping the point gives each value as a
-    `Fraction`."""
+@dataclass(frozen=True, slots=True, eq=False)
+class IntegerPoint:
+    """A read-only rational point over integers: `variables[k]` takes
+    `scaled[k] / m`, m > 0.  `IntegerPlan` reads the integers, in any
+    variable order that holds the plan's variables; a point is compared and
+    hashed by identity, which a locus memo keys on."""
 
-    def __init__(self, variables: tuple[Var, ...], scaled: list[int], m: int):
-        self.variables, self.scaled, self.m = variables, scaled, m
-
-    def __getitem__(self, v: Var) -> Fraction:
-        if v not in self.variables:
-            raise KeyError(v)
-        return Fraction(self.scaled[self.variables.index(v)], self.m)
-
-    def __iter__(self):
-        return iter(self.variables)
-
-    def __len__(self) -> int:
-        return len(self.variables)
+    variables: tuple[Var, ...]
+    scaled: tuple[int, ...]
+    m: int
 
 
 class IntegerPlan:
@@ -561,7 +554,8 @@ class IntegerPlan:
             else:
                 scaled, m = common_denominator([point[v] for v in self.variables])
         except KeyError:
-            missing = [v.name for v in self.variables if v not in point]
+            have = point.variables if isinstance(point, IntegerPoint) else point
+            missing = [v.name for v in self.variables if v not in have]
             raise AlgebraError("missing values for: " + ", ".join(missing)) from None
         return scaled, [m**e for e in range(self.degree + 1)]
 

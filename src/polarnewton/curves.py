@@ -26,8 +26,10 @@ read it at the symbolic pencil point; at a rational pencil point `polar`
 forms a concrete series's polar, a drawn member's after `substitute`, over
 integers.  Both routes give the keys in one order, the x-derivative keys in
 the member's order and then the y-derivative keys that are new, because the
-Puiseux expansion adds floats in that order.  `lowest_polar_terms` forms
-only the least term in each row of a drawn member's polar, all a trial reads.
+Puiseux expansion adds floats in that order; a series caches that order,
+with the positions of each key's two source terms, as its `polar_layout`.
+`lowest_polar_terms` forms only the least term in each row of a drawn
+member's polar, all a trial reads.
 """
 
 from __future__ import annotations
@@ -106,24 +108,26 @@ class PlaneSeries:
         return IntegerPlan(self.terms.values())
 
     @cached_property
-    def polar_targets(self) -> tuple[tuple[tuple[int, Point, int], ...], ...]:
-        """Where the derivatives of the terms land, in term order: for each
-        term x^i y^j with i > 0, its position k among the terms, the key
-        (i-1, j) and the factor i; then the same for each term with j > 0,
-        the key (i, j-1) and the factor j."""
+    def polar_layout(self) -> dict[Point, tuple[int, int]]:
+        """The polar's keys in `polar`'s order, the x-derivative keys in term
+        order and then the new y-derivative keys: each key (i, j) to the
+        positions k and l of the terms x^(i+1) y^j and x^i y^(j+1), -1 where
+        absent."""
         keys = list(self.terms)
-        return (tuple((k, (i - 1, j), i) for k, (i, j) in enumerate(keys) if i),
-                tuple((k, (i, j - 1), j) for k, (i, j) in enumerate(keys) if j))
+        layout = {(i - 1, j): (k, -1) for k, (i, j) in enumerate(keys) if i}
+        for l, (i, j) in enumerate(keys):
+            if j:
+                k, _ = layout.get((i, j - 1), (-1, -1))
+                layout[(i, j - 1)] = (k, l)
+        return layout
 
     @cached_property
     def polar_rows(self) -> dict[int, list[tuple[int, int, int]]]:
-        """The polar's keys by row, rows ascending: row j lists (i, k, l) per
-        key (i, j) in increasing i, k and l the positions of the terms
-        x^(i+1) y^j and x^i y^(j+1), -1 where absent."""
-        pos = {pt: k for k, pt in enumerate(self.terms)}
+        """`polar_layout` by row, rows ascending: row j lists (i, k, l) per
+        key (i, j) in increasing i."""
         rows: dict[int, list[tuple[int, int, int]]] = {}
-        for j, i in sorted({(j, i - 1) for i, j in pos if i} | {(j - 1, i) for i, j in pos if j}):
-            rows.setdefault(j, []).append((i, pos.get((i + 1, j), -1), pos.get((i, j + 1), -1)))
+        for (i, j), (k, l) in sorted(self.polar_layout.items(), key=lambda item: item[0][::-1]):
+            rows.setdefault(j, []).append((i, k, l))
         return rows
 
     def render(self) -> str:
@@ -189,11 +193,11 @@ def polar(f: PlaneSeries, a: int | Fraction | None = None, b: int | Fraction | N
 
     The coefficient at (i-1, j) is a*i*c(i,j) + b*(j+1)*c(i-1,j+1); a zero sum
     is dropped.  Keys come in a fixed order: the x-derivative keys in the
-    member's order, then the y-derivative keys not already present.  At a
-    rational pencil point, for a concrete series, the integer route sends
-    each of its numerators, all nonzero, to its `polar_targets`, with no key
-    formed per call; the polar's terms are `_IntegerTerms`.  Otherwise each
-    key takes `polar_coefficient`.
+    member's order, then the y-derivative keys not already present: f's
+    `polar_layout`.  At a rational pencil point, for a concrete series, the
+    integer route reads each key's two source numerators at the layout's
+    positions, with no key formed per call; the polar's terms are
+    `_IntegerTerms`.  Otherwise each key takes `polar_coefficient`.
     """
     if a is None and b is None:
         a, b = MPoly.var(A), MPoly.var(B)
@@ -202,18 +206,12 @@ def polar(f: PlaneSeries, a: int | Fraction | None = None, b: int | Fraction | N
         if not (a or b):
             raise CurveError("(a, b) must not be (0, 0)")
         if f.is_concrete():
-            nums, den = list(f.terms.nums.values()), f.terms.den
+            nums = [*f.terms.nums.values(), 0]
             ax, by = a.numerator * b.denominator, b.numerator * a.denominator
-            x_targets, y_targets = f.polar_targets
-            # every x-derivative key is placed, zero or not, so a key keeps its
-            # position when a y-derivative term lands on it
-            out: dict[Point, int] = {pt: ax * i * nums[k] for k, pt, i in x_targets}
-            for k, pt, j in y_targets:
-                out[pt] = out.get(pt, 0) + by * j * nums[k]
-            common = a.denominator * b.denominator * den
-            return PlaneSeries(_IntegerTerms({pt: num for pt, num in out.items() if num}, common))
-    keys = dict.fromkeys([(i - 1, j) for i, j in f.terms if i] + [(i, j - 1) for i, j in f.terms if j])
-    return PlaneSeries({pt: polar_coefficient(f.coeff, *pt, a, b) for pt in keys})
+            out = {(i, j): num for (i, j), (k, l) in f.polar_layout.items()
+                   if (num := ax * (i + 1) * nums[k] + by * (j + 1) * nums[l])}
+            return PlaneSeries(_IntegerTerms(out, a.denominator * b.denominator * f.terms.den))
+    return PlaneSeries({pt: polar_coefficient(f.coeff, *pt, a, b) for pt in f.polar_layout})
 
 
 def lowest_polar_terms(f: PlaneSeries, a: Fraction, b: Fraction, assignment: IntegerPoint) -> PlaneSeries:

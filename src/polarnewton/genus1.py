@@ -110,8 +110,9 @@ class DegeneracyLocus:
         """The parts at the family point over one positive denominator, then a
         0 that index -1 reads; a verify draw's `IntegerPoint` is read through
         the plan's positions in the family order, fixed at the first read.
-        The parts at the last `IntegerPoint` read are kept, so the pencil
-        checks of an accepted draw reuse those of its locus test."""
+        The parts at the last `IntegerPoint` read are kept, keyed on the
+        point itself, which is read-only, so they stay its parts and the
+        pencil checks of an accepted draw reuse those of its locus test."""
         if isinstance(assignment, IntegerPoint) and self._last[0] is assignment:
             return self._last[1]
         values = self._split[0].at(assignment)[0]

@@ -89,15 +89,6 @@ class _Raw:  # x-orders are integers over the expansion's denominator L
     reached: int | None
 
 
-def _series_numerators(f: PlaneSeries) -> tuple[dict[tuple[int, int], int], int]:
-    """A concrete series's integer numerators over its one positive
-    denominator, its `curves._IntegerTerms` itself, with no copy, no
-    `Fraction` and no `MPoly`; the expansion only reads them."""
-    if not f.is_concrete():
-        raise PuiseuxError("expansion needs a concrete series over the rationals")
-    return f.terms.nums, f.terms.den
-
-
 def _compact_sides(p: dict):
     """Compact sides of the Newton polygon of the support, steepest first,
     each as (its support points from the high-j end down, nbar, mbar)."""
@@ -263,7 +254,9 @@ def puiseux_expand(f: PlaneSeries, depth: int | None = 0,
     """
     if f.is_zero():
         raise PuiseuxError("cannot expand the zero series")
-    p0, den = _series_numerators(f)
+    if not f.is_concrete():
+        raise PuiseuxError("expansion needs a concrete series over the rationals")
+    p0, den = f.terms.nums, f.terms.den  # read only, never copied
     if (0, 0) in p0:
         raise PuiseuxError("series does not vanish at the origin")
     xval = min(i for (i, _j) in p0)

@@ -111,7 +111,7 @@ def _draw_assignment(family: Family, rng: random.Random, bound: int) -> tuple[In
     texts; the class coefficient stays nonzero."""
     pairs = _rand_pairs(rng, bound, family.class_flags)
     m = math.lcm(*[den for _, den in pairs])
-    point = IntegerPoint(family.coeff_vars, [num * (m // den) for num, den in pairs], m)
+    point = IntegerPoint(family.coeff_vars, tuple([num * (m // den) for num, den in pairs]), m)
     return point, [_drawn(num, den)[1] for num, den in pairs]
 
 
@@ -216,7 +216,7 @@ def run_verification(cfg: SampleConfig) -> dict:
         vertices = report.polygon.vertices()
         polygon_match = vertices == predicted_vertices
         points_present = all(pt in lowest.terms for pt in predicted_points)
-        sides_sf = [bool(v.squarefree) and v.path == "concrete" for v in report.sides]
+        sides_sf = [v.squarefree for v in report.sides]
         topology_match = False
         if report.nondegenerate:
             if vertices not in topology_matches:

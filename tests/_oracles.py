@@ -6,7 +6,8 @@ for dominance, the determinant oracle is plain fraction Gaussian elimination,
 root counting goes through numpy, the tail polar's lowest exponents come from
 listing the tail monomials and from the paper's closed forms, as do the
 genus-one polar's, and derivatives, evaluations and the Puiseux residual
-read a polynomial's `.terms` (or a `UPoly`'s `.coeffs`) directly.
+read a polynomial's `.terms` (or a `UPoly`'s `.coeffs`) directly, as
+`point_values` reads a drawn point's integers.
 """
 
 from __future__ import annotations
@@ -210,6 +211,12 @@ def deriv(poly, v):
             rest = tuple((w, ee - 1 if w == v else ee) for w, ee in m if not (w == v and ee == 1))
             out[rest] = out.get(rest, 0) + c * e
     return type(poly)(out)
+
+
+def point_values(point):
+    """A drawn point's values as a map of `Fraction`s, read off its
+    `variables`, `scaled` and `m`."""
+    return {v: Fraction(s, point.m) for v, s in zip(point.variables, point.scaled)}
 
 
 def evaluate(poly, assignment):

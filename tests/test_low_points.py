@@ -4,7 +4,8 @@ The builders read the lowest point of the generic polar at each height off
 the least x-exponent in each row of the member (`row_starts_g1`,
 `row_starts_g2`, `polar_low_points`).  The generic member itself is the
 first oracle: its keys give the row starts, and the keys its terms'
-derivatives land on (`PlaneSeries.polar_targets`) give the polar's support.
+derivatives land on (the keys of `PlaneSeries.polar_layout`) give the
+polar's support.
 The paper's closed forms, kept in `_oracles`, are the second, over the
 model-digest boxes.
 """
@@ -42,9 +43,8 @@ def member_row_starts(series, top: int) -> list:
 def polar_support_minima(series, top: int) -> tuple:
     """The least x at each height below `top` among the keys that the terms'
     derivatives land on."""
-    x_targets, y_targets = series.polar_targets
     low = {}
-    for _k, (x, j), _factor in x_targets + y_targets:
+    for x, j in series.polar_layout:
         low[j] = min(x, low.get(j, x))
     return tuple((low[j], j) for j in range(top))
 

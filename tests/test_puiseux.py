@@ -409,7 +409,7 @@ class TestIntegerSideRoots:
                    parse_series("(y + (5/3)*x^2)*(7*y - 5*x)*(y^2 + x^5)")]
         out = []
         for f in series:
-            p, den = puiseux._series_numerators(f)
+            p, den = f.terms.nums, f.terms.den
             out.extend((p, pts, den) for pts, _nbar, _mbar in puiseux._compact_sides(p))
         return out
 
@@ -426,7 +426,8 @@ class TestIntegerSideRoots:
     def test_a_repeated_factor_keeps_its_multiplicity(self, monkeypatch):
         calls = []
         monkeypatch.setattr(puiseux, "qpoly_yun", lambda c: calls.append(c) or qpoly_yun(c))
-        p, den = puiseux._series_numerators(PlaneSeries.from_poly((y - x) ** 2 * (y + 2 * x)))
+        f = PlaneSeries.from_poly((y - x) ** 2 * (y + 2 * x))
+        p, den = f.terms.nums, f.terms.den
         (pts, _nbar, _mbar), = puiseux._compact_sides(p)
         got = puiseux._edge_roots(p, pts, den)
         assert len(calls) == 1
@@ -654,7 +655,7 @@ class TestTruncatedChains:
         sides = 0
         for f in polars.values():
             puiseux_expand(f, depth=None)
-            sides += len(puiseux._compact_sides(puiseux._series_numerators(f)[0]))
+            sides += len(puiseux._compact_sides(f.terms.nums))
         assert len(built) == sides == 35
 
     def test_hull_runs_only_on_unseparated_nodes(self, polars, monkeypatch):

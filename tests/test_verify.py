@@ -27,7 +27,7 @@ from polarnewton.verify import (
     sample_off_locus,
 )
 
-from _oracles import evaluate
+from _oracles import evaluate, point_values
 from test_model_digests import G1_BOX, G2_BOX
 
 
@@ -47,22 +47,41 @@ class TestSampling:
         rng = random.Random(0)
         assignment, _ = sample_off_locus(fam, model, rng, 10)
         assert not model.locus.vanishes_at(assignment)
+        values = point_values(assignment)
         prod = Fraction(1)
         for v in (avar(17, 1), avar(14, 2), avar(11, 3)):
-            prod *= assignment[v]
+            prod *= values[v]
         assert prod != 0
 
     def test_empty_locus_family_takes_first_draw(self):
         fam = generic_member_g1(2, 3)
         rng = random.Random(0)
         assignment, _ = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
-        assert set(assignment) == set(fam.coeff_vars)
+        assert set(point_values(assignment)) == set(fam.coeff_vars)
+
+    def test_a_drawn_point_is_read_only(self):
+        """The locus keeps the parts of the last point it read, keyed on the
+        point itself.  When a point's values could be changed in place, that
+        memo read stale parts on (7,19): a point of all ones, zeroed in place
+        after a pencil check, still got `nonzero_at(p, 1, 1) == True`, while
+        a fresh all-zero point got False and `vanishes_at` True.  A drawn
+        point's values now cannot change after it is made."""
+        fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
+        point, _ = _draw_assignment(fam, random.Random(0), 10)
+        assert model.locus.nonzero_at(point, Fraction(1), Fraction(1))
+        with pytest.raises(TypeError):
+            point.scaled[0] = 0
+        with pytest.raises(AttributeError):
+            point.scaled = (0,) * len(fam.coeff_vars)
+        zeros = algebra.IntegerPoint(fam.coeff_vars, (0,) * len(fam.coeff_vars), 1)
+        assert model.locus.vanishes_at(zeros) and not model.locus.nonzero_at(zeros, Fraction(1), Fraction(1))
+        assert model.locus.nonzero_at(point, Fraction(1), Fraction(1))
 
     def test_forced_on_locus_draw_breaks_the_polygon(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(4)
         drawn, _ = _draw_assignment(fam, rng, 10)
-        assignment = {**drawn, avar(17, 1): Fraction(0)}  # the drawn point is read-only
+        assignment = {**point_values(drawn), avar(17, 1): Fraction(0)}  # the drawn point is read-only
         series = substitute(fam.generic, assignment)
         pol = polar(series, 1, 1)
         poly = newton_polygon(pol)
@@ -139,7 +158,8 @@ class TestDrawStream:
         redraws = 0
         for seed in range(1000):
             old, new = random.Random(seed), random.Random(seed)
-            assignment, texts = _draw_assignment(fam, new, bound)
+            point, texts = _draw_assignment(fam, new, bound)
+            assignment = point_values(point)
             for v in fam.coeff_vars:
                 if v == fam.class_var:
                     ahead = random.Random()
@@ -162,7 +182,7 @@ class TestDrawStream:
             old, new = random.Random(seed), random.Random(seed)
             point, texts = _draw_assignment(fam, new, bound)
             want = [choice_fraction(old, bound, nonzero=v == fam.class_var) for v in fam.coeff_vars]
-            assert [point[v] for v in fam.coeff_vars] == want
+            assert [point_values(point)[v] for v in fam.coeff_vars] == want
             assert [Fraction(s, point.m) for s in point.scaled] == want
             assert texts == [str(value) for value in want]
             for nonzero in (False, True):
@@ -319,10 +339,10 @@ class TestLowestPolarTerms:
             pencils += [(Fraction((j + 1) * cy), Fraction(-(i + 1) * cx))
                         for j, i, cx, cy in self.first_candidates(fam.generic, concrete) if cx or cy]
             # (a : b) that zeroes a lowest term of the locus, linear in a and b
-            on_locus = []
+            on_locus, values = [], point_values(assignment)
             for term in model.locus.lowest:
                 parts = term.coefficients_in([A, B])
-                ca, cb = (evaluate(parts.get(e, MPoly.zero()), assignment) for e in ((1, 0), (0, 1)))
+                ca, cb = (evaluate(parts.get(e, MPoly.zero()), values) for e in ((1, 0), (0, 1)))
                 if ca or cb:
                     on_locus.append((cb, -ca))
             for k, (pa, pb) in enumerate(pencils + on_locus):
