@@ -31,9 +31,10 @@ Each value's digest text comes from one bounded memo on the integer pair, so
 a trial builds no `Fraction` of the family values and formats no value that
 an earlier draw already made.
 
-Importing the package loads neither numpy nor OpenSSL: numpy loads at the
-first Puiseux root, and `hashlib` (OpenSSL) at the first draw digest, which
-only `run_verification` takes.
+Importing the package loads neither numpy nor OpenSSL, and a run loads no
+OpenSSL either: numpy loads at the first Puiseux root, and the draw digest
+is CPython's built-in SHA-256 (`_sha2`, or `_sha256` before 3.12), as
+`random` takes its sha512; `hashlib` (OpenSSL) only on a build without it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .algebra import IntegerPoint, MPoly, UPoly, Z
 from .curves import (Family, PlaneSeries, generic_member_g1, generic_member_g2, lowest_polar_terms,
@@ -145,11 +154,12 @@ def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple
 
 def _assignment_digest(labels, texts, a_text, b_text) -> str:
     """Digest of the draw; `labels` are the "name=" prefixes of the family's
-    `coeff_vars`, in their (sorted) order, and `texts` the drawn values."""
+    `coeff_vars`, in their (sorted) order, and `texts` the drawn values.
+    `sha256` is the interpreter's built-in constructor, else `hashlib`'s;
+    both are SHA-256, so the digest does not depend on the route."""
     text = ";".join([label + value for label, value in zip(labels, texts)])
     text += f";a={a_text};b={b_text}"
-    import hashlib  # here, so that importing the package does not load OpenSSL
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def _puiseux_crosscheck(polar_series: PlaneSeries, predicted) -> dict | None:

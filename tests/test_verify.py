@@ -666,6 +666,16 @@ class TestPinnedReportBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORTS[key]
 
 
+@pytest.mark.parametrize("family", [(7, 19), (5, 12, 1)])
+def test_hashlib_fallback_writes_the_same_report(monkeypatch, family):
+    # the draw digest takes the interpreter's built-in SHA-256; hashlib's,
+    # the route of a build without it, must give the same bytes
+    cfg = SampleConfig(family=family, seed=42, trials=10)
+    built_in = report_to_json(run_verification(cfg))
+    monkeypatch.setattr(verify, "sha256", hashlib.sha256)
+    assert report_to_json(run_verification(cfg)) == built_in
+
+
 # the same digests under "<family>/<seed>/<trials>/range<coeff_range>": at
 # ranges 2 and 3 a drawn member often loses a row's first polar candidate
 PINNED_SMALL_RANGE = json.loads(
