@@ -495,12 +495,11 @@ def common_denominator(values: Iterable[int | Fraction]) -> tuple[list[int], int
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class IntegerPoint:
     """A read-only rational point over integers: `variables[k]` takes
     `scaled[k] / m`, m > 0.  `IntegerPlan` reads the integers, in any
-    variable order that holds the plan's variables; a point is compared and
-    hashed by identity, which a locus memo keys on."""
+    variable order that holds the plan's variables."""
 
     variables: tuple[Var, ...]
     scaled: tuple[int, ...]

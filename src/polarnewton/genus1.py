@@ -9,8 +9,9 @@ builds that polygon, the associated polynomial of each side, the
 coefficient locus outside which the prediction holds with every side
 squarefree, and the resulting branch topology.  The locus is one
 `DegeneracyLocus`, kept as data, the lowest terms and the deflated side
-polynomials: a point is tested by exact integer evaluation, and the side
-discriminants are expanded only when the locus is listed.  The model and
+polynomials: a family point is evaluated once, over integers, into the test
+of a pencil point there (`pencil_test`), and a side discriminant is expanded
+only when the listing cannot drop it unexpanded.  The model and
 its builder serve genus two as well (see genus2), which supplies its own
 row starts and coefficients.
 
@@ -22,10 +23,10 @@ enter the side polynomials with coefficient zero and impose no condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 
-from .algebra import (A, B, IntegerPlan, IntegerPoint, MPoly, UPoly, Var, X, Y, deflate, discriminant,
+from .algebra import (A, B, IntegerPlan, MPoly, UPoly, Var, X, Y, deflate, discriminant,
                       nonzero_discriminant, strip_content)
 from .curves import PlaneSeries, check_family, coefficient_g1, polar_coefficient, polar_low_points, row_starts_g1
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, is_nondegenerate,
@@ -51,17 +52,17 @@ class DegeneracyLocus:
     be avoided, kept as data: the lowest term at each side height and the
     deflated polynomial G of each side of degree >= 1.  The conditions are
     the lowest terms and the discriminants disc G; every lowest term and
-    every coefficient of G is linear in the pencil point (a, b), so both
-    tests below evaluate the family point once, exactly, over integers, and
-    expand no discriminant.  The listing (`groups`) expands them by
-    `build_locus` when first read; `nonvanishing` names the variables that
-    are nonzero on the whole class.
+    every coefficient of G is linear in the pencil point (a, b), so
+    `pencil_test` evaluates the family point once, exactly, over integers,
+    and expands no discriminant.  The listing (`groups`) expands, by
+    `build_locus` when first read, the conditions it cannot drop
+    unexpanded; `nonvanishing` names the variables that are nonzero on the
+    whole class.
     """
 
     lowest: tuple[MPoly, ...]
     sides: tuple[UPoly, ...]
     nonvanishing: frozenset[Var] = frozenset()
-    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     @cached_property
     def raw(self) -> tuple[MPoly, ...]:
@@ -72,8 +73,14 @@ class DegeneracyLocus:
     def groups(self) -> tuple[tuple[MPoly, ...], ...]:
         """The listing: each group is a simultaneous-vanishing condition, and
         the member it encodes fails only where every polynomial of the group
-        is zero."""
-        return build_locus(self.raw, self.nonvanishing)
+        is zero.  A side whose disc G is a nonzero binary form at the family
+        point 0 is left out unexpanded: weight x, y, a, b by p, q, p, q and
+        each family variable so that its term is isobaric, and every
+        (a, b)-coefficient of disc G is weighted-homogeneous, so one with a
+        nonzero constant term is a constant, which `build_locus` drops."""
+        zero = dict.fromkeys(self._split[0].variables, 0)
+        kept = [G for G in self.sides if DegeneracyLocus((), (G,)).pencil_test(zero) is None]
+        return build_locus(self.lowest + tuple(discriminant(G) for G in kept), self.nonvanishing)
 
     @property
     def generators(self) -> tuple[MPoly, ...]:
@@ -106,54 +113,44 @@ class DegeneracyLocus:
         sides = tuple(tuple(indices(c) for c in G.coeffs) for G in self.sides if G.deg >= 2)
         return IntegerPlan(parts), lowest, sides
 
-    def _values(self, assignment) -> list[int]:
-        """The parts at the family point over one positive denominator, then a
-        0 that index -1 reads; a verify draw's `IntegerPoint` is read through
-        the plan's positions in the family order, fixed at the first read.
-        The parts at the last `IntegerPoint` read are kept, keyed on the
-        point itself, which is read-only, so they stay its parts and the
-        pencil checks of an accepted draw reuse those of its locus test."""
-        if isinstance(assignment, IntegerPoint) and self._last[0] is assignment:
-            return self._last[1]
-        values = self._split[0].at(assignment)[0]
-        values.append(0)
-        self._last[:] = assignment, values
-        return values
+    def pencil_test(self, assignment):
+        """The parts at the family point, evaluated once, as `test(x, y)`:
+        True when every lowest term and every disc G is nonzero at the
+        integer pencil (x : y).  The conditions' product is a binary form of
+        degree D, the number of lowest terms plus 2 deg G - 2 per side of
+        degree >= 2, so when `test` fails at the D + 1 ratios (r : 1),
+        r = 0, ..., D, some condition vanishes at every pencil and the result
+        is None.  The conditions are read as given, so a `nonvanishing`
+        variable at 0 may make one vanish, and a missing value raises the
+        `AlgebraError` of `IntegerPlan.at`."""
+        plan, lowest, sides = self._split
+        v = plan.at(assignment)[0]
+        v.append(0)
+
+        def test(x: int, y: int) -> bool:
+            for i, j in lowest:
+                if not v[i] * x + v[j] * y:
+                    return False
+            for side in sides:
+                if not nonzero_discriminant([v[i] * x + v[j] * y for i, j in side]):
+                    return False
+            return True
+
+        for r in range(len(lowest) + sum(2 * len(side) - 4 for side in sides) + 1):
+            if test(r, 1):
+                return test
+        return None
 
     def vanishes_at(self, assignment) -> bool:
         """True when some condition vanishes at the family point for every
-        pencil point: a lowest term with both parts 0, or a side whose disc G,
-        a binary form of degree 2d - 2 in (a, b), is 0 at the 2d - 1 ratios
-        (r : 1), r = 0, ..., 2d - 2.  The conditions are read as given, so a
-        `nonvanishing` variable at 0 may make one vanish, and a missing value
-        raises the `AlgebraError` of `IntegerPlan.at`."""
-        _plan, lowest, sides = self._split
-        v = self._values(assignment)
-        for i, j in lowest:
-            if not (v[i] or v[j]):
-                return True
-        for side in sides:
-            pa, pb = [v[i] for i, _ in side], [v[j] for _, j in side]
-            for r in range(2 * len(side) - 3):
-                if nonzero_discriminant([r * x + y for x, y in zip(pa, pb)]):
-                    break
-            else:
-                return True
-        return False
+        pencil point."""
+        return self.pencil_test(assignment) is None
 
     def nonzero_at(self, assignment, a, b) -> bool:
         """True when no condition vanishes at the family point and the
         pencil point (a, b), rationals scaled here to one denominator."""
-        _plan, lowest, sides = self._split
-        v = self._values(assignment)
-        x, y = a.numerator * b.denominator, b.numerator * a.denominator
-        for i, j in lowest:
-            if not v[i] * x + v[j] * y:
-                return False
-        for side in sides:
-            if not nonzero_discriminant([v[i] * x + v[j] * y for i, j in side]):
-                return False
-        return True
+        test = self.pencil_test(assignment)
+        return test is not None and test(a.numerator * b.denominator, b.numerator * a.denominator)
 
 
 def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...]:

@@ -25,8 +25,8 @@ the report header, so identical configurations reproduce byte-identical
 reports.  A drawn value is num/den, read from the generator's bits as
 `rng.choice` over a range (and `randint` over the same bounds) reads them.
 A draw is kept over integers once, as an `algebra.IntegerPoint`, which the
-lowest terms, the locus test and the pencil check read as it is; its locus
-parts are evaluated once, and the accepted draw's pencil checks reuse them.
+lowest terms and the locus read as it is; its locus parts are evaluated once,
+into the draw's pencil test, which the caller holds for its pencil checks.
 Each value's digest text comes from one bounded memo on the integer pair, so
 a trial builds no `Fraction` of the family values and formats no value that
 an earlier draw already made.
@@ -127,27 +127,27 @@ def _draw_assignment(family: Family, rng: random.Random, bound: int) -> tuple[In
     return point, [_drawn(num, den)[1] for num, den in pairs]
 
 
-def sample_off_locus(family: Family, model, rng: random.Random,
-                     bound: int) -> tuple[IntegerPoint, list[str]]:
-    """Draw family coefficients and their texts, rejecting while any locus
-    condition vanishes."""
+def sample_off_locus(family: Family, model, rng: random.Random, bound: int) -> tuple:
+    """Draw family coefficients, their texts and the locus's pencil test
+    there, rejecting while any locus condition vanishes."""
     if not family.coeff_vars:
         raise VerifyError(f"family {family.key}: no coefficients to draw")
     for _ in range(REJECT_LIMIT):
         assignment, texts = _draw_assignment(family, rng, bound)
-        if not model.locus.vanishes_at(assignment):
-            return assignment, texts
+        test = model.locus.pencil_test(assignment)
+        if test is not None:
+            return assignment, texts, test
     raise VerifyError(f"family {family.key}: locus rejection exhausted {REJECT_LIMIT} draws; "
                       "the locus appears to cover the sample space")
 
 
-def _draw_general_pencil(family: Family, model, rng, bound, assignment) -> tuple[tuple[Fraction, str], ...]:
-    """Random (a, b), each with its text, avoiding the zero set of every raw
-    condition; (0, 0) lies on every lowest term, so `nonzero_at` rejects it."""
+def _draw_general_pencil(family: Family, test, rng, bound) -> tuple[tuple[Fraction, str], ...]:
+    """Random (a, b), each with its text, that the draw's pencil `test`
+    passes; (0, 0) lies on every lowest term, so the test rejects it."""
     for _ in range(REJECT_LIMIT):
-        a, b = [_drawn(*pair) for pair in _rand_pairs(rng, bound, (False, False))]
-        if model.locus.nonzero_at(assignment, a[0], b[0]):
-            return a, b
+        (a, ad), (b, bd) = pairs = _rand_pairs(rng, bound, (False, False))
+        if test(a * bd, b * ad):
+            return tuple(_drawn(*pair) for pair in pairs)
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")
 
@@ -223,8 +223,8 @@ def run_verification(cfg: SampleConfig) -> dict:
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        assignment, texts = sample_off_locus(family, model, rng, cfg.coeff_range)
-        (a, a_text), (b, b_text) = _draw_general_pencil(family, model, rng, cfg.coeff_range, assignment)
+        assignment, texts, test = sample_off_locus(family, model, rng, cfg.coeff_range)
+        (a, a_text), (b, b_text) = _draw_general_pencil(family, test, rng, cfg.coeff_range)
         lowest = lowest_polar_terms(family.generic, a, b, assignment)
         report = is_nondegenerate(lowest)
         vertices = report.polygon.vertices()

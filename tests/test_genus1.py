@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -459,6 +460,78 @@ class TestLocusByEvaluation:
         assert 2 * b * MPoly.var(fam.class_var) in model.locus.lowest
         assert model.locus.vanishes_at(point)
         assert not model.locus.groups
+
+
+def _vanishes_identically(condition: MPoly, point) -> bool:
+    """The oracle of one condition: zero at the 2k + 1 pencils (r : 1),
+    r = 0, ..., 2k, k its degree in (a, b), by `Fraction` evaluation."""
+    k = max(sum(e) for e in condition.coefficients_in([A, B]))
+    return all(evaluate(condition, {**point, A: r, B: 1}) == 0 for r in range(2 * k + 1))
+
+
+class TestPencilTest:
+    """`pencil_test` is None exactly when some condition, lowest term or
+    disc G, vanishes for every pencil point; the product of the conditions
+    is a binary form of degree D, so the test reads D + 1 ratios."""
+
+    @pytest.mark.parametrize("family", [(4, 7), (5, 9), (7, 10), (3, 5, 1), (3, 8, 1), (4, 7, 1)])
+    def test_is_none_where_a_condition_vanishes_on_a_grid(self, family):
+        # every variable of the conditions over {-1, 0, 1}, the class
+        # variable included
+        locus = (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).locus
+        forms = locus.lowest + tuple(c for G in locus.sides for c in G.coeffs)
+        vs = sorted({v for c in forms for v in c.variables()} - {A, B})
+        seen = set()
+        for values in itertools.product((-1, 0, 1), repeat=len(vs)):
+            point = dict(zip(vs, values))
+            want = any(_vanishes_identically(c, point) for c in locus.raw)
+            assert (locus.pencil_test(point) is None) is want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_a_side_alone_can_vanish(self):
+        # G = (a + b)(1 + z)^2 has disc G = 0 for every pencil; the lowest
+        # term a does not vanish identically
+        G = UPoly([a + b, 2 * a + 2 * b, a + b])
+        locus = DegeneracyLocus(lowest=(a,), sides=(G,))
+        assert genus1.discriminant(G).is_zero() and not _vanishes_identically(a, {})
+        assert locus.pencil_test({}) is None and locus.vanishes_at({})
+        assert DegeneracyLocus(lowest=(a,), sides=(UPoly([a, MPoly.zero(), b - a]),)).pencil_test({})
+
+    def test_a_lowest_term_alone_can_vanish(self):
+        # u*a + w*b vanishes for every pencil where u = w = 0; the side
+        # G = a + (b - a) z^2 has disc G = 4a(a - b), a nonzero form
+        u, w = MPoly.var(avar(2, 1)), MPoly.var(avar(3, 1))
+        locus = DegeneracyLocus(lowest=(u * a + w * b,), sides=(UPoly([a, MPoly.zero(), b - a]),))
+        zeros = {avar(2, 1): 0, avar(3, 1): 0}
+        assert locus.pencil_test(zeros) is None
+        test = locus.pencil_test({avar(2, 1): 0, avar(3, 1): 1})
+        assert test is not None and not test(0, 1) and not test(1, 1) and test(2, 1)
+
+    def test_the_last_of_the_d_plus_1_ratios_is_read(self):
+        # one lowest term u*a with a zero b-part: D = 1, and the form is 0 at
+        # (0 : 1), so only the ratio (1 : 1) shows it is not identically 0
+        locus = DegeneracyLocus(lowest=(MPoly.var(avar(2, 1)) * a,), sides=())
+        test = locus.pencil_test({avar(2, 1): Fraction(1, 2)})
+        assert test is not None and not test(0, 1) and test(1, 1) and test(-3, 2)
+        assert locus.pencil_test({avar(2, 1): 0}) is None
+
+    @pytest.mark.parametrize("family,calls", [((8, 15), 0), ((7, 13, 1), 0), ((7, 20), 1), ((5, 12, 1), 1)])
+    def test_the_listing_expands_only_what_it_keeps(self, family, calls, monkeypatch):
+        # a side whose disc G is a nonzero form at the family point 0 leaves
+        # the listing unexpanded: the q = -1 (mod p) sides of (8,15) and
+        # (7,13,1) do, the wide side of (7,20) and the side of (5,12,1) stay
+        expanded = []
+        real = genus1.discriminant
+        monkeypatch.setattr(genus1, "discriminant", lambda G: expanded.append(G) or real(G))
+        build = polar_model_g1 if len(family) == 2 else polar_model_g2
+        assert build.__wrapped__(*family).locus.groups and len(expanded) == calls
+
+    @pytest.mark.parametrize("family", [(4, 7), (5, 9), (7, 10), (7, 12), (7, 20), (6, 17), (3, 5, 1),
+                                        (3, 8, 1), (4, 7, 1), (4, 11, 1), (5, 12, 1)])
+    def test_the_listing_is_that_of_every_condition(self, family):
+        locus = (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).locus
+        assert locus.groups == build_locus(locus.raw, locus.nonvanishing)
 
 
 class TestPredictedTopology:

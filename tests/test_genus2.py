@@ -181,7 +181,7 @@ class TestLocus:
         fam = generic_member_g2(2, q, 1)
         for seed in range(5):
             drawn, drawn_texts = _draw_assignment(fam, random.Random(seed), 10)
-            kept, kept_texts = sample_off_locus(fam, model, random.Random(seed), 10)
+            kept, kept_texts, _ = sample_off_locus(fam, model, random.Random(seed), 10)
             assert (point_values(kept), kept_texts) == (point_values(drawn), drawn_texts)
 
     @pytest.mark.parametrize("p,q,d", [(2, 5, 1), (3, 5, 1), (3, 7, 1), (4, 7, 1), (5, 12, 1)])

@@ -49,8 +49,8 @@ def crosscheck_polar(family, trial, seed=42, coeff_range=10):
     else:
         fam, model = generic_member_g2(*family), polar_model_g2(*family)
     rng = random.Random(f"{seed}:{trial}")
-    assignment, _ = sample_off_locus(fam, model, rng, coeff_range)
-    (a, _), (b, _) = _draw_general_pencil(fam, model, rng, coeff_range, assignment)
+    assignment, _, test = sample_off_locus(fam, model, rng, coeff_range)
+    (a, _), (b, _) = _draw_general_pencil(fam, test, rng, coeff_range)
     return polar(substitute(fam.generic, assignment), a, b)
 
 

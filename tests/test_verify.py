@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -45,8 +46,8 @@ class TestSampling:
     def test_off_locus_sample_avoids_every_generator(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(0)
-        assignment, _ = sample_off_locus(fam, model, rng, 10)
-        assert not model.locus.vanishes_at(assignment)
+        assignment, _, test = sample_off_locus(fam, model, rng, 10)
+        assert not model.locus.vanishes_at(assignment) and test is not None
         values = point_values(assignment)
         prod = Fraction(1)
         for v in (avar(17, 1), avar(14, 2), avar(11, 3)):
@@ -56,16 +57,14 @@ class TestSampling:
     def test_empty_locus_family_takes_first_draw(self):
         fam = generic_member_g1(2, 3)
         rng = random.Random(0)
-        assignment, _ = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
+        assignment, _, _ = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
         assert set(point_values(assignment)) == set(fam.coeff_vars)
 
     def test_a_drawn_point_is_read_only(self):
-        """The locus keeps the parts of the last point it read, keyed on the
-        point itself.  When a point's values could be changed in place, that
-        memo read stale parts on (7,19): a point of all ones, zeroed in place
-        after a pencil check, still got `nonzero_at(p, 1, 1) == True`, while
-        a fresh all-zero point got False and `vanishes_at` True.  A drawn
-        point's values now cannot change after it is made."""
+        """A drawn point's values cannot change after it is made, and each
+        locus test reads the point it is given: on (7,19) an all-zero point
+        fails the pencil (1 : 1) and lies on the locus, and the draw, read
+        again, passes it."""
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         point, _ = _draw_assignment(fam, random.Random(0), 10)
         assert model.locus.nonzero_at(point, Fraction(1), Fraction(1))
@@ -91,14 +90,13 @@ class TestSampling:
 
 class TestErrorsNameFamilyAndStage:
     def test_locus_rejection(self, monkeypatch):
-        monkeypatch.setattr(DegeneracyLocus, "vanishes_at", lambda self, assignment: True)
+        monkeypatch.setattr(DegeneracyLocus, "pencil_test", lambda self, assignment: None)
         with pytest.raises(VerifyError, match=r"family \(7, 19\): locus rejection"):
             run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
 
     def test_pencil_draw(self):
-        model = SimpleNamespace(locus=DegeneracyLocus(lowest=(MPoly.zero(),), sides=()))
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
-            _draw_general_pencil(generic_member_g1(7, 19), model, random.Random(0), 10, {})
+            _draw_general_pencil(generic_member_g1(7, 19), lambda x, y: False, random.Random(0), 10)
 
     def test_puiseux_crosscheck(self, monkeypatch):
         # an expander failure names the family and the trial; it is not a mismatch
@@ -242,8 +240,8 @@ class TestSquarefreeCertificateInTrials:
             model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
             for trial in range(50):
                 rng = random.Random(f"42:{trial}")
-                assignment, _ = sample_off_locus(fam, model, rng, 10)
-                (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
+                assignment, _, test = sample_off_locus(fam, model, rng, 10)
+                (a, _), (b, _) = _draw_general_pencil(fam, test, rng, 10)
                 pol = polar(substitute(fam.generic, assignment), a, b)
                 for v in is_nondegenerate(pol).sides:
                     assert (v.squarefree, v.path) == algebra.squarefree_info(v.associated)
@@ -271,8 +269,8 @@ class TestReadTimePolar:
         model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
         for trial in range(5):
             rng = random.Random(f"42:{trial}")
-            assignment, _ = sample_off_locus(fam, model, rng, 10)
-            (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
+            assignment, _, test = sample_off_locus(fam, model, rng, 10)
+            (a, _), (b, _) = _draw_general_pencil(fam, test, rng, 10)
             pol = polar(substitute(fam.generic, assignment), a, b)
             read.clear()
             verdicts = [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides]
@@ -432,8 +430,8 @@ class TestCrosscheckExits:
         # the polar of trial 0 at seed 42, drawn as run_verification draws it
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random("42:0")
-        assignment, _ = sample_off_locus(fam, model, rng, 10)
-        (a, _), (b, _) = _draw_general_pencil(fam, model, rng, 10, assignment)
+        assignment, _, test = sample_off_locus(fam, model, rng, 10)
+        (a, _), (b, _) = _draw_general_pencil(fam, test, rng, 10)
         pol = polar(substitute(fam.generic, assignment), a, b)
         assert verify._puiseux_crosscheck(pol, model.topology) is None
         assert verify._puiseux_crosscheck(pol, polar_model_g2(5, 12, 1).topology) == self.KEYS
@@ -605,28 +603,29 @@ class TestRunVerification:
 
     def test_the_locus_is_evaluated_once_per_draw(self, monkeypatch):
         # every family draw, rejected or accepted, evaluates the locus parts
-        # once; the pencil checks, rejected ones included, reuse the parts of
-        # the accepted draw.  Every other draw and pencil is rejected on top
-        # of the locus's own verdict.
+        # once, into its pencil test; the pencil checks, rejected ones
+        # included, call the accepted draw's test and evaluate nothing.
+        # Every other draw and pencil is rejected on top of the locus's own
+        # verdict.
         plan = polar_model_g2(5, 12, 1).locus._split[0]
         counts = {"at": 0, "draws": 0, "pencils": 0}
-        at, vanishes_at, nonzero_at = algebra.IntegerPlan.at, DegeneracyLocus.vanishes_at, DegeneracyLocus.nonzero_at
+        at, pencil_test = algebra.IntegerPlan.at, DegeneracyLocus.pencil_test
 
         def counting_at(self, assignment):
             counts["at"] += self is plan
             return at(self, assignment)
 
+        def rejecting_pencils(test, x, y):
+            counts["pencils"] += 1
+            return test(x, y) and counts["pencils"] % 2 == 0
+
         def rejecting_draws(self, assignment):
             counts["draws"] += 1
-            return vanishes_at(self, assignment) or counts["draws"] % 2 == 1
-
-        def rejecting_pencils(self, assignment, a, b):
-            counts["pencils"] += 1
-            return nonzero_at(self, assignment, a, b) and counts["pencils"] % 2 == 0
+            test = pencil_test(self, assignment)
+            return None if test is None or counts["draws"] % 2 == 1 else partial(rejecting_pencils, test)
 
         monkeypatch.setattr(algebra.IntegerPlan, "at", counting_at)
-        monkeypatch.setattr(DegeneracyLocus, "vanishes_at", rejecting_draws)
-        monkeypatch.setattr(DegeneracyLocus, "nonzero_at", rejecting_pencils)
+        monkeypatch.setattr(DegeneracyLocus, "pencil_test", rejecting_draws)
         run_verification(SampleConfig(family=(5, 12, 1), seed=42, trials=4))
         assert counts["draws"] >= 8 and counts["pencils"] >= 8
         assert counts["at"] == counts["draws"]
