@@ -141,17 +141,6 @@ class DegeneracyLocus:
                 return test
         return None
 
-    def vanishes_at(self, assignment) -> bool:
-        """True when some condition vanishes at the family point for every
-        pencil point."""
-        return self.pencil_test(assignment) is None
-
-    def nonzero_at(self, assignment, a, b) -> bool:
-        """True when no condition vanishes at the family point and the
-        pencil point (a, b), rationals scaled here to one denominator."""
-        test = self.pencil_test(assignment)
-        return test is not None and test(a.numerator * b.denominator, b.numerator * a.denominator)
-
 
 def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...]:
     """Normalize raw vanishing conditions into the groups of a locus listing.

@@ -1,6 +1,8 @@
-"""Newton polygons, the one associated-polynomial rule `associated_from`, the
-nondegeneracy test, and the decomposition of a nondegenerate germ into branch
-classes with their pairwise intersection numbers.
+"""Newton polygons, the associated polynomial `associated_from` (the
+coefficient at (i, j) times z^(j - lowest j), a rule that the nondegeneracy
+test's integer route and `puiseux._edge_roots` spell again over numerators),
+the nondegeneracy test, and the decomposition of a nondegenerate germ into
+branch classes with their pairwise intersection numbers.
 
 Conventions: the polygon is the lower-left hull of the exponent support plus
 the positive quadrant; `sides` keeps the compact faces ordered from steepest

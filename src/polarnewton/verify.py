@@ -26,7 +26,8 @@ reports.  A drawn value is num/den, read from the generator's bits as
 `rng.choice` over a range (and `randint` over the same bounds) reads them.
 A draw is kept over integers once, as an `algebra.IntegerPoint`, which the
 lowest terms and the locus read as it is; its locus parts are evaluated once,
-into the draw's pencil test, which the caller holds for its pencil checks.
+into the point's pencil test, and `sample_off_locus` draws the point and its
+pencil, so a trial's draw lives in one function.
 Each value's digest text comes from one bounded memo on the integer pair, so
 a trial builds no `Fraction` of the family values and formats no value that
 an earlier draw already made.
@@ -128,26 +129,24 @@ def _draw_assignment(family: Family, rng: random.Random, bound: int) -> tuple[In
 
 
 def sample_off_locus(family: Family, model, rng: random.Random, bound: int) -> tuple:
-    """Draw family coefficients, their texts and the locus's pencil test
-    there, rejecting while any locus condition vanishes."""
+    """One trial's draw: family coefficients and their texts, redrawn while
+    any locus condition vanishes at every pencil, then random (a, b), each
+    with its text, that the point's pencil test passes; (0, 0) lies on every
+    lowest term, so the test rejects it."""
     if not family.coeff_vars:
         raise VerifyError(f"family {family.key}: no coefficients to draw")
     for _ in range(REJECT_LIMIT):
         assignment, texts = _draw_assignment(family, rng, bound)
         test = model.locus.pencil_test(assignment)
         if test is not None:
-            return assignment, texts, test
-    raise VerifyError(f"family {family.key}: locus rejection exhausted {REJECT_LIMIT} draws; "
-                      "the locus appears to cover the sample space")
-
-
-def _draw_general_pencil(family: Family, test, rng, bound) -> tuple[tuple[Fraction, str], ...]:
-    """Random (a, b), each with its text, that the draw's pencil `test`
-    passes; (0, 0) lies on every lowest term, so the test rejects it."""
+            break
+    else:
+        raise VerifyError(f"family {family.key}: locus rejection exhausted {REJECT_LIMIT} draws; "
+                          "the locus appears to cover the sample space")
     for _ in range(REJECT_LIMIT):
-        (a, ad), (b, bd) = pairs = _rand_pairs(rng, bound, (False, False))
+        (a, ad), (b, bd) = _rand_pairs(rng, bound, (False, False))
         if test(a * bd, b * ad):
-            return tuple(_drawn(*pair) for pair in pairs)
+            return assignment, texts, _drawn(a, ad), _drawn(b, bd)
     raise VerifyError(f"family {family.key}: pencil draw found no point in general position "
                       f"in {REJECT_LIMIT} draws")
 
@@ -223,8 +222,7 @@ def run_verification(cfg: SampleConfig) -> dict:
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
-        assignment, texts, test = sample_off_locus(family, model, rng, cfg.coeff_range)
-        (a, a_text), (b, b_text) = _draw_general_pencil(family, test, rng, cfg.coeff_range)
+        assignment, texts, (a, a_text), (b, b_text) = sample_off_locus(family, model, rng, cfg.coeff_range)
         lowest = lowest_polar_terms(family.generic, a, b, assignment)
         report = is_nondegenerate(lowest)
         vertices = report.polygon.vertices()

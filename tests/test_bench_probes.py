@@ -11,9 +11,10 @@ BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 # Call sites removed from the source: the first six before this check existed
 # (the FOUND line of CHANGES.md about bench/tracing.py PROBES names them), the
-# next two with the multivariate gcd and the nested genus-one build, the last
-# when the genus-one model took its low points from the member's row starts
-# instead of the continued fraction.  A name joins only in the change that
+# next two with the multivariate gcd and the nested genus-one build, the
+# ninth when the genus-one model took its low points from the member's row
+# starts instead of the continued fraction, the last when the locus kept
+# `pencil_test` as its one point query.  A name joins only in the change that
 # deletes the call it wrapped, and CHANGES.md names it there, and leaves when
 # the call comes back: `verify.substitute`, gone while the degenerate-power
 # check took its polar from the generic member, is the crosscheck's again.
@@ -27,6 +28,7 @@ KNOWN_MISSING = {
     "genus1.squarefree_split",
     "genus2.polar_model_g1",
     "genus1.continued_fraction",
+    "genus1.DegeneracyLocus.vanishes_at",
 }
 
 

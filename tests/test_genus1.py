@@ -303,9 +303,9 @@ class TestLocus:
         locus = polar_model_g1(7, 19).locus
         fam = generic_member_g1(7, 19)
         zeros = {v: Fraction(0) for v in fam.coeff_vars}
-        assert locus.vanishes_at(zeros)
+        assert locus.pencil_test(zeros) is None
         ones = {v: Fraction(1) for v in fam.coeff_vars}
-        assert not locus.vanishes_at(ones)
+        assert locus.pencil_test(ones) is not None
 
 
 def vanishes_by_generator(groups, point) -> bool:
@@ -323,7 +323,7 @@ class TestLocusPlan:
             point = {v: Fraction(0 if rng.random() < 0.2 and v != fam.class_var else rng.choice([-3, -2, -1, 1, 2, 3]),
                                  rng.randint(1, 3)) for v in fam.coeff_vars}
             want = vanishes_by_generator(locus.groups, point)
-            assert locus.vanishes_at(point) is want
+            assert (locus.pencil_test(point) is None) is want
             seen.add(want)
         assert seen == {True, False}
 
@@ -337,11 +337,11 @@ class TestLocusPlan:
             partial = {w: c for w, c in point.items() if w != v}
             if v.name in read:
                 with pytest.raises(AlgebraError, match=f"^{re.escape(f'missing values for: {v.name}')}$"):
-                    locus.vanishes_at(partial)
+                    locus.pencil_test(partial)
             else:
-                assert not locus.vanishes_at(partial)
+                assert locus.pencil_test(partial) is not None
         with pytest.raises(AlgebraError, match=f"^{re.escape('missing values for: ' + ', '.join(sorted(read)))}$"):
-            locus.vanishes_at({})
+            locus.pencil_test({})
 
 
 LADDER = [(7, 19), (11, 29), (15, 41), (14, 37), (17, 45), (5, 12, 1), (8, 21, 1), (11, 30, 1), (11, 29, 1)]
@@ -397,7 +397,7 @@ def _on_repeated_root(side: UPoly, rng, point, keep=None) -> tuple[dict, bool]:
 
 
 class TestLocusByEvaluation:
-    """`vanishes_at` and the pencil check read each model's lowest terms and
+    """`pencil_test` and its closure read each model's lowest terms and
     deflated sides by integer evaluation; the expanded locus and raw
     conditions are the definition they must agree with."""
 
@@ -429,7 +429,8 @@ class TestLocusByEvaluation:
                 assert point[fam.class_var] != 0
             want = vanishes_by_generator(model.locus.groups, point)
             assert want or not built_on_locus
-            assert model.locus.vanishes_at(point) is want
+            test = model.locus.pencil_test(point)
+            assert (test is None) is want
             seen.add(want)
             for _ in range(3):
                 ab = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -437,7 +438,8 @@ class TestLocusByEvaluation:
                     continue
                 full = {**point, A: ab[0], B: ab[1]}
                 pencil = all(evaluate(c, full) != 0 for c in model.locus.raw)
-                assert model.locus.nonzero_at(point, *ab) is pencil
+                x, y = ab[0].numerator * ab[1].denominator, ab[1].numerator * ab[0].denominator
+                assert (test is not None and test(x, y)) is pencil
                 pencil_seen.add(pencil)
         assert seen == {True, False}
         assert pencil_seen == {True, False}
@@ -447,9 +449,10 @@ class TestLocusByEvaluation:
         # (1 : 1), not at (2 : 1), so stopping at 2*deg G - 2 ratios would
         # call it degenerate
         c = DegeneracyLocus(lowest=(), sides=(UPoly([a, MPoly.zero(), b - a]),))
-        assert not c.vanishes_at({})
-        assert not c.nonzero_at({}, Fraction(1), Fraction(1))
-        assert c.nonzero_at({}, Fraction(2), Fraction(1))
+        test = c.pencil_test({})
+        assert test is not None
+        assert not test(1, 1)
+        assert test(2, 1)
 
     def test_a_zero_class_coefficient_reads_the_conditions(self):
         # the lowest term 2*b[7,2]*b of (3,5,1) is 0 where its class
@@ -458,7 +461,7 @@ class TestLocusByEvaluation:
         model, fam = polar_model_g2(3, 5, 1), generic_member_g2(3, 5, 1)
         point = {v: Fraction(0 if v == fam.class_var else 1) for v in fam.coeff_vars}
         assert 2 * b * MPoly.var(fam.class_var) in model.locus.lowest
-        assert model.locus.vanishes_at(point)
+        assert model.locus.pencil_test(point) is None
         assert not model.locus.groups
 
 
@@ -495,7 +498,7 @@ class TestPencilTest:
         G = UPoly([a + b, 2 * a + 2 * b, a + b])
         locus = DegeneracyLocus(lowest=(a,), sides=(G,))
         assert genus1.discriminant(G).is_zero() and not _vanishes_identically(a, {})
-        assert locus.pencil_test({}) is None and locus.vanishes_at({})
+        assert locus.pencil_test({}) is None
         assert DegeneracyLocus(lowest=(a,), sides=(UPoly([a, MPoly.zero(), b - a]),)).pencil_test({})
 
     def test_a_lowest_term_alone_can_vanish(self):
@@ -562,7 +565,7 @@ class TestSampledAgreement:
         while trials < 5:
             assignment = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                           for v in fam.coeff_vars}
-            if model.locus.vanishes_at(assignment):
+            if model.locus.pencil_test(assignment) is None:
                 continue
             full = dict(assignment)
             ab = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))

@@ -181,7 +181,7 @@ class TestLocus:
         fam = generic_member_g2(2, q, 1)
         for seed in range(5):
             drawn, drawn_texts = _draw_assignment(fam, random.Random(seed), 10)
-            kept, kept_texts, _ = sample_off_locus(fam, model, random.Random(seed), 10)
+            kept, kept_texts, _, _ = sample_off_locus(fam, model, random.Random(seed), 10)
             assert (point_values(kept), kept_texts) == (point_values(drawn), drawn_texts)
 
     @pytest.mark.parametrize("p,q,d", [(2, 5, 1), (3, 5, 1), (3, 7, 1), (4, 7, 1), (5, 12, 1)])
@@ -235,7 +235,7 @@ class TestSampledAgreement:
             assignment = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for v in fam.coeff_vars}
             if assignment[fam.class_var] == 0:
                 continue
-            if model.locus.vanishes_at(assignment):
+            if model.locus.pencil_test(assignment) is None:
                 continue
             full = dict(assignment)
             ab = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))

@@ -82,9 +82,7 @@ def trial(key, n=0, zero=None):
     the draw is set to 0 and the pencil point is kept."""
     family = verify._family(key)
     model = polar_model_g1(*key) if len(key) == 2 else polar_model_g2(*key)
-    rng = random.Random(f"42:{n}")
-    point, _, test = verify.sample_off_locus(family, model, rng, 10)
-    (a, _), (b, _) = verify._draw_general_pencil(family, test, rng, 10)
+    point, _, (a, _), (b, _) = verify.sample_off_locus(family, model, random.Random(f"42:{n}"), 10)
     if zero is not None:
         scaled = tuple(0 if v == zero else s for v, s in zip(point.variables, point.scaled))
         assert scaled != point.scaled
@@ -94,14 +92,20 @@ def trial(key, n=0, zero=None):
 
 # trials 1 and 2 of (4,11,1) take about 2 s each, so it keeps trial 0 alone;
 # (5,9) and (7,13) are q = -1 (mod p) polygons, one side each, whose side
-# condition the locus listing drops unexpanded
+# condition the locus listing drops unexpanded; in the p = 2, d = 1 families
+# the class term undercuts the product part at height 0 (see genus2)
 @pytest.mark.parametrize("key,n,mu", [((4, 9), 0, 12), ((4, 9), 1, 12), ((4, 9), 2, 12),
                                       ((5, 12), 0, 27), ((5, 12), 1, 27), ((5, 12), 2, 27),
                                       ((5, 13), 0, 29),
                                       ((3, 7, 1), 0, 43), ((3, 7, 1), 1, 43), ((3, 7, 1), 2, 43),
                                       ((4, 11, 1), 0, 111),
                                       ((5, 9), 0, 21), ((7, 13), 0, 55),
-                                      ((3, 5, 1), 0, 30), ((3, 5, 1), 1, 30)])
+                                      ((3, 5, 1), 0, 30), ((3, 5, 1), 1, 30),
+                                      ((2, 3, 1), 0, 7), ((2, 3, 1), 1, 7),
+                                      ((2, 5, 1), 0, 13), ((2, 5, 1), 1, 13),
+                                      ((2, 7, 1), 0, 19), ((2, 7, 1), 1, 19),
+                                      ((3, 4, 1), 0, 23), ((3, 4, 1), 1, 23),
+                                      ((4, 5, 1), 0, 47), ((4, 5, 1), 1, 47)])
 def test_milnor_number_is_the_predicted_newton_number(key, n, mu):
     text, a, b, model = trial(key, n)
     got = milnor(polar_of_render(text, a, b))

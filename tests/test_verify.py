@@ -20,7 +20,6 @@ from polarnewton.verify import (
     SampleConfig,
     VerifyError,
     _draw_assignment,
-    _draw_general_pencil,
     _family as _family_of,
     report_to_json,
     run_power_degeneracy,
@@ -46,8 +45,9 @@ class TestSampling:
     def test_off_locus_sample_avoids_every_generator(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         rng = random.Random(0)
-        assignment, _, test = sample_off_locus(fam, model, rng, 10)
-        assert not model.locus.vanishes_at(assignment) and test is not None
+        assignment, _, (a, _), (b, _) = sample_off_locus(fam, model, rng, 10)
+        test = model.locus.pencil_test(assignment)
+        assert test is not None and test(a.numerator * b.denominator, b.numerator * a.denominator)
         values = point_values(assignment)
         prod = Fraction(1)
         for v in (avar(17, 1), avar(14, 2), avar(11, 3)):
@@ -57,7 +57,7 @@ class TestSampling:
     def test_empty_locus_family_takes_first_draw(self):
         fam = generic_member_g1(2, 3)
         rng = random.Random(0)
-        assignment, _, _ = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
+        assignment, _, _, _ = sample_off_locus(fam, polar_model_g1(2, 3), rng, 10)
         assert set(point_values(assignment)) == set(fam.coeff_vars)
 
     def test_a_drawn_point_is_read_only(self):
@@ -67,14 +67,14 @@ class TestSampling:
         again, passes it."""
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
         point, _ = _draw_assignment(fam, random.Random(0), 10)
-        assert model.locus.nonzero_at(point, Fraction(1), Fraction(1))
+        assert model.locus.pencil_test(point)(1, 1)
         with pytest.raises(TypeError):
             point.scaled[0] = 0
         with pytest.raises(AttributeError):
             point.scaled = (0,) * len(fam.coeff_vars)
         zeros = algebra.IntegerPoint(fam.coeff_vars, (0,) * len(fam.coeff_vars), 1)
-        assert model.locus.vanishes_at(zeros) and not model.locus.nonzero_at(zeros, Fraction(1), Fraction(1))
-        assert model.locus.nonzero_at(point, Fraction(1), Fraction(1))
+        assert model.locus.pencil_test(zeros) is None
+        assert model.locus.pencil_test(point)(1, 1)
 
     def test_forced_on_locus_draw_breaks_the_polygon(self):
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
@@ -94,9 +94,10 @@ class TestErrorsNameFamilyAndStage:
         with pytest.raises(VerifyError, match=r"family \(7, 19\): locus rejection"):
             run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
 
-    def test_pencil_draw(self):
+    def test_pencil_draw(self, monkeypatch):
+        monkeypatch.setattr(DegeneracyLocus, "pencil_test", lambda self, assignment: lambda x, y: False)
         with pytest.raises(VerifyError, match=r"family \(7, 19\): pencil draw"):
-            _draw_general_pencil(generic_member_g1(7, 19), lambda x, y: False, random.Random(0), 10)
+            run_verification(SampleConfig(family=(7, 19), seed=1, trials=1))
 
     def test_puiseux_crosscheck(self, monkeypatch):
         # an expander failure names the family and the trial; it is not a mismatch
@@ -137,6 +138,23 @@ def choice_fraction(rng, bound, nonzero=False) -> Fraction:
         return Fraction(num, rng.choice(range(1, bound + 1)))
 
 
+def documented_draw_digest(fam, model, rng, bound) -> str:
+    """A trial's draw digest as the verify docstring states the draw, with
+    `choice` over ranges: the point, redrawn while the locus's pencil test
+    is None, then (a, b), redrawn while that test fails."""
+    while True:
+        values = [choice_fraction(rng, bound, nonzero=v == fam.class_var) for v in fam.coeff_vars]
+        test = model.locus.pencil_test(dict(zip(fam.coeff_vars, values)))
+        if test is not None:
+            break
+    while True:
+        a, b = choice_fraction(rng, bound), choice_fraction(rng, bound)
+        if test(a.numerator * b.denominator, b.numerator * a.denominator):
+            break
+    text = ";".join(f"{v.name}={value}" for v, value in zip(fam.coeff_vars, values)) + f";a={a};b={b}"
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 class TestDrawStream:
     # The pinned reports fix every draw; `choice` over a range must read the
     # generator exactly as `randint` over the same bounds.
@@ -171,6 +189,21 @@ class TestDrawStream:
             assert new.getstate() == old.getstate()
         # a zero class numerator comes about once in 2*bound+1 draws
         assert redraws > 0 or bound == 10**12
+
+    @pytest.mark.parametrize("family", [(7, 19), (5, 12, 1), (7, 19, 1), (3, 5, 1)])
+    @pytest.mark.parametrize("coeff_range", [10, 2])
+    def test_a_replayed_draw_is_the_reports_draw(self, family, coeff_range):
+        # the tests replay trial n as `sample_off_locus` on "<seed>:<n>"; it
+        # and the documented draw order give each record's digest
+        fam = _family_of(family)
+        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+        labels = [f"{v.name}=" for v in fam.coeff_vars]
+        report = run_verification(SampleConfig(family=family, seed=42, trials=5, coeff_range=coeff_range))
+        for rec in report["records"]:
+            seed = f"42:{rec['trial']}"
+            _, texts, (_, a_text), (_, b_text) = sample_off_locus(fam, model, random.Random(seed), coeff_range)
+            assert verify._assignment_digest(labels, texts, a_text, b_text) == rec["digest"]
+            assert documented_draw_digest(fam, model, random.Random(seed), coeff_range) == rec["digest"]
 
     @pytest.mark.parametrize("bound", range(2, 13))
     def test_bit_draws_match_choice_over_a_range(self, bound):
@@ -239,9 +272,7 @@ class TestSquarefreeCertificateInTrials:
             fam = _family_of(family)
             model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
             for trial in range(50):
-                rng = random.Random(f"42:{trial}")
-                assignment, _, test = sample_off_locus(fam, model, rng, 10)
-                (a, _), (b, _) = _draw_general_pencil(fam, test, rng, 10)
+                assignment, _, (a, _), (b, _) = sample_off_locus(fam, model, random.Random(f"42:{trial}"), 10)
                 pol = polar(substitute(fam.generic, assignment), a, b)
                 for v in is_nondegenerate(pol).sides:
                     assert (v.squarefree, v.path) == algebra.squarefree_info(v.associated)
@@ -268,9 +299,7 @@ class TestReadTimePolar:
         fam = _family_of(family)
         model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
         for trial in range(5):
-            rng = random.Random(f"42:{trial}")
-            assignment, _, test = sample_off_locus(fam, model, rng, 10)
-            (a, _), (b, _) = _draw_general_pencil(fam, test, rng, 10)
+            assignment, _, (a, _), (b, _) = sample_off_locus(fam, model, random.Random(f"42:{trial}"), 10)
             pol = polar(substitute(fam.generic, assignment), a, b)
             read.clear()
             verdicts = [(v.squarefree, v.path) for v in is_nondegenerate(pol).sides]
@@ -429,9 +458,7 @@ class TestCrosscheckExits:
     def test_a_wrong_prediction_fails_the_key_comparison(self):
         # the polar of trial 0 at seed 42, drawn as run_verification draws it
         fam, model = generic_member_g1(7, 19), polar_model_g1(7, 19)
-        rng = random.Random("42:0")
-        assignment, _, test = sample_off_locus(fam, model, rng, 10)
-        (a, _), (b, _) = _draw_general_pencil(fam, test, rng, 10)
+        assignment, _, (a, _), (b, _) = sample_off_locus(fam, model, random.Random("42:0"), 10)
         pol = polar(substitute(fam.generic, assignment), a, b)
         assert verify._puiseux_crosscheck(pol, model.topology) is None
         assert verify._puiseux_crosscheck(pol, polar_model_g2(5, 12, 1).topology) == self.KEYS
