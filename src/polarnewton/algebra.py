@@ -687,7 +687,8 @@ def deflate(F: UPoly) -> UPoly:
 
     For s >= 2, disc F = +-s^(s*d) * G(0)^(s-1) * lc(G)^(s-1) * (disc G)^s with
     d = deg G, so once G(0) and lc(G) are nonzero, disc F vanishes exactly
-    where disc G does, and disc G has degree d rather than s*d.
+    where disc G does, and disc G has degree d rather than s*d.  The model's
+    locus and a trial's side test (`newton.is_nondegenerate`) both take disc G.
     """
     s = reduce(math.gcd, (k for k, c in enumerate(F.coeffs) if not c.is_zero()), 0)
     if s <= 1:

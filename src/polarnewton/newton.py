@@ -1,8 +1,8 @@
 """Newton polygons, the associated polynomial `associated_from` (the
-coefficient at (i, j) times z^(j - lowest j), a rule that the nondegeneracy
-test's integer route and `puiseux._edge_roots` spell again over numerators),
-the nondegeneracy test, and the decomposition of a nondegenerate germ into
-branch classes with their pairwise intersection numbers.
+coefficient at (i, j) times z^(j - lowest j), a rule that `puiseux._edge_roots`
+spells again over numerators), the nondegeneracy test, which reads a concrete
+side's d + 1 lattice numerators only, and the decomposition of a nondegenerate
+germ into branch classes with their pairwise intersection numbers.
 
 Conventions: the polygon is the lower-left hull of the exponent support plus
 the positive quadrant; `sides` keeps the compact faces ordered from steepest
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import MPoly, UPoly, nonzero_discriminant, squarefree_info
 from .curves import PlaneSeries, Point
@@ -24,8 +24,7 @@ class PolygonError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """A compact face, from its high-j endpoint down to its high-i endpoint."""
 
     from_pt: Point
@@ -44,11 +43,10 @@ def _make_side(top: Point, bottom: Point) -> Side:
     d = math.gcd(n, m)
     step = (m // d, -(n // d))
     pts = tuple((top[0] + k * step[0], top[1] + k * step[1]) for k in range(d + 1))
-    return Side(from_pt=top, to_pt=bottom, lattice_points=pts, n=n, m=m, d=d)
+    return Side(top, bottom, pts, n, m, d)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     sides: tuple[Side, ...]
     top: Point
     bottom: Point
@@ -106,23 +104,21 @@ def associated_from(points, coeff_at) -> UPoly:
     return F
 
 
-@dataclass(frozen=True)
-class SideVerdict:
+class SideVerdict(NamedTuple):
     """A side's squarefree verdict; `associated`, the side's associated
-    polynomial, is built from `series` when first read."""
+    polynomial, is built from `series` on each read."""
 
     side: Side
     squarefree: bool
     path: str  # "concrete" or "symbolic"
-    series: PlaneSeries = field(repr=False)
+    series: PlaneSeries
 
-    @cached_property
+    @property
     def associated(self) -> UPoly:
         return associated_from(self.side.lattice_points, self.series.coeff)
 
 
-@dataclass(frozen=True)
-class NondegReport:
+class NondegReport(NamedTuple):
     verdict: str  # "nondegenerate" | "degenerate" | "generically_nondegenerate"
     sides: tuple[SideVerdict, ...]
     polygon: NewtonPolygon
@@ -135,12 +131,12 @@ class NondegReport:
 def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     """Squarefree test of every associated polynomial.
 
-    A side of a concrete series goes to `algebra.nonzero_discriminant` as its
-    integer numerators, with no `UPoly`; its end coefficients are nonzero, so
-    a nonzero discriminant is the squarefree verdict.  A side of a symbolic
-    series takes `squarefree_info`; one with symbolic coefficients only
-    certifies the generic member, so the overall verdict is downgraded
-    accordingly.
+    A concrete side goes to `algebra.nonzero_discriminant` as its d + 1
+    lattice numerators G, low j first: F(z) = G(z^(n/d)) and G's ends are
+    vertex coefficients, so F is squarefree exactly when disc G != 0
+    (`algebra.deflate`).  A side of a symbolic series takes `squarefree_info`;
+    one with symbolic coefficients only certifies the generic member, so the
+    overall verdict is downgraded accordingly.
     """
     poly = newton_polygon(f)
     numerator = f.terms.nums.get if f.is_concrete() else None
@@ -149,10 +145,8 @@ def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     all_ok = True
     for side in poly.sides:
         if numerator is not None:
-            nums = [0] * (side.n + 1)
-            for (i, j) in side.lattice_points:
-                nums[j - side.to_pt[1]] = numerator((i, j), 0)
-            ok, path = nonzero_discriminant(nums), "concrete"
+            ok = nonzero_discriminant([numerator(pt, 0) for pt in reversed(side.lattice_points)])
+            path = "concrete"
         else:
             ok, path = squarefree_info(associated_from(side.lattice_points, f.coeff))
         any_symbolic |= path == "symbolic"

@@ -5,9 +5,10 @@ nothing here imports `polarnewton`: the hull oracle tests all support pairs
 for dominance, the determinant oracle is plain fraction Gaussian elimination,
 root counting goes through numpy, the tail polar's lowest exponents come from
 listing the tail monomials and from the paper's closed forms, as do the
-genus-one polar's, and derivatives, evaluations and the Puiseux residual
+genus-one polar's, derivatives, evaluations and the Puiseux residual
 read a polynomial's `.terms` (or a `UPoly`'s `.coeffs`) directly, as
-`point_values` reads a drawn point's integers.
+`point_values` reads a drawn point's integers, and the Milnor number is a
+resultant's x-order modulo a prime, by evaluation and interpolation.
 """
 
 from __future__ import annotations
@@ -228,6 +229,98 @@ def evaluate(poly, assignment):
             c = c * Fraction(assignment[v]) ** e
         total += c
     return total
+
+
+def milnor_mod(terms, prime):
+    """ord_x Res_y(P_y, P_x) modulo `prime`, for P = sum c x^i y^j given as
+    {(i, j): int}.
+
+    The resultant is taken at x = 1, 2, ..., skipping each point where P_y's
+    leading y-coefficient vanishes mod `prime`, by Euclid on
+    Res(f, g) = lc(f)^m * prod g(roots of f), m the y-degree of P_x, which
+    stays exact where g's degree drops there.  It has x-degree at most
+    (deg_y P_y + m) * deg_x P, so that many values plus one fix it by Newton
+    interpolation.  Reduction mod `prime` can only raise the order, so a
+    caller compares two primes.
+    """
+    px, py = {}, {}
+    for (i, j), c in terms.items():
+        if i:
+            px[(i - 1, j)] = i * c % prime
+        if j:
+            py[(i, j - 1)] = j * c % prime
+    m, n = max(j for _i, j in px), max(j for _i, j in py)
+    xdeg = max(i for i, _j in terms)
+    xs, values = [], []
+    x0 = 0
+    while len(xs) <= (n + m) * xdeg:
+        x0 += 1
+        f, g = _y_coefficients(py, n, x0, prime), _y_coefficients(px, m, x0, prime)
+        if f[-1]:
+            xs.append(x0)
+            values.append(pow(f[-1], m, prime) * _product_at_roots(f, g, prime) % prime)
+    coeffs = _interpolate(xs, values, prime)
+    order = next((k for k, c in enumerate(coeffs) if c), None)
+    assert order is not None, "the resultant vanishes modulo the prime"
+    return order
+
+
+def _y_coefficients(poly, deg, x0, prime):
+    """poly's coefficients of y^0..y^deg at x = x0, mod `prime`."""
+    out = [0] * (deg + 1)
+    for (i, j), c in poly.items():
+        out[j] = (out[j] + c * pow(x0, i, prime)) % prime
+    return out
+
+
+def _product_at_roots(f, g, prime):
+    """prod g(a) over the roots a of f, mod `prime`; f's last entry is
+    nonzero, both low degree first.  With r = g mod f of degree k,
+    prod_f r = lc(r)^deg f * (-1)^(deg f * k) * prod_r f / lc(f)^k."""
+    acc = 1
+    while len(f) > 1:
+        g = _trim_mod(g[:], f, prime)
+        if not g:
+            return 0
+        n, k = len(f) - 1, len(g) - 1
+        acc = acc * pow(g[-1], n, prime) * pow(f[-1], -k, prime) % prime
+        if n * k % 2:
+            acc = -acc % prime
+        f, g = g, f
+    return acc
+
+
+def _trim_mod(g, f, prime):
+    """g mod f over GF(prime), with no zero last entry."""
+    while g and not g[-1]:
+        g.pop()
+    inv = pow(f[-1], -1, prime)
+    while len(g) >= len(f):
+        q, k = g[-1] * inv % prime, len(g) - len(f)
+        for t, c in enumerate(f):
+            g[k + t] = (g[k + t] - q * c) % prime
+        while g and not g[-1]:
+            g.pop()
+    return g
+
+
+def _interpolate(xs, values, prime):
+    """Coefficients, low degree first, of the polynomial of degree < len(xs)
+    through (xs, values) over GF(prime): Newton's divided differences, then
+    the Newton form expanded."""
+    c = list(values)
+    inverse = {}
+    for step in range(1, len(xs)):
+        for t in range(len(xs) - 1, step - 1, -1):
+            gap = xs[t] - xs[t - step]
+            if gap not in inverse:
+                inverse[gap] = pow(gap, -1, prime)
+            c[t] = (c[t] - c[t - 1]) * inverse[gap] % prime
+    out = [c[-1]]
+    for t in range(len(xs) - 2, -1, -1):  # out * (x - xs[t]) + c[t]
+        out = [(lo - xs[t] * hi) % prime for lo, hi in zip([0] + out, out + [0])]
+        out[0] = (out[0] + c[t]) % prime
+    return out
 
 
 def reconstruction_residual(f, branch):

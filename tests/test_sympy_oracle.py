@@ -1,5 +1,6 @@
 """Sylvester determinants, discriminants (also of integer vectors), deflation, the symbolic squarefree
-verdict, the modular squarefree certificate, exact division, univariate gcds and Yun
+verdict, the modular squarefree certificate, the nondegeneracy test's verdict on a concrete side
+(constructed sides and every side of fixed verify trials), exact division, univariate gcds and Yun
 decompositions, checked against sympy, which shares no code with polarnewton.algebra; and the
 evaluation oracle of `_oracles`, which the other tests read, checked against sympy as well.
 
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from polarnewton import algebra  # noqa: E402
-from polarnewton.curves import PlaneSeries, _IntegerTerms  # noqa: E402
+from polarnewton import algebra, verify  # noqa: E402
+from polarnewton.curves import PlaneSeries, _IntegerTerms, polar, substitute  # noqa: E402
+from polarnewton.genus1 import polar_model_g1  # noqa: E402
+from polarnewton.genus2 import polar_model_g2  # noqa: E402
 from polarnewton.newton import is_nondegenerate  # noqa: E402
 from polarnewton.algebra import (  # noqa: E402
     A,
@@ -391,6 +394,72 @@ class TestModularSquarefreeCertificate:
         F = concrete([Fraction(c) for c in (-2, 1, 0, 1)])  # z^3 + z - 2 = (z - 1)(z^2 + z + 2)
         assert squarefree_info(F) == (True, "concrete")
         assert gcd_calls == det_calls == []
+
+
+def sympy_side_verdict(nums, side) -> bool:
+    """disc F != 0 for F the full associated polynomial of degree n, summed
+    by sympy over every support point on the segment between the side's
+    endpoints; the side's lattice points are not read."""
+    (i0, j0), (i1, j1) = side.from_pt, side.to_pt
+    F = sympy.Add(*(c * SZ ** (j - j1) for (i, j), c in nums.items()
+                    if i0 <= i <= i1 and (i - i0) * (j1 - j0) == (j - j0) * (i1 - i0)))
+    assert sympy.degree(F, SZ) == side.n
+    return sympy.discriminant(F, SZ) != 0
+
+
+class TestSideVerdictAgainstSympy:
+    """`is_nondegenerate` decides a concrete side from its d + 1 lattice
+    numerators; sympy decides it from the full F of degree n."""
+
+    @staticmethod
+    def random_g(rng, d) -> list[int]:
+        """Coefficients of a G of degree d, low degree first: nonzero ends,
+        each interior one 0 with probability 0.4, or, for d >= 2, G =
+        (w - r)^2 * H with r != 0 and H(0) != 0."""
+        if d >= 2 and rng.random() < 0.4:
+            w = sympy.Symbol("w")
+            H = sympy.Add(rng.choice([-2, -1, 1, 3]),
+                          *(rng.randint(-3, 3) * w**k for k in range(1, d - 2)),
+                          rng.choice([-2, 1, 2]) * w ** (d - 2) if d > 2 else 0)
+            r = rng.choice([-2, -1, 1, 2, 3])
+            return [int(c) for c in reversed(sympy.Poly((w - r) ** 2 * H, w).all_coeffs())]
+        inner = [0 if rng.random() < 0.4 else rng.randint(-9, 9) for _ in range(d - 1)]
+        return [rng.choice([-5, -1, 2, 7])] + inner + [rng.choice([-3, 1, 4])]
+
+    @pytest.mark.parametrize("s,a", [(2, 1), (3, 2)])
+    def test_constructed_sides(self, s, a):
+        # the one side runs from (0, d*s) down to (d*a, 0) in primitive steps
+        # (a, -s), its point (a*(d - k), s*k) carrying G's w^k coefficient, so
+        # F(z) = G(z^s); one term sits above the side
+        rng = random.Random(f"side:{s}")
+        seen = set()
+        for _ in range(40):
+            d = rng.randint(1, 5)
+            g = self.random_g(rng, d)
+            nums = {(a * (d - k), s * k): c for k, c in enumerate(g) if c}
+            nums[(a * d, s * d)] = 1
+            [verdict] = is_nondegenerate(PlaneSeries(_IntegerTerms(nums, 1))).sides
+            assert (verdict.side.n, verdict.side.d) == (s * d, d)
+            assert verdict.squarefree is sympy_side_verdict(nums, verdict.side)
+            seen.add((min(d, 3), verdict.squarefree, 0 in g))
+        # each verdict, with d <= 2 and d >= 3, and an interior zero in each verdict
+        assert {(d, ok) for d, ok, _zero in seen} >= {(2, True), (2, False), (3, True), (3, False)}
+        assert {(ok, zero) for _d, ok, zero in seen} >= {(True, True), (False, True)}
+
+    @pytest.mark.parametrize("family", [(7, 19), (5, 12, 1), (7, 19, 1), (7, 10)])
+    def test_every_side_of_the_trials(self, family):
+        # drawn as run_verification draws trials 0-49 at seed 42; the (7,10)
+        # polar's one side, (0, 6)-(9, 0), has d = 3
+        fam = verify._family(family)
+        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+        shapes = set()
+        for trial in range(50):
+            point, _, (a, _), (b, _) = verify.sample_off_locus(fam, model, random.Random(f"42:{trial}"), 10)
+            pol = polar(substitute(fam.generic, point), a, b)
+            for v in is_nondegenerate(pol).sides:
+                assert v.squarefree is sympy_side_verdict(pol.terms.nums, v.side)
+                shapes.add(v.side.d)
+        assert max(shapes) == (3 if family == (7, 10) else 2)
 
 
 def sparse_poly(rng) -> MPoly:

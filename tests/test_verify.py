@@ -239,6 +239,15 @@ def count_exact_determinant(monkeypatch) -> list:
     return calls
 
 
+def count_certificates(monkeypatch) -> list:
+    """Records the length of each entry list that `algebra.certify_squarefree`
+    is given."""
+    calls = []
+    real = algebra.certify_squarefree
+    monkeypatch.setattr(algebra, "certify_squarefree", lambda g: calls.append(len(g)) or real(g))
+    return calls
+
+
 class TestSquarefreeCertificateInTrials:
     # Models and generic verdicts are built before counting, so only the
     # trials are counted.  No timing is involved.
@@ -248,10 +257,24 @@ class TestSquarefreeCertificateInTrials:
         for family in self.BENCH_FAMILIES:
             (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).generic_verdict
         calls = count_exact_determinant(monkeypatch)
+        certified = count_certificates(monkeypatch)
         for family in self.BENCH_FAMILIES:
             rep = run_verification(SampleConfig(family=family, seed=42, trials=50))
             assert rep["summary"]["all_sides_squarefree"] == 50
         assert calls == []
+        # every side has d <= 2 primitive steps, so a closed form decides it
+        assert certified == []
+
+    def test_a_side_with_three_steps_takes_the_certificate_on_its_cubic(self, monkeypatch):
+        # the (7,10) polar's one side runs from (0, 6) to (9, 0), d = 3: its
+        # deflated G is a cubic, 4 entries, where F has degree 6
+        polar_model_g1(7, 10).generic_verdict
+        calls = count_exact_determinant(monkeypatch)
+        certified = count_certificates(monkeypatch)
+        rep = run_verification(SampleConfig(family=(7, 10), seed=42, trials=50))
+        assert rep["summary"]["all_sides_squarefree"] == 50
+        assert calls == []
+        assert len(certified) >= 50 and set(certified) == {4}
 
     def test_passing_trials_build_no_upoly(self, monkeypatch):
         for family in self.BENCH_FAMILIES:
@@ -280,10 +303,15 @@ class TestSquarefreeCertificateInTrials:
         assert sides >= 300
 
     def test_degenerate_sides_are_decided_by_the_exact_route(self, monkeypatch):
+        # the steep side of (2,3,1) deflates to c*(w - 1)^(e1 - 1): at e1 = 3
+        # a quadratic, which the closed form decides; at e1 = 4 a cubic, which
+        # the certificate declines, so the determinant decides each trial
         calls = count_exact_determinant(monkeypatch)
-        rep = run_power_degeneracy(2, 3, 1, e1=3)
-        assert rep["summary"]["degenerate"] == rep["summary"]["steep_side_fails"] == rep["summary"]["trials"]
-        assert len(calls) >= 1
+        for e1, determinants in ((3, 0), (4, 10)):
+            calls.clear()
+            rep = run_power_degeneracy(2, 3, 1, e1=e1)
+            assert rep["summary"]["degenerate"] == rep["summary"]["steep_side_fails"] == rep["summary"]["trials"]
+            assert len(calls) == determinants
 
 
 class TestReadTimePolar:
