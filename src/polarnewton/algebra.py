@@ -33,7 +33,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -518,7 +518,7 @@ class IntegerPlan:
     (c, indices, degree - len(indices)): the scaled coefficient, the
     positions in `variables` repeated by exponent, and the power of m that
     pads the term.  `at` sums every polynomial and `lazy_at` each one when it
-    is first read; both read the point the same way.
+    is first read, into a dict of the call; both read the point the same way.
     """
 
     __slots__ = ("variables", "den", "degree", "terms", "_reads")
@@ -574,17 +574,19 @@ class IntegerPlan:
 
     def lazy_at(self, point: IntegerPoint) -> tuple[Callable[[int], int], int]:
         """`at`, but with the numerators as a function of position (-1 reads
-        0), each computed when first read."""
+        0), each computed when first read, into a plain dict of the call."""
         scaled, powers = self._read(point)
+        memo = {-1: 0}
 
-        @cache
         def numerator(poly: int) -> int:
-            num = 0
-            for c, idx, pad in self.terms[poly] if poly >= 0 else ():
-                for k in idx:
-                    c *= scaled[k]
-                num += c * powers[pad]
-            return num
+            if poly not in memo:
+                num = 0
+                for c, idx, pad in self.terms[poly]:
+                    for k in idx:
+                        c *= scaled[k]
+                    num += c * powers[pad]
+                memo[poly] = num
+            return memo[poly]
 
         return numerator, self.den * powers[-1]
 

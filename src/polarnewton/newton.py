@@ -128,8 +128,9 @@ class NondegReport(NamedTuple):
         return self.verdict != "degenerate"
 
 
-def is_nondegenerate(f: PlaneSeries) -> NondegReport:
-    """Squarefree test of every associated polynomial.
+def is_nondegenerate(f: PlaneSeries, polygon: NewtonPolygon | None = None) -> NondegReport:
+    """Squarefree test of every associated polynomial, on `polygon` when
+    the caller holds f's polygon, else on `newton_polygon(f)`.
 
     A concrete side goes to `algebra.nonzero_discriminant` as its d + 1
     lattice numerators G, low j first: F(z) = G(z^(n/d)) and G's ends are
@@ -138,7 +139,7 @@ def is_nondegenerate(f: PlaneSeries) -> NondegReport:
     one with symbolic coefficients only certifies the generic member, so the
     overall verdict is downgraded accordingly.
     """
-    poly = newton_polygon(f)
+    poly = newton_polygon(f) if polygon is None else polygon
     numerator = f.terms.nums.get if f.is_concrete() else None
     verdicts = []
     any_symbolic = False

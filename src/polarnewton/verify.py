@@ -5,7 +5,9 @@ predictions against a from-scratch computation on the concrete polar, of
 which a trial forms only the least term in each row: the rest of a row lies
 inside the polygon, so the row minima fix the hull, the sides and their
 numerators, and a predicted point, the generic polar's lowest in its row,
-is present exactly when it is its row's least.  The topology column is
+is present exactly when it is its row's least.  The hull and those two
+checks depend on the support of the least terms alone, so a run builds them
+once per distinct support.  The topology column is
 `oka_decomposition` of the trial's polygon, the function that made the
 prediction, so it adds only two cases: a `PolygonError`, and a different
 polygon whose sides have the same shapes.  The optional Puiseux crosscheck,
@@ -61,7 +63,7 @@ from .curves import (Family, PlaneSeries, generic_member_g1, generic_member_g2, 
                      polar, substitute)
 from .genus1 import polar_model_g1
 from .genus2 import lpq_side_points, polar_model_g2
-from .newton import PolygonError, is_nondegenerate, oka_decomposition
+from .newton import PolygonError, is_nondegenerate, newton_polygon, oka_decomposition
 from .puiseux import InsufficientDepthError, PuiseuxError, intersection_numeric, puiseux_expand
 
 PRNG_NAME = "mt19937 (CPython random.Random), per-trial seed '<seed>:<trial>'"
@@ -211,35 +213,38 @@ def _topology_matches(polygon, topology) -> bool:
 def run_verification(cfg: SampleConfig) -> dict:
     """Per-trial polygon/lattice/squarefree/topology comparison report.
 
-    The topology check is a function of the polygon alone, so it runs once
-    per distinct polygon of the run."""
+    The polygon, its vertices, `polygon_match` and `points_present` are built
+    once per distinct lowest support of the run, and the topology check once
+    per distinct polygon; the side verdicts read each trial's own numerators.
+    Both memos belong to the call."""
     family = _family(cfg.family)
     model = polar_model_g1(*cfg.family) if len(cfg.family) == 2 else polar_model_g2(*cfg.family)
     predicted_vertices = model.predicted_polygon().vertices()
     predicted_points = model.predicted_points()
     labels = [f"{v.name}=" for v in family.coeff_vars]
+    supports: dict[tuple, tuple] = {}  # per lowest support of the run: polygon, vertices, two checks
     topology_matches: dict[tuple, bool] = {}  # per polygon vertex tuple of the run
     records = []
     for trial in range(cfg.trials):
         rng = random.Random(f"{cfg.seed}:{trial}")
         assignment, texts, (a, a_text), (b, b_text) = sample_off_locus(family, model, rng, cfg.coeff_range)
         lowest = lowest_polar_terms(family.generic, a, b, assignment)
-        report = is_nondegenerate(lowest)
-        vertices = report.polygon.vertices()
-        polygon_match = vertices == predicted_vertices
-        points_present = all(pt in lowest.terms for pt in predicted_points)
-        sides_sf = [v.squarefree for v in report.sides]
-        topology_match = False
-        if report.nondegenerate:
-            if vertices not in topology_matches:
-                topology_matches[vertices] = _topology_matches(report.polygon, model.topology)
-            topology_match = topology_matches[vertices]
+        support = tuple(lowest.terms.nums)  # one point per row, in row order
+        if support not in supports:
+            polygon = newton_polygon(lowest)
+            supports[support] = (polygon, polygon.vertices(), polygon.vertices() == predicted_vertices,
+                                 all(pt in lowest.terms for pt in predicted_points))
+        polygon, vertices, polygon_match, points_present = supports[support]
+        report = is_nondegenerate(lowest, polygon)
+        if report.nondegenerate and vertices not in topology_matches:
+            topology_matches[vertices] = _topology_matches(polygon, model.topology)
+        topology_match = report.nondegenerate and topology_matches[vertices]
         rec = {
             "trial": trial,
             "digest": _assignment_digest(labels, texts, a_text, b_text),
             "polygon_match": bool(polygon_match),
             "points_present": bool(points_present),
-            "sides_squarefree": sides_sf,
+            "sides_squarefree": [v.squarefree for v in report.sides],
             "topology_match": bool(topology_match),
         }
         if cfg.puiseux_crosscheck:

@@ -9,17 +9,18 @@ from polarnewton import verify
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
-# Call sites removed from the source: the first six before this check existed
+# Call sites removed from the source: the first five before this check existed
 # (the FOUND line of CHANGES.md about bench/tracing.py PROBES names them), the
 # next two with the multivariate gcd and the nested genus-one build, the
-# ninth when the genus-one model took its low points from the member's row
+# eighth when the genus-one model took its low points from the member's row
 # starts instead of the continued fraction, the last when the locus kept
 # `pencil_test` as its one point query.  A name joins only in the change that
 # deletes the call it wrapped, and CHANGES.md names it there, and leaves when
 # the call comes back: `verify.substitute`, gone while the degenerate-power
-# check took its polar from the generic member, is the crosscheck's again.
+# check took its polar from the generic member, is the crosscheck's again,
+# and `verify.newton_polygon` builds the polygon of each distinct lowest
+# support of a run.
 KNOWN_MISSING = {
-    "verify.newton_polygon",
     "verify.associated_polynomial",
     "verify.squarefree_info",
     "verify.oka_report",

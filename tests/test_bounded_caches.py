@@ -1,7 +1,7 @@
 """Every cache that outlives a call is bounded: a function defined at module
 level, or in a class at module level, takes `lru_cache` only with an integer
 `maxsize`, and never the unbounded `functools.cache`.  A cache made inside a
-call, such as `build_model`'s `cache(coeff_at)` or `lazy_at`'s `@cache`, goes
+call, such as `build_model`'s `cache(coeff_at)` or `lazy_at`'s dict, goes
 with the call and is not checked."""
 
 import ast

@@ -112,7 +112,7 @@ def trial(key, n=0, zero=None):
                                       ((5, 12), 0, 27), ((5, 12), 1, 27), ((5, 12), 2, 27),
                                       ((5, 13), 0, 29),
                                       ((3, 7, 1), 0, 43), ((3, 7, 1), 1, 43), ((3, 7, 1), 2, 43),
-                                      ((4, 11, 1), 0, 111),
+                                      ((4, 11, 1), 0, 111), ((4, 11, 1), 1, 111), ((4, 11, 1), 2, 111),
                                       ((5, 9), 0, 21), ((7, 13), 0, 55),
                                       ((3, 5, 1), 0, 30), ((3, 5, 1), 1, 30),
                                       ((2, 3, 1), 0, 7), ((2, 3, 1), 1, 7),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -588,19 +589,37 @@ class TestRunVerification:
         rep = run_verification(cfg)
         assert rep["generic_member_verdict"] == "generically_nondegenerate"
 
-    def test_one_polygon_and_one_squarefree_test_per_side(self, monkeypatch):
-        # a concrete side is decided by nonzero_discriminant on its
-        # numerators, a symbolic one by squarefree_info on its associated
-        # polynomial
+    def test_one_polygon_per_support_and_one_squarefree_test_per_side(self, monkeypatch):
+        # a run builds one hull per distinct lowest support, at verify's call
+        # site, plus the generic member's at newton's once per model; a
+        # concrete side is decided by nonzero_discriminant on its numerators,
+        # a symbolic one by squarefree_info on its associated polynomial,
+        # once per side of each trial
         counts = {"polygons": 0, "sides": 0, "squarefree": 0}
-        real_polygon, real_squarefree = newton.newton_polygon, newton.squarefree_info
-        real_discriminant = newton.nonzero_discriminant
+        supports = set()
+        real_hull, real_generic_hull = verify.newton_polygon, newton.newton_polygon
+        real_lowest, real_report = verify.lowest_polar_terms, verify.is_nondegenerate
+        real_squarefree, real_discriminant = newton.squarefree_info, newton.nonzero_discriminant
 
-        def polygon(f):
-            poly = real_polygon(f)
+        def hull(f):
             counts["polygons"] += 1
+            return real_hull(f)
+
+        def generic_hull(f):
+            counts["polygons"] += 1
+            poly = real_generic_hull(f)
             counts["sides"] += len(poly.sides)
             return poly
+
+        def lowest(*args):
+            series = real_lowest(*args)
+            supports.add(frozenset(series.terms))
+            return series
+
+        def report(f, polygon=None):
+            rep = real_report(f, polygon)
+            counts["sides"] += len(rep.sides)
+            return rep
 
         def squarefree(F):
             counts["squarefree"] += 1
@@ -610,19 +629,68 @@ class TestRunVerification:
             counts["squarefree"] += 1
             return real_discriminant(nums)
 
-        monkeypatch.setattr(newton, "newton_polygon", polygon)
+        monkeypatch.setattr(verify, "newton_polygon", hull)
+        monkeypatch.setattr(newton, "newton_polygon", generic_hull)
+        monkeypatch.setattr(verify, "lowest_polar_terms", lowest)
+        monkeypatch.setattr(verify, "is_nondegenerate", report)
         monkeypatch.setattr(newton, "squarefree_info", squarefree)
         monkeypatch.setattr(newton, "nonzero_discriminant", discriminant)
         polar_model_g2(5, 12, 1).__dict__.pop("generic_verdict", None)
-        run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
-        # one polygon per trial, plus the generic member's once per model
-        assert counts["polygons"] == 3 + 1
-        assert counts["squarefree"] == counts["sides"]
-        counts.update(polygons=0, sides=0, squarefree=0)
-        run_verification(SampleConfig(family=(5, 12, 1), seed=1, trials=3))
-        # the generic verdict is kept on the model
-        assert counts["polygons"] == 3 + 0
-        assert counts["squarefree"] == counts["sides"]
+        for cfg, generic in ((SampleConfig(family=(5, 12, 1), seed=1, trials=3), 1),
+                             # the generic verdict is kept on the model
+                             (SampleConfig(family=(5, 12, 1), seed=1, trials=12, coeff_range=2), 0)):
+            counts.update(polygons=0, sides=0, squarefree=0)
+            supports.clear()
+            run_verification(cfg)
+            assert len(supports) > 1
+            assert counts["polygons"] == len(supports) + generic
+            assert counts["squarefree"] == counts["sides"]
+
+    @pytest.mark.parametrize("key,seed,trials,coeff_range,forced", [
+        ((7, 19), 42, 50, 10, None), ((5, 12, 1), 42, 50, 10, None), ((7, 19, 1), 42, 50, 10, None),
+        # at range 2 most supports are new: 40 and 37 in 50 trials
+        ((17, 45), 7, 50, 2, None), ((13, 34, 1), 7, 50, 2, None),
+        # trial 2's a[17,1] set to 0: row 0's least term moves from (17,0) to (18,0)
+        ((7, 19), 42, 5, 10, (2, avar(17, 1))),
+    ])
+    def test_support_memo_matches_a_from_scratch_check(self, key, seed, trials, coeff_range, forced,
+                                                       monkeypatch):
+        # each trial's record, and the polygon its sides are read on, are
+        # those that its own lowest terms give from scratch
+        model = polar_model_g1(*key) if len(key) == 2 else polar_model_g2(*key)
+        predicted_vertices = model.predicted_polygon().vertices()
+        seen, draws = [], []
+        real_draw, real_report = verify.sample_off_locus, verify.is_nondegenerate
+
+        def draw(*args):
+            point, *rest = real_draw(*args)
+            if forced is not None and len(draws) == forced[0]:
+                scaled = tuple(0 if v == forced[1] else s for v, s in zip(point.variables, point.scaled))
+                assert scaled != point.scaled
+                point = dataclasses.replace(point, scaled=scaled)
+            draws.append(point)
+            return (point, *rest)
+
+        def report(f, polygon=None):
+            assert polygon == newton.newton_polygon_from_points(f.terms)
+            seen.append(f)
+            return real_report(f, polygon)
+
+        monkeypatch.setattr(verify, "sample_off_locus", draw)
+        monkeypatch.setattr(verify, "is_nondegenerate", report)
+        records = run_verification(SampleConfig(family=key, seed=seed, trials=trials,
+                                                coeff_range=coeff_range))["records"]
+        assert len(seen) == trials
+        for rec, lowest in zip(records, seen):
+            polygon = newton.newton_polygon_from_points(lowest.terms)
+            rep = is_nondegenerate(lowest)
+            assert rec["polygon_match"] == (polygon.vertices() == predicted_vertices)
+            assert rec["points_present"] == all(pt in lowest.terms for pt in model.predicted_points())
+            assert rec["sides_squarefree"] == [v.squarefree for v in rep.sides]
+            assert rec["topology_match"] == (rep.nondegenerate and verify._topology_matches(polygon, model.topology))
+        if forced is not None:
+            assert (18, 0) in seen[forced[0]].terms and (17, 0) not in seen[forced[0]].terms
+            assert [r["polygon_match"] for r in records] == [n != forced[0] for n in range(trials)]
 
     def test_only_crosscheck_trials_take_a_polar(self, monkeypatch):
         # the generic verdict is the model's, so even a family's first run,
