@@ -52,4 +52,4 @@ from .puiseux import (  # noqa: F401
     puiseux_expand,
     semigroup_from_char,
 )
-from .verify import SampleConfig, run_power_degeneracy, run_verification  # noqa: F401
+from .verify import SampleConfig, run_verification  # noqa: F401

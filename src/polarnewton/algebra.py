@@ -618,12 +618,6 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def lc(self) -> MPoly:
-        if self.is_zero():
-            raise AlgebraError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coeff(self, k: int) -> MPoly:
         return self.coeffs[k] if 0 <= k <= self.deg else MPoly.zero()
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 
-from .algebra import (A, B, IntegerPlan, MPoly, UPoly, Var, X, Y, deflate, discriminant,
-                      nonzero_discriminant, strip_content)
+from .algebra import (A, B, IntegerPlan, MPoly, UPoly, Var, deflate, discriminant, nonzero_discriminant,
+                      strip_content)
 from .curves import PlaneSeries, check_family, coefficient_g1, polar_coefficient, polar_low_points, row_starts_g1
 from .newton import (NewtonPolygon, Point, TopologyReport, associated_from, is_nondegenerate,
                      newton_polygon_from_points, oka_decomposition)
@@ -65,11 +65,6 @@ class DegeneracyLocus:
     nonvanishing: frozenset[Var] = frozenset()
 
     @cached_property
-    def raw(self) -> tuple[MPoly, ...]:
-        """The conditions expanded: each lowest term, then each disc G."""
-        return self.lowest + tuple(discriminant(G) for G in self.sides)
-
-    @cached_property
     def groups(self) -> tuple[tuple[MPoly, ...], ...]:
         """The listing: each group is a simultaneous-vanishing condition, and
         the member it encodes fails only where every polynomial of the group
@@ -81,18 +76,6 @@ class DegeneracyLocus:
         zero = dict.fromkeys(self._split[0].variables, 0)
         kept = [G for G in self.sides if DegeneracyLocus((), (G,)).pencil_test(zero) is None]
         return build_locus(self.lowest + tuple(discriminant(G) for G in kept), self.nonvanishing)
-
-    @property
-    def generators(self) -> tuple[MPoly, ...]:
-        """The flat hypersurface list, when every group is a singleton (as in
-        all pinned families)."""
-        for g in self.groups:
-            if len(g) != 1:
-                raise LocusError(
-                    "locus involves a simultaneous-vanishing condition; "
-                    "use .groups for the full description"
-                )
-        return tuple(g[0] for g in self.groups)
 
     @cached_property
     def _split(self):
@@ -168,25 +151,14 @@ def build_locus(raw_conditions, nonvanishing=()) -> tuple[tuple[MPoly, ...], ...
 @dataclass(frozen=True)
 class PolarModel:
     """Predicted general polar of one family: its Newton polygon, side
-    polynomials, degeneracy locus and topology.  The side heights, edge
-    terms and generic verdict are computed when first read; no build does."""
+    polynomials, degeneracy locus and topology.  The generic verdict is
+    computed when first read; no build does."""
 
     low_points: tuple[Point, ...]  # the generic polar's lowest (x, j) at each height j, indexed by j
     sides: tuple[tuple[Point, ...], ...]  # bottom side first; ascending j within a side
     side_polys: tuple[UPoly, ...]
     locus: DegeneracyLocus
     topology: TopologyReport
-
-    @cached_property
-    def side_heights(self) -> tuple[int, ...]:
-        """The heights j whose lowest term must not vanish, ascending."""
-        return tuple(sorted(j for (_x, j) in self.predicted_points()))
-
-    @cached_property
-    def edge_terms(self) -> dict[int, MPoly]:
-        """The lowest polar term at each side height: the locus's lowest term."""
-        return {j: c * MPoly.monomial(1, {X: self.low_points[j][0], Y: j})
-                for j, c in zip(self.side_heights, self.locus.lowest)}
 
     @cached_property
     def generic_verdict(self) -> str:

@@ -28,11 +28,9 @@ from .algebra import B, MPoly, bvar
 from .curves import (check_family, coefficient_g1, coefficient_tail, polar_coefficient, polar_low_points,
                      row_starts_g2, tail_start)
 from .genus1 import PolarModel, build_model
-from .newton import Point
 
 __all__ = [
     "polar_model_g2",
-    "lpq_side_points",
     "classify_nondegenerate",
     "Classification",
     "InvalidSemigroupError",
@@ -51,11 +49,6 @@ def _product_polar_coeff(p: int, q: int, i: int, j: int) -> MPoly:
     if j <= p - 1 and i >= q:
         return -2 * polar_coefficient(partial(coefficient_g1, p, q), i - q, j)
     return MPoly.zero()
-
-
-def lpq_side_points(p: int, q: int, e1: int = 2) -> tuple[Point, ...]:
-    """Lattice points of the steep side contributed by f1^(e1-1) * P(f1)."""
-    return tuple((i * q, (e1 - i) * p - 1) for i in range(e1))
 
 
 @lru_cache(maxsize=32)

@@ -17,9 +17,9 @@ one topology check that shares no code with the prediction.  The header's
 trial, a specialisation of the member's own generic polar on the same
 polygon with every side squarefree, witnesses it.
 
-Every draw of family coefficients, here and in the degenerate-power check,
-follows one rule read from the `curves.Family` record: a value for each of
-its `coeff_vars`, with its `class_var` (if any) nonzero.
+Every draw of family coefficients follows one rule read from the
+`curves.Family` record: a value for each of its `coeff_vars`, with its
+`class_var` (if any) nonzero.
 
 Determinism: each trial draws from a Mersenne-Twister generator seeded with
 "<seed>:<trial>" (CPython `random.Random`); the algorithm name is pinned in
@@ -58,11 +58,11 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .algebra import IntegerPoint, MPoly, UPoly, Z
+from .algebra import IntegerPoint
 from .curves import (Family, PlaneSeries, generic_member_g1, generic_member_g2, lowest_polar_terms,
                      polar, substitute)
 from .genus1 import polar_model_g1
-from .genus2 import lpq_side_points, polar_model_g2
+from .genus2 import polar_model_g2
 from .newton import PolygonError, is_nondegenerate, newton_polygon, oka_decomposition
 from .puiseux import InsufficientDepthError, PuiseuxError, intersection_numeric, puiseux_expand
 
@@ -74,12 +74,6 @@ class VerifyError(RuntimeError):
     pass
 
 
-def _check_sampling(trials: int, coeff_range: int) -> None:
-    """A run draws at least once, from a range whose denominators can be drawn."""
-    if trials < 1 or coeff_range < 2:
-        raise VerifyError("need trials >= 1 and coeff_range >= 2")
-
-
 @dataclass(frozen=True)
 class SampleConfig:
     family: tuple[int, ...]  # (p, q) or (p, q, d)
@@ -89,7 +83,9 @@ class SampleConfig:
     puiseux_crosscheck: bool = False
 
     def __post_init__(self):
-        _check_sampling(self.trials, self.coeff_range)
+        # a run draws at least once, from a range whose denominators can be drawn
+        if self.trials < 1 or self.coeff_range < 2:
+            raise VerifyError("need trials >= 1 and coeff_range >= 2")
         if len(self.family) not in (2, 3):
             raise VerifyError("family must be (p, q) or (p, q, d)")
 
@@ -278,46 +274,6 @@ def run_verification(cfg: SampleConfig) -> dict:
     }
 
 
-def run_power_degeneracy(p: int, q: int, d: int = 1, e1: int = 3,
-                         trials: int = 10, seed: int = 42, coeff_range: int = 10) -> dict:
-    """Sample f1^e1 + f2 members (e1 > 2) and verify the polar is Newton
-    degenerate, failing on the steep side whose associated polynomial is a
-    constant multiple of (z^p - 1)^(e1 - 1)."""
-    if e1 <= 2:
-        raise VerifyError("this check is for e1 > 2")
-    _check_sampling(trials, coeff_range)
-    fam = generic_member_g2(p, q, d, e1=e1)
-    reference = (MPoly.var(Z, p) - 1) ** (e1 - 1)
-    steep = lpq_side_points(p, q, e1)
-    records = []
-    for trial in range(trials):
-        rng = random.Random(f"{seed}:{trial}")
-        assignment, _ = _draw_assignment(fam, rng, coeff_range)
-        a, b = [Fraction(*pair) for pair in _rand_pairs(rng, coeff_range, (False, True))]
-        report = is_nondegenerate(lowest_polar_terms(fam.generic, a, b, assignment))
-        target = [v for v in report.sides if (v.side.from_pt, v.side.to_pt) == (steep[0], steep[-1])]
-        F = target[0].associated if target else None
-        proportional = bool(target) and UPoly.from_mpoly(reference * F.lc.constant_value()) == F
-        records.append({
-            "trial": trial,
-            "degenerate": report.verdict == "degenerate",
-            "steep_side_fails": bool(target) and not target[0].squarefree,
-            "steep_side_power_shape": bool(proportional),
-            "other_failing_sides": max(0, sum(not v.squarefree for v in report.sides) - 1),
-        })
-    return {
-        "family": [p, q, d, e1],
-        "seed": seed,
-        "prng": PRNG_NAME,
-        "records": records,
-        "summary": {
-            "trials": trials,
-            "degenerate": sum(r["degenerate"] for r in records),
-            "steep_side_fails": sum(r["steep_side_fails"] for r in records),
-            "steep_side_power_shape": sum(r["steep_side_power_shape"] for r in records),
-        },
-    }
-
-
 def report_to_json(report: dict) -> str:
+    """The report's text, which the bench's gate and the tests' sha pins hash."""
     return json.dumps(report, indent=2, sort_keys=False, default=str)

@@ -5,7 +5,8 @@ nothing here imports `polarnewton`: the hull oracle tests all support pairs
 for dominance, the determinant oracle is plain fraction Gaussian elimination,
 root counting goes through numpy, the tail polar's lowest exponents come from
 listing the tail monomials and from the paper's closed forms, as do the
-genus-one polar's, derivatives, evaluations and the Puiseux residual
+genus-one polar's and the steep side's points (`lpq_side_points`),
+derivatives, evaluations and the Puiseux residual
 read a polynomial's `.terms` (or a `UPoly`'s `.coeffs`) directly, as
 `point_values` reads a drawn point's integers, and the Milnor number is a
 resultant's x-order modulo a prime, by evaluation and interpolation.
@@ -199,6 +200,12 @@ def tail_min_x_exponent(p, q, d, j):
         return i if h == j0 else i + 1
 
     return min(first(j) - 1, first(j + 1)) if j + 1 <= 2 * p - 2 else first(j) - 1
+
+
+def lpq_side_points(p, q, e1=2):
+    """Lattice points of the steep side that f1^(e1-1) * P(f1) contributes to
+    the polar of f1^e1 + f2, in closed form, top first."""
+    return tuple((i * q, (e1 - i) * p - 1) for i in range(e1))
 
 
 def deriv(poly, v):

@@ -28,9 +28,10 @@ from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import classify_nondegenerate, polar_model_g2
 from polarnewton.newton import newton_polygon_from_points
 from polarnewton.puiseux import puiseux_expand
-from polarnewton.verify import SampleConfig, run_power_degeneracy, run_verification
+from polarnewton.verify import SampleConfig, run_verification
 
 from _oracles import distinct_root_count, hull_oracle, reconstruction_residual
+from _support import edge_terms, power_degeneracy, rational_multiple
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -44,14 +45,6 @@ def report(number: int, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"[criterion {number:2d}] {status}{suffix}")
     return ok
-
-
-def rational_multiple(f: MPoly, g: MPoly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f == g
-    lm, lc = f.leading()
-    gm, gc = g.leading()
-    return lm == gm and f * (gc / lc) == g
 
 
 def locus_matches(got, expected) -> bool:
@@ -83,7 +76,7 @@ def test_criterion_1_first_worked_example():
     ok &= discriminant(F1) == displayed_d1
     ok &= discriminant(F0) * (-3 * b * a11) == displayed_d0
 
-    got = polar_model_g1(7, 19).locus.generators
+    got = [g for (g,) in polar_model_g1(7, 19).locus.groups]
     expected = [a17, a14, a11, 3 * a11 * a17 - a14**2]
     ok &= locus_matches(got, expected)
 
@@ -99,7 +92,7 @@ def test_criterion_1_first_worked_example():
 def test_criterion_2_second_worked_example():
     t0 = time.perf_counter()
     a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
-    got = polar_model_g1(5, 12).locus.generators
+    got = [g for (g,) in polar_model_g1(5, 12).locus.groups]
     ok = locus_matches(got, [a101, a53, 9 * a53**2 - 20 * a101])
 
     f1 = parse_series("y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y")
@@ -133,17 +126,18 @@ def test_criterion_3_third_worked_example():
 
     a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
     b173, b221 = MPoly.var(bvar(17, 3)), MPoly.var(bvar(22, 1))
-    ok &= model.edge_terms[9] == 10 * b * y**9
-    ok &= model.edge_terms[4] == -10 * b * x**12 * y**4
-    ok &= model.edge_terms[2] == 3 * b * (b173 - 2 * a53) * x**17 * y**2
-    ok &= model.edge_terms[0] == b * (b221 - 2 * a101) * x**22
+    terms = edge_terms(model)
+    ok &= terms[9] == 10 * b * y**9
+    ok &= terms[4] == -10 * b * x**12 * y**4
+    ok &= terms[2] == 3 * b * (b173 - 2 * a53) * x**17 * y**2
+    ok &= terms[0] == b * (b221 - 2 * a101) * x**22
 
     F0 = UPoly.from_mpoly(
         b * (-10 * z**4 + 3 * (b173 - 2 * a53) * z**2 + (b221 - 2 * a101))
     )
     ok &= model.side_polys[0] == F0
 
-    got = polar_model_g2(5, 12, 1).locus.generators
+    got = [g for (g,) in polar_model_g2(5, 12, 1).locus.groups]
     expected = [
         b173 - 2 * a53,
         b221 - 2 * a101,
@@ -194,7 +188,7 @@ def test_criterion_5_sampled_genus_two_families():
 def test_criterion_6_tail_independence_for_large_d():
     ok = True
     for (p, q, d) in [(2, 5, 7), (2, 3, 5)]:
-        for g in polar_model_g2(p, q, d).locus.generators:
+        for (g,) in polar_model_g2(p, q, d).locus.groups:
             ok &= all(v.kind == "aij" for v in g.variables())
     assert report(6, ok)
 
@@ -213,13 +207,13 @@ def test_criterion_7_small_multiplicity_families():
                 and len(smooth) == 1
                 and rep.intersections[0][1] == k)
         ok &= empty and topo
-        gens = [g.render() for g in locus.generators]
+        gens = [g.render() for (g,) in locus.groups]
         details.append(f"K(4,{2*k},{4*k+d}): locus={'[]' if empty else gens}, topology={'ok' if topo else 'bad'}")
     assert report(7, ok, "; ".join(details))
 
 
 def test_criterion_8_higher_power_members_degenerate():
-    rep = run_power_degeneracy(2, 3, d=1, e1=3, trials=10, seed=42)
+    rep = power_degeneracy(2, 3, d=1, e1=3, trials=10, seed=42)
     s = rep["summary"]
     ok = s["degenerate"] == 10 and s["steep_side_fails"] == 10 and s["steep_side_power_shape"] == 10
     assert report(8, ok, f"10/10 degenerate, steep side carries (z^2-1)^2")

@@ -14,6 +14,7 @@ from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import is_nondegenerate, newton_polygon, oka_decomposition
 
 from _oracles import evaluate, min_x_exponent
+from _support import edge_terms, member_of, model_of, rational_multiple, raw, side_heights
 from test_low_points import member_row_starts
 from test_model_digests import G1_BOX, G2_BOX
 
@@ -21,16 +22,6 @@ x = MPoly.var(X)
 y = MPoly.var(Y)
 a = MPoly.var(A)
 b = MPoly.var(B)
-
-
-def rational_multiple(f: MPoly, g: MPoly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f == g
-    lm, lc = f.leading()
-    gm, gc = g.leading()
-    if lm != gm:
-        return False
-    return f * (gc / lc) == g
 
 
 class TestLowestExponents:
@@ -86,12 +77,13 @@ class TestEdgeTerms:
     def test_terms_agree_with_the_direct_polar(self):
         for (p, q) in [(2, 3), (3, 4), (5, 12), (7, 19), (4, 7)]:
             model = polar_model_g1(p, q)
-            assert sorted(model.edge_terms) == list(model.side_heights)
-            for j in model.side_heights:
-                assert model.edge_terms[j] == lowest_polar_term(p, q, j)
+            terms = edge_terms(model)
+            assert sorted(terms) == list(side_heights(model))
+            for j in side_heights(model):
+                assert terms[j] == lowest_polar_term(p, q, j)
 
     def test_a_build_forms_no_edge_term(self, monkeypatch):
-        # the edge terms are formed when first read, never by a build
+        # the edge terms are formed when read, never by a build
         calls = []
         monomial = MPoly.monomial.__func__
 
@@ -102,7 +94,7 @@ class TestEdgeTerms:
         monkeypatch.setattr(MPoly, "monomial", classmethod(counted))
         models = [polar_model_g1.__wrapped__(7, 19), polar_model_g2.__wrapped__(5, 12, 1)]
         assert calls == []
-        read = sum(len(m.edge_terms) for m in models)
+        read = sum(len(edge_terms(m)) for m in models)
         assert len(calls) == read == 8
 
 
@@ -119,9 +111,8 @@ class TestGenericVerdict:
         fams = [fam for fam in G1_BOX if fam[0] <= 9] + [fam for fam in G2_BOX if fam[0] <= 5]
         assert len(fams) == 335
         for fam in fams:
-            model = polar_model_g1(*fam) if len(fam) == 2 else polar_model_g2(*fam)
-            member = generic_member_g1(*fam) if len(fam) == 2 else generic_member_g2(*fam)
-            assert model.generic_verdict == self.reference(member.generic) == "generically_nondegenerate", fam
+            verdict = self.reference(member_of(fam).generic)
+            assert model_of(fam).generic_verdict == verdict == "generically_nondegenerate", fam
 
     @pytest.mark.parametrize("p,q,d,e1", [(2, 3, 1, 3), (3, 4, 1, 3), (3, 5, 1, 4), (2, 5, 1, 5)])
     def test_a_power_member_is_degenerate(self, p, q, d, e1):
@@ -216,7 +207,7 @@ class TestSidePolynomials:
 
 class TestLocus:
     def test_7_19(self):
-        got = polar_model_g1(7, 19).locus.generators
+        got = [g for (g,) in polar_model_g1(7, 19).locus.groups]
         a11, a14, a17 = (MPoly.var(avar(11, 3)), MPoly.var(avar(14, 2)), MPoly.var(avar(17, 1)))
         expected = [a11, a14, a17, 3 * a11 * a17 - a14**2]
         assert len(got) == 4
@@ -224,7 +215,7 @@ class TestLocus:
             assert any(rational_multiple(g, e) for g in got)
 
     def test_5_12(self):
-        got = polar_model_g1(5, 12).locus.generators
+        got = [g for (g,) in polar_model_g1(5, 12).locus.groups]
         a53, a101 = MPoly.var(avar(5, 3)), MPoly.var(avar(10, 1))
         expected = [a101, a53, 9 * a53**2 - 20 * a101]
         assert len(got) == 3
@@ -239,7 +230,7 @@ class TestLocus:
         # the shift y -> y - a[3,1]*x^3/2 removes; the only polar term below
         # the top is -5*a*x^4.  (3, 7) keeps its bottom-vertex coefficient
         assert not polar_model_g1(2, 5).locus.groups
-        assert [g.render() for g in polar_model_g1(3, 7).locus.generators] == ["a[5,1]"]
+        assert [g.render() for (g,) in polar_model_g1(3, 7).locus.groups] == ["a[5,1]"]
 
     def test_zero_lattice_points_impose_no_condition(self):
         # (2,1) on (3,5) and (2,2) on (4,7) lie on a side at height p-2,
@@ -248,7 +239,7 @@ class TestLocus:
             model = polar_model_g1(p, q)
             assert any(pt in side for side in model.sides)
             assert pt not in model.predicted_points()
-            assert pt[1] not in model.side_heights
+            assert pt[1] not in side_heights(model)
             assert polar(generic_member_g1(p, q).generic).coeff(*pt).is_zero()
 
     # Taking side discriminants on the deflated polynomial dropped one group
@@ -315,8 +306,7 @@ def vanishes_by_generator(groups, point) -> bool:
 class TestLocusPlan:
     @pytest.mark.parametrize("family", [(7, 19), (5, 12, 1), (7, 19, 1)])
     def test_vanishing_matches_the_per_generator_definition(self, family):
-        locus = (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).locus
-        fam = generic_member_g1(*family) if len(family) == 2 else generic_member_g2(*family)
+        locus, fam = model_of(family).locus, member_of(family)
         rng = random.Random(f"plan:{family}")
         seen = set()
         for _ in range(300):
@@ -403,8 +393,7 @@ class TestLocusByEvaluation:
 
     @pytest.mark.parametrize("family", LADDER + A_PARTS)
     def test_agrees_with_the_expanded_definitions(self, family):
-        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
-        fam = generic_member_g1(*family) if len(family) == 2 else generic_member_g2(*family)
+        model, fam = model_of(family), member_of(family)
         rng = random.Random(f"evaluation:{family}")
 
         def draw():
@@ -423,7 +412,7 @@ class TestLocusByEvaluation:
             solved = _solve_for_first_variable(parts.get((0, 1), MPoly.zero()), 0, draw(), fam.class_var)
             if solved is not None:
                 points.append((solved, (1, 0) not in parts))
-        seen, pencil_seen = set(), set()
+        seen, pencil_seen, conditions = set(), set(), raw(model.locus)
         for point, built_on_locus in points:
             if fam.class_var is not None:
                 assert point[fam.class_var] != 0
@@ -437,7 +426,7 @@ class TestLocusByEvaluation:
                 if not any(ab):
                     continue
                 full = {**point, A: ab[0], B: ab[1]}
-                pencil = all(evaluate(c, full) != 0 for c in model.locus.raw)
+                pencil = all(evaluate(c, full) != 0 for c in conditions)
                 x, y = ab[0].numerator * ab[1].denominator, ab[1].numerator * ab[0].denominator
                 assert (test is not None and test(x, y)) is pencil
                 pencil_seen.add(pencil)
@@ -481,13 +470,13 @@ class TestPencilTest:
     def test_is_none_where_a_condition_vanishes_on_a_grid(self, family):
         # every variable of the conditions over {-1, 0, 1}, the class
         # variable included
-        locus = (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).locus
+        locus = model_of(family).locus
         forms = locus.lowest + tuple(c for G in locus.sides for c in G.coeffs)
         vs = sorted({v for c in forms for v in c.variables()} - {A, B})
-        seen = set()
+        seen, conditions = set(), raw(locus)
         for values in itertools.product((-1, 0, 1), repeat=len(vs)):
             point = dict(zip(vs, values))
-            want = any(_vanishes_identically(c, point) for c in locus.raw)
+            want = any(_vanishes_identically(c, point) for c in conditions)
             assert (locus.pencil_test(point) is None) is want
             seen.add(want)
         assert seen == {True, False}
@@ -533,8 +522,8 @@ class TestPencilTest:
     @pytest.mark.parametrize("family", [(4, 7), (5, 9), (7, 10), (7, 12), (7, 20), (6, 17), (3, 5, 1),
                                         (3, 8, 1), (4, 7, 1), (4, 11, 1), (5, 12, 1)])
     def test_the_listing_is_that_of_every_condition(self, family):
-        locus = (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).locus
-        assert locus.groups == build_locus(locus.raw, locus.nonvanishing)
+        locus = model_of(family).locus
+        assert locus.groups == build_locus(raw(locus), locus.nonvanishing)
 
 
 class TestPredictedTopology:
@@ -560,6 +549,7 @@ class TestSampledAgreement:
     def test_polygon_and_topology(self, p, q):
         model = polar_model_g1(p, q)
         fam = generic_member_g1(p, q)
+        conditions = raw(model.locus)
         rng = random.Random(f"g1:{p}:{q}")
         trials = 0
         while trials < 5:
@@ -571,7 +561,7 @@ class TestSampledAgreement:
             ab = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(1, 9)))
             full[A] = ab[0]
             full[B] = ab[1]
-            if any(evaluate(c, full) == 0 for c in model.locus.raw):
+            if any(evaluate(c, full) == 0 for c in conditions):
                 continue
             trials += 1
             pol = polar(substitute(fam.generic, assignment), *ab)

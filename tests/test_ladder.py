@@ -21,6 +21,8 @@ from polarnewton.genus1 import polar_model_g1
 from polarnewton.genus2 import polar_model_g2
 from polarnewton.verify import SampleConfig, run_verification
 
+from _support import model_of, name
+
 EXPECTED = json.loads((pathlib.Path(__file__).resolve().parent.parent
                        / "bench" / "ladder_expected.json").read_text())
 
@@ -30,14 +32,6 @@ RUNGS = [(7, 19), (11, 29), (15, 41), (14, 37), (17, 45), (5, 12, 1), (8, 21, 1)
 WALL = [(8, 15), (9, 17), (13, 25), (6, 11, 1), (7, 13, 1)]
 BENCH_FAMILIES = [(7, 19), (5, 12, 1), (7, 19, 1)]
 G2_RUNGS = [fam for fam in RUNGS[:9] if len(fam) == 3]
-
-
-def name(fam) -> str:
-    return ("g1_" if len(fam) == 2 else "g2_") + "_".join(map(str, fam))
-
-
-def build(fam):
-    return polar_model_g1(*fam) if len(fam) == 2 else polar_model_g2(*fam)
 
 
 def summary(model) -> dict:
@@ -58,7 +52,7 @@ def test_every_recorded_rung_is_on_the_ladder():
 
 @pytest.mark.parametrize("fam", RUNGS, ids=name)
 def test_rung_builds_and_matches_its_record(fam):
-    model = build(fam)
+    model = model_of(fam)
     if name(fam) in EXPECTED:
         assert summary(model) == EXPECTED[name(fam)]
     # the discriminants the locus takes are those of the deflated sides
@@ -68,7 +62,7 @@ def test_rung_builds_and_matches_its_record(fam):
 
 @pytest.mark.parametrize("fam", WALL, ids=name)
 def test_wall_family_builds_and_verifies(fam):
-    model = build(fam)
+    model = model_of(fam)
     assert max(deflate(F).deg for F in model.side_polys) == fam[0] - 1
     summary = run_verification(SampleConfig(family=fam, seed=42, trials=20))["summary"]
     assert summary == {"trials": 20, "polygon_match": 20, "points_present": 20,
@@ -88,7 +82,7 @@ def test_no_side_discriminant_is_expanded_until_the_locus_is_listed(monkeypatch)
     # fresh models, so each run reads its generic verdict afresh
     polar_model_g1.cache_clear()
     polar_model_g2.cache_clear()
-    models = [build(fam) for fam in RUNGS[:9]]
+    models = [model_of(fam) for fam in RUNGS[:9]]
     for fam in BENCH_FAMILIES:
         run_verification(SampleConfig(family=fam, seed=42, trials=50))
     assert calls == []

@@ -16,8 +16,8 @@ import math
 import pathlib
 
 from polarnewton.cli import _locus_payload
-from polarnewton.genus1 import polar_model_g1
-from polarnewton.genus2 import polar_model_g2
+
+from _support import model_of, name
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "locus_digests_sha256.json"
 
@@ -26,13 +26,8 @@ G2_BOX = [(p, q, d) for p in range(2, 5) for q in range(p + 1, 3 * p + 3) if mat
           for d in range(1, 2 * q + 2, 2)]
 
 
-def name(fam) -> str:
-    return ("g1_" if len(fam) == 2 else "g2_") + "_".join(map(str, fam))
-
-
 def digest(fam) -> str:
-    model = polar_model_g1(*fam) if len(fam) == 2 else polar_model_g2(*fam)
-    text = json.dumps(_locus_payload(model.locus), indent=2)
+    text = json.dumps(_locus_payload(model_of(fam).locus), indent=2)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -14,10 +14,10 @@ from polarnewton.algebra import A, MPoly
 from polarnewton.cfrac import continued_fraction, convergents
 from polarnewton.curves import generic_member_g1, generic_member_g2, polar, row_starts_g1, row_starts_g2
 from polarnewton.genus1 import polar_model_g1
-from polarnewton.genus2 import lpq_side_points, polar_model_g2
+from polarnewton.genus2 import polar_model_g2
 from polarnewton.newton import newton_polygon_from_points
 
-from _oracles import min_x_exponent, tail_min_x_exponent
+from _oracles import lpq_side_points, min_x_exponent, tail_min_x_exponent
 from test_model_digests import G1_BOX, G2_BOX
 
 # member builds grow fast with p in genus two; this box takes about 0.7 s on

@@ -21,8 +21,10 @@ code with the prediction.
 
 A draw off the locus has the predicted polygon, convenient and with every
 side squarefree, so μ(P) must be ν of the predicted polygon, and the δ
-identity must hold on the model's topology.  An e1 = 3 member's polar is
-degenerate (the paper's "no" classes), and there μ(P) exceeds ν(Γ(P)).
+identity must hold on the model's topology.  An e1 = 3, 4 or 5 member's polar
+is degenerate (the paper's "no" classes): there μ(P) exceeds ν(Γ(P)), and
+equals 2δ - r + 1 on the polar's own topology, which no coordinate change
+alters.
 A drawn point with one lowest-term variable forced to 0 keeps P
 nondegenerate, so μ(P) = ν(Γ(P)), which differs from ν of the predicted
 polygon when Γ(P) moves.
@@ -42,10 +44,9 @@ sympy = pytest.importorskip("sympy")
 from polarnewton import verify  # noqa: E402
 from polarnewton.algebra import Var  # noqa: E402
 from polarnewton.curves import generic_member_g2, substitute  # noqa: E402
-from polarnewton.genus1 import polar_model_g1  # noqa: E402
-from polarnewton.genus2 import polar_model_g2  # noqa: E402
 
 from _oracles import hull_oracle, milnor_mod  # noqa: E402
+from _support import member_of, model_of  # noqa: E402
 
 SX, SY = sympy.symbols("x y")
 
@@ -95,8 +96,7 @@ def trial(key, n=0, zero=None):
     """The member rendered at the draw of trial `n` of `run_verification` at
     seed 42, its pencil point, and the model; with `zero`, that variable of
     the draw is set to 0 and the pencil point is kept."""
-    family = verify._family(key)
-    model = polar_model_g1(*key) if len(key) == 2 else polar_model_g2(*key)
+    family, model = member_of(key), model_of(key)
     point, _, (a, _), (b, _) = verify.sample_off_locus(family, model, random.Random(f"42:{n}"), 10)
     if zero is not None:
         scaled = tuple(0 if v == zero else s for v, s in zip(point.variables, point.scaled))
@@ -142,14 +142,21 @@ def test_modular_milnor_number_is_sympys(key):
     assert milnor(P) == milnor_sympy(P)
 
 
-def test_cube_member_polar_exceeds_its_newton_number():
-    # the e1 = 3 member of (2,3,1), drawn as the first trial draws
-    family = generic_member_g2(2, 3, 1, e1=3)
+@pytest.mark.parametrize("e1,mu,nu", [(3, 27, 26), (4, 59, 57), (5, 103, 100)])
+def test_power_member_polar_exceeds_its_newton_number(e1, mu, nu):
+    # the e1 member of (2,3,1), drawn as the first trial draws; its polar is
+    # one smooth branch and one with semigroup <2k, 3k, 6k + 1>, k = e1 - 1,
+    # meeting with multiplicity 3k, so δ = (3k^2 - 2k) + 3k, r = 2, and
+    # Milnor's formula reads the degenerate polar's μ off that topology
+    family = generic_member_g2(2, 3, 1, e1=e1)
     point, _ = verify._draw_assignment(family, random.Random("42:0"), 10)
     P = polar_of_render(substitute(family.generic, point).render(), Fraction(3), Fraction(-2, 5))
     support = [(i, j) for (i, j), c in P.terms() if c]
-    nu = newton_number(hull_oracle(support))
-    assert (milnor(P), nu) == (27, 26)
+    got = milnor(P)
+    assert (got, newton_number(hull_oracle(support))) == (mu, nu)
+    k, r = e1 - 1, 2
+    delta = (3 * k * k - 2 * k) + 3 * k
+    assert got == 2 * delta - r + 1
 
 
 @pytest.mark.parametrize("zero,absent,hull,mu", [

@@ -20,8 +20,7 @@ import math
 import pathlib
 import sys
 
-from polarnewton.genus1 import polar_model_g1
-from polarnewton.genus2 import polar_model_g2
+from _support import edge_terms, model_of, name, side_heights
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "model_digests_sha256.json"
 BODY_GOLDEN = GOLDEN.with_name("model_body_digests_sha256.json")
@@ -31,18 +30,14 @@ G2_BOX = [(p, q, d) for p in range(2, 8) for q in range(p + 1, 3 * p + 3) if mat
           for d in range(1, 2 * q + 2, 2)]
 
 
-def name(fam) -> str:
-    return ("g1_" if len(fam) == 2 else "g2_") + "_".join(map(str, fam))
-
-
 def render(model) -> str:
     c = model.locus
     lines = [
         f"low_points {model.low_points!r}",
         f"sides {model.sides!r}",
         *(f"side_poly {F.render()}" for F in model.side_polys),
-        f"side_heights {model.side_heights!r}",
-        *(f"edge_term {j} {t.render()}" for j, t in sorted(model.edge_terms.items())),
+        f"side_heights {side_heights(model)!r}",
+        *(f"edge_term {j} {t.render()}" for j, t in sorted(edge_terms(model).items())),
         f"topology {model.topology!r}",
         *(f"lowest {t.render()}" for t in c.lowest),
         *(f"deflated_side {G.render()}" for G in c.sides),
@@ -54,7 +49,7 @@ def render(model) -> str:
 def digests(body: bool = False) -> dict[str, str]:
     """The sha256 of each render, or with `body` of the render past its
     `low_points` line."""
-    models = [polar_model_g1(*fam) for fam in G1_BOX] + [polar_model_g2(*fam) for fam in G2_BOX]
+    models = [model_of(fam) for fam in G1_BOX + G2_BOX]
     texts = [render(m).split("\n", 1)[1] if body else render(m) for m in models]
     return {name(fam): hashlib.sha256(text.encode()).hexdigest() for fam, text in zip(G1_BOX + G2_BOX, texts)}
 

@@ -12,7 +12,6 @@ from polarnewton.algebra import MPoly, X, Y, qpoly_yun
 from polarnewton.curves import (
     PlaneSeries,
     generic_member_g1,
-    generic_member_g2,
     parse_series,
     polar,
     substitute,
@@ -34,6 +33,7 @@ from polarnewton.puiseux import (
 from polarnewton.verify import sample_off_locus
 
 from _oracles import evaluate, hull_oracle, reconstruction_residual
+from _support import member_of, model_of, raw
 
 x = MPoly.var(X)
 y = MPoly.var(Y)
@@ -44,10 +44,7 @@ PINNED_MEMBER = "y^5 - x^12 + x^5*y^3 + x^8*y^2 + (9/20)*x^10*y"
 
 def crosscheck_polar(family, trial, seed=42, coeff_range=10):
     """The polar that `run_verification` crosschecks in this trial."""
-    if len(family) == 2:
-        fam, model = generic_member_g1(*family), polar_model_g1(*family)
-    else:
-        fam, model = generic_member_g2(*family), polar_model_g2(*family)
+    fam, model = member_of(family), model_of(family)
     assignment, _, (a, _), (b, _) = sample_off_locus(fam, model, random.Random(f"{seed}:{trial}"), coeff_range)
     return polar(substitute(fam.generic, assignment), a, b)
 
@@ -196,6 +193,7 @@ class TestIntersections:
     def test_pinned_polar_pairings(self):
         model = polar_model_g1(7, 19)
         fam = generic_member_g1(7, 19)
+        conditions = raw(model.locus)
         rng = random.Random("puiseux:7:19")
         from polarnewton.algebra import A, B
 
@@ -205,7 +203,7 @@ class TestIntersections:
                 continue
             full = dict(assignment)
             full[A], full[B] = Fraction(3), Fraction(2)
-            if all(evaluate(c, full) != 0 for c in model.locus.raw):
+            if all(evaluate(c, full) != 0 for c in conditions):
                 break
         pol = polar(substitute(fam.generic, assignment), 3, 2)
         out = puiseux_expand(pol, min_order=4)
@@ -290,6 +288,7 @@ class TestOkaAgreement:
     def test_branch_classes_and_table_match_the_combinatorial_route(self):
         fam = generic_member_g1(5, 12)
         model = polar_model_g1(5, 12)
+        conditions = raw(model.locus)
         rng = random.Random(2024)
         from polarnewton.algebra import A, B
 
@@ -300,7 +299,7 @@ class TestOkaAgreement:
                 continue
             full = dict(assignment)
             full[A], full[B] = Fraction(1), Fraction(2)
-            if any(evaluate(c, full) == 0 for c in model.locus.raw):
+            if any(evaluate(c, full) == 0 for c in conditions):
                 continue
             count += 1
             pol = polar(substitute(fam.generic, assignment), 1, 2)

@@ -19,8 +19,6 @@ sympy = pytest.importorskip("sympy")
 
 from polarnewton import algebra, verify  # noqa: E402
 from polarnewton.curves import PlaneSeries, _IntegerTerms, polar, substitute  # noqa: E402
-from polarnewton.genus1 import polar_model_g1  # noqa: E402
-from polarnewton.genus2 import polar_model_g2  # noqa: E402
 from polarnewton.newton import is_nondegenerate  # noqa: E402
 from polarnewton.algebra import (  # noqa: E402
     A,
@@ -42,6 +40,7 @@ from polarnewton.algebra import (  # noqa: E402
 )
 
 from _oracles import evaluate, sylvester_matrix  # noqa: E402
+from _support import member_of, model_of  # noqa: E402
 
 PARAMS = (A, B, avar(3, 1), bvar(5, 2))
 SZ = sympy.Symbol("z")
@@ -220,7 +219,7 @@ class TestDeflation:
             assert sympy.expand(upoly_to_sympy(F) - upoly_to_sympy(G).subs(SZ, SZ**step)) == 0
             lhs = sympy.discriminant(upoly_to_sympy(F), SZ)
             rhs = (step ** (step * G.deg) * to_sympy(G.coeff(0)) ** (step - 1)
-                   * to_sympy(G.lc) ** (step - 1) * to_sympy(discriminant(G)) ** step)
+                   * to_sympy(G.coeffs[-1]) ** (step - 1) * to_sympy(discriminant(G)) ** step)
             assert sympy.expand(lhs - rhs) == 0 or sympy.expand(lhs + rhs) == 0
 
     def test_step_is_the_gcd_of_the_exponents(self):
@@ -450,8 +449,7 @@ class TestSideVerdictAgainstSympy:
     def test_every_side_of_the_trials(self, family):
         # drawn as run_verification draws trials 0-49 at seed 42; the (7,10)
         # polar's one side, (0, 6)-(9, 0), has d = 3
-        fam = verify._family(family)
-        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+        fam, model = member_of(family), model_of(family)
         shapes = set()
         for trial in range(50):
             point, _, (a, _), (b, _) = verify.sample_off_locus(fam, model, random.Random(f"42:{trial}"), 10)

@@ -21,14 +21,13 @@ from polarnewton.verify import (
     SampleConfig,
     VerifyError,
     _draw_assignment,
-    _family as _family_of,
     report_to_json,
-    run_power_degeneracy,
     run_verification,
     sample_off_locus,
 )
 
 from _oracles import evaluate, point_values
+from _support import member_of, model_of, power_degeneracy
 from test_model_digests import G1_BOX, G2_BOX
 
 
@@ -40,6 +39,18 @@ class TestConfig:
             SampleConfig(family=(7, 19), seed=1, trials=1, coeff_range=1)
         with pytest.raises(VerifyError):
             SampleConfig(family=(7,), seed=1, trials=1)
+
+    @pytest.mark.parametrize("trials,coeff_range", [(10, 0), (10, -3), (10, 1), (0, 10)])
+    def test_rejects_an_empty_run_or_range_before_drawing(self, trials, coeff_range, monkeypatch):
+        # a range below 2 has no denominator to draw, so a draw would redraw
+        # it forever, and no trial makes an all-zero summary: both fail here,
+        # before any draw
+        def no_draw(*args):
+            raise AssertionError("drew before checking the run")
+
+        monkeypatch.setattr(verify, "_rand_pairs", no_draw)
+        with pytest.raises(VerifyError, match=r"^need trials >= 1 and coeff_range >= 2$"):
+            SampleConfig(family=(2, 3), seed=42, trials=trials, coeff_range=coeff_range)
 
 
 class TestSampling:
@@ -196,8 +207,8 @@ class TestDrawStream:
     def test_a_replayed_draw_is_the_reports_draw(self, family, coeff_range):
         # the tests replay trial n as `sample_off_locus` on "<seed>:<n>"; it
         # and the documented draw order give each record's digest
-        fam = _family_of(family)
-        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+        fam = member_of(family)
+        model = model_of(family)
         labels = [f"{v.name}=" for v in fam.coeff_vars]
         report = run_verification(SampleConfig(family=family, seed=42, trials=5, coeff_range=coeff_range))
         for rec in report["records"]:
@@ -256,7 +267,7 @@ class TestSquarefreeCertificateInTrials:
 
     def test_bench_families_never_take_the_exact_route(self, monkeypatch):
         for family in self.BENCH_FAMILIES:
-            (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).generic_verdict
+            model_of(family).generic_verdict
         calls = count_exact_determinant(monkeypatch)
         certified = count_certificates(monkeypatch)
         for family in self.BENCH_FAMILIES:
@@ -279,7 +290,7 @@ class TestSquarefreeCertificateInTrials:
 
     def test_passing_trials_build_no_upoly(self, monkeypatch):
         for family in self.BENCH_FAMILIES:
-            (polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)).generic_verdict
+            model_of(family).generic_verdict
         built = []
         real_init = algebra.UPoly.__init__
         monkeypatch.setattr(algebra.UPoly, "__init__", lambda self, *args: built.append(1) or real_init(self, *args))
@@ -293,8 +304,8 @@ class TestSquarefreeCertificateInTrials:
         # every side of the 150 bench trials, drawn as run_verification draws them
         sides = 0
         for family in self.BENCH_FAMILIES:
-            fam = _family_of(family)
-            model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+            fam = member_of(family)
+            model = model_of(family)
             for trial in range(50):
                 assignment, _, (a, _), (b, _) = sample_off_locus(fam, model, random.Random(f"42:{trial}"), 10)
                 pol = polar(substitute(fam.generic, assignment), a, b)
@@ -310,7 +321,7 @@ class TestSquarefreeCertificateInTrials:
         calls = count_exact_determinant(monkeypatch)
         for e1, determinants in ((3, 0), (4, 10)):
             calls.clear()
-            rep = run_power_degeneracy(2, 3, 1, e1=e1)
+            rep = power_degeneracy(2, 3, 1, e1=e1)
             assert rep["summary"]["degenerate"] == rep["summary"]["steep_side_fails"] == rep["summary"]["trials"]
             assert len(calls) == determinants
 
@@ -325,8 +336,8 @@ class TestReadTimePolar:
         read = []
         getitem = _IntegerTerms.__getitem__
         monkeypatch.setattr(_IntegerTerms, "__getitem__", lambda self, pt: read.append(pt) or getitem(self, pt))
-        fam = _family_of(family)
-        model = polar_model_g1(*family) if len(family) == 2 else polar_model_g2(*family)
+        fam = member_of(family)
+        model = model_of(family)
         for trial in range(5):
             assignment, _, (a, _), (b, _) = sample_off_locus(fam, model, random.Random(f"42:{trial}"), 10)
             pol = polar(substitute(fam.generic, assignment), a, b)
@@ -384,8 +395,8 @@ class TestLowestPolarTerms:
     def test_route_reads_the_full_polar_row_minima(self):
         failing = cancelled = 0
         for fam_key in self.FAMILIES:
-            fam = _family_of(fam_key)
-            model = polar_model_g1(*fam_key) if len(fam_key) == 2 else polar_model_g2(*fam_key)
+            fam = member_of(fam_key)
+            model = model_of(fam_key)
             rng = random.Random(f"lowest:{fam_key}")
             assignment, _ = _draw_assignment(fam, rng, 2)
             concrete = substitute(fam.generic, assignment)
@@ -657,7 +668,7 @@ class TestRunVerification:
                                                        monkeypatch):
         # each trial's record, and the polygon its sides are read on, are
         # those that its own lowest terms give from scratch
-        model = polar_model_g1(*key) if len(key) == 2 else polar_model_g2(*key)
+        model = model_of(key)
         predicted_vertices = model.predicted_polygon().vertices()
         seen, draws = [], []
         real_draw, real_report = verify.sample_off_locus, verify.is_nondegenerate
@@ -816,7 +827,7 @@ class TestPinnedSmallRangeReports:
 
 class TestPowerDegeneracy:
     def test_cube_members_always_fail_on_the_steep_side(self):
-        rep = run_power_degeneracy(2, 3, d=1, e1=3, trials=4, seed=9)
+        rep = power_degeneracy(2, 3, d=1, e1=3, trials=4, seed=9)
         s = rep["summary"]
         assert s["degenerate"] == 4
         assert s["steep_side_fails"] == 4
@@ -824,28 +835,10 @@ class TestPowerDegeneracy:
 
     @pytest.mark.parametrize("p,q,d,e1", [(3, 5, 1, 4), (2, 5, 1, 5)])
     def test_higher_powers_fail_on_the_steep_side(self, p, q, d, e1):
-        s = run_power_degeneracy(p, q, d=d, e1=e1, trials=4, seed=9)["summary"]
+        s = power_degeneracy(p, q, d=d, e1=e1, trials=4, seed=9)["summary"]
         assert (s["degenerate"], s["steep_side_fails"], s["steep_side_power_shape"]) == (4, 4, 4)
-
-    def test_requires_a_genuine_power(self):
-        with pytest.raises(VerifyError):
-            run_power_degeneracy(2, 3, e1=2)
-
-    @pytest.mark.parametrize("trials,coeff_range", [(10, 0), (10, -3), (10, 1), (0, 10)])
-    def test_rejects_an_empty_run_or_range_before_drawing(self, trials, coeff_range, monkeypatch):
-        # a range below 2 has no denominator to draw, so a draw would redraw
-        # it forever, and no trial makes an all-zero summary: both fail here,
-        # with SampleConfig's message, before any draw
-        def no_draw(*args):
-            raise AssertionError("drew before checking the run")
-
-        monkeypatch.setattr(verify, "_rand_pairs", no_draw)
-        with pytest.raises(VerifyError, match=r"^need trials >= 1 and coeff_range >= 2$"):
-            run_power_degeneracy(2, 3, 1, e1=3, trials=trials, coeff_range=coeff_range)
-        with pytest.raises(VerifyError, match=r"^need trials >= 1 and coeff_range >= 2$"):
-            SampleConfig(family=(2, 3), seed=42, trials=trials, coeff_range=coeff_range)
 
     def test_report_is_pinned(self):
         golden = pathlib.Path(__file__).parent / "golden" / "power_degeneracy_2_3_1_e1_3.json"
-        rep = run_power_degeneracy(2, 3, d=1, e1=3, trials=10, seed=42)
+        rep = power_degeneracy(2, 3, d=1, e1=3, trials=10, seed=42)
         assert report_to_json(rep) + "\n" == golden.read_text()
